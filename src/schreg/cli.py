@@ -1,12 +1,12 @@
 """Batch front end: run named experiments from JSON configs.
 
-`schreg <command> --config <file> [--jobs N] [--out DIR]` validates the
-config against the packaged JSON schema (unknown fields rejected), runs the
-computation, and leaves CSV/JSON artifacts plus a manifest.json that lists
-every emitted file with its sha256.  Outputs are byte-reproducible for a
-fixed config: floats are serialized with 17 significant digits, CSV rows
-are merged by index regardless of worker completion order, and JSON keys
-are sorted.
+`schreg <command> --config <file> [--out DIR]` validates the config
+against the packaged JSON schema (unknown fields and non-finite numbers
+rejected), runs the computation, and leaves CSV/JSON artifacts plus a
+manifest.json that lists every emitted file with its sha256.  Outputs are
+byte-reproducible for a fixed config: CSV floats are written with 17
+significant digits, JSON floats as their shortest round-trip repr, and JSON
+keys are sorted; both float forms read back to the same doubles.
 
 Exit codes: 0 success, 1 compute failure (partial manifest with an error
 record), 2 invalid configuration.
@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import jsonschema
@@ -55,17 +54,6 @@ def _float_17g(value):
     return format(value, ".17g")
 
 
-def _dumps(obj):
-    """JSON text with sorted keys and 17-significant-digit floats."""
-    try:
-        encode = json.encoder._make_iterencode(
-            {}, None, json.encoder.encode_basestring_ascii, "  ",
-            _float_17g, ": ", ",", True, False, False)
-        return "".join(encode(obj, 0))
-    except AttributeError:  # private helper gone: fall back to repr floats
-        return json.dumps(obj, sort_keys=True, indent=2)
-
-
 def _cell(value):
     if isinstance(value, str):
         return value
@@ -92,7 +80,8 @@ class _OutputDir:
                              "bytes": len(data)})
 
     def write_json(self, name, obj):
-        self._store(name, (_dumps(obj) + "\n").encode("utf-8"))
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        self._store(name, text.encode("utf-8"))
 
     def write_csv(self, name, header, rows):
         buf = io.StringIO()
@@ -105,14 +94,14 @@ class _OutputDir:
     def write_manifest(self, config, status, error=None):
         manifest = {
             "command": config.get("command"),
-            "seed": int(config.get("seed", 0)),
             "status": status,
             "files": sorted(self.records, key=lambda r: r["name"]),
         }
         if error is not None:
             manifest["error"] = error
+        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         with open(os.path.join(self.path, "manifest.json"), "wb") as fh:
-            fh.write((_dumps(manifest) + "\n").encode("utf-8"))
+            fh.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +124,10 @@ def load_schema(name):
 def _validate_config(config):
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")
+    try:
+        json.dumps(config, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigInvalid("config must not contain NaN or Infinity") from exc
     schema = load_schema("experiment_config.schema.json")
     try:
         jsonschema.validate(config, schema)
@@ -167,41 +160,29 @@ def _zlist(pairs):
     return [complex(zr, zi) for zr, zi in pairs]
 
 
-def _pmap(jobs, fn, items):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))  # order-preserving merge
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_solve(config, out, jobs):
+def _cmd_solve(config, out):
     p = potentials.from_json(config["potential"])
     params = config["params"]
     step = params.get("step", 1e-3)
     zs = _zlist(params["z_grid"])
     xs = sorted(float(x) for x in params["x_grid"])
-
-    def one(z):
-        rows = []
+    rows = []
+    for z in zs:
         for x in xs:
             s = propagation.dirichlet_solution(p, x, z, step=step)
             h = propagation.log_growth(p, x, z, step=step)
             rows.append((z.real, z.imag, x, s.u.real, s.u.imag,
                          s.du.real, s.du.imag, s.log_scale, h))
-        return rows
-
-    blocks = _pmap(jobs, one, zs)
     out.write_csv("solve.csv",
                   ["z_re", "z_im", "x", "u_re", "u_im", "du_re", "du_im",
-                   "log_scale", "h"],
-                  [row for block in blocks for row in block])
+                   "log_scale", "h"], rows)
 
 
-def _cmd_bands(config, out, jobs):
+def _cmd_bands(config, out):
     p = potentials.from_json(config["potential"])
     params = config["params"]
     step = params.get("step", 1e-3)
@@ -224,17 +205,15 @@ def _cmd_bands(config, out, jobs):
                   list(zip(bs.lam.tolist(), bs.delta.tolist())))
 
 
-def _cmd_martin(config, out, jobs):
+def _cmd_martin(config, out):
     E = martin.GapSet.from_json(config["spectrum"])
     params = config["params"]
     cp = martin.solve_critical_points(E)
     zs = _zlist(params["z_grid"])
-
-    def one(z):
+    rows = []
+    for z in zs:
         ev = martin.martin_function(E, cp.c, z)
-        return (z.real, z.imag, ev.value, ev.theta_real)
-
-    rows = _pmap(jobs, one, zs)
+        rows.append((z.real, z.imag, ev.value, ev.theta_real))
     summary = {
         "b0": E.b0,
         "gaps": [list(g) for g in E.gaps],
@@ -249,7 +228,7 @@ def _cmd_martin(config, out, jobs):
     out.write_csv("martin.csv", ["z_re", "z_im", "m", "theta_real"], rows)
 
 
-def _cmd_dos(config, out, jobs):
+def _cmd_dos(config, out):
     p = potentials.from_json(config["potential"])
     E = martin.GapSet.from_json(config["spectrum"])
     params = config["params"]
@@ -265,7 +244,7 @@ def _cmd_dos(config, out, jobs):
                   list(zip(d.lam.tolist(), d.rho_x.tolist(), d.rho_e.tolist())))
 
 
-def _cmd_regularity(config, out, jobs):
+def _cmd_regularity(config, out):
     p = potentials.from_json(config["potential"])
     E = martin.GapSet.from_json(config["spectrum"])
     cfg = regularity.ReportConfig.from_json(config.get("params", {}))
@@ -300,7 +279,7 @@ _DISPATCH = {
 # entry points
 
 
-def run(config, out_dir=None, jobs=1):
+def run(config, out_dir=None):
     """Validate and execute one experiment config; returns the exit code."""
     try:
         config = _validate_config(config)
@@ -310,7 +289,7 @@ def run(config, out_dir=None, jobs=1):
     out = _OutputDir(out_dir or config.get("output_dir", "."))
     out.write_json("config.json", config)
     try:
-        _DISPATCH[config["command"]](config, out, max(1, int(jobs)))
+        _DISPATCH[config["command"]](config, out)
     except Exception as exc:
         out.write_manifest(config, "error",
                            error={"type": type(exc).__name__,
@@ -329,18 +308,9 @@ def main(argv=None):
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True,
                         help="path to the experiment config JSON")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker fan-out (default: SCHREG_JOBS or 1)")
     parser.add_argument("--out", default=None,
                         help="output directory (overrides config output_dir)")
     args = parser.parse_args(argv)
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        try:
-            jobs = int(os.environ.get("SCHREG_JOBS", "1"))
-        except ValueError:
-            jobs = 1
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -351,7 +321,7 @@ def main(argv=None):
         print(f"schreg: config command {config.get('command')!r} does not "
               f"match CLI command {args.command!r}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(config, out_dir=args.out, jobs=jobs)
+    return run(config, out_dir=args.out)
 
 
 if __name__ == "__main__":

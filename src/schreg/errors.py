@@ -58,8 +58,4 @@ class FitIllConditioned(SchregError):
 
 
 class ConfigInvalid(SchregError):
-    """Experiment configuration failed schema validation."""
-
-
-class ComputeFailed(SchregError):
-    """A pipeline stage raised during computation."""
+    """Experiment configuration failed validation."""

@@ -72,6 +72,8 @@ class GapSet:
         object.__setattr__(self, "gaps", gaps)
         if not math.isfinite(self.b0):
             raise ValueError("b0 must be finite")
+        if not all(math.isfinite(e) for gap in gaps for e in gap):
+            raise ValueError("gap edges must be finite")
         prev = self.b0
         for a, b in gaps:
             if not prev < a < b:

@@ -6,6 +6,20 @@ All potentials are right-continuous, locally integrable, and cheap to
 evaluate pointwise.  Running integrals are closed-form per family, never
 quadrature, so downstream consumers can trust them to machine precision.
 
+Each family lives in one place: its dataclass followed by its
+registrations.  A family registers what only it knows:
+
+* `evaluate` -- the pointwise value;
+* `_prefix` -- the exact integral of V (or |V|) over [0, x];
+* `discontinuities` -- the jumps of V inside a window.
+
+Everything else is derived from those three.  The default `segments` cuts
+the window at the discontinuities, `local_l1_profile` takes its kinks from
+them, and `to_json` reads the dataclass fields.  A family registers its
+own `segments` only when it needs more than that: repeated patterns
+(PeriodicSquare, OscillatingExample), smooth subdivision (Decaying), a
+single cell (Constant), or vectorized draws (Random).
+
 The `segments` generator is the bridge to propagation: it decomposes
 [x0, x1) into constant cells, emitting literal cell arrays (`CellBlock`)
 or a repeated pattern with a count (`RepeatBlock`) when the potential is
@@ -20,8 +34,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import lru_cache, singledispatch
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property, lru_cache, singledispatch
 
 import numpy as np
 
@@ -60,6 +74,108 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
+@dataclass(frozen=True, eq=False)
+class CellBlock:
+    """A run of literal constant cells: widths[i] wide with average values[i]."""
+
+    widths: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class RepeatBlock:
+    """A cell pattern repeated `count` times back to back."""
+
+    widths: np.ndarray
+    values: np.ndarray
+    count: int
+
+
+@dataclass(frozen=True, eq=False)
+class CesaroTrace:
+    """Running averages (1/x) * integral_0^x of V and of |V| on a grid."""
+
+    x: np.ndarray
+    mean: np.ndarray
+    abs_mean: np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# the per-family generic functions
+
+
+def _unknown(p):
+    return TypeError(f"unknown potential type {type(p).__name__}")
+
+
+@singledispatch
+def evaluate(p, x):
+    """Value of the potential at x >= 0 (right-continuous)."""
+    raise _unknown(p)
+
+
+@singledispatch
+def _prefix(p, x, absolute):
+    """Exact integral of V (|V| if `absolute`) over [0, x], for finite x >= 0."""
+    raise _unknown(p)
+
+
+@singledispatch
+def discontinuities(p, x0, x1):
+    """Jump locations of V strictly inside (x0, x1), in increasing order."""
+    raise _unknown(p)
+
+
+def _cells_from_edges(p, edges):
+    """CellBlock over explicit edges; values sampled at cell midpoints."""
+    edges = np.asarray(edges, dtype=float)
+    widths = np.diff(edges)
+    keep = widths > 0
+    widths = widths[keep]
+    mids = ((edges[:-1] + edges[1:]) * 0.5)[keep]
+    values = np.array([evaluate(p, m) for m in mids])
+    return CellBlock(widths, values)
+
+
+@singledispatch
+def segments(p, x0, x1, max_step):
+    """Yield CellBlock/RepeatBlock covering [x0, x1) in order.
+
+    By default one cell per stretch between consecutive discontinuities,
+    which is exact for step potentials.
+    """
+    yield _cells_from_edges(p, [x0, *discontinuities(p, x0, x1), x1])
+
+
+def _checked_x(x):
+    x = float(x)
+    _require(x >= 0 and math.isfinite(x), "x must be finite and nonnegative")
+    return x
+
+
+def prefix_integral(p, x):
+    """Exact integral of V over [0, x] (closed form, no quadrature)."""
+    return _prefix(p, _checked_x(x), False)
+
+
+def prefix_abs_integral(p, x):
+    """Exact integral of |V| over [0, x]."""
+    return _prefix(p, _checked_x(x), True)
+
+
+def _inner_multiples(step_width, a, b):
+    """Multiples of step_width strictly inside (a, b)."""
+    j0 = math.floor(a / step_width) + 1
+    j1 = math.ceil(b / step_width) - 1
+    if j1 < j0:
+        return []
+    return [j * step_width for j in range(j0, j1 + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Constant
+
+
 @dataclass(frozen=True)
 class Constant:
     """V(x) = value everywhere."""
@@ -69,6 +185,30 @@ class Constant:
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
         _require(math.isfinite(self.value), "constant value must be finite")
+
+
+@evaluate.register
+def _(p: Constant, x):
+    return p.value
+
+
+@_prefix.register
+def _(p: Constant, x, absolute):
+    return (abs(p.value) if absolute else p.value) * x
+
+
+@discontinuities.register
+def _(p: Constant, x0, x1):
+    return []
+
+
+@segments.register
+def _(p: Constant, x0, x1, max_step):
+    yield CellBlock(np.array([x1 - x0]), np.array([p.value]))
+
+
+# ---------------------------------------------------------------------------
+# step functions: PiecewiseConstant and Tabulated
 
 
 @dataclass(frozen=True)
@@ -95,6 +235,72 @@ class PiecewiseConstant:
 
 
 @dataclass(frozen=True)
+class Tabulated:
+    """Right-continuous step interpolation of sampled values.
+
+    `grid` starts at 0 and increases strictly; values[i] holds on
+    [grid[i], grid[i+1]) and values[-1] extends beyond grid[-1].
+    """
+
+    grid: tuple
+    values: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid", _as_float_tuple(self.grid))
+        object.__setattr__(self, "values", _as_float_tuple(self.values))
+        _require(len(self.grid) == len(self.values) and len(self.grid) >= 1,
+                 "grid and values must have equal nonzero length")
+        _require(self.grid[0] == 0.0, "grid must start at 0")
+        g = self.grid
+        _require(all(g[i] < g[i + 1] for i in range(len(g) - 1)),
+                 "grid must be strictly increasing")
+        _require(all(math.isfinite(v) for v in self.values), "values must be finite")
+
+    @cached_property
+    def breakpoints(self):
+        """grid[1:]: the same step function as PiecewiseConstant(grid[1:], values)."""
+        return self.grid[1:]
+
+
+@lru_cache(maxsize=512)
+def _pc_tables(breakpoints, values):
+    """Edges including 0, plus cumulative integrals of V and |V| at the edges."""
+    edges = np.concatenate([[0.0], np.asarray(breakpoints, dtype=float)])
+    vals = np.asarray(values, dtype=float)
+    seg = np.diff(edges) * vals[:-1]
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    cum_abs = np.concatenate([[0.0], np.cumsum(np.diff(edges) * np.abs(vals[:-1]))])
+    return edges, vals, cum, cum_abs
+
+
+@evaluate.register(PiecewiseConstant)
+@evaluate.register(Tabulated)
+def _(p, x):
+    return p.values[bisect_right(p.breakpoints, x)]
+
+
+@_prefix.register(PiecewiseConstant)
+@_prefix.register(Tabulated)
+def _(p, x, absolute):
+    edges, vals, cum, cum_abs = _pc_tables(p.breakpoints, p.values)
+    c = cum_abs if absolute else cum
+    v = np.abs(vals) if absolute else vals
+    i = min(bisect_right(edges, x) - 1, len(edges) - 1)
+    i = max(i, 0)
+    return float(c[i] + v[i] * (x - edges[i]))
+
+
+@discontinuities.register(PiecewiseConstant)
+@discontinuities.register(Tabulated)
+def _(p, x0, x1):
+    return [b for b in p.breakpoints if x0 < b < x1]
+
+
+# ---------------------------------------------------------------------------
+# Decaying
+
+
+@dataclass(frozen=True)
 class Decaying:
     """V(x) = amplitude / (1 + x)**rate with rate > 0."""
 
@@ -108,6 +314,41 @@ class Decaying:
         _require(self.rate > 0 and math.isfinite(self.rate), "rate must be positive")
 
 
+@evaluate.register
+def _(p: Decaying, x):
+    return p.amplitude / (1.0 + x) ** p.rate
+
+
+@_prefix.register
+def _(p: Decaying, x, absolute):
+    a = abs(p.amplitude) if absolute else p.amplitude
+    if p.rate == 1.0:
+        return a * math.log1p(x)
+    return a * ((1.0 + x) ** (1.0 - p.rate) - 1.0) / (1.0 - p.rate)
+
+
+@discontinuities.register
+def _(p: Decaying, x0, x1):
+    return []
+
+
+@segments.register
+def _(p: Decaying, x0, x1, max_step):
+    n = max(1, math.ceil((x1 - x0) / max_step))
+    edges = np.linspace(x0, x1, n + 1)
+    a, r = p.amplitude, p.rate
+    if r == 1.0:
+        F = a * np.log1p(edges)
+    else:
+        F = a * ((1.0 + edges) ** (1.0 - r) - 1.0) / (1.0 - r)
+    widths = np.diff(edges)
+    yield CellBlock(widths, np.diff(F) / widths)
+
+
+# ---------------------------------------------------------------------------
+# PeriodicSquare
+
+
 @dataclass(frozen=True)
 class PeriodicSquare:
     """Square wave: +1 on [0, delta), -1 on [delta, 2*delta), period 2*delta."""
@@ -119,6 +360,44 @@ class PeriodicSquare:
         _require(self.delta > 0 and math.isfinite(self.delta), "delta must be positive")
 
 
+@evaluate.register
+def _(p: PeriodicSquare, x):
+    tau = math.fmod(x, 2.0 * p.delta)
+    return 1.0 if tau < p.delta else -1.0
+
+
+@_prefix.register
+def _(p: PeriodicSquare, x, absolute):
+    if absolute:
+        return x
+    tau = math.fmod(x, 2.0 * p.delta)
+    return min(tau, p.delta) - max(tau - p.delta, 0.0)
+
+
+@discontinuities.register
+def _(p: PeriodicSquare, x0, x1):
+    return _inner_multiples(p.delta, x0, x1)
+
+
+@segments.register
+def _(p: PeriodicSquare, x0, x1, max_step):
+    P = 2.0 * p.delta
+    m0, m1 = math.ceil(x0 / P), math.floor(x1 / P)
+    if m1 <= m0:
+        yield _cells_from_edges(p, [x0, *_inner_multiples(p.delta, x0, x1), x1])
+        return
+    t0, t1 = m0 * P, m1 * P
+    if x0 < t0:
+        yield _cells_from_edges(p, [x0, *_inner_multiples(p.delta, x0, t0), t0])
+    yield RepeatBlock(np.array([p.delta, p.delta]), np.array([1.0, -1.0]), m1 - m0)
+    if t1 < x1:
+        yield _cells_from_edges(p, [t1, *_inner_multiples(p.delta, t1, x1), x1])
+
+
+# ---------------------------------------------------------------------------
+# OscillatingExample
+
+
 @dataclass(frozen=True)
 class OscillatingExample:
     """Unit-amplitude square wave whose half-period shrinks like 1/(2n).
@@ -127,6 +406,60 @@ class OscillatingExample:
     n alternating (+1, -1) cell pairs of width 1/(2n) each, starting at +1.
     The mean over every complete block vanishes while |V| = 1 everywhere.
     """
+
+
+@evaluate.register
+def _(p: OscillatingExample, x):
+    n = math.floor(x) + 1
+    m = math.floor(2.0 * n * (x - (n - 1)))
+    return 1.0 if m % 2 == 0 else -1.0
+
+
+@_prefix.register
+def _(p: OscillatingExample, x, absolute):
+    if absolute:
+        return x
+    n = math.floor(x) + 1
+    tau = x - (n - 1)
+    w = 1.0 / (2.0 * n)
+    m = math.floor(tau / w)
+    head = w if m % 2 == 1 else 0.0
+    sign = 1.0 if m % 2 == 0 else -1.0
+    return head + sign * (tau - m * w)
+
+
+@discontinuities.register
+def _(p: OscillatingExample, x0, x1):
+    out = []
+    for n in range(math.floor(x0) + 1, math.floor(x1) + 2):
+        base, w = n - 1.0, 1.0 / (2.0 * n)
+        lo, hi = max(x0, base), min(x1, float(n))
+        if hi <= lo:
+            continue
+        out.extend(base + t for t in _inner_multiples(w, lo - base, hi - base))
+        if x0 < float(n) < x1:
+            out.append(float(n))
+    return sorted(set(out))
+
+
+@segments.register
+def _(p: OscillatingExample, x0, x1, max_step):
+    n0 = math.floor(x0) + 1
+    for n in range(n0, math.floor(x1) + 2):
+        lo, hi = max(x0, n - 1.0), min(x1, float(n))
+        if hi <= lo:
+            continue
+        w = 1.0 / (2.0 * n)
+        if lo == n - 1.0 and hi == float(n):
+            yield RepeatBlock(np.array([w, w]), np.array([1.0, -1.0]), n)
+        else:
+            base = n - 1.0
+            inner = [base + t for t in _inner_multiples(w, lo - base, hi - base)]
+            yield _cells_from_edges(p, [lo, *inner, hi])
+
+
+# ---------------------------------------------------------------------------
+# SparseBumps
 
 
 @dataclass(frozen=True)
@@ -170,6 +503,48 @@ class SparseBumps:
         return self.bump.breakpoints[-1]
 
 
+@evaluate.register
+def _(p: SparseBumps, x):
+    i = bisect_right(p.positions, x) - 1
+    if i < 0:
+        return 0.0
+    t = x - p.positions[i]
+    if t >= p.support_width:
+        return 0.0
+    return evaluate(p.bump, t)
+
+
+@_prefix.register
+def _(p: SparseBumps, x, absolute):
+    # bump values are nonnegative, so the absolute flag changes nothing
+    i = bisect_right(p.positions, x)
+    if i == 0:
+        return 0.0
+    mass = _prefix(p.bump, p.support_width, False)
+    total = (i - 1) * mass
+    t = x - p.positions[i - 1]
+    if t >= p.support_width:
+        total += mass
+    else:
+        total += _prefix(p.bump, t, False)
+    return total
+
+
+@discontinuities.register
+def _(p: SparseBumps, x0, x1):
+    rel = [0.0, *p.bump.breakpoints]
+    out = []
+    for pos in p.positions:
+        if pos >= x1:
+            break
+        out.extend(pos + t for t in rel if x0 < pos + t < x1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Random
+
+
 @dataclass(frozen=True)
 class Random:
     """Independent uniform values on cells [i*w, (i+1)*w).
@@ -195,69 +570,6 @@ class Random:
                  "need finite low <= high")
 
 
-@dataclass(frozen=True)
-class Tabulated:
-    """Right-continuous step interpolation of sampled values.
-
-    `grid` starts at 0 and increases strictly; values[i] holds on
-    [grid[i], grid[i+1]) and values[-1] extends beyond grid[-1].
-    """
-
-    grid: tuple
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid", _as_float_tuple(self.grid))
-        object.__setattr__(self, "values", _as_float_tuple(self.values))
-        _require(len(self.grid) == len(self.values) and len(self.grid) >= 1,
-                 "grid and values must have equal nonzero length")
-        _require(self.grid[0] == 0.0, "grid must start at 0")
-        g = self.grid
-        _require(all(g[i] < g[i + 1] for i in range(len(g) - 1)),
-                 "grid must be strictly increasing")
-        _require(all(math.isfinite(v) for v in self.values), "values must be finite")
-
-
-@dataclass(frozen=True, eq=False)
-class CellBlock:
-    """A run of literal constant cells: widths[i] wide with average values[i]."""
-
-    widths: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class RepeatBlock:
-    """A cell pattern repeated `count` times back to back."""
-
-    widths: np.ndarray
-    values: np.ndarray
-    count: int
-
-
-@dataclass(frozen=True, eq=False)
-class CesaroTrace:
-    """Running averages (1/x) * integral_0^x of V and of |V| on a grid."""
-
-    x: np.ndarray
-    mean: np.ndarray
-    abs_mean: np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# cached helpers for the step families
-
-@lru_cache(maxsize=512)
-def _pc_tables(breakpoints, values):
-    """Edges including 0, plus cumulative integrals of V and |V| at the edges."""
-    edges = np.concatenate([[0.0], np.asarray(breakpoints, dtype=float)])
-    vals = np.asarray(values, dtype=float)
-    seg = np.diff(edges) * vals[:-1]
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    cum_abs = np.concatenate([[0.0], np.cumsum(np.diff(edges) * np.abs(vals[:-1]))])
-    return edges, vals, cum, cum_abs
-
-
 _RANDOM_BATCH = 1024
 
 
@@ -278,129 +590,14 @@ def _random_values(spec, i0, i1):
     return vals[lo:lo + (i1 - i0)]
 
 
-def _step_tables(p):
-    """(edges, vals, cum, cum_abs) for plain step families, None otherwise."""
-    if isinstance(p, PiecewiseConstant):
-        return _pc_tables(p.breakpoints, p.values)
-    if isinstance(p, Tabulated):
-        return _pc_tables(p.grid[1:], p.values)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# pointwise evaluation
-
-@singledispatch
-def evaluate(p, x):
-    """Value of the potential at x >= 0 (right-continuous)."""
-    raise TypeError(f"unknown potential type {type(p).__name__}")
-
-
-@evaluate.register
-def _(p: Constant, x):
-    return p.value
-
-
-@evaluate.register
-def _(p: PiecewiseConstant, x):
-    return p.values[bisect_right(p.breakpoints, x)]
-
-
-@evaluate.register
-def _(p: Tabulated, x):
-    i = bisect_right(p.grid, x) - 1
-    return p.values[max(i, 0)]
-
-
-@evaluate.register
-def _(p: Decaying, x):
-    return p.amplitude / (1.0 + x) ** p.rate
-
-
-@evaluate.register
-def _(p: PeriodicSquare, x):
-    tau = math.fmod(x, 2.0 * p.delta)
-    return 1.0 if tau < p.delta else -1.0
-
-
-@evaluate.register
-def _(p: OscillatingExample, x):
-    n = math.floor(x) + 1
-    m = math.floor(2.0 * n * (x - (n - 1)))
-    return 1.0 if m % 2 == 0 else -1.0
-
-
-@evaluate.register
-def _(p: SparseBumps, x):
-    i = bisect_right(p.positions, x) - 1
-    if i < 0:
-        return 0.0
-    t = x - p.positions[i]
-    if t >= p.support_width:
-        return 0.0
-    return evaluate(p.bump, t)
-
-
 @evaluate.register
 def _(p: Random, x):
     i = int(math.floor(x / p.cell_width))
     return float(_random_values(p, i, i + 1)[0])
 
 
-# ---------------------------------------------------------------------------
-# exact running integrals
-
-def _step_prefix(p, x, absolute):
-    edges, vals, cum, cum_abs = _step_tables(p)
-    c = cum_abs if absolute else cum
-    v = np.abs(vals) if absolute else vals
-    i = min(bisect_right(edges, x) - 1, len(edges) - 1)
-    i = max(i, 0)
-    return float(c[i] + v[i] * (x - edges[i]))
-
-
-def _decay_prefix(p, x, absolute):
-    a = abs(p.amplitude) if absolute else p.amplitude
-    if p.rate == 1.0:
-        return a * math.log1p(x)
-    return a * ((1.0 + x) ** (1.0 - p.rate) - 1.0) / (1.0 - p.rate)
-
-
-def _square_prefix(delta, x):
-    """Integral of the +1/-1 square wave of half-period delta over [0, x]."""
-    tau = math.fmod(x, 2.0 * delta)
-    return min(tau, delta) - max(tau - delta, 0.0)
-
-
-def _oscillating_prefix(x):
-    n = math.floor(x) + 1
-    tau = x - (n - 1)
-    w = 1.0 / (2.0 * n)
-    m = math.floor(tau / w)
-    head = w if m % 2 == 1 else 0.0
-    sign = 1.0 if m % 2 == 0 else -1.0
-    return head + sign * (tau - m * w)
-
-
-def _sparse_prefix(p, x, absolute):
-    # bump values are nonnegative, so the absolute flag changes nothing;
-    # kept for symmetry with the other families.
-    del absolute
-    i = bisect_right(p.positions, x)
-    if i == 0:
-        return 0.0
-    edges, vals, cum, cum_abs = _pc_tables(p.bump.breakpoints, p.bump.values)
-    mass = float(cum[-1])
-    total = (i - 1) * mass
-    t = x - p.positions[i - 1]
-    if t >= p.support_width:
-        total += mass
-    else:
-        total += _step_prefix(p.bump, t, False)
-    return total
-
-
-def _random_prefix(p, x, absolute):
+@_prefix.register
+def _(p: Random, x, absolute):
     w = p.cell_width
     i = int(math.floor(x / w))
     vals = _random_values(p, 0, i + 1)
@@ -409,143 +606,9 @@ def _random_prefix(p, x, absolute):
     return float(np.sum(vals[:i]) * w + vals[i] * (x - i * w))
 
 
-def _prefix(p, x, absolute):
-    x = float(x)
-    _require(x >= 0 and math.isfinite(x), "x must be finite and nonnegative")
-    if isinstance(p, Constant):
-        return (abs(p.value) if absolute else p.value) * x
-    if isinstance(p, (PiecewiseConstant, Tabulated)):
-        return _step_prefix(p, x, absolute)
-    if isinstance(p, Decaying):
-        return _decay_prefix(p, x, absolute)
-    if isinstance(p, PeriodicSquare):
-        return x if absolute else _square_prefix(p.delta, x)
-    if isinstance(p, OscillatingExample):
-        return x if absolute else _oscillating_prefix(x)
-    if isinstance(p, SparseBumps):
-        return _sparse_prefix(p, x, absolute)
-    if isinstance(p, Random):
-        return _random_prefix(p, x, absolute)
-    raise TypeError(f"unknown potential type {type(p).__name__}")
-
-
-def prefix_integral(p, x):
-    """Exact integral of V over [0, x] (closed form, no quadrature)."""
-    return _prefix(p, x, absolute=False)
-
-
-def prefix_abs_integral(p, x):
-    """Exact integral of |V| over [0, x]."""
-    return _prefix(p, x, absolute=True)
-
-
-# ---------------------------------------------------------------------------
-# cell decomposition for propagation
-
-def _cells_from_edges(p, edges):
-    """CellBlock over explicit edges; values sampled at cell midpoints."""
-    edges = np.asarray(edges, dtype=float)
-    widths = np.diff(edges)
-    keep = widths > 0
-    widths = widths[keep]
-    mids = ((edges[:-1] + edges[1:]) * 0.5)[keep]
-    values = np.array([evaluate(p, m) for m in mids])
-    return CellBlock(widths, values)
-
-
-def _inner_multiples(step_width, a, b):
-    """Multiples of step_width strictly inside (a, b)."""
-    j0 = math.floor(a / step_width) + 1
-    j1 = math.ceil(b / step_width) - 1
-    if j1 < j0:
-        return []
-    return [j * step_width for j in range(j0, j1 + 1)]
-
-
-@singledispatch
-def segments(p, x0, x1, max_step):
-    """Yield CellBlock/RepeatBlock covering [x0, x1) in order."""
-    raise TypeError(f"unknown potential type {type(p).__name__}")
-
-
-@segments.register
-def _(p: Constant, x0, x1, max_step):
-    yield CellBlock(np.array([x1 - x0]), np.array([p.value]))
-
-
-@segments.register
-def _(p: PiecewiseConstant, x0, x1, max_step):
-    inner = [b for b in p.breakpoints if x0 < b < x1]
-    yield _cells_from_edges(p, [x0, *inner, x1])
-
-
-@segments.register
-def _(p: Tabulated, x0, x1, max_step):
-    inner = [g for g in p.grid if x0 < g < x1]
-    yield _cells_from_edges(p, [x0, *inner, x1])
-
-
-@segments.register
-def _(p: Decaying, x0, x1, max_step):
-    n = max(1, math.ceil((x1 - x0) / max_step))
-    edges = np.linspace(x0, x1, n + 1)
-    a, r = p.amplitude, p.rate
-    if r == 1.0:
-        F = a * np.log1p(edges)
-    else:
-        F = a * ((1.0 + edges) ** (1.0 - r) - 1.0) / (1.0 - r)
-    widths = np.diff(edges)
-    yield CellBlock(widths, np.diff(F) / widths)
-
-
-@segments.register
-def _(p: PeriodicSquare, x0, x1, max_step):
-    P = 2.0 * p.delta
-    m0, m1 = math.ceil(x0 / P), math.floor(x1 / P)
-    if m1 <= m0:
-        yield _cells_from_edges(p, [x0, *_inner_multiples(p.delta, x0, x1), x1])
-        return
-    t0, t1 = m0 * P, m1 * P
-    if x0 < t0:
-        yield _cells_from_edges(p, [x0, *_inner_multiples(p.delta, x0, t0), t0])
-    yield RepeatBlock(np.array([p.delta, p.delta]), np.array([1.0, -1.0]), m1 - m0)
-    if t1 < x1:
-        yield _cells_from_edges(p, [t1, *_inner_multiples(p.delta, t1, x1), x1])
-
-
-@segments.register
-def _(p: OscillatingExample, x0, x1, max_step):
-    n0 = math.floor(x0) + 1
-    for n in range(n0, math.floor(x1) + 2):
-        lo, hi = max(x0, n - 1.0), min(x1, float(n))
-        if hi <= lo:
-            continue
-        w = 1.0 / (2.0 * n)
-        if lo == n - 1.0 and hi == float(n):
-            yield RepeatBlock(np.array([w, w]), np.array([1.0, -1.0]), n)
-        else:
-            base = n - 1.0
-            inner = [base + t for t in _inner_multiples(w, lo - base, hi - base)]
-            yield _cells_from_edges(p, [lo, *inner, hi])
-
-
-@segments.register
-def _(p: SparseBumps, x0, x1, max_step):
-    support = p.support_width
-    rel = [0.0, *p.bump.breakpoints]
-    edges, cursor = [x0], x0
-    for pos in p.positions:
-        if pos + support <= x0:
-            continue
-        if pos >= x1:
-            break
-        for t in rel:
-            e = pos + t
-            if cursor < e < x1:
-                edges.append(e)
-                cursor = e
-    edges.append(x1)
-    yield _cells_from_edges(p, edges)
+@discontinuities.register
+def _(p: Random, x0, x1):
+    return _inner_multiples(p.cell_width, x0, x1)
 
 
 @segments.register
@@ -557,68 +620,6 @@ def _(p: Random, x0, x1, max_step):
     keep = widths > 0
     values = _random_values(p, i0, i1)
     yield CellBlock(widths[keep], values[keep])
-
-
-@singledispatch
-def discontinuities(p, x0, x1):
-    """Jump locations of V strictly inside (x0, x1), in increasing order."""
-    raise TypeError(f"unknown potential type {type(p).__name__}")
-
-
-@discontinuities.register
-def _(p: Constant, x0, x1):
-    return []
-
-
-@discontinuities.register
-def _(p: Decaying, x0, x1):
-    return []
-
-
-@discontinuities.register
-def _(p: PiecewiseConstant, x0, x1):
-    return [b for b in p.breakpoints if x0 < b < x1]
-
-
-@discontinuities.register
-def _(p: Tabulated, x0, x1):
-    return [g for g in p.grid[1:] if x0 < g < x1]
-
-
-@discontinuities.register
-def _(p: PeriodicSquare, x0, x1):
-    return _inner_multiples(p.delta, x0, x1)
-
-
-@discontinuities.register
-def _(p: OscillatingExample, x0, x1):
-    out = []
-    for n in range(math.floor(x0) + 1, math.floor(x1) + 2):
-        base, w = n - 1.0, 1.0 / (2.0 * n)
-        lo, hi = max(x0, base), min(x1, float(n))
-        if hi <= lo:
-            continue
-        out.extend(base + t for t in _inner_multiples(w, lo - base, hi - base))
-        if x0 < float(n) < x1:
-            out.append(float(n))
-    return sorted(set(out))
-
-
-@discontinuities.register
-def _(p: SparseBumps, x0, x1):
-    rel = [0.0, *p.bump.breakpoints]
-    out = []
-    for pos in p.positions:
-        if pos >= x1:
-            break
-        out.extend(pos + t for t in rel if x0 < pos + t < x1)
-    return out
-
-
-@discontinuities.register
-def _(p: Random, x0, x1):
-    w = p.cell_width
-    return _inner_multiples(w, x0, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -640,41 +641,21 @@ def cesaro_trace(p, x_grid):
     return CesaroTrace(xs, mean, abs_mean)
 
 
-def _profile_candidates(p, horizon):
-    """Points where the unit-window L1 mass can peak: kinks of |V|'s prefix."""
-    if isinstance(p, (Constant, Decaying)):
-        return []
-    if isinstance(p, (PiecewiseConstant, Tabulated)):
-        edges = _step_tables(p)[0]
-        return [e for e in edges if e <= horizon + 1.0]
-    if isinstance(p, SparseBumps):
-        rel = [0.0, *p.bump.breakpoints]
-        out = []
-        for pos in p.positions:
-            if pos > horizon + 1.0:
-                break
-            out.extend(pos + t for t in rel)
-        return out
-    if isinstance(p, Random):
-        n = int(math.ceil((horizon + 1.0) / p.cell_width))
-        return list(np.arange(1, n) * p.cell_width)
-    return []
-
-
 def local_l1_profile(p, horizon):
     """sup over x in [0, horizon] of integral_x^{x+1} |V|.
 
-    For step families the sweep hits every kink of the window mass exactly.
-    |V| is identically 1 for both square-wave families, so those short-cut
-    to 1.  Raises NonIntegrable if the mass comes out non-finite.
+    The window mass is piecewise linear in x with kinks where either window
+    end crosses a discontinuity, so the sweep over those points is exact for
+    step families.  |V| is identically 1 for both square-wave families, so
+    those short-cut to 1.  Raises NonIntegrable if the mass comes out
+    non-finite.
     """
     horizon = float(horizon)
     _require(horizon >= 0, "horizon must be nonnegative")
     if isinstance(p, (PeriodicSquare, OscillatingExample)):
         return 1.0
-    kinks = _profile_candidates(p, horizon)
     starts = {0.0, horizon}
-    for k in kinks:
+    for k in discontinuities(p, 0.0, horizon + 1.0):
         if 0.0 <= k <= horizon:
             starts.add(k)
         if 0.0 <= k - 1.0 <= horizon:
@@ -701,30 +682,22 @@ _VARIANTS = {
     "random": Random,
     "tabulated": Tabulated,
 }
+_VARIANT_NAMES = {cls: name for name, cls in _VARIANTS.items()}
 
 
 def to_json(p):
     """Plain-dict form with a 'variant' discriminator (JSON-serializable)."""
-    if isinstance(p, Constant):
-        return {"variant": "constant", "value": p.value}
-    if isinstance(p, PiecewiseConstant):
-        return {"variant": "piecewise_constant",
-                "breakpoints": list(p.breakpoints), "values": list(p.values)}
-    if isinstance(p, Decaying):
-        return {"variant": "decaying", "amplitude": p.amplitude, "rate": p.rate}
-    if isinstance(p, PeriodicSquare):
-        return {"variant": "periodic_square", "delta": p.delta}
-    if isinstance(p, OscillatingExample):
-        return {"variant": "oscillating_example"}
-    if isinstance(p, SparseBumps):
-        return {"variant": "sparse_bumps", "bump": to_json(p.bump),
-                "positions": list(p.positions), "sparse_from": p.sparse_from}
-    if isinstance(p, Random):
-        return {"variant": "random", "seed": p.seed, "cell_width": p.cell_width,
-                "low": p.low, "high": p.high}
-    if isinstance(p, Tabulated):
-        return {"variant": "tabulated", "grid": list(p.grid), "values": list(p.values)}
-    raise TypeError(f"unknown potential type {type(p).__name__}")
+    if type(p) not in _VARIANT_NAMES:
+        raise _unknown(p)
+    obj = {"variant": _VARIANT_NAMES[type(p)]}
+    for f in fields(p):
+        value = getattr(p, f.name)
+        if is_dataclass(value):
+            value = to_json(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        obj[f.name] = value
+    return obj
 
 
 def from_json(obj):

@@ -35,6 +35,11 @@ def test_gap_set_validates_order():
         M.GapSet(b0=0.0, gaps=((1.0, 3.0), (2.0, 4.0)))
 
 
+def test_gap_set_rejects_infinite_edge():
+    with pytest.raises(ValueError):
+        M.GapSet(0.0, ((1.0, math.inf),))
+
+
 def test_gap_set_bands_and_json():
     E = M.GapSet(b0=-1.0, gaps=((0.0, 1.0), (2.0, 3.0)))
     bands = E.bands()

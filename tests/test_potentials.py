@@ -245,6 +245,37 @@ def test_segment_masses_reproduce_prefix_integral(p):
     assert total == pytest.approx(P.prefix_integral(p, x1), abs=1e-10)
 
 
+@pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
+def test_segment_edges_are_the_discontinuities(p):
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        x0 = float(rng.uniform(0.0, 20.0))
+        x1 = x0 + float(rng.uniform(0.01, 12.0))
+        widths = np.concatenate([np.tile(b.widths, getattr(b, "count", 1))
+                                 for b in P.segments(p, x0, x1, x1 - x0)])
+        edges = x0 + np.cumsum(widths)
+        assert edges[-1] == pytest.approx(x1, abs=1e-12)
+        jumps = P.discontinuities(p, x0, x1)
+        assert len(jumps) == len(edges) - 1
+        assert np.allclose(edges[:-1], jumps, rtol=0.0, atol=1e-12)
+
+
+def test_tabulated_matches_piecewise_constant_bitwise():
+    grid = (0.0, 0.5, 1.25, 3.0)
+    values = (1.0, -2.0, 0.25, 0.0)
+    tab = P.Tabulated(grid, values)
+    pc = P.PiecewiseConstant(grid[1:], values)
+    for x in [*grid, *np.linspace(0.0, 4.0, 37)]:
+        assert P.evaluate(tab, x) == P.evaluate(pc, x)
+        assert P.prefix_integral(tab, x) == P.prefix_integral(pc, x)
+        assert P.prefix_abs_integral(tab, x) == P.prefix_abs_integral(pc, x)
+    for x0, x1 in [(0.0, 4.0), (0.3, 1.25), (0.5, 2.9), (1.0, 1.1)]:
+        for a, b in zip(P.segments(tab, x0, x1, 0.1), P.segments(pc, x0, x1, 0.1),
+                        strict=True):
+            assert a.widths.tobytes() == b.widths.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+
+
 def test_segments_use_repeat_blocks_for_periodic_runs():
     blocks = list(P.segments(P.PeriodicSquare(0.5), 0.0, 100.0, 0.25))
     assert any(isinstance(b, P.RepeatBlock) and b.count > 10 for b in blocks)
