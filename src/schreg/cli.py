@@ -317,7 +317,7 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"schreg: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if config.get("command") != args.command:
+    if isinstance(config, dict) and config.get("command") != args.command:
         print(f"schreg: config command {config.get('command')!r} does not "
               f"match CLI command {args.command!r}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,17 +17,24 @@ Everything else is derived from those three.  The default `segments` cuts
 the window at the discontinuities, `local_l1_profile` takes its kinks from
 them, and `to_json` reads the dataclass fields.  A family registers its
 own `segments` only when it needs more than that: repeated patterns
-(PeriodicSquare, OscillatingExample), smooth subdivision (Decaying), a
+(PeriodicSquare, OscillatingExample), a graded smooth mesh (Decaying), a
 single cell (Constant), or vectorized draws (Random).
 
 The `segments` generator is the bridge to propagation: it decomposes
 [x0, x1) into constant cells, emitting literal cell arrays (`CellBlock`)
 or a repeated pattern with a count (`RepeatBlock`) when the potential is
-periodic on that stretch.  Cells of the potential's own piecewise-constant
-structure are kept whole regardless of the step parameter -- the constant
-flow over a cell is exact, so subdividing it would only add rounding.
-Smooth (non-step) potentials are subdivided to the requested step and each
-cell carries the exact average of V over that cell.
+periodic on that stretch.  What its `step` argument means depends on the
+family:
+
+* step functions (every family but Decaying) ignore it.  Their own cells
+  are kept whole -- the constant flow over a cell is exact, so subdividing
+  it would only add rounding;
+* Decaying, the one smooth family, uses it as the cell width at x = 0.
+  Cells widen as (1+x)**q with q = (rate+1)/3, which keeps |V'| h**3, the
+  size of the error made by replacing V with its cell average, at its
+  x = 0 value everywhere; q is capped at 1 (rate > 2) so that no cell is
+  wider than step*(1+x).  Each cell carries the exact average of V over
+  that cell.
 """
 from __future__ import annotations
 
@@ -138,11 +145,13 @@ def _cells_from_edges(p, edges):
 
 
 @singledispatch
-def segments(p, x0, x1, max_step):
+def segments(p, x0, x1, step):
     """Yield CellBlock/RepeatBlock covering [x0, x1) in order.
 
     By default one cell per stretch between consecutive discontinuities,
-    which is exact for step potentials.
+    which is exact for step potentials; `step` is then ignored.  Decaying
+    takes `step` as its cell width at x = 0 and widens cells as
+    (1+x)**min((rate+1)/3, 1).
     """
     yield _cells_from_edges(p, [x0, *discontinuities(p, x0, x1), x1])
 
@@ -203,7 +212,7 @@ def _(p: Constant, x0, x1):
 
 
 @segments.register
-def _(p: Constant, x0, x1, max_step):
+def _(p: Constant, x0, x1, step):
     yield CellBlock(np.array([x1 - x0]), np.array([p.value]))
 
 
@@ -314,6 +323,18 @@ class Decaying:
         _require(self.rate > 0 and math.isfinite(self.rate), "rate must be positive")
 
 
+def _phi(x, q):
+    """integral_0^x (1+t)**-q dt; log1p/expm1 keep full precision for q near 1."""
+    c = 1.0 - q
+    return np.log1p(x) if c == 0.0 else np.expm1(c * np.log1p(x)) / c
+
+
+def _phi_inv(y, q):
+    """Inverse of _phi in x."""
+    c = 1.0 - q
+    return np.expm1(y) if c == 0.0 else np.expm1(np.log1p(c * y) / c)
+
+
 @evaluate.register
 def _(p: Decaying, x):
     return p.amplitude / (1.0 + x) ** p.rate
@@ -322,9 +343,7 @@ def _(p: Decaying, x):
 @_prefix.register
 def _(p: Decaying, x, absolute):
     a = abs(p.amplitude) if absolute else p.amplitude
-    if p.rate == 1.0:
-        return a * math.log1p(x)
-    return a * ((1.0 + x) ** (1.0 - p.rate) - 1.0) / (1.0 - p.rate)
+    return a * float(_phi(x, p.rate))
 
 
 @discontinuities.register
@@ -333,15 +352,18 @@ def _(p: Decaying, x0, x1):
 
 
 @segments.register
-def _(p: Decaying, x0, x1, max_step):
-    n = max(1, math.ceil((x1 - x0) / max_step))
-    edges = np.linspace(x0, x1, n + 1)
-    a, r = p.amplitude, p.rate
-    if r == 1.0:
-        F = a * np.log1p(edges)
-    else:
-        F = a * ((1.0 + edges) ** (1.0 - r) - 1.0) / (1.0 - r)
+def _(p: Decaying, x0, x1, step):
+    # Equal spacing (at most `step`) in phi(x; q) makes cells at most
+    # step*(1+x)**q wide.  Uncapped, q = (rate+1)/3 > 1 would make phi
+    # bounded, and the last cell would stretch from where V is still
+    # sizeable out to x1.
+    q = min((p.rate + 1.0) / 3.0, 1.0)
+    y0, y1 = _phi(np.array([x0, x1], dtype=float), q)
+    n = max(1, math.ceil((y1 - y0) / step))
+    inner = _phi_inv(np.linspace(y0, y1, n + 1)[1:-1], q)
+    edges = np.concatenate([[x0], inner, [x1]])
     widths = np.diff(edges)
+    F = p.amplitude * _phi(edges, p.rate)
     yield CellBlock(widths, np.diff(F) / widths)
 
 
@@ -380,7 +402,7 @@ def _(p: PeriodicSquare, x0, x1):
 
 
 @segments.register
-def _(p: PeriodicSquare, x0, x1, max_step):
+def _(p: PeriodicSquare, x0, x1, step):
     P = 2.0 * p.delta
     m0, m1 = math.ceil(x0 / P), math.floor(x1 / P)
     if m1 <= m0:
@@ -443,7 +465,7 @@ def _(p: OscillatingExample, x0, x1):
 
 
 @segments.register
-def _(p: OscillatingExample, x0, x1, max_step):
+def _(p: OscillatingExample, x0, x1, step):
     n0 = math.floor(x0) + 1
     for n in range(n0, math.floor(x1) + 2):
         lo, hi = max(x0, n - 1.0), min(x1, float(n))
@@ -612,7 +634,7 @@ def _(p: Random, x0, x1):
 
 
 @segments.register
-def _(p: Random, x0, x1, max_step):
+def _(p: Random, x0, x1, step):
     w = p.cell_width
     i0, i1 = int(math.floor(x0 / w)), int(math.ceil(x1 / w))
     edges = np.clip(np.arange(i0, i1 + 1) * w, x0, x1)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from schreg import cli, propagation as PR
 
@@ -254,6 +255,16 @@ def test_main_rejects_infinity_literal(tmp_path):
                     encoding="utf-8")
     out = tmp_path / "out"
     assert cli.main(["martin", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3.5", "null"])
+def test_main_rejects_non_object_config(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["martin", "--config", str(path), "--out", str(out)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,6 @@
 """The fast demo scripts run to completion in-process.
 
-Demos 04 and 05 take 7-20 s each and are left to manual runs.
+Demo 05 takes several seconds and is left to manual runs.
 """
 import pathlib
 import runpy
@@ -15,6 +15,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
     "01_free_field_closed_forms",
     "02_band_structure",
     "03_martin_function_and_robin_constant",
+    "04_growth_and_eigenvalue_counting",
     "06_cli_pipeline",
 ])
 def test_demo_runs(name, tmp_path, monkeypatch, capsys):

@@ -227,6 +227,31 @@ def test_local_l1_profile_dominates_window_integrals():
 # segments
 
 
+def assert_graded_widths(p, x0, widths, step):
+    """Decaying cells: positive and at most step*(1+x_right)**q wide.
+
+    q = (rate+1)/3, capped at 1 so that no cell outgrows step*(1+x).
+    """
+    right = x0 + np.cumsum(widths)
+    cap = step * (1.0 + right) ** min((p.rate + 1.0) / 3.0, 1.0)
+    assert np.all(widths > 0)
+    assert np.all(widths <= cap * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("rate", [0.05, 1.0, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 3.0, 50.0])
+def test_decaying_mesh_is_graded(rate):
+    p = P.Decaying(1.5, rate)
+    for x0, x1, step in [(0.0, 1e4, 0.02), (3.7, 2.5e3, 0.1), (0.0, 50.0, 1e-3),
+                         (10.0, 12.5, 7.0)]:
+        (block,) = P.segments(p, x0, x1, step)
+        assert_graded_widths(p, x0, block.widths, step)
+        assert float(np.sum(block.widths)) == pytest.approx(x1 - x0, rel=1e-12)
+        mass = P.prefix_integral(p, x1) - P.prefix_integral(p, x0)
+        assert float(block.widths @ block.values) == pytest.approx(mass, rel=1e-9)
+    (block,) = P.segments(p, 10.0, 12.5, 7.0)   # step wider than the window
+    assert len(block.widths) == 1
+
+
 @pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
 def test_segment_masses_reproduce_prefix_integral(p):
     x1 = 9.25
@@ -237,8 +262,8 @@ def test_segment_masses_reproduce_prefix_integral(p):
         v = np.asarray(block.values, dtype=float)
         reps = getattr(block, "count", 1)
         assert np.all(w > 0)
-        if isinstance(p, P.Decaying):  # smooth stretches obey the step cap
-            assert np.max(w) <= 0.125 + 1e-12
+        if isinstance(p, P.Decaying):  # graded: cells widen with x
+            assert_graded_widths(p, 0.0, w, 0.125)
         total += reps * float(w @ v)
         width += reps * float(np.sum(w))
     assert width == pytest.approx(x1, abs=1e-12)

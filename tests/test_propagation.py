@@ -214,6 +214,48 @@ def test_zero_counting_cdf_free_limit():
 
 
 # ---------------------------------------------------------------------------
+# the graded Decaying mesh against a uniform-mesh oracle
+
+
+def uniform_mesh(p, x, step=0.02):
+    """p as a step function on a uniform mesh of [0, x], holding cell averages.
+
+    The averages come from the closed-form integral, not from `segments`,
+    so the oracle shares no mesh code with the graded path.
+    """
+    n = math.ceil(x / step)
+    edges = np.linspace(0.0, x, n + 1)
+    F = p.amplitude * ((1.0 + edges) ** (1.0 - p.rate) - 1.0) / (1.0 - p.rate)
+    widths = np.diff(edges)
+    values = np.diff(F) / widths
+    tab = P.Tabulated(edges[:-1], values)
+    (block,) = P.segments(tab, 0.0, x, step)
+    assert np.array_equal(block.widths, widths)
+    assert np.array_equal(block.values, values)
+    return tab
+
+
+@pytest.mark.parametrize("p, x", [(P.Decaying(1.0, 2.0), 1e3),
+                                  (P.Decaying(2.0, 1.5), 500.0)],
+                         ids=["1-over-(1+x)^2", "2-over-(1+x)^1.5"])
+def test_graded_decaying_counts_match_uniform_mesh(p, x):
+    lams = np.linspace(0.0, 25.0, 200)
+    counts = [np.rint(PR.zero_counting_cdf(q, x, lams, step=0.02).cdf * x)
+              for q in (p, uniform_mesh(p, x))]
+    assert np.array_equal(*counts)
+
+
+def test_graded_decaying_growth_matches_uniform_mesh():
+    p = P.Decaying(1.0, 2.0)
+    for x in (250.0, 1e3):
+        oracle = uniform_mesh(p, x)
+        for z in (-1.0 + 0j, -4.0 + 0j, -0.25 + 0j, 1j, 2.0 + 1j):
+            got = PR.log_growth(p, x, z, step=0.02)
+            assert got == pytest.approx(PR.log_growth(oracle, x, z, step=0.02),
+                                        rel=0.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
 # Weyl disks
 
 
