@@ -170,13 +170,15 @@ def _cmd_solve(config, out):
     step = params.get("step", 1e-3)
     zs = _zlist(params["z_grid"])
     xs = sorted(float(x) for x in params["x_grid"])
+    checkpoints, col = np.unique(xs, return_inverse=True)
+    s = propagation.dirichlet_profile(p, checkpoints, zs, step=step)
+    h = s.log_growth(checkpoints)
     rows = []
-    for z in zs:
-        for x in xs:
-            s = propagation.dirichlet_solution(p, x, z, step=step)
-            h = propagation.log_growth(p, x, z, step=step)
-            rows.append((z.real, z.imag, x, s.u.real, s.u.imag,
-                         s.du.real, s.du.imag, s.log_scale, h))
+    for i, z in enumerate(zs):
+        for x, j in zip(xs, col):
+            rows.append((z.real, z.imag, x, s.u[i, j].real, s.u[i, j].imag,
+                         s.du[i, j].real, s.du[i, j].imag, s.log_scale[i, j],
+                         h[i, j]))
     out.write_csv("solve.csv",
                   ["z_re", "z_im", "x", "u_re", "u_im", "du_re", "du_im",
                    "log_scale", "h"], rows)

@@ -146,7 +146,7 @@ def _cells_from_edges(p, edges):
 
 @singledispatch
 def segments(p, x0, x1, step):
-    """Yield CellBlock/RepeatBlock covering [x0, x1) in order.
+    """Yield CellBlock/RepeatBlock covering [x0, x1) in order; no cell if x1 <= x0.
 
     By default one cell per stretch between consecutive discontinuities,
     which is exact for step potentials; `step` is then ignored.  Decaying
@@ -213,7 +213,8 @@ def _(p: Constant, x0, x1):
 
 @segments.register
 def _(p: Constant, x0, x1, step):
-    yield CellBlock(np.array([x1 - x0]), np.array([p.value]))
+    if x1 > x0:
+        yield CellBlock(np.array([x1 - x0]), np.array([p.value]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +358,8 @@ def _(p: Decaying, x0, x1, step):
     # step*(1+x)**q wide.  Uncapped, q = (rate+1)/3 > 1 would make phi
     # bounded, and the last cell would stretch from where V is still
     # sizeable out to x1.
+    if x1 <= x0:
+        return
     q = min((p.rate + 1.0) / 3.0, 1.0)
     y0, y1 = _phi(np.array([x0, x1], dtype=float), q)
     n = max(1, math.ceil((y1 - y0) / step))

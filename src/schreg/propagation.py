@@ -6,16 +6,43 @@ flow is
     [[cosh(w),        kappa**2 * S],
      [S,              cosh(w)    ]],   w = kappa*h,  S = sinh(w)/kappa,
 
-with kappa**2 = vbar - z.  Matrices are kept as a unit-scale mantissa plus
-a separate log scale so that products over 1e6 cells or repeated periods
-never overflow: each cell matrix is divided by exp(|Re w|), long products
-are folded pairwise (tree order) with per-pass rescaling, and repeated
-patterns go through exponentiation by squaring.
+with kappa**2 = vbar - z.
 
-Zero counting does not use the matrices at all: the Pruefer angle advances
-by exact per-cell crossing counts (at most one sign change on a hyperbolic
-cell, a closed-form floor count on an oscillatory cell), so the reported
-eigenvalue counts are integers free of step error for step potentials.
+One kernel serves products, zero counts and repeats.  Its element stands
+for a stretch of cells: a mantissa m at unit scale and a log scale s, the
+stretch's transfer matrix being e**s * m, so products over 1e6 cells or
+long repeats never overflow.  Every cell flow has determinant 1, so
+det m = e**(-2 s).  At real energies the element also carries the lifted
+Pruefer angle a of the Dirichlet solution (u = r sin(theta), u' = r
+cos(theta), theta(0) = 0) as a = k*pi + t: t in [0, pi) is the angle of m's
+first column, and the integer k is the number of zeros of u in the stretch.
+
+Applying B after A lifts the angle by the rule
+
+    a_BA = a_B + pi*floor(a_A/pi) + atan2(det B * sin(t_A), <B v_0, B v_t>),
+
+v_t = (cos t_A, sin t_A) in (u', u) order: the last term is the turn from
+B v_0 to B v_t, in [0, pi] because det B > 0.  The kernel evaluates the
+rule exactly, without atan2.  Mantissas at real energies are signed so
+that their first column lies in the upper half plane (angle in [0, pi));
+then t_B plus the turn reaches pi exactly when the first column of
+m_B m_A leaves it, so k_BA = k_A + k_B + (1 if it left, else 0).  No
+determinant is evaluated, so none can round to the wrong sign when m_B is
+nearly rank one.
+
+The rule is associative, so stretches are reduced through doubling
+tables batched over blocks and energies: level j holds the products of
+aligned runs of 2**j cells (a tree), or the powers P**(2**j) of a
+RepeatBlock's pattern P (squaring).  A stretch is applied to the running
+state as a left fold of the longest usable runs.  The conditioning guard:
+a left operand is used only while it is well conditioned, |det m| >= 1e-8,
+so the image of a unit vector that decides a carry keeps its accuracy.
+Squaring stops at the largest safe power and the rest of the block is
+folded in that power at a time; a single cell is used as it is.  Products
+alone (no angle) need no guard.  The counts are integers free of step
+error for step potentials.  Work is batched in chunks of at most _CHUNK
+cell-energies, a repeat's squares counting as cells (one block at least),
+which bounds memory.
 
 The Volterra route builds the iterated-kernel partial sum on a composite
 quadrature grid aligned with the potential's discontinuities.  It shares no
@@ -48,6 +75,7 @@ __all__ = [
     "MeasureCDF",
     "transfer_matrix",
     "dirichlet_solution",
+    "dirichlet_profile",
     "log_growth",
     "log_growth_profile",
     "lyapunov_estimate",
@@ -58,7 +86,9 @@ __all__ = [
     "volterra_terms",
 ]
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 13
+# An element is safe as a left operand when |det m| = exp(-2 s) >= 1e-8.
+_SAFE_S = 0.5 * math.log(1e8)
 
 
 @dataclass(frozen=True)
@@ -114,6 +144,12 @@ class SolutionSample:
     du: complex
     log_scale: float
 
+    def log_growth(self, x):
+        """h = log|u| / x for the actual u; fields and x may be arrays."""
+        if np.any(self.u == 0):
+            raise ZeroSolution(f"u vanished at x={x}; log-growth undefined")
+        return (self.log_scale + np.log(np.abs(self.u))) / x
+
 
 @dataclass(frozen=True)
 class WeylDisk:
@@ -137,105 +173,223 @@ def _check_step(step):
 
 
 # ---------------------------------------------------------------------------
-# cell matrices and scaled products
+# the kernel: elements, their composition, doubling tables, the guarded fold
 
-def _cell_matrices(widths, values, z):
-    """Per-cell flow matrices scaled by exp(-|Re w|); returns (mats, log_sum)."""
+
+@dataclass(frozen=True, eq=False)
+class _Elements:
+    """A batch of elements: m[i, j] is an array over the batch, as are s
+    and k; k (the integer part of a / pi) is None off the real axis."""
+
+    m: np.ndarray
+    s: np.ndarray
+    k: np.ndarray | None
+
+    def take(self, idx):
+        """The elements at batch index idx (a tuple)."""
+        return _Elements(self.m[(slice(None), slice(None)) + idx], self.s[idx],
+                         None if self.k is None else self.k[idx])
+
+    def reshape(self, shape):
+        return _Elements(self.m.reshape(2, 2, *shape), self.s.reshape(shape),
+                         None if self.k is None else self.k.reshape(shape))
+
+
+def _select(mask, new, old):
+    return _Elements(np.where(mask, new.m, old.m), np.where(mask, new.s, old.s),
+                     None if new.k is None else np.where(mask, new.k, old.k))
+
+
+def _concat(parts):
+    return _Elements(np.concatenate([e.m for e in parts], axis=2),
+                     np.concatenate([e.s for e in parts]),
+                     None if parts[0].k is None
+                     else np.concatenate([e.k for e in parts]))
+
+
+def _cells(widths, values, z):
+    """Cell elements, with widths and values broadcast against the energies z.
+
+    At real (float) energies a cell with kappa**2 < 0 oscillates: cos and
+    sin of w = |kappa| h take the place of cosh and sinh, and k counts the
+    whole half-turns of w.  The mantissa is then signed so that its first
+    column lies in the upper half plane (see `_compose`).
+    """
     h = np.asarray(widths, dtype=float)
-    kap2 = np.asarray(values, dtype=complex) - z
-    kap = np.sqrt(kap2)
-    w = kap * h
-    rho = np.abs(w.real)
-    ep = np.exp(w - rho)
-    em = np.exp(-w - rho)
-    C = 0.5 * (ep + em)
-    Sh = 0.5 * (ep - em)
-    small = np.abs(w) < 1e-4
-    kap_safe = np.where(small, 1.0, kap)
-    w2 = w * w
+    kap2 = values - z
+    if z.dtype.kind == "c":
+        w = np.sqrt(kap2) * h
+        rho = np.abs(w.real)
+        ep = np.exp(w - rho)
+        em = np.exp(-w - rho)
+        C, Sh = 0.5 * (ep + em), 0.5 * (ep - em)
+    else:
+        osc = kap2 < 0.0
+        w = np.sqrt(np.abs(kap2)) * h
+        rho = np.where(osc, 0.0, w)
+        em = np.exp(-2.0 * rho)
+        C = np.where(osc, np.cos(w), 0.5 * (1.0 + em))
+        Sh = np.where(osc, np.sin(w), 0.5 * (1.0 - em))
+    w2 = kap2 * h * h
+    small = np.abs(w2) < 1e-8
     # sinh(w)/w = 1 + w^2/6 + w^4/120 + ... guards the kappa -> 0 cancellation
     series = h * (1.0 + w2 / 6.0 * (1.0 + w2 / 20.0)) * np.exp(-rho)
-    S = np.where(small, series, Sh / kap_safe)
-    B = np.where(small, kap2 * series, Sh * kap_safe)
-    mats = np.empty((len(h), 2, 2), dtype=complex)
-    mats[:, 0, 0] = C
-    mats[:, 0, 1] = B
-    mats[:, 1, 0] = S
-    mats[:, 1, 1] = C
-    return mats, float(np.sum(rho))
+    S = np.where(small, series, Sh * h / np.where(small, 1.0, w))
+    m = np.array([[C, kap2 * S], [S, C]])
+    if z.dtype.kind == "c":
+        return _Elements(m, rho, None)
+    return _Elements(m * _turn(m), rho,
+                     np.where(osc, np.floor(w / np.pi), 0.0).astype(np.int64))
 
 
-def _tree_product(mats):
-    """Ordered product mats[-1] @ ... @ mats[0], rescaled every pass."""
-    sigma = 0.0
-    while mats.shape[0] > 1:
-        n_even = mats.shape[0] & ~1
-        prod = mats[1:n_even:2] @ mats[0:n_even:2]
-        if mats.shape[0] & 1:
-            prod = np.concatenate([prod, mats[n_even:]])
-        scale = np.max(np.abs(prod), axis=(1, 2))
-        prod /= scale[:, None, None]
-        sigma += float(np.sum(np.log(scale)))
-        mats = prod
-    return mats[0], sigma
+def _turn(m):
+    """+1 where the first column's angle atan2(u, u') lies in [0, pi), else -1."""
+    u, du = m[1, 0], m[0, 0]
+    return np.where((u > 0.0) | ((u == 0.0) & (du > 0.0)), 1, -1)
 
 
-def _matrix_power(m, log_m, count):
-    """(e**log_m * m)**count by squaring, with rescaling throughout."""
-    result = np.eye(2, dtype=complex)
-    log_r = 0.0
-    base, log_b = m, log_m
-    n = count
+def _compose(b, a):
+    """Elements of applying a, then b."""
+    m = b.m[:, :1] * a.m[None, 0] + b.m[:, 1:] * a.m[None, 1]
+    scale = np.abs(m).max(axis=(0, 1))
+    s = b.s + a.s + np.log(scale)
+    if a.k is None:
+        return _Elements(m / scale, s, None)
+    # the first columns of a and b lie in the upper half plane; the
+    # product's leaves it exactly when the angle passed a multiple of pi
+    turn = _turn(m)
+    return _Elements(m * (turn / scale), s, a.k + b.k + (turn < 0))
+
+
+def _safe(el):
+    """Where el may be a left operand: |det m| >= 1e-8 where angles are
+    tracked; products alone need no guard."""
+    return el.s <= _SAFE_S if el.k is not None else np.ones(el.s.shape, bool)
+
+
+def _levels(el, n, square=False):
+    """Doubling table for `_fold` over axis 0 of el.
+
+    Row r of level j is the product of units [r 2**j, (r+1) 2**j).  The
+    default pairs neighbours (a tree over n units; an unpaired last row is
+    carried up, so the last row of a level ends at n), `square` squares the
+    one unit of each column (el has one row) for repeat counts n.  A
+    product is kept only where its left operand was usable, and is usable
+    itself where it is `_safe` too; levels are built while some column has
+    a usable product.  Returns the list of levels and of their flags.
+    """
+    levels, ok = [el], [_safe(el)]
+    while (1 << len(levels)) <= np.max(n) if square else len(ok[-1]) > 1:
+        top, top_ok = levels[-1], ok[-1]
+        if square:
+            nxt, valid = _compose(top, top), top_ok
+        else:
+            k = len(top_ok) // 2 * 2
+            nxt = _compose(top.take((slice(1, k, 2),)), top.take((slice(0, k, 2),)))
+            valid = top_ok[1:k:2] & top_ok[0:k:2]
+            if k < len(top_ok):
+                nxt = _concat([nxt, top.take((slice(k, None),))])
+                valid = np.concatenate([valid, top_ok[k:]])
+        valid = valid & _safe(nxt)
+        if not valid.any():
+            break
+        levels.append(nxt)
+        ok.append(valid)
+    return levels, ok
+
+
+def _fold(levels, ok, n, state=None, square=False):
+    """Apply the first n units of a `_levels` table to state, per column.
+
+    A left fold: each step applies the longest aligned run that is usable
+    (and, for powers, fits in n), else a single unit as it is.  State None
+    is the identity.
+    """
+    sizes = np.array([len(v) for v in ok])
+    offsets = np.cumsum(sizes) - sizes
+    table, ok = _concat(levels), np.concatenate(ok)
+    cols = np.arange(table.s.shape[1])
+    lev = np.arange(len(offsets))[:, None]
+    run = 1 << lev
+    pos = np.zeros(len(cols), dtype=np.int64)
     while True:
-        if n & 1:
-            result = base @ result
-            s = float(np.max(np.abs(result)))
-            result = result / s
-            log_r += log_b + math.log(s)
-        n >>= 1
-        if not n:
-            return result, log_r
-        base = base @ base
-        s = float(np.max(np.abs(base)))
-        base = base / s
-        log_b = 2.0 * log_b + math.log(s)
+        live = pos < n
+        if not live.any():
+            return state
+        rows = offsets[:, None] + np.minimum(pos >> lev, sizes[:, None] - 1)
+        end = pos + run if square else np.minimum(pos + run, n)
+        fits = ((pos & (run - 1)) == 0) & (end <= n) & ok[rows, cols]
+        fits[0] = True
+        j = len(offsets) - 1 - np.argmax(fits[::-1], axis=0)
+        step = table.take((rows[j, cols], cols))
+        state = step if state is None else _select(live, _compose(step, state), state)
+        pos = np.where(live, end[j, cols], pos)
 
 
-def _block_transfer(block, z):
-    """Scaled transfer matrix of one segment block."""
-    if isinstance(block, potentials.RepeatBlock):
-        if block.count * len(block.widths) <= 8:
-            widths = np.tile(block.widths, block.count)
-            values = np.tile(block.values, block.count)
-            mats, sigma = _cell_matrices(widths, values, z)
-            m, extra = _tree_product(mats)
-            return m, sigma + extra
-        mats, sigma = _cell_matrices(block.widths, block.values, z)
-        m, extra = _tree_product(mats)
-        return _matrix_power(m, sigma + extra, block.count)
-    sigma_total = 0.0
-    m_total = None
-    n = len(block.widths)
-    for lo in range(0, n, _CHUNK):
-        mats, sigma = _cell_matrices(block.widths[lo:lo + _CHUNK],
-                                     block.values[lo:lo + _CHUNK], z)
-        m, extra = _tree_product(mats)
-        sigma_total += sigma + extra
-        m_total = m if m_total is None else m @ m_total
-    s = float(np.max(np.abs(m_total)))
-    return m_total / s, sigma_total + math.log(s)
+def _apply(el, state=None):
+    """Fold the units along axis 0 of el into state, first unit first."""
+    n = el.s.shape[0]
+    if n == 1:
+        step = el.take((0,))
+    else:
+        levels, ok = _levels(el, n)
+        if len(ok[-1]) > 1 or not ok[-1].all():
+            return _fold(levels, ok, n, state)
+        step = levels[-1].take((0,))     # the one top row covers all n units
+    return step if state is None else _compose(step, state)
 
 
-def _propagate(p, x0, x1, z, step, m=None, sigma=0.0):
-    if m is None:
-        m = np.eye(2, dtype=complex)
-    for block in potentials.segments(p, x0, x1, step):
-        bm, bs = _block_transfer(block, z)
-        m = bm @ m
-        s = float(np.max(np.abs(m)))
-        m = m / s
-        sigma += bs + math.log(s)
-    return m, sigma
+def _fold_repeats(blocks, z, state):
+    """Fold RepeatBlocks whose patterns have one length into state: the
+    blocks' patterns, then their powers, then the blocks in order, each
+    batched over blocks and energies.  A chunk of blocks holds at most
+    _CHUNK cell-energies, its squares counting as cells (one block at
+    least)."""
+    widths = np.array([b.widths for b in blocks])
+    values = np.array([b.values for b in blocks])
+    counts = np.array([b.count for b in blocks])
+    n_cells = widths.shape[1]
+    depth = int(counts.max()).bit_length()
+    size = max(1, _CHUNK // (len(z) * (n_cells + depth)))
+    for lo in range(0, len(blocks), size):
+        w, v = widths[lo:lo + size].T, values[lo:lo + size].T
+        reps = np.repeat(counts[lo:lo + size], len(z))
+        cells = _cells(w[:, :, None], v[:, :, None], z)
+        power = _apply(cells.reshape((n_cells, -1)))
+        if reps.max() > 1:
+            power = _fold(*_levels(power.reshape((1, -1)), reps, square=True),
+                          reps, square=True)
+        state = _apply(power.reshape((w.shape[1], len(z))), state)
+    return state
+
+
+def _walk(p, x0, x1, z, step, state=None):
+    """Fold the cells of [x0, x1) at the energies z into state."""
+    run = []
+    for block in (*potentials.segments(p, x0, x1, step), None):
+        repeat = isinstance(block, potentials.RepeatBlock)
+        if run and not (repeat and len(block.widths) == len(run[0].widths)):
+            state = _fold_repeats(run, z, state)
+            run = []
+        if repeat:
+            run.append(block)
+        elif block is not None:
+            size = max(1, _CHUNK // len(z))
+            for lo in range(0, len(block.widths), size):
+                state = _apply(_cells(block.widths[lo:lo + size, None],
+                                      block.values[lo:lo + size, None], z), state)
+    return state
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
+def _spectral_norm(m):
+    """Largest singular value of a 2x2 matrix, in closed form."""
+    f = float(np.sum(np.abs(m) ** 2))
+    det = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    return math.sqrt(0.5 * (f + math.sqrt(max(f * f - 4.0 * det * det, 0.0))))
 
 
 def transfer_matrix(p, x, z, step=1e-3):
@@ -252,9 +406,10 @@ def transfer_matrix(p, x, z, step=1e-3):
     z = complex(z)
     if x == 0.0:
         return ScaledTransferMatrix(np.eye(2, dtype=complex), 0.0)
-    m, sigma = _propagate(p, 0.0, x, z, step)
-    nrm = float(np.linalg.norm(m, 2))
-    return ScaledTransferMatrix(m / nrm, sigma + math.log(nrm))
+    el = _walk(p, 0.0, x, np.array([z]), step)
+    m = el.m[:, :, 0]
+    nrm = _spectral_norm(m)
+    return ScaledTransferMatrix(m / nrm, float(el.s[0]) + math.log(nrm))
 
 
 def dirichlet_solution(p, x, z, step=1e-3):
@@ -268,30 +423,35 @@ def log_growth(p, x, z, step=1e-3):
     """h(x, z) = log|u(x, z)| / x for the Dirichlet solution."""
     if not x > 0:
         raise ValueError("x must be positive")
-    s = dirichlet_solution(p, x, z, step)
-    if s.u == 0:
-        raise ZeroSolution(f"u({x}, {z}) vanished; log-growth undefined")
-    return (s.log_scale + math.log(abs(s.u))) / x
+    return float(dirichlet_solution(p, x, z, step).log_growth(x))
 
 
-def log_growth_profile(p, x_list, z, step=1e-3):
-    """h(x, z) along an increasing list of checkpoints, in one propagation."""
+def dirichlet_profile(p, x_list, z_list, step=1e-3):
+    """Dirichlet data at every (z, x) in one pass over the checkpoints.
+
+    x_list must be positive and increasing.  Returns a SolutionSample whose
+    fields are arrays indexed [z, x]; all energies share the pass.
+    """
     _check_step(step)
     xs = np.asarray(x_list, dtype=float)
     if not (np.all(xs > 0) and np.all(np.diff(xs) > 0)):
         raise ValueError("checkpoints must be positive and increasing")
-    z = complex(z)
-    out = np.empty(len(xs))
-    m, sigma = np.eye(2, dtype=complex), 0.0
-    x_prev = 0.0
+    zs = np.asarray(z_list, dtype=complex)
+    u = np.empty((len(zs), len(xs)), dtype=complex)
+    du = np.empty_like(u)
+    log_scale = np.empty(u.shape)
+    state, x_prev = None, 0.0
     for i, x in enumerate(xs):
-        m, sigma = _propagate(p, x_prev, x, z, step, m, sigma)
-        u = m[1, 0]
-        if u == 0:
-            raise ZeroSolution(f"u({x}, {z}) vanished; log-growth undefined")
-        out[i] = (sigma + math.log(abs(u))) / x
-        x_prev = x
-    return out
+        state = _walk(p, x_prev, float(x), zs, step, state)
+        u[:, i], du[:, i], log_scale[:, i] = state.m[1, 0], state.m[0, 0], state.s
+        x_prev = float(x)
+    return SolutionSample(u, du, log_scale)
+
+
+def log_growth_profile(p, x_list, z, step=1e-3):
+    """h(x, z) along an increasing list of checkpoints, in one propagation."""
+    xs = np.asarray(x_list, dtype=float)
+    return dirichlet_profile(p, xs, [z], step).log_growth(xs)[0]
 
 
 def lyapunov_estimate(p, x, z, step=1e-3):
@@ -305,55 +465,12 @@ def lyapunov_estimate(p, x, z, step=1e-3):
 # ---------------------------------------------------------------------------
 # Pruefer zero counting
 
-def _prufer_counts(p, x, lams, step):
-    """Dirichlet zero counts on (0, x] for each energy, exactly per cell."""
-    lams = np.asarray(lams, dtype=float)
-    U = np.zeros_like(lams)
-    DU = np.ones_like(lams)
-    counts = np.zeros(lams.shape, dtype=np.int64)
-    half_pi = 0.5 * np.pi
 
-    def advance(h, v):
-        nonlocal U, DU, counts
-        kap2 = v - lams
-        osc = kap2 < 0.0
-        # hyperbolic / linear branch, scaled by e^{-w} (positive, count-safe)
-        w = np.sqrt(np.where(osc, 0.0, kap2)) * h
-        em = np.exp(-2.0 * w)
-        Ch = 0.5 * (1.0 + em)
-        Sh = 0.5 * (1.0 - em)
-        small = w < 1e-4
-        w_safe = np.where(small, 1.0, w)
-        series = h * (1.0 + w * w / 6.0) * np.exp(-w)
-        S = np.where(small, series, Sh * h / w_safe)
-        B = np.where(small, kap2 * series, Sh * w_safe / h)
-        U2h = Ch * U + S * DU
-        DU2h = B * U + Ch * DU
-        crossed = ((U > 0.0) & (U2h <= 0.0)) | ((U < 0.0) & (U2h >= 0.0))
-        # oscillatory branch: count zeros of sin through the angle advance
-        om = np.sqrt(np.where(osc, -kap2, 1.0))
-        wh = om * h
-        base = np.arctan2(DU, om * U) + half_pi
-        n_osc = np.floor((wh - base) / np.pi) - np.floor(-base / np.pi)
-        cw, sw = np.cos(wh), np.sin(wh)
-        U2o = U * cw + DU * sw / om
-        DU2o = -om * U * sw + DU * cw
-        counts += np.where(osc, n_osc.astype(np.int64), crossed.astype(np.int64))
-        U = np.where(osc, U2o, U2h)
-        DU = np.where(osc, DU2o, DU2h)
-        nrm = np.maximum(np.abs(U), np.abs(DU))
-        U /= nrm
-        DU /= nrm
-
-    for block in potentials.segments(p, 0.0, x, step):
-        if isinstance(block, potentials.RepeatBlock):
-            for _ in range(block.count):
-                for h, v in zip(block.widths, block.values):
-                    advance(float(h), float(v))
-        else:
-            for h, v in zip(block.widths, block.values):
-                advance(float(h), float(v))
-    return counts
+def _counts(p, x, lams, step):
+    """Dirichlet zero counts on (0, x], a chunk of energies at a time."""
+    return np.concatenate([
+        _walk(p, 0.0, x, lams[lo:lo + _CHUNK], step).k
+        for lo in range(0, len(lams), _CHUNK)])
 
 
 def eigenvalue_count(p, x, lam, step=1e-3):
@@ -365,7 +482,7 @@ def eigenvalue_count(p, x, lam, step=1e-3):
     _check_step(step)
     if not x > 0:
         raise ValueError("x must be positive")
-    return int(_prufer_counts(p, x, np.array([float(lam)]), step)[0])
+    return int(_counts(p, x, np.array([float(lam)]), step)[0])
 
 
 def zero_counting_cdf(p, x, lambda_grid, step=1e-3):
@@ -374,10 +491,9 @@ def zero_counting_cdf(p, x, lambda_grid, step=1e-3):
     if not x > 0:
         raise ValueError("x must be positive")
     lams = np.asarray(lambda_grid, dtype=float)
-    if not np.all(np.diff(lams) > 0):
-        raise ValueError("lambda_grid must be strictly increasing")
-    counts = _prufer_counts(p, x, lams, step)
-    return MeasureCDF(lam=lams, cdf=counts / x)
+    if not (lams.size and np.all(np.diff(lams) > 0)):
+        raise ValueError("lambda_grid must be nonempty and strictly increasing")
+    return MeasureCDF(lam=lams, cdf=_counts(p, x, lams, step) / x)
 
 
 # ---------------------------------------------------------------------------

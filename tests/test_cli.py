@@ -113,13 +113,28 @@ def test_solve_csv_round_trips_solver_values(tmp_path):
     assert len(rows) == 6     # 2 z-points x 3 x-points
     from schreg import potentials
     p = potentials.from_json(config["potential"])
-    for row in rows:
-        z = complex(float(row[0]), float(row[1]))
-        s = PR.dirichlet_solution(p, float(row[2]), z, step=1e-3)
+    zs = [complex(*z) for z in config["params"]["z_grid"]]
+    xs = config["params"]["x_grid"]
+    s = PR.dirichlet_profile(p, xs, zs, step=1e-3)
+    h = s.log_growth(np.array(xs))
+    for k, row in enumerate(rows):
+        i, j = divmod(k, len(xs))
+        assert complex(float(row[0]), float(row[1])) == zs[i]
+        assert float(row[2]) == xs[j]
         # 17-significant-digit text must reproduce the doubles exactly
-        assert float(row[3]) == s.u.real
-        assert float(row[5]) == s.du.real
-        assert float(row[7]) == s.log_scale
+        assert float(row[3]) == s.u[i, j].real
+        assert float(row[5]) == s.du[i, j].real
+        assert float(row[7]) == s.log_scale[i, j]
+        assert float(row[8]) == h[i, j]
+
+
+def test_solve_sorts_x_grid_and_keeps_repeats(tmp_path):
+    config = solve_config()
+    config["params"]["x_grid"] = [2.0, 0.5, 2.0]
+    assert cli.run(config, out_dir=str(tmp_path)) == 0
+    _, rows = read_csv(tmp_path / "solve.csv")
+    assert [float(row[2]) for row in rows] == [0.5, 2.0, 2.0] * 2
+    assert rows[1] == rows[2] and rows[4] == rows[5]
 
 
 # ---------------------------------------------------------------------------

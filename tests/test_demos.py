@@ -1,7 +1,4 @@
-"""The fast demo scripts run to completion in-process.
-
-Demo 05 takes several seconds and is left to manual runs.
-"""
+"""Every demo script runs to completion in-process."""
 import pathlib
 import runpy
 import tempfile
@@ -16,6 +13,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
     "02_band_structure",
     "03_martin_function_and_robin_constant",
     "04_growth_and_eigenvalue_counting",
+    "05_regularity_verdicts",
     "06_cli_pipeline",
 ])
 def test_demo_runs(name, tmp_path, monkeypatch, capsys):

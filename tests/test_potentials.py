@@ -1,10 +1,12 @@
 """Potential families: evaluation, exact running integrals, serialization."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from schreg import potentials as P
+from schreg import potentials as P, propagation as PR
 
 
 def bump_unit():
@@ -283,6 +285,18 @@ def test_segment_edges_are_the_discontinuities(p):
         jumps = P.discontinuities(p, x0, x1)
         assert len(jumps) == len(edges) - 1
         assert np.allclose(edges[:-1], jumps, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
+def test_empty_window_has_no_cells(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, 5.0, 7.25):
+            blocks = list(P.segments(p, x, x, 0.02))
+            assert sum(len(b.widths) * getattr(b, "count", 1) for b in blocks) == 0
+            # the propagation kernel leaves its state (None: the identity) as it is
+            assert PR._walk(p, x, x, np.array([-1.0, 3.0]), 0.02) is None
+            assert PR._walk(p, x, x, np.array([-1.0 + 1j]), 0.02) is None
 
 
 def test_tabulated_matches_piecewise_constant_bitwise():
