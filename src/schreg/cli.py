@@ -149,8 +149,11 @@ def _validate_config(config):
     try:
         if "potential" in config:
             potentials.from_json(config["potential"])
-        if "spectrum" in config:
-            martin.GapSet.from_json(config["spectrum"])
+        spectrum = config.get("spectrum")
+        E = None if spectrum is None else martin.GapSet.from_json(spectrum)
+        if "lambda_window" in params:
+            regularity.check_window(params["lambda_window"],
+                                    E if command in _NEEDS_SPECTRUM else None)
     except (ValueError, TypeError) as exc:
         raise ConfigInvalid(str(exc)) from exc
     return config

@@ -13,12 +13,18 @@ iteration with a per-coordinate bisection fallback (the gap integral is
 strictly monotone in its own c_j).
 
 The Martin function M = Im Theta is evaluated by integrating Theta' from
-the anchor Theta(b0) = 0: along the real axis below b0, along the gap from
-its nearer-to-b0 edge inside a gap, and along the parabola-free straight
-segment w(s) = b0 + (z - b0) s**2 for complex z (the substitution absorbs
-the inverse-square-root singularity at the anchor).  On the bands M = 0
-and the real part of Theta is pi times the spectral cumulative function,
-computed from the band boundary density with edge substitutions.
+the anchor Theta(b0) = 0: along the real axis below b0, from the nearer
+gap edge inside a gap, and along the straight segment
+w(s) = b0 + (z - b0) s**2 for complex z (the substitution absorbs the
+inverse-square-root singularity at the anchor).  On the bands M = 0 and
+the real part of Theta is pi times the spectral cumulative function.
+
+Every real-axis integral uses one rule: on an interval [a, b] whose
+density blows up like an inverse square root at both ends, the part below
+the midpoint is taken in t = a + s**2 and the part above it in
+t = b - s**2.  Re Theta on an increasing energy grid is one cumulative
+pass: the band pieces between consecutive grid points are integrated once
+each and summed, so a grid costs about one quadrature per point.
 """
 from __future__ import annotations
 
@@ -149,25 +155,22 @@ def _quad(f, a, b, rtol=1e-11, atol=1e-12, complex_func=False):
     return val
 
 
-def _edge_quad(f, lo, hi, sing_lo, sing_hi, rtol=1e-11, atol=1e-12):
-    """Integral of f over [lo, hi] with inverse-sqrt endpoint singularities.
+def _edge_quad(f, lo, hi, a, b=math.inf):
+    """Integral of f over [lo, hi], inside [a, b] where f has inverse-sqrt
+    singularities at a and b (either may be infinite).
 
-    Flagged endpoints are absorbed by t = edge -+ s**2; with both flags the
-    interval is split at its midpoint.
+    The part below the midpoint of [a, b] is taken in t = a + s**2, the
+    part above it in t = b - s**2, which absorbs both singularities.
     """
-    if hi <= lo:
-        return 0.0
-    if sing_lo and sing_hi:
-        mid = 0.5 * (lo + hi)
-        return (_edge_quad(f, lo, mid, True, False, rtol, atol)
-                + _edge_quad(f, mid, hi, False, True, rtol, atol))
-    if sing_lo:
-        smax = math.sqrt(hi - lo)
-        return _quad(lambda s: 2.0 * s * f(lo + s * s), 0.0, smax, rtol, atol)
-    if sing_hi:
-        smax = math.sqrt(hi - lo)
-        return _quad(lambda s: 2.0 * s * f(hi - s * s), 0.0, smax, rtol, atol)
-    return _quad(f, lo, hi, rtol, atol)
+    mid = 0.5 * (a + b)
+    total = 0.0
+    if lo < min(hi, mid):
+        total += _quad(lambda s: 2.0 * s * f(a + s * s),
+                       math.sqrt(lo - a), math.sqrt(min(hi, mid) - a))
+    if max(lo, mid) < hi:
+        total += _quad(lambda s: 2.0 * s * f(b - s * s),
+                       math.sqrt(b - hi), math.sqrt(b - max(lo, mid)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +278,11 @@ def _gap_integrals(E, c, rules):
     return F, J, mass
 
 
-def _gap_residual(E, c, j, rtol=1e-11):
+def _gap_residual(E, c, j):
     """Adaptive recomputation of gap j's Theta' integral, normalized."""
     a, b = E.gaps[j]
-    signed = _edge_quad(lambda x: float(_gap_m_density(E, c, j, x)),
-                        a, b, True, True, rtol=rtol)
-    mass = _edge_quad(lambda x: float(_band_theta_density(E, c, x)),
-                      a, b, True, True, rtol=rtol)
+    signed = _edge_quad(lambda x: float(_gap_m_density(E, c, j, x)), a, b, a, b)
+    mass = _edge_quad(lambda x: float(_band_theta_density(E, c, x)), a, b, a, b)
     return signed / mass if mass > 0 else 0.0
 
 
@@ -397,34 +398,21 @@ def gap_flatness(E, c):
 # ---------------------------------------------------------------------------
 # Theta and M
 
-def _retheta_on_set(E, c, lam):
-    """Re Theta(lam) = pi * cdf(lam) for lam >= b0 (constant across gaps)."""
-    total = 0.0
+def _theta_real(E, c, lams):
+    """Re Theta = pi * cdf at each point of an increasing grid, in one pass.
+
+    Re Theta is 0 up to b0 and constant across gaps; each band piece
+    between consecutive points is integrated once and accumulated.
+    """
     f = lambda x: float(_band_theta_density(E, c, x))
-    for lo, hi in E.bands():
-        if lam <= lo:
-            break
-        if math.isinf(hi) or lam < hi:
-            total += _edge_quad(f, lo, min(lam, hi), True, False)
-            break
-        mid = 0.5 * (lo + hi)
-        if lam <= mid:
-            total += _edge_quad(f, lo, lam, True, False)
-            break
-        total += _edge_quad(f, lo, mid, True, False)
-        if lam < hi:
-            total += (_edge_quad(f, mid, hi, False, True)
-                      - _edge_quad(f, lam, hi, False, True))
-            break
-        total += _edge_quad(f, mid, hi, False, True)
-    return total
-
-
-def _gap_index(E, x):
-    for j, (a, b) in enumerate(E.gaps):
-        if a < x < b:
-            return j
-    return None
+    bands = E.bands()
+    out = np.empty(len(lams))
+    total, prev = 0.0, E.b0
+    for i, lam in enumerate(lams):
+        for lo, hi in bands:
+            total += _edge_quad(f, max(prev, lo), min(lam, hi), lo, hi)
+        out[i], prev = total, lam
+    return out
 
 
 def martin_function(E, c, z):
@@ -454,25 +442,17 @@ def martin_function(E, c, z):
                       complex_func=True)
         return MartinEvaluation(z=z, value=float(theta.imag),
                                 theta_real=float(theta.real))
-    lam = z.real
-    if lam <= E.b0:
+    lam, m = z.real, 0.0
+    if lam < E.b0:
         f = lambda x: float(_band_theta_density(E, c, x))
-        m = _edge_quad(f, lam, E.b0, False, True)
-        return MartinEvaluation(z=z, value=m, theta_real=0.0)
-    j = _gap_index(E, lam)
-    if j is not None:
-        a, b = E.gaps[j]
-        g = lambda x: float(_gap_m_density(E, c, j, x))
-        if lam - a <= b - lam:
-            m = _edge_quad(g, a, lam, True, False)
-            anchor = a
-        else:
-            m = -_edge_quad(g, lam, b, False, True)
-            anchor = b
-        return MartinEvaluation(z=z, value=m,
-                                theta_real=_retheta_on_set(E, c, anchor))
-    return MartinEvaluation(z=z, value=0.0,
-                            theta_real=_retheta_on_set(E, c, lam))
+        m = _edge_quad(f, lam, E.b0, -math.inf, E.b0)
+    for j, (a, b) in enumerate(E.gaps):
+        if a < lam < b:   # integrate M' from the nearer edge
+            g = lambda x: float(_gap_m_density(E, c, j, x))
+            m = (_edge_quad(g, a, lam, a, b) if lam - a <= b - lam
+                 else -_edge_quad(g, lam, b, a, b))
+    return MartinEvaluation(z=z, value=m,
+                            theta_real=float(_theta_real(E, c, [lam])[0]))
 
 
 def martin_measure_cdf(E, c, lambda_grid):
@@ -486,9 +466,7 @@ def martin_measure_cdf(E, c, lambda_grid):
     scale = max(1.0, abs(E.b0), E.diameter)
     if lams[0] < E.b0 - 1e-12 * scale:
         raise ValueError("grid must start at or above b0")
-    cdf = np.array([_retheta_on_set(E, c, max(lam, E.b0)) / math.pi
-                    for lam in lams])
-    return MeasureCDF(lam=lams, cdf=cdf)
+    return MeasureCDF(lam=lams, cdf=_theta_real(E, c, lams) / math.pi)
 
 
 def fit_a_from_martin(E, c, k_grid):

@@ -3,14 +3,16 @@
 For a potential of period P the discriminant is the trace of the transfer
 matrix over one period.  Energies with |discriminant| <= 2 form the bands;
 the lowest point of the spectrum is the smallest root of discriminant = 2.
-Band edges are refined by bisection between scan samples, and a scan is
+A scan evaluates the discriminant at all of its samples in one transfer
+pass (the energies are batched).  Every sample pair that straddles a band
+edge gives a bracket with an out-of-band and an in-band end, and all
+brackets are bisected together, one batched pass per halving.  A scan is
 rejected as too coarse when the discriminant provably crossed the band
 strip between two consecutive out-of-band samples (its sign flipped there,
 so a band was skipped).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,25 +45,27 @@ class BandSpectrum:
 
 
 def discriminant(p, period, lam, step=1e-3):
-    """Trace of the transfer matrix over [0, period] at real energy lam."""
+    """Trace of the transfer matrix over [0, period] at real energies lam:
+    a float for a scalar lam, else an array of lam's shape."""
     if not period > 0:
         raise ValueError("period must be positive")
-    t = propagation.transfer_matrix(p, period, float(lam), step)
-    return float(math.exp(t.log_scale) * (t.m[0, 0] + t.m[1, 1]).real)
+    t = propagation.transfer_matrix(p, period, np.asarray(lam, dtype=float), step)
+    d = np.exp(t.log_scale) * (t.m[0, 0] + t.m[1, 1]).real
+    return float(d) if np.ndim(lam) == 0 else d
 
 
-def _bisect(f, lo, hi, f_lo, tol):
-    """Root of f between lo (f>0) and hi (f<=0) to absolute tolerance tol."""
-    del f_lo
+def _bisect(f, out, inn, tol):
+    """Roots of f bracketed by pairs of ends, f(out) > 0 >= f(inn), each
+    pair in either order.  All pairs are bisected together, each until its
+    ends are within the absolute tolerance tol."""
     for _ in range(200):
-        if hi - lo <= tol:
+        live = np.abs(inn - out) > tol
+        if not live.any():
             break
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (out + inn)
+        pos = live & (f(mid) > 0.0)
+        out, inn = np.where(pos, mid, out), np.where(live & ~pos, mid, inn)
+    return 0.5 * (out + inn)
 
 
 def lowest_periodic_eigenvalue(p, period, window, step=1e-3, tol=1e-10, samples=512):
@@ -76,18 +80,16 @@ def lowest_periodic_eigenvalue(p, period, window, step=1e-3, tol=1e-10, samples=
         raise ValueError("window must be an increasing pair")
     lams = np.linspace(lo, hi, int(samples))
     f = lambda lam: discriminant(p, period, lam, step) - 2.0
-    prev_lam, prev_val = lams[0], f(lams[0])
-    if prev_val == 0.0:
-        return float(prev_lam)
-    if prev_val < 0.0:
+    vals = f(lams)
+    if vals[0] == 0.0:
+        return float(lams[0])
+    if vals[0] < 0.0:
         raise NotBracketed("window must start below the bottom of the spectrum")
-    for lam in lams[1:]:
-        val = f(lam)
-        if val <= 0.0:
-            return _bisect(f, prev_lam, lam, prev_val, tol)
-        prev_lam, prev_val = lam, val
-    raise NotBracketed(
-        f"discriminant never reached 2 on [{lo}, {hi}] with {samples} samples")
+    (hits,) = np.nonzero(vals <= 0.0)
+    if not hits.size:
+        raise NotBracketed(
+            f"discriminant never reached 2 on [{lo}, {hi}] with {samples} samples")
+    return float(_bisect(f, lams[hits[0] - 1], lams[hits[0]], tol))
 
 
 def band_spectrum(p, period, lambda_window, resolution, step=1e-3, edge_tol=1e-10):
@@ -102,37 +104,27 @@ def band_spectrum(p, period, lambda_window, resolution, step=1e-3, edge_tol=1e-1
     if not (lo < hi and int(resolution) >= 2):
         raise ValueError("need an increasing window and resolution >= 2")
     lams = np.linspace(lo, hi, int(resolution))
-    deltas = np.array([discriminant(p, period, lam, step) for lam in lams])
+    deltas = discriminant(p, period, lams, step)
     inside = np.abs(deltas) <= 2.0
-
-    for i in range(len(lams) - 1):
-        if not inside[i] and not inside[i + 1] and deltas[i] * deltas[i + 1] < 0:
-            raise ResolutionTooCoarse(
-                f"band skipped between lambda={lams[i]:g} and {lams[i + 1]:g}")
-
-    def refine(lam_out, lam_in, delta_out):
-        s = 1.0 if delta_out > 2.0 else -1.0
-        g = lambda lam: s * discriminant(p, period, lam, step) - 2.0
-        if lam_out < lam_in:
-            return _bisect(g, lam_out, lam_in, None, edge_tol)
-        # decreasing bracket: mirror the coordinate
-        r = _bisect(lambda t: g(-t), -lam_out, -lam_in, None, edge_tol)
-        return -r
-
-    bands = []
-    i, n = 0, len(lams)
-    while i < n:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and inside[j + 1]:
-            j += 1
-        left = lams[i] if i == 0 else refine(lams[i - 1], lams[i], deltas[i - 1])
-        right = lams[j] if j == n - 1 else refine(lams[j + 1], lams[j], deltas[j + 1])
-        bands.append((float(left), float(right)))
-        i = j + 1
-    return BandSpectrum(period=float(period), bands=tuple(bands), lam=lams, delta=deltas)
+    skipped = ~inside[:-1] & ~inside[1:] & (deltas[:-1] * deltas[1:] < 0)
+    if skipped.any():
+        i = int(np.argmax(skipped))
+        raise ResolutionTooCoarse(
+            f"band skipped between lambda={lams[i]:g} and {lams[i + 1]:g}")
+    # each change of `inside` brackets one edge: an out-of-band end, where
+    # sign * discriminant > 2, and an in-band end
+    (change,) = np.nonzero(inside[:-1] != inside[1:])
+    out = np.where(inside[change], change + 1, change)
+    inn = np.where(inside[change], change, change + 1)
+    sign = np.where(deltas[out] > 2.0, 1.0, -1.0)
+    ends = _bisect(lambda lam: sign * discriminant(p, period, lam, step) - 2.0,
+                   lams[out], lams[inn], edge_tol).tolist()
+    if inside[0]:
+        ends.insert(0, lams[0])
+    if inside[-1]:
+        ends.append(lams[-1])
+    bands = tuple((float(a), float(b)) for a, b in zip(ends[::2], ends[1::2]))
+    return BandSpectrum(period=float(period), bands=bands, lam=lams, delta=deltas)
 
 
 def to_gap_set(bs):

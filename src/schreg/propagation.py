@@ -386,10 +386,10 @@ def _walk(p, x0, x1, z, step, state=None):
 
 
 def _spectral_norm(m):
-    """Largest singular value of a 2x2 matrix, in closed form."""
-    f = float(np.sum(np.abs(m) ** 2))
-    det = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return math.sqrt(0.5 * (f + math.sqrt(max(f * f - 4.0 * det * det, 0.0))))
+    """Largest singular value of each 2x2 matrix m[:, :, k], in closed form."""
+    f = (np.abs(m) ** 2).sum(axis=(0, 1))
+    det = np.abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    return np.sqrt(0.5 * (f + np.sqrt(np.maximum(f * f - 4.0 * det * det, 0.0))))
 
 
 def transfer_matrix(p, x, z, step=1e-3):
@@ -397,19 +397,24 @@ def transfer_matrix(p, x, z, step=1e-3):
 
     Columns propagate (u', u) initial data; the first column is the
     Dirichlet solution (u(0)=0, u'(0)=1), the second has u(0)=1, u'(0)=0.
-    The mantissa is normalized to unit spectral norm.
+    The mantissa is normalized to unit spectral norm.  An array of energies
+    shares one pass: m is then indexed [i, j, *z.shape] and log_scale is an
+    array of z's shape (the matrix methods take one energy).
     """
     _check_step(step)
     x = float(x)
     if x < 0:
         raise ValueError("x must be nonnegative")
-    z = complex(z)
+    zs = np.asarray(z, dtype=complex)
     if x == 0.0:
-        return ScaledTransferMatrix(np.eye(2, dtype=complex), 0.0)
-    el = _walk(p, 0.0, x, np.array([z]), step)
-    m = el.m[:, :, 0]
-    nrm = _spectral_norm(m)
-    return ScaledTransferMatrix(m / nrm, float(el.s[0]) + math.log(nrm))
+        m = np.multiply.outer(np.eye(2), np.ones(zs.shape, complex))
+        s = np.zeros(zs.shape)
+    else:
+        el = _walk(p, 0.0, x, zs.reshape(-1), step)
+        nrm = _spectral_norm(el.m)
+        m = (el.m / nrm).reshape(2, 2, *zs.shape)
+        s = (el.s + np.log(nrm)).reshape(zs.shape)
+    return ScaledTransferMatrix(m, float(s) if zs.ndim == 0 else s)
 
 
 def dirichlet_solution(p, x, z, step=1e-3):
@@ -458,8 +463,7 @@ def lyapunov_estimate(p, x, z, step=1e-3):
     """Finite-x Lyapunov proxy: log of the transfer-matrix norm over x."""
     if not x > 0:
         raise ValueError("x must be positive")
-    t = transfer_matrix(p, x, z, step)
-    return (t.log_scale + math.log(float(np.linalg.norm(t.m, 2)))) / x
+    return transfer_matrix(p, x, z, step).log_scale / x
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ __all__ = [
     "universal_inequality_check",
     "growth_comparison",
     "dos_comparison",
+    "check_window",
     "decide_verdict",
     "regularity_report",
 ]
@@ -109,13 +110,21 @@ def growth_comparison(p, E, z_grid, x_list, c=None, step=0.02):
         if martin.distance_to_set(E, z) < 0.1:
             raise ValueError(f"z={z} closer than 0.1 to the spectrum")
     xs = np.asarray(sorted(float(x) for x in x_list))
-    h = np.empty((len(zs), len(xs)))
-    for i, z in enumerate(zs):
-        h[i] = propagation.log_growth_profile(p, xs, z, step=step)
+    h = propagation.dirichlet_profile(p, xs, zs, step).log_growth(xs)
     m = np.array([martin.martin_function(E, cc, z).value for z in zs])
     gaps = h[:, -1] - m
     return GrowthComparison(z=zs, x=xs, h=h, m=m, gaps=gaps,
                             sup_gap=float(np.max(np.abs(gaps))))
+
+
+def check_window(lambda_window, E=None):
+    """(lo, hi) of a window; ValueError unless lo < hi and lo >= E.b0."""
+    lo, hi = float(lambda_window[0]), float(lambda_window[1])
+    if not lo < hi:
+        raise ValueError("lambda_window must be increasing")
+    if E is not None and lo < E.b0 - 1e-12 * max(1.0, abs(E.b0)):
+        raise ValueError("window must start at or above b0")
+    return lo, hi
 
 
 def dos_comparison(p, E, x, lambda_window, grid=200, c=None, step=0.02):
@@ -125,11 +134,7 @@ def dos_comparison(p, E, x, lambda_window, grid=200, c=None, step=0.02):
     explicit increasing array inside [b0, Lambda].
     """
     cc = _solved_c(E, c)
-    lo, hi = float(lambda_window[0]), float(lambda_window[1])
-    if not lo < hi:
-        raise ValueError("lambda_window must be increasing")
-    if lo < E.b0 - 1e-12 * max(1.0, abs(E.b0)):
-        raise ValueError("window must start at or above b0")
+    lo, hi = check_window(lambda_window, E)
     lams = np.asarray(grid, dtype=float) if np.ndim(grid) else \
         np.linspace(lo, hi, int(grid))
     rho_x = propagation.zero_counting_cdf(p, x, lams, step=step)

@@ -227,6 +227,44 @@ def test_infinite_gap_edge_rejected(tmp_path):
     assert cli.run(config, out_dir=str(tmp_path)) == 2
 
 
+def window_config(command, window):
+    params = {
+        "bands": {"period": 1.0, "resolution": 64},
+        "dos": {"x": 50.0, "grid_points": 10},
+        "regularity": {"x_max": 100.0},
+    }[command]
+    return {"command": command,
+            "potential": {"variant": "periodic_square", "delta": 0.5},
+            "spectrum": dict(FREE_SPECTRUM),
+            "params": {**params, "lambda_window": list(window)}}
+
+
+@pytest.mark.parametrize("command", ["bands", "dos", "regularity"])
+def test_decreasing_lambda_window_rejected(tmp_path, command):
+    config = window_config(command, (10.0, 0.5))
+    assert cli.run(config, out_dir=str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("command", ["dos", "regularity"])
+def test_lambda_window_below_spectrum_rejected(tmp_path, command):
+    config = window_config(command, (-1.0, 5.0))
+    assert cli.run(config, out_dir=str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0])
+def test_nonpositive_solve_x_rejected(tmp_path, x):
+    config = solve_config()
+    config["params"]["x_grid"] = [x, 1.0]
+    assert cli.run(config, out_dir=str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("fractions", [[0.0, 1.0], [-0.5, 1.0], [0.5, 0.5]])
+def test_bad_growth_fractions_rejected(tmp_path, fractions):
+    config = window_config("regularity", (0.0, 5.0))
+    config["params"]["growth_fractions"] = fractions
+    assert cli.run(config, out_dir=str(tmp_path)) == 2
+
+
 def test_compute_failure_writes_error_manifest(tmp_path):
     # a z-point hugging the essential spectrum is a runtime error, not a
     # config error: exit 1 with a partial manifest describing the failure

@@ -283,6 +283,53 @@ def test_free_measure_cdf():
     assert one.cdf[0] == pytest.approx(1.0, abs=1e-8)
 
 
+def alg_band_cdf(E, c, lam):
+    """Re Theta(lam) / pi from QUADPACK's algebraic-weight rule: on each
+    band the density is a smooth factor times (t - lo)**-1/2 (hi - t)**-1/2,
+    and a partial band is taken from its nearer edge."""
+    edges = [E.b0] + [e for gap in E.gaps for e in gap]
+
+    def smooth(t, lo, hi):
+        num = 0.5 * math.prod(abs(t - cj) for cj in c)
+        return num / math.prod(math.sqrt(abs(t - e)) for e in edges
+                               if e not in (lo, hi))
+
+    total = 0.0
+    for lo, hi in E.bands():
+        if lam <= lo:
+            break
+        f = lambda t: smooth(t, lo, hi)
+        if hi < math.inf:
+            full = quad(f, lo, hi, weight="alg", wvar=(-0.5, -0.5),
+                        epsabs=1e-14, epsrel=1e-13)[0]
+        if lam >= hi:
+            total += full
+        elif hi < math.inf and lam > 0.5 * (lo + hi):
+            total += full - quad(lambda t: f(t) / math.sqrt(t - lo), lam, hi,
+                                 weight="alg", wvar=(0.0, -0.5),
+                                 epsabs=1e-14, epsrel=1e-13)[0]
+        else:
+            g = f if hi == math.inf else lambda t: f(t) / math.sqrt(hi - t)
+            total += quad(g, lo, lam, weight="alg", wvar=(-0.5, 0.0),
+                          epsabs=1e-14, epsrel=1e-13)[0]
+    return total / math.pi
+
+
+def test_measure_cdf_matches_algebraic_weight_oracle():
+    # three gaps, one of them narrower than 0.05
+    E = M.GapSet(b0=0.0, gaps=((1.0, 2.0), (4.0, 4.03), (7.0, 8.5)))
+    cp = solved(E)
+    edges = [1.0, 2.0, 4.0, 4.01, 4.02, 4.03, 7.0, 8.5]   # and two in a gap
+    lams = np.unique(np.concatenate([np.linspace(0.0, 12.0, 392), edges]))
+    cdf = M.martin_measure_cdf(E, cp.c, lams).cdf
+    want = [alg_band_cdf(E, cp.c, lam) for lam in lams]
+    assert np.max(np.abs(cdf - want)) <= 1e-11
+    # the accumulation over the grid does not drift from one-point calls
+    for i in range(0, len(lams), 7):
+        one = M.martin_measure_cdf(E, cp.c, lams[i:i + 1]).cdf[0]
+        assert abs(cdf[i] - one) <= 1e-12
+
+
 def test_measure_flat_across_gap_and_monotone():
     cp = solved(ONE_GAP)
     lams = np.array([0.9, 1.1, 1.5, 1.9, 2.1, 3.0])

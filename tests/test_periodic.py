@@ -38,6 +38,17 @@ def test_square_wave_small_delta_ratio_bounded():
     assert max(ratios) <= 0.5
 
 
+def test_discriminant_batch_matches_scalar_calls():
+    p = P.PeriodicSquare(1.3)
+    lams = np.linspace(-2.0, 60.0, 97)
+    batch = PE.discriminant(p, 2.6, lams.reshape(97, 1))
+    assert batch.shape == (97, 1)
+    for lam, got in zip(lams, batch[:, 0]):
+        one = PE.discriminant(p, 2.6, lam)
+        assert type(one) is float
+        assert abs(got - one) <= 1e-15 * max(1.0, abs(one))
+
+
 # ---------------------------------------------------------------------------
 # lowest periodic eigenvalue
 
@@ -134,6 +145,40 @@ def test_resolution_too_coarse_detected():
     assert len(bs.bands) == 1
     assert bs.bands[0][0] == pytest.approx(-39.30378484, abs=1e-6)
     assert bs.bands[0][1] == pytest.approx(-39.03225850, abs=1e-6)
+
+
+def scalar_band_edges(p, period, window, resolution, edge_tol):
+    """Reference scan: one discriminant call per sample, then each edge
+    bisected on its own between its out-of-band and in-band samples."""
+    lams = np.linspace(window[0], window[1], resolution)
+    d = [PE.discriminant(p, period, lam) for lam in lams]
+    edges = []
+    for i in range(resolution - 1):
+        if (abs(d[i]) <= 2.0) == (abs(d[i + 1]) <= 2.0):
+            continue
+        out, inn = (i, i + 1) if abs(d[i]) > 2.0 else (i + 1, i)
+        sign = 1.0 if d[out] > 2.0 else -1.0
+        lo, hi = lams[out], lams[inn]
+        while abs(hi - lo) > edge_tol:
+            mid = 0.5 * (lo + hi)
+            if sign * PE.discriminant(p, period, mid) - 2.0 > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        edges.append(0.5 * (lo + hi))
+    return edges
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.5, 1.3])
+def test_band_edges_match_per_energy_scan(delta):
+    window, edge_tol = (-2.0, 60.0), 1e-10
+    bs = PE.band_spectrum(P.PeriodicSquare(delta), 2 * delta, window, 512,
+                          edge_tol=edge_tol)
+    got = [e for band in bs.bands for e in band if e not in window]
+    want = scalar_band_edges(P.PeriodicSquare(delta), 2 * delta, window, 512,
+                             edge_tol)
+    assert len(got) == len(want) >= 2
+    assert np.max(np.abs(np.subtract(got, want))) <= edge_tol
 
 
 def test_discriminant_samples_recorded():

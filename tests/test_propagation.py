@@ -92,6 +92,25 @@ def test_invalid_step_rejected():
         PR.transfer_matrix(FREE, 1.0, -1.0, step=0.0)
 
 
+@pytest.mark.parametrize("p, x", [
+    (P.PeriodicSquare(0.5), 1.0),
+    (P.PiecewiseConstant(values=(-10.0, 10.0), breakpoints=(0.5,)), 1.0),
+    (P.OscillatingExample(), 30.0),
+])
+def test_transfer_matrix_batch_matches_scalar_calls(p, x):
+    rng = np.random.default_rng(3)
+    zs = np.concatenate([rng.uniform(-5.0, 40.0, 12),
+                         rng.uniform(-5.0, 40.0, 6) + 1j * rng.uniform(0.1, 3.0, 6)])
+    batch = PR.transfer_matrix(p, x, zs.reshape(3, 6))
+    assert batch.m.shape == (2, 2, 3, 6) and batch.log_scale.shape == (3, 6)
+    for z, m, s in zip(zs, batch.m.reshape(2, 2, -1).transpose(2, 0, 1),
+                       batch.log_scale.reshape(-1)):
+        one = PR.transfer_matrix(p, x, z)
+        assert one.m.shape == (2, 2) and type(one.log_scale) is float
+        assert np.max(np.abs(m - one.m)) <= 1e-15      # m has unit norm
+        assert abs(s - one.log_scale) <= 1e-15 * max(1.0, abs(one.log_scale))
+
+
 # ---------------------------------------------------------------------------
 # log growth
 
@@ -313,6 +332,14 @@ def test_weyl_contains_true_m_for_free_field():
 def test_lyapunov_free_examples():
     assert PR.lyapunov_estimate(FREE, 100.0, -1.0) == pytest.approx(1.0, abs=0.01)
     assert abs(PR.lyapunov_estimate(FREE, 100.0, 1.0)) <= 0.02
+
+
+def test_lyapunov_is_log_norm_over_x():
+    p = P.PiecewiseConstant(values=(2.0, -1.0, 0.5), breakpoints=(1.0, 2.5))
+    for z in (-1.0, 0.7, 2.0 + 1j):
+        t = PR.transfer_matrix(p, 20.0, z)
+        want = math.log(np.linalg.norm(t.matrix(), 2)) / 20.0
+        assert PR.lyapunov_estimate(p, 20.0, z) == pytest.approx(want, rel=1e-14)
 
 
 def test_lyapunov_random_regression_band():
