@@ -214,11 +214,10 @@ def _cmd_martin(config, out):
     E = martin.GapSet.from_json(config["spectrum"])
     params = config["params"]
     cp = martin.solve_critical_points(E)
-    zs = _zlist(params["z_grid"])
-    rows = []
-    for z in zs:
-        ev = martin.martin_function(E, cp.c, z)
-        rows.append((z.real, z.imag, ev.value, ev.theta_real))
+    zs = np.array(_zlist(params["z_grid"]))
+    ev = martin.martin_function(E, cp.c, zs)
+    rows = list(zip(zs.real.tolist(), zs.imag.tolist(), ev.value.tolist(),
+                    ev.theta_real.tolist()))
     summary = {
         "b0": E.b0,
         "gaps": [list(g) for g in E.gaps],

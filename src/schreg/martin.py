@@ -22,27 +22,28 @@ the real part of Theta is pi times the spectral cumulative function.
 Every real-axis integral uses one rule: on an interval [a, b] whose
 density blows up like an inverse square root at both ends, the part below
 the midpoint is taken in t = a + s**2 and the part above it in
-t = b - s**2.  Re Theta on an increasing energy grid is one cumulative
-pass: the band pieces between consecutive grid points are integrated once
-each and summed, so a grid costs about one quadrature per point.
+t = b - s**2, with the edge's factor 1/sqrt|t - e| = 1/s cancelled
+exactly against the Jacobian.  Re Theta on an increasing energy grid is a
+cumulative sum over the band pieces between consecutive grid points.
+Integrals go to `quadrature.quad` in batches: all band pieces of a grid,
+all gaps, all complex z, all real z off the bands, each in one call.
 """
 from __future__ import annotations
 
-import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.integrate as si
 
+# imported under the name `si`, and called only as `si.quad`, so that a
+# span tracer can wrap every quadrature call through this one module global
+from . import quadrature as si
 from .errors import (
     FitIllConditioned,
     NoConvergence,
     OnSpectrum,
     PathTooCloseToSpectrum,
-    QuadratureFailure,
 )
 from .propagation import MeasureCDF
 
@@ -120,7 +121,8 @@ class CriticalPoints:
 
 @dataclass(frozen=True)
 class MartinEvaluation:
-    """Martin function value and the real comb coordinate at one point."""
+    """Martin function value and the real comb coordinate at one point
+    (or arrays of them, one entry per point)."""
 
     z: complex
     value: float
@@ -140,37 +142,37 @@ def distance_to_set(E, z):
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers (scipy QUADPACK behind thin wrappers)
+# real-axis quadrature (one batched adaptive call per rule)
 
-def _quad(f, a, b, rtol=1e-11, atol=1e-12, complex_func=False):
-    if a == b:
-        return 0.0j if complex_func else 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", si.IntegrationWarning)
-        try:
-            val, _ = si.quad(f, a, b, epsabs=atol, epsrel=rtol, limit=400,
-                             complex_func=complex_func)
-        except si.IntegrationWarning as exc:
-            raise QuadratureFailure(f"quadrature on [{a}, {b}]: {exc}") from None
-    return val
-
-
-def _edge_quad(f, lo, hi, a, b=math.inf):
-    """Integral of f over [lo, hi], inside [a, b] where f has inverse-sqrt
-    singularities at a and b (either may be infinite).
+def _edge_quad(f, lo, hi, a, b):
+    """Integrals of f over each [lo[i], hi[i]], inside [a[i], b[i]] where f
+    has inverse-sqrt singularities at a and b (either may be infinite).
 
     The part below the midpoint of [a, b] is taken in t = a + s**2, the
-    part above it in t = b - s**2, which absorbs both singularities.
+    part above it in t = b - s**2.  f(x, i, e) gets points, the index i of
+    the piece each belongs to and the end e (a or b) its substitution
+    starts from, and returns sqrt|x - e| times the integrand: smooth at e,
+    and with the Jacobian 2 s = 2 sqrt|x - e| it gives the exact s-space
+    integrand, with no rounded x - e near e.  All parts of all pieces go
+    to one quadrature call.
     """
+    lo, hi, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                         for v in (lo, hi, a, b)))
     mid = 0.5 * (a + b)
-    total = 0.0
-    if lo < min(hi, mid):
-        total += _quad(lambda s: 2.0 * s * f(a + s * s),
-                       math.sqrt(lo - a), math.sqrt(min(hi, mid) - a))
-    if max(lo, mid) < hi:
-        total += _quad(lambda s: 2.0 * s * f(b - s * s),
-                       math.sqrt(b - hi), math.sqrt(b - max(lo, mid)))
-    return total
+    il = np.flatnonzero(lo < np.minimum(hi, mid))
+    ir = np.flatnonzero(np.maximum(lo, mid) < hi)
+    owner = np.concatenate([il, ir])
+    if not owner.size:
+        return np.zeros(lo.shape)
+    origin = np.concatenate([a[il], b[ir]])
+    sign = np.concatenate([np.ones(il.size), -np.ones(ir.size)])
+    s0 = np.concatenate([np.sqrt(lo[il] - a[il]), np.sqrt(b[ir] - hi[ir])])
+    s1 = np.concatenate([np.sqrt(np.minimum(hi, mid)[il] - a[il]),
+                         np.sqrt(b[ir] - np.maximum(lo, mid)[ir])])
+    parts = si.quad(
+        lambda s, k: 2.0 * f(origin[k] + sign[k] * (s * s), owner[k], origin[k]),
+        s0, s1, rtol=1e-11, atol=1e-12)
+    return np.bincount(owner, parts, lo.size)
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +209,24 @@ def theta_prime(E, c, z):
     return complex(_itheta_prime_raw(E, c, z))
 
 
-def _band_theta_density(E, c, x):
-    """Theta'(x + i0) on band interiors: positive, integrates to pi * cdf."""
+def _band_theta_density(E, c, x, edge):
+    """sqrt|x - edge| Theta'(x + i0) on band interiors, edge being b0 or a
+    gap edge per point: Theta' is positive and integrates to pi * cdf."""
     x = np.asarray(x, dtype=float)
     num = np.full(x.shape, 0.5)
-    den = np.sqrt(np.abs(x - E.b0))
-    for (a, b), cj in zip(E.gaps, c):
+    for cj in c:
         num = num * np.abs(x - cj)
-        den = den * np.sqrt(np.abs(x - a) * np.abs(x - b))
+    den = np.ones(x.shape)
+    for e in (E.b0, *(e for gap in E.gaps for e in gap)):
+        den = den * np.where(edge == e, 1.0, np.sqrt(np.abs(x - e)))
     return num / den
 
 
-def _gap_m_density(E, c, j, x):
-    """M'(x) on gap j: positive up to c_j, negative after."""
-    x = np.asarray(x, dtype=float)
-    sign = np.sign(c[j] - x)
-    return sign * _band_theta_density(E, c, x)
+def _m_density(E, c, j, x, edge):
+    """sqrt|x - edge| M'(x) at x[i] in gap j[i]: M' is positive up to c_j,
+    negative after.  Gap 0 is (-inf, b0), with c_0 = -inf."""
+    sign = np.sign(np.array([-math.inf, *c])[j] - x)
+    return sign * _band_theta_density(E, c, x, edge)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +282,20 @@ def _gap_integrals(E, c, rules):
     return F, J, mass
 
 
-def _gap_residual(E, c, j):
-    """Adaptive recomputation of gap j's Theta' integral, normalized."""
-    a, b = E.gaps[j]
-    signed = _edge_quad(lambda x: float(_gap_m_density(E, c, j, x)), a, b, a, b)
-    mass = _edge_quad(lambda x: float(_band_theta_density(E, c, x)), a, b, a, b)
-    return signed / mass if mass > 0 else 0.0
+def _gap_residuals(E, c):
+    """Adaptive recomputation of every gap's Theta' integral, normalized by
+    the integral of its absolute value; one quadrature call for all gaps."""
+    N = len(E.gaps)
+    ab = np.array(E.gaps * 2, dtype=float).reshape(2 * N, 2)
+    j = np.arange(2 * N) % N + 1
+
+    def f(x, i, edge):   # pieces 0..N-1 are signed, N..2N-1 absolute
+        m = _m_density(E, c, j[i], x, edge)
+        return np.where(i < N, m, np.abs(m))
+
+    v = _edge_quad(f, ab[:, 0], ab[:, 1], ab[:, 0], ab[:, 1])
+    signed, mass = v[:N], v[N:]
+    return np.divide(signed, mass, out=np.zeros(N), where=mass > 0)
 
 
 def _bisect_gap(E, c, j, rules, tol):
@@ -371,7 +383,7 @@ def solve_critical_points(E, tol=1e-10, max_iter=50):
                 if best <= tol:
                     converged = True
                     break
-        residuals = tuple(_gap_residual(E, tuple(c), j) for j in range(N))
+        residuals = tuple(float(r) for r in _gap_residuals(E, tuple(c)))
         if max(abs(r) for r in residuals) <= tol:
             return CriticalPoints(c=tuple(float(v) for v in c),
                                   residuals=residuals)
@@ -392,67 +404,76 @@ def gap_flatness(E, c):
     comb map, computed independently of the Newton solve.
     """
     c = _check_c(E, c)
-    return np.array([abs(_gap_residual(E, c, j)) for j in range(len(E.gaps))])
+    return np.abs(_gap_residuals(E, c))
 
 
 # ---------------------------------------------------------------------------
 # Theta and M
 
-def _theta_real(E, c, lams):
-    """Re Theta = pi * cdf at each point of an increasing grid, in one pass.
+def _band_mass(E, c, lo, hi):
+    """Integral of the band density over [lo[i], hi[i]] within E, per i.
 
-    Re Theta is 0 up to b0 and constant across gaps; each band piece
-    between consecutive points is integrated once and accumulated.
+    Every band piece of every interval goes to one quadrature call.
     """
-    f = lambda x: float(_band_theta_density(E, c, x))
-    bands = E.bands()
-    out = np.empty(len(lams))
-    total, prev = 0.0, E.b0
-    for i, lam in enumerate(lams):
-        for lo, hi in bands:
-            total += _edge_quad(f, max(prev, lo), min(lam, hi), lo, hi)
-        out[i], prev = total, lam
-    return out
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    bands = np.array(E.bands())
+    L = np.maximum(lo[:, None], bands[:, 0])
+    H = np.minimum(hi[:, None], bands[:, 1])
+    i, j = np.nonzero(L < H)
+    parts = _edge_quad(lambda x, _, e: _band_theta_density(E, c, x, e),
+                       L[i, j], H[i, j], bands[j, 0], bands[j, 1])
+    return np.bincount(i, parts, lo.size)
 
 
 def martin_function(E, c, z):
     """Martin function M(z) = Im Theta(z) with Theta anchored at Theta(b0)=0.
 
-    Returns a MartinEvaluation carrying M and Re Theta.  M is symmetric
-    under conjugation; Re Theta is reported for the upper-half-plane
+    Returns a MartinEvaluation carrying M and Re Theta; for an array of z
+    its fields are arrays shaped like z.  M is symmetric under
+    conjugation; Re Theta is reported for the upper-half-plane
     representative.  Real z below b0 and in gaps use real-axis integrals
     of the boundary density; z on the bands returns M = 0 with Re Theta =
-    pi times the cumulative spectral measure.
+    pi times the cumulative spectral measure.  M at all complex z, M at
+    all real z off the bands and Re Theta at all real z take one batched
+    quadrature call each; every value equals the one a scalar call gives.
     """
     c = _check_c(E, c)
-    z = complex(z)
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    m, theta_real = np.zeros(flat.size), np.zeros(flat.size)
     scale = max(1.0, abs(E.b0), E.diameter)
-    if z.imag != 0.0:
-        zz = z if z.imag > 0 else z.conjugate()
-        if distance_to_set(E, zz) < 1e-9 * scale:
-            raise PathTooCloseToSpectrum(
-                f"z={z} is within 1e-9*scale of the spectrum")
+    off = np.flatnonzero(flat.imag != 0.0)
+    if off.size:
+        zz = np.where(flat[off].imag > 0, flat[off], flat[off].conj())
+        for zi, w in zip(flat[off], zz):
+            if distance_to_set(E, w) < 1e-9 * scale:
+                raise PathTooCloseToSpectrum(
+                    f"z={complex(zi)} is within 1e-9*scale of the spectrum")
         dz = zz - E.b0
 
-        def path_integrand(s):
-            w = E.b0 + dz * (s * s)
-            return -1j * complex(_itheta_prime_raw(E, c, w)) * 2.0 * s * dz
+        def path_integrand(s, k):
+            w = E.b0 + dz[k] * (s * s)
+            return -1j * _itheta_prime_raw(E, c, w) * 2.0 * s * dz[k]
 
-        theta = _quad(path_integrand, 0.0, 1.0, rtol=1e-12, atol=1e-13,
-                      complex_func=True)
-        return MartinEvaluation(z=z, value=float(theta.imag),
-                                theta_real=float(theta.real))
-    lam, m = z.real, 0.0
-    if lam < E.b0:
-        f = lambda x: float(_band_theta_density(E, c, x))
-        m = _edge_quad(f, lam, E.b0, -math.inf, E.b0)
-    for j, (a, b) in enumerate(E.gaps):
-        if a < lam < b:   # integrate M' from the nearer edge
-            g = lambda x: float(_gap_m_density(E, c, j, x))
-            m = (_edge_quad(g, a, lam, a, b) if lam - a <= b - lam
-                 else -_edge_quad(g, lam, b, a, b))
-    return MartinEvaluation(z=z, value=m,
-                            theta_real=float(_theta_real(E, c, [lam])[0]))
+        theta = si.quad(path_integrand, 0.0, np.ones(off.size),
+                        rtol=1e-12, atol=1e-13)
+        m[off], theta_real[off] = theta.imag, theta.real
+    real = np.flatnonzero(flat.imag == 0.0)
+    lam = flat.real[real]
+    gaps = np.array([(-math.inf, E.b0), *E.gaps])
+    inside = (gaps[:, 0] < lam[:, None]) & (lam[:, None] < gaps[:, 1])
+    i, j = np.nonzero(inside)   # integrate M' from the nearer (finite) end
+    x, a, b = lam[i], gaps[j, 0], gaps[j, 1]
+    near = x - a <= b - x
+    v = _edge_quad(lambda t, p, e: _m_density(E, c, j[p], t, e),
+                   np.where(near, a, x), np.where(near, x, b), a, b)
+    m[real[i]] = np.where(near, v, -v)
+    theta_real[real] = _band_mass(E, c, np.full(lam.size, E.b0), lam)
+    if zs.ndim == 0:
+        return MartinEvaluation(z=complex(zs), value=float(m[0]),
+                                theta_real=float(theta_real[0]))
+    return MartinEvaluation(z=zs, value=m.reshape(zs.shape),
+                            theta_real=theta_real.reshape(zs.shape))
 
 
 def martin_measure_cdf(E, c, lambda_grid):
@@ -466,7 +487,8 @@ def martin_measure_cdf(E, c, lambda_grid):
     scale = max(1.0, abs(E.b0), E.diameter)
     if lams[0] < E.b0 - 1e-12 * scale:
         raise ValueError("grid must start at or above b0")
-    return MeasureCDF(lam=lams, cdf=_theta_real(E, c, lams) / math.pi)
+    steps = _band_mass(E, c, np.concatenate([[E.b0], lams[:-1]]), lams)
+    return MeasureCDF(lam=lams, cdf=np.cumsum(steps) / math.pi)
 
 
 def fit_a_from_martin(E, c, k_grid):
@@ -479,7 +501,7 @@ def fit_a_from_martin(E, c, k_grid):
     ks = np.asarray(k_grid, dtype=float)
     if ks.ndim != 1 or len(ks) < 2 or not np.all(ks > 0):
         raise FitIllConditioned("k_grid must hold at least two positive values")
-    y = np.array([2.0 * k * (martin_function(E, c, -k * k).value - k) for k in ks])
+    y = 2.0 * ks * (martin_function(E, c, -ks * ks).value - ks)
     A = np.column_stack([np.ones_like(ks), 1.0 / ks])
     if np.linalg.cond(A) > 1e8:
         raise FitIllConditioned("k grid gives a near-singular design matrix")

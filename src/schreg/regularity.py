@@ -111,7 +111,7 @@ def growth_comparison(p, E, z_grid, x_list, c=None, step=0.02):
             raise ValueError(f"z={z} closer than 0.1 to the spectrum")
     xs = np.asarray(sorted(float(x) for x in x_list))
     h = propagation.dirichlet_profile(p, xs, zs, step).log_growth(xs)
-    m = np.array([martin.martin_function(E, cc, z).value for z in zs])
+    m = martin.martin_function(E, cc, zs).value
     gaps = h[:, -1] - m
     return GrowthComparison(z=zs, x=xs, h=h, m=m, gaps=gaps,
                             sup_gap=float(np.max(np.abs(gaps))))

@@ -331,3 +331,14 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.json").exists()
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency: the package's runtime is numpy and
+    # jsonschema
+    code = ("import sys, schreg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -346,3 +346,99 @@ def test_gap_flatness_residual():
     E2 = M.GapSet(b0=0.0, gaps=((1.0, 2.0), (5.0, 5.5)))
     cp2 = solved(E2)
     assert max(M.gap_flatness(E2, cp2.c)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the batched quadrature against QUADPACK
+
+
+def square_wave_gap_set(delta, window=(-2.0, 150.0)):
+    """Gap set of the +-1 square wave of period 2 delta inside window, from
+    the closed-form discriminant (two constant cells) and brentq edges."""
+    from scipy.optimize import brentq
+
+    def disc(lam):
+        lam = np.asarray(lam, dtype=complex)
+        k1, k2 = np.sqrt(lam - 1.0), np.sqrt(lam + 1.0)
+        s1 = np.sinc(k1 * delta / np.pi) * delta
+        s2 = np.sinc(k2 * delta / np.pi) * delta
+        return (2.0 * np.cos(k1 * delta) * np.cos(k2 * delta)
+                - (k1 * k1 + k2 * k2) * s1 * s2).real
+
+    lam = np.arange(window[0], window[1], 1e-3)
+    out = np.abs(disc(lam)) > 2.0
+    flips = np.flatnonzero(out[1:] != out[:-1])
+    edges = [brentq(lambda x: abs(disc(x)) - 2.0, lam[i], lam[i + 1],
+                    xtol=1e-14, rtol=1e-15) for i in flips]
+    if not out[-1] or len(edges) % 2 == 0:
+        edges = edges[:len(edges) - (len(edges) + 1) % 2]
+    return M.GapSet(b0=edges[0], gaps=tuple(zip(edges[1::2], edges[2::2])))
+
+
+def _itheta(E, c, w):
+    num, den = 0.5, cmath.sqrt(E.b0 - w)
+    for (a, b), cj in zip(E.gaps, c):
+        num *= cj - w
+        den *= cmath.sqrt(a - w) * cmath.sqrt(b - w)
+    return num / den
+
+
+def alg_theta(E, c, z):
+    """Theta(z) from QUADPACK along a route the package does not take: M at
+    x = Re z from an algebraic-weight integral starting at the nearer edge
+    (gap edge, or b0 from below), Re Theta = pi * cdf(x), then the vertical
+    segment from x + i0 up to z."""
+    x, y = z.real, abs(z.imag)
+    edges = [E.b0] + [e for gap in E.gaps for e in gap]
+
+    def smooth(t, *skip):
+        num = 0.5 * math.prod(abs(t - cj) for cj in c)
+        return num / math.prod(math.sqrt(abs(t - e)) for e in edges
+                               if e not in skip)
+
+    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    m = 0.0
+    if x < E.b0:
+        m = quad(smooth, x, E.b0, args=(E.b0,), weight="alg",
+                 wvar=(0.0, -0.5), **kw)[0]
+    for (a, b), cj in zip(E.gaps, c):
+        if a < x < b:
+            g = lambda t: math.copysign(smooth(t, a, b), cj - t)
+            if x - a <= b - x:
+                m = quad(lambda t: g(t) / math.sqrt(b - t), a, x,
+                         weight="alg", wvar=(-0.5, 0.0), **kw)[0]
+            else:
+                m = -quad(lambda t: g(t) / math.sqrt(t - a), x, b,
+                          weight="alg", wvar=(0.0, -0.5), **kw)[0]
+    theta = complex(math.pi * alg_band_cdf(E, c, x), m)
+    if y > 0:
+        theta += quad(lambda t: _itheta(E, c, complex(x, t)), 0.0, y,
+                      complex_func=True, **kw)[0]
+    return theta
+
+
+@pytest.mark.parametrize("name", ["two-gap", "square-wave"])
+def test_martin_function_matches_quadpack_oracle(name):
+    E = (M.GapSet(b0=0.0, gaps=((1.0, 2.0), (5.0, 5.5))) if name == "two-gap"
+         else square_wave_gap_set(0.48))
+    if name == "square-wave":
+        assert len(E.gaps) == 3
+    c = solved(E).c
+    (a1, b1), (a2, _) = E.gaps[0], E.gaps[1]
+    xs = [E.b0 - 3.0, 0.5 * (E.b0 + a1), 0.5 * (a1 + b1), 0.5 * (b1 + a2),
+          E.gaps[-1][1] + 20.0]
+    zs = [complex(x, y) for x in xs for y in (5.0, 1.0, 0.1, 1e-3, 1e-6)]
+    for a, b in E.gaps:
+        zs += [a + u * (b - a) for u in (1e-7, 1e-3, 0.3)]
+        zs += [b - u * (b - a) for u in (1e-7, 1e-3, 0.3)]
+    zs += [E.b0 - d for d in (1e-4, 0.5, 10.0, 400.0)]
+    zs = np.array(zs, dtype=complex)
+    ev = M.martin_function(E, c, zs)
+    for z, m, re in zip(zs, ev.value, ev.theta_real):
+        want = alg_theta(E, c, z)
+        assert abs(m - want.imag) <= 1e-12 * max(1.0, abs(want.imag)), z
+        assert abs(re - want.real) <= 1e-12 * max(1.0, abs(want.real)), z
+    # one batched call gives bitwise the values of one call per z
+    for z, m, re in zip(zs, ev.value, ev.theta_real):
+        one = M.martin_function(E, c, z)
+        assert (one.value, one.theta_real) == (m, re)
