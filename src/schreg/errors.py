@@ -17,6 +17,10 @@ class ZeroSolution(SchregError):
     """A solution value vanished where a logarithm or ratio needs it."""
 
 
+class HorizonExceeded(SchregError):
+    """Volterra series requested beyond its configured horizon."""
+
+
 class QuadratureFailure(SchregError):
     """An adaptive quadrature did not reach the requested tolerance."""
 

@@ -495,13 +495,33 @@ def fit_a_from_martin(E, c, k_grid):
     """Fit the asymptotic constant from 2k (M(-k**2) - k) ~ a + beta/k.
 
     Returns the fitted constant.  The design must be well conditioned:
-    at least two distinct positive k, condition number below 1e8.
+    at least two distinct positive k with -k**2 below b0, condition
+    number below 1e8.
+
+    M(-k**2) - k is not M minus k, whose rounding 2k would amplify, but
+    sqrt(b0 + k**2) - k plus the integral of M' less the free M',
+    1/(2 sqrt(b0 - t)), over (-k**2, b0).  sqrt(b0 - t) times that
+    integrand is (r - 1)/2 with r**2 = prod (c - t)**2 / ((a - t)(b - t))
+    = prod (1 + d), d = ((c - t)(p + q) - p q) / ((a - t)(b - t)) for
+    p = c - a, q = c - b; so r - 1 = expm1(sum log1p(d) / 2).
     """
     c = _check_c(E, c)
     ks = np.asarray(k_grid, dtype=float)
     if ks.ndim != 1 or len(ks) < 2 or not np.all(ks > 0):
         raise FitIllConditioned("k_grid must hold at least two positive values")
-    y = 2.0 * ks * (martin_function(E, c, -ks * ks).value - ks)
+    if not np.all(-ks * ks < E.b0):
+        raise FitIllConditioned("k_grid must put every -k**2 below b0")
+
+    def excess(t, i, e):
+        d = np.zeros_like(t)
+        for (a, b), cj in zip(E.gaps, c):
+            p, q = cj - a, cj - b
+            d = d + np.log1p(((cj - t) * (p + q) - p * q)
+                             / ((a - t) * (b - t)))
+        return 0.5 * np.expm1(0.5 * d)
+
+    free = E.b0 / (np.sqrt(E.b0 + ks * ks) + ks)
+    y = 2.0 * ks * (_edge_quad(excess, -ks * ks, E.b0, -math.inf, E.b0) + free)
     A = np.column_stack([np.ones_like(ks), 1.0 / ks])
     if np.linalg.cond(A) > 1e8:
         raise FitIllConditioned("k grid gives a near-singular design matrix")

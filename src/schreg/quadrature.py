@@ -8,7 +8,7 @@ share of its interval's tolerance, or once the errors of all of the
 interval's panels sum to within it; the others are halved.  This is the
 bisection of QUADPACK's QAG (Piessens et al., 1983) run as array code, with
 one call of f per round.  Work is bounded: an interval needing more than
-`max_panels` panels, or a panel too narrow to halve, raises
+_MAX_PANELS panels, or a panel too narrow to halve, raises
 QuadratureFailure, and so does a summed error left above the tolerance (a
 tolerance below rounding).  Each interval's value depends only on its own
 panels, so a batch gives bitwise the values of one call per interval.
@@ -25,6 +25,7 @@ _X16, _W16 = np.polynomial.legendre.leggauss(16)
 _X8, _W8 = np.polynomial.legendre.leggauss(8)
 _NODES = np.concatenate([_X16, _X8])
 _ROUNDING = 50.0 * np.finfo(float).eps
+_MAX_PANELS = 400   # per interval
 
 
 def _rule(v, w):
@@ -46,7 +47,7 @@ def _sum_by(k, v, n):
     return out
 
 
-def quad(f, a, b, *, rtol=1e-11, atol=1e-12, max_panels=400):
+def quad(f, a, b, *, rtol=1e-11, atol=1e-12):
     """Integral of f over each interval [a[k], b[k]] (finite ends).
 
     f(x, k) gets a flat array of points and the index k of each point's
@@ -77,14 +78,14 @@ def quad(f, a, b, *, rtol=1e-11, atol=1e-12, max_panels=400):
         # a panel's share of the tolerance: half of it by width, half split
         # evenly over the most panels an interval may have; halving cannot
         # improve a panel whose error is at the floor
-        share = np.maximum(2.0 * np.abs(half) / width[k], 1.0 / max_panels)
+        share = np.maximum(2.0 * np.abs(half) / width[k], 1.0 / _MAX_PANELS)
         ok = at_floor | (err <= 0.5 * tol[k] * share)
         ok |= (spent + _sum_by(k, err, n) <= tol)[k]
         total += _sum_by(k[ok], i16[ok], n)
         spent += _sum_by(k[ok], err[ok], n)
         panels += np.bincount(k[ok], minlength=n)
         k, lo, mid, hi = k[~ok], lo[~ok], mid[~ok], hi[~ok]
-        over = panels + 2 * np.bincount(k, minlength=n) > max_panels
+        over = panels + 2 * np.bincount(k, minlength=n) > _MAX_PANELS
         narrow = (mid == lo) | (mid == hi)
         if over.any() or narrow.any():
             j = np.flatnonzero(over)[0] if over.any() else k[narrow][0]

@@ -12,7 +12,6 @@ import numpy as np
 
 from schreg import martin as M, periodic as PE, potentials as P
 from schreg import propagation as PR, regularity as R
-from volterra import volterra_solution
 
 FREE = M.GapSet(b0=0.0)
 
@@ -171,7 +170,7 @@ def test_a7_volterra_vs_transfer_routes():
     for p in (P.Constant(1.0), P.PeriodicSquare(0.25), P.Decaying(1.0, 2.0)):
         for z in zs:
             for x in (0.5, 1.0, 1.5, 2.0):
-                via_series = volterra_solution(p, x, z, n_terms=12)
+                via_series = PR.volterra_solution(p, x, z, n_terms=12)
                 s = PR.dirichlet_solution(p, x, z, step=1e-4)
                 via_transfer = s.u * cmath.exp(s.log_scale)
                 worst = max(worst, abs(via_series - via_transfer))

@@ -269,6 +269,31 @@ def test_fit_matches_a_constant_one_gap():
 def test_fit_rejects_degenerate_grid():
     with pytest.raises(FitIllConditioned):
         M.fit_a_from_martin(FREE, (), np.full(8, 50.0))
+    with pytest.raises(FitIllConditioned):   # -k**2 on the spectrum
+        M.fit_a_from_martin(M.GapSet(b0=-1e4), (), np.linspace(50.0, 100.0, 12))
+
+
+def test_fit_matches_high_precision_reference():
+    # 2k (M(-k**2) - k) formed from M ~ k amplifies M's rounding by 2k, to
+    # 4e-12 in the fit on this set; a 30-digit fit bounds it to 1e-13
+    mp = pytest.importorskip("mpmath")
+    E = M.GapSet(b0=-0.019003823753021988, gaps=(
+        (10.173737087147392, 11.446866123122874),
+        (43.255387495503946, 43.27849475461101),
+        (97.12770452109935, 97.55198655290144)))
+    c = solved(E).c
+    ks = np.linspace(50.0, 100.0, 12)
+    with mp.workdps(30):
+        def r(s):   # 2s M'(t) at t = b0 - s**2
+            t = E.b0 - s * s
+            return mp.fprod((cj - t) / mp.sqrt((a - t) * (b - t))
+                            for (a, b), cj in zip(E.gaps, c))
+
+        y = [2 * k * (mp.quad(r, mp.linspace(0, mp.sqrt(E.b0 + k * k), 8)) - k)
+             for k in map(mp.mpf, ks)]
+        A = mp.matrix([[1, 1 / mp.mpf(k)] for k in ks])
+        want = float(mp.lu_solve(A.T * A, A.T * mp.matrix(y))[0])
+    assert abs(M.fit_a_from_martin(E, c, ks) - want) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schreg import potentials as P, propagation as PR
-from schreg.errors import DegenerateDisk, InvalidStep
-from volterra import HorizonExceeded, volterra_solution, volterra_terms
+from schreg.errors import DegenerateDisk, HorizonExceeded, InvalidStep
 
 FREE = P.Constant(0.0)
 
@@ -359,7 +358,7 @@ def test_lyapunov_random_regression_band():
 
 
 def test_volterra_free_is_single_term():
-    terms = volterra_terms(FREE, 1.5, -2.0, n_terms=6)
+    terms = PR.volterra_terms(FREE, 1.5, -2.0, n_terms=6)
     k = PR.spectral_point(-2.0).k
     assert terms[0] == pytest.approx(cmath.sinh(1.5 * k) / k, rel=1e-14)
     assert np.max(np.abs(terms[1:])) == 0.0
@@ -369,7 +368,7 @@ def test_volterra_free_is_single_term():
 def test_volterra_matches_transfer(z):
     for p in (P.Constant(1.0), P.PeriodicSquare(0.25), P.Decaying(1.0, 2.0)):
         for x in (1.0, 2.0):
-            series = volterra_solution(p, x, z, n_terms=12)
+            series = PR.volterra_solution(p, x, z, n_terms=12)
             s = PR.dirichlet_solution(p, x, z, step=1e-4)
             u = s.u * math.exp(s.log_scale)
             assert abs(series - u) <= 1e-8 * max(1.0, abs(u))
@@ -378,7 +377,7 @@ def test_volterra_matches_transfer(z):
 def test_volterra_tail_bound():
     p = P.Constant(1.0)
     x, z = 1.0, -1.0
-    terms = volterra_terms(p, x, z, n_terms=12)
+    terms = PR.volterra_terms(p, x, z, n_terms=12)
     s = PR.dirichlet_solution(p, x, z, step=1e-4)
     u = s.u * math.exp(s.log_scale)
     int_v = P.prefix_abs_integral(p, x)
@@ -391,4 +390,4 @@ def test_volterra_tail_bound():
 
 def test_volterra_horizon():
     with pytest.raises(HorizonExceeded):
-        volterra_solution(FREE, 3.0, -1.0)
+        PR.volterra_solution(FREE, 3.0, -1.0)

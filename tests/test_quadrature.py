@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from schreg.errors import QuadratureFailure
-from schreg.quadrature import quad
+from schreg.quadrature import _MAX_PANELS, quad
 
 
 def test_batch_matches_closed_forms():
@@ -66,13 +66,13 @@ def test_unreachable_tolerance_raises_with_bounded_work(case):
     else:
         f, kw = Counting(np.exp), {"rtol": 1e-20, "atol": 0.0}
     with pytest.raises(QuadratureFailure):
-        quad(f, 0.0, 1.0, max_panels=32, **kw)
+        quad(f, 0.0, 1.0, **kw)
     # no round holds more than the cap's worth of panels (24 nodes each),
     # and splitting stops within a bounded number of rounds
-    assert max(f.sizes) <= 32 * 24
-    assert len(f.sizes) <= 32
+    assert max(f.sizes) <= _MAX_PANELS * 24
+    assert len(f.sizes) <= _MAX_PANELS
 
 
 def test_nan_integrand_raises():
     with pytest.raises(QuadratureFailure):
-        quad(lambda x, k: np.where(x > 0.5, np.nan, x), 0.0, 1.0, max_panels=16)
+        quad(lambda x, k: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
