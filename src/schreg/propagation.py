@@ -30,19 +30,17 @@ m_B m_A leaves it, so k_BA = k_A + k_B + (1 if it left, else 0).  No
 determinant is evaluated, so none can round to the wrong sign when m_B is
 nearly rank one.
 
-The rule is associative, so stretches are reduced through doubling
-tables batched over blocks and energies: level j holds the products of
-aligned runs of 2**j cells (a tree), or the powers P**(2**j) of a
-RepeatBlock's pattern P (squaring).  A stretch is applied to the running
-state as a left fold of the longest usable runs.  The conditioning guard:
-a left operand is used only while it is well conditioned, |det m| >= 1e-8,
-so the image of a unit vector that decides a carry keeps its accuracy.
-Squaring stops at the largest safe power and the rest of the block is
-folded in that power at a time; a single cell is used as it is.  Products
-alone (no angle) need no guard.  The counts are integers free of step
-error for step potentials.  Work is batched in chunks of at most _CHUNK
-cell-energies, a repeat's squares counting as cells (one block at least),
-which bounds memory.
+The rule is associative, so a stretch is reduced as a tree: neighbouring
+cells are paired level by level, batched over energies, until one element
+covers the stretch, which is then applied to the running state.  A
+RepeatBlock's count n is a binary power of its pattern P: the squares
+P**(2**j) up to n's top bit, applied from the high bit down, batched over
+blocks and energies.  A repeat thus costs O(log n) compositions at every
+energy, in bands, in gaps and below the spectrum alike.  Only associativity
+is used, no conditioning of the operands, and the counts are integers free
+of step error for step potentials.  Work is batched in chunks of at most
+_CHUNK cell-energies, a repeat's squares counting as cells (one block at
+least), which bounds memory.
 
 The Volterra route builds the iterated-kernel partial sum on a composite
 quadrature grid aligned with the potential's discontinuities.  It shares no
@@ -87,8 +85,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 13
-# An element is safe as a left operand when |det m| = exp(-2 s) >= 1e-8.
-_SAFE_S = 0.5 * math.log(1e8)
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ def _check_step(step):
 
 
 # ---------------------------------------------------------------------------
-# the kernel: elements, their composition, doubling tables, the guarded fold
+# the kernel: elements, their composition, the pairing tree, binary powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,90 +257,39 @@ def _compose(b, a):
     return _Elements(m * (turn / scale), s, a.k + b.k + (turn < 0))
 
 
-def _safe(el):
-    """Where el may be a left operand: |det m| >= 1e-8 where angles are
-    tracked; products alone need no guard."""
-    return el.s <= _SAFE_S if el.k is not None else np.ones(el.s.shape, bool)
-
-
-def _levels(el, n, square=False):
-    """Doubling table for `_fold` over axis 0 of el.
-
-    Row r of level j is the product of units [r 2**j, (r+1) 2**j).  The
-    default pairs neighbours (a tree over n units; an unpaired last row is
-    carried up, so the last row of a level ends at n), `square` squares the
-    one unit of each column (el has one row) for repeat counts n.  A
-    product is kept only where its left operand was usable, and is usable
-    itself where it is `_safe` too; levels are built while some column has
-    a usable product.  Returns the list of levels and of their flags.
-    """
-    levels, ok = [el], [_safe(el)]
-    while (1 << len(levels)) <= np.max(n) if square else len(ok[-1]) > 1:
-        top, top_ok = levels[-1], ok[-1]
-        if square:
-            nxt, valid = _compose(top, top), top_ok
-        else:
-            k = len(top_ok) // 2 * 2
-            nxt = _compose(top.take((slice(1, k, 2),)), top.take((slice(0, k, 2),)))
-            valid = top_ok[1:k:2] & top_ok[0:k:2]
-            if k < len(top_ok):
-                nxt = _concat([nxt, top.take((slice(k, None),))])
-                valid = np.concatenate([valid, top_ok[k:]])
-        valid = valid & _safe(nxt)
-        if not valid.any():
-            break
-        levels.append(nxt)
-        ok.append(valid)
-    return levels, ok
-
-
-def _fold(levels, ok, n, state=None, square=False):
-    """Apply the first n units of a `_levels` table to state, per column.
-
-    A left fold: each step applies the longest aligned run that is usable
-    (and, for powers, fits in n), else a single unit as it is.  State None
-    is the identity.
-    """
-    sizes = np.array([len(v) for v in ok])
-    offsets = np.cumsum(sizes) - sizes
-    table, ok = _concat(levels), np.concatenate(ok)
-    cols = np.arange(table.s.shape[1])
-    lev = np.arange(len(offsets))[:, None]
-    run = 1 << lev
-    pos = np.zeros(len(cols), dtype=np.int64)
-    while True:
-        live = pos < n
-        if not live.any():
-            return state
-        rows = offsets[:, None] + np.minimum(pos >> lev, sizes[:, None] - 1)
-        end = pos + run if square else np.minimum(pos + run, n)
-        fits = ((pos & (run - 1)) == 0) & (end <= n) & ok[rows, cols]
-        fits[0] = True
-        j = len(offsets) - 1 - np.argmax(fits[::-1], axis=0)
-        step = table.take((rows[j, cols], cols))
-        state = step if state is None else _select(live, _compose(step, state), state)
-        pos = np.where(live, end[j, cols], pos)
-
-
 def _apply(el, state=None):
-    """Fold the units along axis 0 of el into state, first unit first."""
-    n = el.s.shape[0]
-    if n == 1:
-        step = el.take((0,))
-    else:
-        levels, ok = _levels(el, n)
-        if len(ok[-1]) > 1 or not ok[-1].all():
-            return _fold(levels, ok, n, state)
-        step = levels[-1].take((0,))     # the one top row covers all n units
+    """Fold the units along axis 0 of el into state, first unit first.
+
+    Neighbours are paired level by level (an unpaired last unit is carried
+    up) until one element covers all of them; state None is the identity.
+    """
+    while el.s.shape[0] > 1:
+        n = el.s.shape[0] // 2 * 2
+        pairs = _compose(el.take((slice(1, n, 2),)), el.take((slice(0, n, 2),)))
+        el = pairs if n == el.s.shape[0] else _concat([pairs, el.take((slice(n, None),))])
+    step = el.take((0,))
     return step if state is None else _compose(step, state)
 
 
+def _power(el, n):
+    """el**n per column, n >= 1: the squares el**(2**j) up to the top bit of
+    max(n), applied from each column's own top bit down."""
+    squares = [el]
+    for _ in range(int(n.max()).bit_length() - 1):
+        squares.append(_compose(squares[-1], squares[-1]))
+    state = squares[-1]
+    for j in range(len(squares) - 2, -1, -1):
+        step = _select(n >> j == 1, squares[j], _compose(squares[j], state))
+        state = _select((n >> j) & 1 == 1, step, state)
+    return state
+
+
 def _fold_repeats(blocks, z, state):
-    """Fold RepeatBlocks whose patterns have one length into state: the
-    blocks' patterns, then their powers, then the blocks in order, each
-    batched over blocks and energies.  A chunk of blocks holds at most
-    _CHUNK cell-energies, its squares counting as cells (one block at
-    least)."""
+    """Fold RepeatBlocks whose patterns have one length into state, batched
+    over blocks and energies: the tree reduces each pattern, `_power` raises
+    it to its block's count in O(log count) compositions, and the tree
+    applies the blocks in order.  A chunk of blocks holds at most _CHUNK
+    cell-energies, its squares counting as cells (one block at least)."""
     widths = np.array([b.widths for b in blocks])
     values = np.array([b.values for b in blocks])
     counts = np.array([b.count for b in blocks])
@@ -355,10 +300,7 @@ def _fold_repeats(blocks, z, state):
         w, v = widths[lo:lo + size].T, values[lo:lo + size].T
         reps = np.repeat(counts[lo:lo + size], len(z))
         cells = _cells(w[:, :, None], v[:, :, None], z)
-        power = _apply(cells.reshape((n_cells, -1)))
-        if reps.max() > 1:
-            power = _fold(*_levels(power.reshape((1, -1)), reps, square=True),
-                          reps, square=True)
+        power = _power(_apply(cells.reshape((n_cells, -1))), reps)
         state = _apply(power.reshape((w.shape[1], len(z))), state)
     return state
 

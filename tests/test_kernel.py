@@ -99,7 +99,7 @@ def test_counts_match_loop_on_random_steps(cells, lams):
     assert np.array_equal(kernel_counts(p, x, lams), loop_counts(p, x, lams, 0.02))
 
 
-@pytest.mark.parametrize("delta, x", [(0.5, 500.0), (5.0, 2000.0)])
+@pytest.mark.parametrize("delta, x", [(0.5, 500.0), (0.5, 4097.0), (5.0, 2000.0)])
 def test_counts_in_gaps_match_loop(delta, x):
     lams = gap_energies(delta)
     assert len(lams) >= 15
@@ -114,22 +114,28 @@ def test_oscillating_example_counts_match_loop(x):
     assert np.array_equal(kernel_counts(p, x, lams), loop_counts(p, x, lams, 0.02))
 
 
-def test_squaring_stops_at_the_largest_safe_power():
-    # In these gaps one period of PeriodicSquare(5.0) grows by up to e^11:
-    # squaring stops at each energy's largest safe power, and 200 periods
-    # are folded in from there
-    lams = gap_energies(5.0)[:12]
-    cells = PR._cells(np.array([[5.0], [5.0]]), np.array([[1.0], [-1.0]]), lams)
-    period = PR._apply(cells)
-    count = np.full(len(lams), 200)
-    levels, ok = PR._levels(period.reshape((1, -1)), count, square=True)
-    assert len(levels) < 8       # unguarded squaring builds 8 levels for 200
-    assert not ok[0].all()       # one period alone is already unsafe here
-    for lev, usable in zip(levels, ok):
-        assert np.all(lev.s[usable] <= PR._SAFE_S)
-    power = PR._fold(levels, ok, count, square=True)
-    want = loop_counts(P.PeriodicSquare(5.0), 2000.0, lams, 0.02)
-    assert np.array_equal(power.k, want)
+# 2**17 samples of [-1.5, 60] are 4.7e-4 apart, closer than the narrowest
+# band of PeriodicSquare(5.0) (5.1e-4 wide, at -0.762), so the scan sees
+# every band edge below 60
+@pytest.mark.parametrize("delta", [0.45, 0.5, 5.0])
+def test_long_repeat_counts_keep_the_rotation_bound(delta):
+    # In gap j (j = 0 below b0) a Dirichlet solution has j zeros per period
+    # up to one: |k_N - N j| <= 1 (Johnson & Moser, 1982).  j counts the
+    # band edges of a discriminant scan below lam; its sign checks it.
+    p = P.PeriodicSquare(delta)
+    lams = np.linspace(-1.5, 60.0, 1 << 17)
+    d = periodic.discriminant(p, 2.0 * delta, lams)
+    out = np.abs(d) > 2.0
+    gap = np.concatenate([[0], np.cumsum(out[1:] != out[:-1])]) // 2
+    assert np.array_equal(np.sign(d[out]), (-1.0) ** gap[out])
+    idx = np.flatnonzero(out)
+    idx = idx[np.unique(np.linspace(0, len(idx) - 1, 60).round().astype(int))]
+    lams, gap = lams[idx], gap[idx]
+    assert gap[0] == 0 and gap[-1] >= 2
+    for e in range(21):
+        for n in {2 ** e - 1, 2 ** e, 2 ** e + 1} - {0}:
+            k = kernel_counts(p, n * 2.0 * delta, lams)
+            assert np.abs(k - n * gap).max() <= 1, (n, lams[np.abs(k - n * gap) > 1])
 
 
 # ---------------------------------------------------------------------------
