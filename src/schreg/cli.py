@@ -26,7 +26,7 @@ import jsonschema
 import numpy as np
 
 from . import martin, periodic, potentials, propagation, regularity
-from .errors import ConfigInvalid, NotBracketed
+from .errors import ConfigInvalid
 
 __all__ = ["run", "main", "load_schema"]
 
@@ -190,21 +190,16 @@ def _cmd_solve(config, out):
 def _cmd_bands(config, out):
     p = potentials.from_json(config["potential"])
     params = config["params"]
-    step = params.get("step", 1e-3)
     bs = periodic.band_spectrum(
         p, params["period"], tuple(params["lambda_window"]),
-        params.get("resolution", 512), step=step,
+        params.get("resolution", 512), step=params.get("step", 1e-3),
         edge_tol=params.get("edge_tol", 1e-10))
-    try:
-        lowest = periodic.lowest_periodic_eigenvalue(
-            p, params["period"], tuple(params["lambda_window"]), step=step)
-    except NotBracketed:
-        lowest = None
+    bottom = bs.level[0] == 0   # the window starts below the spectrum
     out.write_json("bands.json", {
         "period": bs.period,
         "bands": [list(b) for b in bs.bands],
-        "gap_set": periodic.to_gap_set(bs).to_json(),
-        "lowest_eigenvalue": lowest,
+        "gap_set": periodic.to_gap_set(bs).to_json() if bottom else None,
+        "lowest_eigenvalue": bs.bands[0][0] if bottom else None,
     })
     out.write_csv("bands.csv", ["lambda", "delta"],
                   list(zip(bs.lam.tolist(), bs.delta.tolist())))

@@ -29,14 +29,6 @@ class NonIntegrable(SchregError):
     """A potential's local L1 mass came out non-finite."""
 
 
-class NotBracketed(SchregError):
-    """A root scan found no sign change in the given window."""
-
-
-class ResolutionTooCoarse(SchregError):
-    """Band scan provably skipped a band between adjacent samples."""
-
-
 class NoConvergence(SchregError):
     """An iterative solver hit its iteration cap."""
 

@@ -1,15 +1,21 @@
-"""Band structure of periodic potentials through the one-period discriminant.
+"""Band structure of periodic potentials through exact band levels.
 
-For a potential of period P the discriminant is the trace of the transfer
-matrix over one period.  Energies with |discriminant| <= 2 form the bands;
-the lowest point of the spectrum is the smallest root of discriminant = 2.
-A scan evaluates the discriminant at all of its samples in one transfer
-pass (the energies are batched).  Every sample pair that straddles a band
-edge gives a bracket with an out-of-band and an in-band end, and all
-brackets are bisected together, one batched pass per halving.  A scan is
-rejected as too coarse when the discriminant provably crossed the band
-strip between two consecutive out-of-band samples (its sign flipped there,
-so a band was skipped).
+For a potential of period P the discriminant Delta is the trace of the
+transfer matrix over one period; energies with |Delta| <= 2 form the bands.
+One walk of the propagation kernel over one period gives both Delta and the
+exact Dirichlet zero count k of the period at every real energy: the
+kernel's real-energy mantissa is (-1)**k times the transfer matrix.
+
+One Dirichlet eigenvalue of the period lies in each closed gap (Magnus &
+Winkler, Hill's Equation, 1966; Eastham, 1973), so k is a band index.  An
+energy in band n (counted from 1) has k = n - 1 and gets the level 2n - 1;
+an energy in gap j (gap 0 lies below the spectrum) has k = j - 1 or j and
+sign Delta = (-1)**j, and gets the level 2j.  The level is an integer that
+never decreases with the energy, so a scan sees every band edge in its
+window, however narrow the gap or band: each boundary between consecutive
+levels is bracketed by the samples where the level passes it, and all
+boundaries are bisected together, one batched walk per halving.  A closed
+gap shows up as two band ends that touch, and its bands are merged.
 """
 from __future__ import annotations
 
@@ -18,13 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import propagation
-from .errors import NotBracketed, ResolutionTooCoarse
 from .martin import GapSet
 
 __all__ = [
     "BandSpectrum",
     "discriminant",
-    "lowest_periodic_eigenvalue",
     "band_spectrum",
     "to_gap_set",
 ]
@@ -34,24 +38,39 @@ __all__ = [
 class BandSpectrum:
     """Bands of a periodic operator inside a scan window.
 
-    `bands` are closed intervals (clipped to the window); `lam` and `delta`
-    keep the scan samples that produced them.
+    `bands` are closed intervals (clipped to the window); `lam`, `delta`
+    and `level` keep the scan samples that produced them.  `level[0]` is 0
+    exactly when the window starts below the spectrum.
     """
 
     period: float
     bands: tuple
     lam: np.ndarray
     delta: np.ndarray
+    level: np.ndarray
+
+
+def _scan(p, period, lam, step):
+    """Discriminant and band level at the real energies lam (a 1-d array),
+    from one walk of the kernel over one period."""
+    if not period > 0:
+        raise ValueError("period must be positive")
+    propagation._check_step(step)
+    el = propagation._walk(p, 0.0, float(period), lam, step)
+    trace = el.m[0, 0] + el.m[1, 1]
+    delta = np.where(el.k % 2 == 1, -1.0, 1.0) * np.exp(el.s) * trace
+    # in gap j, sign Delta = (-1)**j: j = k + 1 exactly when the trace of
+    # the mantissa, (-1)**k Delta at unit scale, is negative
+    gap = 2 * (el.k + (trace < 0.0))
+    return delta, np.where(np.abs(delta) <= 2.0, 2 * el.k + 1, gap)
 
 
 def discriminant(p, period, lam, step=1e-3):
     """Trace of the transfer matrix over [0, period] at real energies lam:
     a float for a scalar lam, else an array of lam's shape."""
-    if not period > 0:
-        raise ValueError("period must be positive")
-    t = propagation.transfer_matrix(p, period, np.asarray(lam, dtype=float), step)
-    d = np.exp(t.log_scale) * (t.m[0, 0] + t.m[1, 1]).real
-    return float(d) if np.ndim(lam) == 0 else d
+    lam = np.asarray(lam, dtype=float)
+    delta = _scan(p, period, lam.reshape(-1), step)[0]
+    return float(delta[0]) if lam.ndim == 0 else delta.reshape(lam.shape)
 
 
 def _bisect(f, out, inn, tol):
@@ -68,72 +87,47 @@ def _bisect(f, out, inn, tol):
     return 0.5 * (out + inn)
 
 
-def lowest_periodic_eigenvalue(p, period, window, step=1e-3, tol=1e-10, samples=512):
-    """Smallest root of discriminant(lam) = 2 in the window.
-
-    Scans `samples` energies, brackets the first downward crossing of the
-    level 2, and bisects.  Raises NotBracketed when the scan never sees
-    the discriminant drop to 2 (window too small or too coarse).
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must be an increasing pair")
-    lams = np.linspace(lo, hi, int(samples))
-    f = lambda lam: discriminant(p, period, lam, step) - 2.0
-    vals = f(lams)
-    if vals[0] == 0.0:
-        return float(lams[0])
-    if vals[0] < 0.0:
-        raise NotBracketed("window must start below the bottom of the spectrum")
-    (hits,) = np.nonzero(vals <= 0.0)
-    if not hits.size:
-        raise NotBracketed(
-            f"discriminant never reached 2 on [{lo}, {hi}] with {samples} samples")
-    return float(_bisect(f, lams[hits[0] - 1], lams[hits[0]], tol))
-
-
 def band_spectrum(p, period, lambda_window, resolution, step=1e-3, edge_tol=1e-10):
-    """Bands inside the window from a `resolution`-point discriminant scan.
+    """Bands inside the window from a `resolution`-point level scan.
 
-    Edges between an out-of-band and an in-band sample are refined by
-    bisection on |discriminant| = 2.  If two adjacent samples are both out
-    of band with opposite discriminant signs, a whole band was skipped and
-    ResolutionTooCoarse is raised.
+    Every boundary between the first and the last sample's levels is
+    bisected between the two samples where the level passes it.  An odd
+    boundary is the top of a band, an even one the bottom of the next.
     """
     lo, hi = float(lambda_window[0]), float(lambda_window[1])
     if not (lo < hi and int(resolution) >= 2):
         raise ValueError("need an increasing window and resolution >= 2")
     lams = np.linspace(lo, hi, int(resolution))
-    deltas = discriminant(p, period, lams, step)
-    inside = np.abs(deltas) <= 2.0
-    skipped = ~inside[:-1] & ~inside[1:] & (deltas[:-1] * deltas[1:] < 0)
-    if skipped.any():
-        i = int(np.argmax(skipped))
-        raise ResolutionTooCoarse(
-            f"band skipped between lambda={lams[i]:g} and {lams[i + 1]:g}")
-    # each change of `inside` brackets one edge: an out-of-band end, where
-    # sign * discriminant > 2, and an in-band end
-    (change,) = np.nonzero(inside[:-1] != inside[1:])
-    out = np.where(inside[change], change + 1, change)
-    inn = np.where(inside[change], change, change + 1)
-    sign = np.where(deltas[out] > 2.0, 1.0, -1.0)
-    ends = _bisect(lambda lam: sign * discriminant(p, period, lam, step) - 2.0,
-                   lams[out], lams[inn], edge_tol).tolist()
-    if inside[0]:
+    deltas, level = _scan(p, period, lams, step)
+    bound = np.arange(level[0], level[-1])
+    i = np.searchsorted(level, bound, "right") - 1
+    ends = _bisect(lambda lam: _scan(p, period, lam, step)[1] - bound - 0.5,
+                   lams[i + 1], lams[i], edge_tol).tolist()
+    if level[0] % 2:
         ends.insert(0, lams[0])
-    if inside[-1]:
+    if level[-1] % 2:
         ends.append(lams[-1])
-    bands = tuple((float(a), float(b)) for a, b in zip(ends[::2], ends[1::2]))
-    return BandSpectrum(period=float(period), bands=bands, lam=lams, delta=deltas)
+    bands = []
+    for a, b in zip(ends[::2], ends[1::2]):
+        if bands and a <= bands[-1][1]:   # a closed gap: the bands touch
+            bands[-1] = (bands[-1][0], float(b))
+        else:
+            bands.append((float(a), float(b)))
+    return BandSpectrum(period=float(period), bands=tuple(bands), lam=lams,
+                        delta=deltas, level=level)
 
 
 def to_gap_set(bs):
     """Finite-gap set: first band start as the bottom, gaps between bands.
 
-    The scan window's top is dropped; the last band is treated as running
-    to infinity, which is the right reading for a window truncating a
+    The scan must start below the spectrum (level 0), else its first band
+    start is only the window's start and the bottom is unknown.  The scan
+    window's top is dropped; the last band is treated as running to
+    infinity, which is the right reading for a window truncating a
     periodic spectrum.
     """
+    if bs.level[0] != 0:
+        raise ValueError("scan starts inside the spectrum; its bottom is unknown")
     if not bs.bands:
         raise ValueError("band spectrum has no bands")
     gaps = tuple((bs.bands[i][1], bs.bands[i + 1][0])

@@ -74,6 +74,20 @@ def test_bands_first_edge_matches_lowest_eigenvalue(tmp_path):
     assert len(rows) == 1024
 
 
+def test_bands_window_inside_spectrum_has_no_bottom(tmp_path):
+    config = {
+        "command": "bands",
+        "potential": {"variant": "constant", "value": 0.0},
+        "params": {"period": 1.0, "lambda_window": [1.0, 10.0],
+                   "resolution": 64},
+    }
+    assert cli.run(config, out_dir=str(tmp_path)) == 0
+    doc = read_json(tmp_path / "bands.json")
+    assert doc["bands"] == [[1.0, 10.0]]
+    assert doc["gap_set"] is None
+    assert doc["lowest_eigenvalue"] is None
+
+
 def test_regularity_verdict_from_config(tmp_path):
     config = {
         "command": "regularity",

@@ -377,9 +377,11 @@ def test_gap_flatness_residual():
 # the batched quadrature against QUADPACK
 
 
-def square_wave_gap_set(delta, window=(-2.0, 150.0)):
+def square_wave_gap_set(delta, window=(-2.0, 150.0), spacing=1e-3):
     """Gap set of the +-1 square wave of period 2 delta inside window, from
-    the closed-form discriminant (two constant cells) and brentq edges."""
+    the closed-form discriminant (two constant cells) sampled every
+    `spacing` and brentq edges; bands or gaps narrower than the spacing
+    may be missed."""
     from scipy.optimize import brentq
 
     def disc(lam):
@@ -390,7 +392,7 @@ def square_wave_gap_set(delta, window=(-2.0, 150.0)):
         return (2.0 * np.cos(k1 * delta) * np.cos(k2 * delta)
                 - (k1 * k1 + k2 * k2) * s1 * s2).real
 
-    lam = np.arange(window[0], window[1], 1e-3)
+    lam = np.arange(window[0], window[1], spacing)
     out = np.abs(disc(lam)) > 2.0
     flips = np.flatnonzero(out[1:] != out[:-1])
     edges = [brentq(lambda x: abs(disc(x)) - 2.0, lam[i], lam[i + 1],
