@@ -30,7 +30,7 @@ class NonIntegrable(SchregError):
 
 
 class NoConvergence(SchregError):
-    """An iterative solver hit its iteration cap."""
+    """A solve left residuals above its tolerance."""
 
 
 class OnSpectrum(SchregError):

@@ -8,9 +8,9 @@ Everything is driven by the closed-form derivative
 principal square roots throughout, which is analytic off [b0, inf) and
 positive on (-inf, b0).  The numerator roots c_j (one per gap (a_j, b_j))
 are the critical points; they are correct exactly when the integral of
-Theta' over every gap vanishes, which pins them via a damped Newton
-iteration with a per-coordinate bisection fallback (the gap integral is
-strictly monotone in its own c_j).
+Theta' over every gap vanishes.  These conditions are linear in the
+coefficients of the monic numerator, so one linear solve gives it, and a
+batched bisection finds its one root in each gap.
 
 The Martin function M = Im Theta is evaluated by integrating Theta' from
 the anchor Theta(b0) = 0: along the real axis below b0, from the nearer
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,7 +111,7 @@ class CriticalPoints:
 
     residuals[j] is the gap-j integral of Theta' normalized by the integral
     of its absolute value, recomputed with an adaptive quadrature
-    independent of the Newton iteration's fixed rule.
+    independent of the fixed rule the linear solve uses.
     """
 
     c: tuple
@@ -232,54 +231,45 @@ def _m_density(E, c, j, x, edge):
 # ---------------------------------------------------------------------------
 # critical points
 
-@lru_cache(maxsize=128)
-def _gap_rules(E, panels, nodes):
-    """Per gap: quadrature nodes/weights absorbing dt and the gap's own
-    edge factors 1/sqrt|t-a_j|, 1/sqrt|t-b_j| via the s**2 substitutions."""
-    glx, glw = np.polynomial.legendre.leggauss(nodes)
-    rules = []
-    for a, b in E.gaps:
-        mid = 0.5 * (a + b)
-        ts, ws = [], []
-        for left in (True, False):
-            smax = math.sqrt(mid - a) if left else math.sqrt(b - mid)
-            edges = np.linspace(0.0, smax, panels + 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                s = 0.5 * (hi - lo) * glx + 0.5 * (hi + lo)
-                w = 0.5 * (hi - lo) * glw
-                t = a + s * s if left else b - s * s
-                other = np.sqrt(np.abs(t - b)) if left else np.sqrt(np.abs(t - a))
-                ts.append(t)
-                ws.append(2.0 * w / other)
-        t = np.concatenate(ts)
-        w = np.concatenate(ws)
-        den = np.sqrt(t - E.b0)
-        for aa, bb in E.gaps:
-            if (aa, bb) != (a, b):
-                den = den * np.sqrt(np.abs(t - aa) * np.abs(t - bb))
-        rules.append((t, w / den))
-    return rules
+_RESIDUAL_TOL = 1e-10   # largest normalized gap residual a solve may leave
 
 
-def _gap_integrals(E, c, rules):
-    """F_j = integral over gap j of prod_l (t - c_l) d(rule_j), the Jacobian
-    dF_j/dc_l = -integral of prod_{m != l} (t - c_m), and the absolute
-    masses integral of prod_l |t - c_l| used to normalize residuals."""
-    N = len(c)
-    F = np.empty(N)
-    J = np.empty((N, N))
-    mass = np.empty(N)
-    for j, (t, w) in enumerate(rules):
-        diffs = t[None, :] - np.asarray(c)[:, None]   # (N, nodes)
-        prod = np.prod(diffs, axis=0)
-        F[j] = float(np.dot(w, prod))
-        mass[j] = float(np.dot(w, np.prod(np.abs(diffs), axis=0)))
-        for l in range(N):
-            mask = np.ones(N, dtype=bool)
-            mask[l] = False
-            partial = np.prod(diffs[mask], axis=0) if N > 1 else np.ones_like(t)
-            J[j, l] = -float(np.dot(w, partial))
-    return F, J, mass
+def _bisect(f, out, inn, tol):
+    """Roots of f bracketed by pairs of ends, f(out) > 0 >= f(inn), each
+    pair in either order.  All pairs are bisected together, each until its
+    ends are within the absolute tolerance tol."""
+    for _ in range(200):
+        live = np.abs(inn - out) > tol
+        if not live.any():
+            break
+        mid = 0.5 * (out + inn)
+        pos = live & (f(mid) > 0.0)
+        out, inn = np.where(pos, mid, out), np.where(live & ~pos, mid, inn)
+    return 0.5 * (out + inn)
+
+
+def _gap_rules(E):
+    """Nodes t[j] and weights w[j], one row per gap, of a fixed Gauss rule
+    (24 points on each of 16 panels per half gap) for integrals over gap j
+    against its positive weight, dt / (sqrt|t - b0| prod sqrt|t - e|) over
+    the gap edges e, up to a constant factor.  The gap's own edge factors
+    are absorbed by the s**2 substitutions from each end."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    s = (np.arange(16)[:, None] + 0.5 + 0.5 * x).ravel() / 16   # in (0, 1)
+    a, b = (np.array(E.gaps)[:, i, None] for i in (0, 1))
+    h = np.sqrt(0.5 * (b - a)) * s   # s scaled to each half gap
+    t = np.concatenate([a + h * h, b - h * h], axis=1)
+    edge = np.concatenate([np.broadcast_to(e, h.shape) for e in (a, b)], axis=1)
+    weight = np.tile(np.sqrt(b - a) * np.tile(w, 16), 2)
+    return t, weight * _band_theta_density(E, (), t, edge)
+
+
+def _omega_basis(t, m):
+    """prod_l (t - m_l), then prod_{l != k} (t - m_l) for every k, along a
+    new last axis."""
+    d = t[..., None] - m
+    return np.stack([d.prod(-1)] + [np.delete(d, k, -1).prod(-1)
+                                    for k in range(m.size)], axis=-1)
 
 
 def _gap_residuals(E, c):
@@ -298,97 +288,35 @@ def _gap_residuals(E, c):
     return np.divide(signed, mass, out=np.zeros(N), where=mass > 0)
 
 
-def _bisect_gap(E, c, j, rules, tol):
-    """Solve F_j = 0 in c_j by bisection; F_j is monotone in c_j."""
-    a, b = E.gaps[j]
-    pad = 1e-14 * (b - a)
-    lo, hi = a + pad, b - pad
-
-    def fj(cj):
-        cc = list(c)
-        cc[j] = cj
-        t, w = rules[j]
-        diffs = t[None, :] - np.asarray(cc)[:, None]
-        return float(np.dot(w, np.prod(diffs, axis=0)))
-
-    f_lo, f_hi = fj(lo), fj(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        # numerator sign can't vanish in this gap for the current partners;
-        # pick the end that minimizes |F| and let the outer sweep move on
-        return lo if abs(f_lo) < abs(f_hi) else hi
-    s = 1.0 if f_lo > 0 else -1.0
-    for _ in range(200):
-        if hi - lo <= tol * (b - a):
-            break
-        mid = 0.5 * (lo + hi)
-        if s * fj(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def solve_critical_points(E, tol=1e-10, max_iter=50):
+def solve_critical_points(E):
     """Critical points of the finite-gap set, one per gap.
 
-    Damped Newton on the vector of gap integrals of Theta' (closed-form
-    Jacobian, step halving, iterates clipped into their gaps).  If Newton
-    stalls, falls back to per-coordinate bisection sweeps.  Residuals in
-    the returned CriticalPoints are recomputed adaptively and normalized
-    by each gap's absolute mass; NoConvergence means even the fallback
-    could not push them below tol.
+    The numerator omega(t) = prod_l (t - c_l) is monic of degree N, so the
+    N gap conditions, integral over gap j of omega against the gap weight
+    = 0, are linear in its lower coefficients.  Written as
+    omega = prod_l (t - m_l) + sum_k p_k prod_{l != k} (t - m_l) with m_l
+    the gap midpoints, one N x N solve on the fixed rule's moments gives p.
+    Each condition makes omega change sign inside its gap, so omega has one
+    root per gap; one batched bisection from the gap ends finds them all.
+    The residuals are recomputed adaptively and normalized by each gap's
+    absolute mass; NoConvergence means one is above _RESIDUAL_TOL.
     """
     N = len(E.gaps)
     if N == 0:
         return CriticalPoints(c=(), residuals=())
-    for panels in (16, 64):
-        rules = _gap_rules(E, panels, 24)
-        c = np.array([0.5 * (a + b) for a, b in E.gaps])
-        F, J, mass = _gap_integrals(E, c, rules)
-        best = float(np.max(np.abs(F) / mass))
-        converged = best <= tol
-        for _ in range(max_iter):
-            if converged:
-                break
-            try:
-                delta = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                break
-            stepped = False
-            for damp in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-                cand = c + damp * delta
-                for idx, (a, b) in enumerate(E.gaps):
-                    pad = 1e-14 * (b - a)
-                    cand[idx] = min(max(cand[idx], a + pad), b - pad)
-                Fc, Jc, mc = _gap_integrals(E, cand, rules)
-                r = float(np.max(np.abs(Fc) / mc))
-                if r < best:
-                    c, F, J, mass, best = cand, Fc, Jc, mc, r
-                    stepped = True
-                    break
-            if not stepped:
-                break
-            converged = best <= tol
-        if not converged:
-            # Gauss-Seidel bisection sweeps; each F_j is monotone in c_j
-            for _ in range(200):
-                for j in range(N):
-                    c[j] = _bisect_gap(E, c, j, rules, 1e-15)
-                F, _, mass = _gap_integrals(E, c, rules)
-                best = float(np.max(np.abs(F) / mass))
-                if best <= tol:
-                    converged = True
-                    break
-        residuals = tuple(float(r) for r in _gap_residuals(E, tuple(c)))
-        if max(abs(r) for r in residuals) <= tol:
-            return CriticalPoints(c=tuple(float(v) for v in c),
-                                  residuals=residuals)
-    raise NoConvergence(
-        f"gap residuals {residuals} above tol={tol} even on the refined rule")
+    a, b = np.array(E.gaps).T
+    m = 0.5 * (a + b)
+    t, w = _gap_rules(E)
+    moments = np.einsum("jn,jnk->jk", w, _omega_basis(t, m))
+    coef = np.concatenate([[1.0], np.linalg.solve(moments[:, 1:], -moments[:, 0])])
+    sign = (-1.0) ** np.arange(N - 1, -1, -1)   # of omega at each b_j
+    c = _bisect(lambda x: sign * (_omega_basis(x, m) @ coef), b, a,
+                4e-16 * np.maximum(np.abs(a), np.abs(b)))
+    residuals = tuple(float(r) for r in _gap_residuals(E, tuple(c)))
+    if max(abs(r) for r in residuals) > _RESIDUAL_TOL:
+        raise NoConvergence(
+            f"gap residuals {residuals} above {_RESIDUAL_TOL}")
+    return CriticalPoints(c=tuple(float(v) for v in c), residuals=residuals)
 
 
 def a_constant(E, c):
@@ -401,7 +329,7 @@ def gap_flatness(E, c):
     """Per gap: |integral of M'| normalized by the integral of |M'|.
 
     Zero for exact critical points; this is the slit-closure defect of the
-    comb map, computed independently of the Newton solve.
+    comb map, computed independently of the linear solve.
     """
     c = _check_c(E, c)
     return np.abs(_gap_residuals(E, c))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import propagation
-from .martin import GapSet
+from .martin import GapSet, _bisect
 
 __all__ = [
     "BandSpectrum",
@@ -71,20 +71,6 @@ def discriminant(p, period, lam, step=1e-3):
     lam = np.asarray(lam, dtype=float)
     delta = _scan(p, period, lam.reshape(-1), step)[0]
     return float(delta[0]) if lam.ndim == 0 else delta.reshape(lam.shape)
-
-
-def _bisect(f, out, inn, tol):
-    """Roots of f bracketed by pairs of ends, f(out) > 0 >= f(inn), each
-    pair in either order.  All pairs are bisected together, each until its
-    ends are within the absolute tolerance tol."""
-    for _ in range(200):
-        live = np.abs(inn - out) > tol
-        if not live.any():
-            break
-        mid = 0.5 * (out + inn)
-        pos = live & (f(mid) > 0.0)
-        out, inn = np.where(pos, mid, out), np.where(live & ~pos, mid, inn)
-    return 0.5 * (out + inn)
 
 
 def band_spectrum(p, period, lambda_window, resolution, step=1e-3, edge_tol=1e-10):

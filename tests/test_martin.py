@@ -7,7 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from schreg import martin as M
-from schreg.errors import FitIllConditioned, OnSpectrum, PathTooCloseToSpectrum
+from schreg.errors import (
+    FitIllConditioned,
+    NoConvergence,
+    OnSpectrum,
+    PathTooCloseToSpectrum,
+)
 
 FREE = M.GapSet(b0=0.0)
 ONE_GAP = M.GapSet(b0=0.0, gaps=((1.0, 2.0),))
@@ -106,6 +111,61 @@ def test_two_gap_residuals_small():
     assert len(cp.c) == 2
     assert all(a < c < b for (a, b), c in zip(E.gaps, cp.c))
     assert max(abs(r) for r in cp.residuals) <= 1e-10
+
+
+@pytest.mark.parametrize("E", [
+    M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5))),
+    M.GapSet(-0.019341080133447444, (   # PeriodicSquare(0.48186328550012664)
+        (9.98490373268532, 11.258028808241063),
+        (42.500298099961064, 42.523815488457124),
+        (95.42902612550928, 95.85330345715084))),
+], ids=["two_gaps", "square_wave"])
+def test_critical_points_match_high_precision_reference(E):
+    # 30-digit Newton on the product-form conditions, integral over gap j of
+    # prod_l (t - c_l) / (sqrt(t - b0) prod_e sqrt|t - e|) = 0, each half of
+    # the gap taken in t = a + s**2 or t = b - s**2 from its end, so that
+    # tanh-sinh never evaluates a float gap edge
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        b0 = mp.mpf(E.b0)
+        gaps = [(mp.mpf(a), mp.mpf(b)) for a, b in E.gaps]
+
+        def condition(j, c):
+            def g(t, other):   # the integrand times sqrt|t - own end|
+                v = 1 / mp.sqrt(t - b0) / mp.sqrt(abs(t - other))
+                for cl in c:
+                    v *= t - cl
+                for k, (a, b) in enumerate(gaps):
+                    if k != j:
+                        v /= mp.sqrt(abs(t - a) * abs(t - b))
+                return v
+
+            a, b = gaps[j]
+            h = mp.sqrt((b - a) / 2)
+            return (mp.quad(lambda s: g(a + s * s, b), [0, h])
+                    + mp.quad(lambda s: g(b - s * s, a), [0, h]))
+
+        ref = mp.findroot(lambda *c: [condition(j, c) for j in range(len(gaps))],
+                          [(a + b) / 2 for a, b in gaps])
+    c = solved(E).c
+    for (a, b), cj, r in zip(E.gaps, c, ref):
+        assert abs(cj - float(r)) <= 1e-12 * (b - a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20])
+def test_random_gap_sets_solve_inside_their_gaps(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        edges = np.sort(rng.uniform(0.1, 150.0, 2 * n))
+        E = M.GapSet(-0.5, tuple(zip(edges[::2], edges[1::2])))
+        cp = solved(E)
+        assert all(a < c < b for (a, b), c in zip(E.gaps, cp.c))
+        assert max(abs(r) for r in cp.residuals) <= 1e-10
+
+
+def test_gap_too_narrow_for_the_residual_check_raises():
+    with pytest.raises(NoConvergence):
+        solved(M.GapSet(0.0, ((100.0, 100.00000001),)))
 
 
 # ---------------------------------------------------------------------------
