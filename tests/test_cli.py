@@ -4,7 +4,9 @@ import hashlib
 import json
 import subprocess
 import sys
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -356,3 +358,158 @@ def test_import_does_not_load_scipy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# schema dialect: draft-07 keeps jsonschema's per-call metaschema check cheap
+
+
+DRAFT_2020_12 = "https://json-schema.org/draft/2020-12/schema"
+
+
+def valid_configs():
+    """Valid configs of every command, between them using every potential
+    variant and every optional params field."""
+    bump = {"variant": "piecewise_constant", "breakpoints": [0.5],
+            "values": [1.0, 0.0]}
+    return [
+        solve_config(),
+        {"command": "solve", "potential": {"variant": "oscillating_example"},
+         "params": {"z_grid": [[-1.0, 0.5]], "x_grid": [10.0]}},
+        {"command": "solve",
+         "potential": {"variant": "sparse_bumps", "bump": bump,
+                       "positions": [2.0, 8.0], "sparse_from": 1},
+         "params": {"z_grid": [[0.5, 1.0]], "x_grid": [4.0, 9.0],
+                    "step": 0.01}},
+        window_config("bands", (-2.0, 40.0)),
+        {"command": "bands",
+         "potential": {"variant": "random", "seed": 3, "cell_width": 0.25,
+                       "low": -1.0, "high": 1.0},
+         "params": {"period": 2.0, "lambda_window": [-5.0, 20.0],
+                    "resolution": 64, "step": 0.01, "edge_tol": 1e-9}},
+        martin_config(),
+        {"command": "martin",
+         "spectrum": {"b0": -0.5, "gaps": [[1.0, 2.0], [5.0, 5.5]]},
+         "params": {"z_grid": [[-1.0, 0.0]], "fit": True}},
+        window_config("dos", (0.0, 25.0)),
+        {"command": "dos",
+         "potential": {"variant": "tabulated", "grid": [0.0, 1.0, 2.0],
+                       "values": [1.0, 0.5, 0.0]},
+         "spectrum": dict(FREE_SPECTRUM), "output_dir": "out",
+         "params": {"x": 50.0, "lambda_window": [0.0, 10.0],
+                    "grid_points": 20, "step": 0.01}},
+        {"command": "regularity",
+         "potential": {"variant": "decaying", "amplitude": 1.0, "rate": 2.0},
+         "spectrum": dict(FREE_SPECTRUM),
+         "params": {"x_max": 500.0, "step": 0.01, "cesaro_points": 64,
+                    "z_grid": [[-1.0, 0.0]], "growth_fractions": [0.5, 1.0],
+                    "dos_x": 200.0, "lambda_window": [0.0, 5.0],
+                    "dos_points": 100, "margin_tol": 0.1, "growth_tol": 0.1,
+                    "dos_tol": 0.05}},
+        {"command": "regularity",
+         "potential": {"variant": "constant", "value": 0.0},
+         "spectrum": dict(FREE_SPECTRUM)},
+    ]
+
+
+def test_every_validate_call_uses_draft7(monkeypatch):
+    # a params sub-schema without $schema falls back to 2020-12, whose
+    # metaschema check costs about 50 ms per call
+    schemas = []
+    real = cli.jsonschema.validate
+
+    def recorder(instance, schema, *args, **kwargs):
+        schemas.append(schema)
+        return real(instance, schema, *args, **kwargs)
+
+    monkeypatch.setattr(cli.jsonschema, "validate", recorder)
+    configs = {c["command"]: c for c in valid_configs()}
+    assert sorted(configs) == sorted(cli.COMMANDS)
+    for config in configs.values():
+        assert cli._validate_config(config) is config
+    assert len(schemas) == 2 * len(cli.COMMANDS)
+    for schema in schemas:
+        assert (jsonschema.validators.validator_for(schema)
+                is jsonschema.Draft7Validator)
+
+
+def schema_objects(node):
+    if isinstance(node, dict):
+        yield node
+        for child in node.values():
+            yield from schema_objects(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from schema_objects(child)
+
+
+def test_schemas_are_valid_draft7_with_bare_refs():
+    root = resources.files("schreg") / "schemas"
+    schemas = [json.loads((root / name).read_text(encoding="utf-8"))
+               for name in ("experiment_config.schema.json",
+                            "potential_spec.schema.json")]
+    schemas.append(cli.load_schema("experiment_config.schema.json"))
+    for schema in schemas:
+        # draft-07 ignores every keyword beside a $ref
+        for obj in schema_objects(schema):
+            if "$ref" in obj:
+                assert list(obj) == ["$ref"], obj
+        jsonschema.Draft7Validator.check_schema(schema)
+        # $defs is not a draft-07 keyword, so the metaschema check above
+        # does not reach inside it
+        for sub in schema.get("$defs", {}).values():
+            jsonschema.Draft7Validator.check_schema(sub)
+
+
+MUTATIONS = (0, -1.0, "x", [], {}, True, None, [1.0], [1.0, 2.0, 3.0])
+
+
+def mutants(config):
+    """Copies of config with one value or container replaced by each of
+    MUTATIONS in turn."""
+    def paths(node, path):
+        if path:
+            yield path
+        if isinstance(node, dict):
+            children = node.items()
+        elif isinstance(node, list):
+            children = enumerate(node)
+        else:
+            children = ()
+        for key, child in children:
+            yield from paths(child, path + (key,))
+
+    text = json.dumps(config)
+    for path in paths(config, ()):
+        for value in MUTATIONS:
+            mutant = json.loads(text)
+            node = mutant
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            yield mutant
+
+
+def test_draft7_accepts_exactly_what_2020_12_accepts():
+    # the former validation, prebuilt: the config against the 2020-12
+    # schema, then its params against the params_<command> sub-schema with
+    # no $schema, which jsonschema reads as 2020-12
+    schema = cli.load_schema("experiment_config.schema.json")
+    defs = schema["$defs"]
+
+    def checks(cls, top, extra):
+        subs = {c: cls(dict(defs[f"params_{c}"], **{"$defs": defs}, **extra))
+                for c in cli.COMMANDS}
+        top = cls(top)
+        return lambda config: (top.is_valid(config) and subs[
+            config["command"]].is_valid(config.get("params", {})))
+
+    old = checks(jsonschema.Draft202012Validator,
+                 dict(schema, **{"$schema": DRAFT_2020_12}), {})
+    cls = jsonschema.validators.validator_for(schema)
+    assert cls is jsonschema.Draft7Validator
+    new = checks(cls, schema, {"$schema": schema["$schema"]})
+    verdicts = [(old(m), new(m)) for c in valid_configs() for m in mutants(c)]
+    assert [v for v in verdicts if v[0] != v[1]] == []
+    accepted = sum(ok for ok, _ in verdicts)
+    assert 0 < accepted < len(verdicts)
