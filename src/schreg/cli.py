@@ -87,7 +87,15 @@ class _OutputDir:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
+        # an all-float row is one %-format of a row template; its text is
+        # _cell's unless a value is nan or +-inf, which it spells with an n
+        template = ",".join(["%.17g"] * len(header)) + "\n"
         for row in rows:
+            if all(type(v) is float for v in row):
+                text = template % tuple(row)
+                if "n" not in text:
+                    buf.write(text)
+                    continue
             writer.writerow([_cell(v) for v in row])
         self._store(name, buf.getvalue().encode("utf-8"))
 

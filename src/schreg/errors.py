@@ -25,10 +25,6 @@ class QuadratureFailure(SchregError):
     """An adaptive quadrature did not reach the requested tolerance."""
 
 
-class NonIntegrable(SchregError):
-    """A potential's local L1 mass came out non-finite."""
-
-
 class NoConvergence(SchregError):
     """A solve left residuals above its tolerance."""
 

@@ -10,7 +10,7 @@ positive on (-inf, b0).  The numerator roots c_j (one per gap (a_j, b_j))
 are the critical points; they are correct exactly when the integral of
 Theta' over every gap vanishes.  These conditions are linear in the
 coefficients of the monic numerator, so one linear solve gives it, and a
-batched bisection finds its one root in each gap.
+batched 32-way sectioning finds its one root in each gap.
 
 The Martin function M = Im Theta is evaluated by integrating Theta' from
 the anchor Theta(b0) = 0: along the real axis below b0, from the nearer
@@ -234,17 +234,27 @@ def _m_density(E, c, j, x, edge):
 _RESIDUAL_TOL = 1e-10   # largest normalized gap residual a solve may leave
 
 
-def _bisect(f, out, inn, tol):
+_SECTIONS = 32   # sub-brackets a bracket is cut into per round of _section
+
+
+def _section(f, out, inn, tol):
     """Roots of f bracketed by pairs of ends, f(out) > 0 >= f(inn), each
-    pair in either order.  All pairs are bisected together, each until its
-    ends are within the absolute tolerance tol."""
+    pair in either order, until each pair is within the absolute tolerance
+    tol.  Each round calls f once, with the _SECTIONS - 1 inner points of
+    every live pair as an array of shape (pairs, _SECTIONS - 1) and the
+    indices k of those pairs, and keeps the sub-bracket at the first inner
+    point with f <= 0: a sign change, whether or not f is monotone."""
+    out, inn = np.array(out, dtype=float), np.array(inn, dtype=float)
+    frac = np.arange(1, _SECTIONS) / _SECTIONS
     for _ in range(200):
-        live = np.abs(inn - out) > tol
-        if not live.any():
+        k = np.flatnonzero(np.abs(inn - out) > tol)
+        if not k.size:
             break
-        mid = 0.5 * (out + inn)
-        pos = live & (f(mid) > 0.0)
-        out, inn = np.where(pos, mid, out), np.where(live & ~pos, mid, inn)
+        pts = np.column_stack([out[k], out[k, None] + (inn - out)[k, None] * frac,
+                               inn[k]])
+        stop = np.column_stack([f(pts[:, 1:-1], k) <= 0.0, np.ones(k.size, bool)])
+        first = stop.argmax(axis=1)[:, None]
+        out[k], inn[k] = np.take_along_axis(pts, first + [0, 1], axis=1).T
     return 0.5 * (out + inn)
 
 
@@ -266,25 +276,30 @@ def _gap_rules(E):
 
 def _omega_basis(t, m):
     """prod_l (t - m_l), then prod_{l != k} (t - m_l) for every k, along a
-    new last axis."""
+    new last axis; the latter as exclusive prefix times suffix products."""
     d = t[..., None] - m
-    return np.stack([d.prod(-1)] + [np.delete(d, k, -1).prod(-1)
-                                    for k in range(m.size)], axis=-1)
+    one = np.ones(d.shape[:-1] + (1,))
+    pre = np.cumprod(np.concatenate([one, d[..., :-1]], axis=-1), axis=-1)
+    suf = np.cumprod(np.concatenate([one, d[..., :0:-1]], axis=-1), axis=-1)
+    return np.concatenate([d.prod(-1)[..., None], pre * suf[..., ::-1]], axis=-1)
 
 
 def _gap_residuals(E, c):
     """Adaptive recomputation of every gap's Theta' integral, normalized by
-    the integral of its absolute value; one quadrature call for all gaps."""
+    the integral of its absolute value; one quadrature call for all gaps.
+    The absolute value is integrated over (a_j, c_j) and (c_j, b_j), on
+    each of which it is smooth."""
     N = len(E.gaps)
-    ab = np.array(E.gaps * 2, dtype=float).reshape(2 * N, 2)
-    j = np.arange(2 * N) % N + 1
+    a, b = np.array(E.gaps, dtype=float).reshape(N, 2).T
+    j = np.arange(3 * N) % N + 1
 
-    def f(x, i, edge):   # pieces 0..N-1 are signed, N..2N-1 absolute
+    def f(x, i, edge):   # pieces 0..N-1 are signed, N..3N-1 absolute
         m = _m_density(E, c, j[i], x, edge)
         return np.where(i < N, m, np.abs(m))
 
-    v = _edge_quad(f, ab[:, 0], ab[:, 1], ab[:, 0], ab[:, 1])
-    signed, mass = v[:N], v[N:]
+    v = _edge_quad(f, np.concatenate([a, a, c]), np.concatenate([b, c, b]),
+                   np.tile(a, 3), np.tile(b, 3))
+    signed, mass = v[:N], v[N:2 * N] + v[2 * N:]
     return np.divide(signed, mass, out=np.zeros(N), where=mass > 0)
 
 
@@ -297,7 +312,7 @@ def solve_critical_points(E):
     omega = prod_l (t - m_l) + sum_k p_k prod_{l != k} (t - m_l) with m_l
     the gap midpoints, one N x N solve on the fixed rule's moments gives p.
     Each condition makes omega change sign inside its gap, so omega has one
-    root per gap; one batched bisection from the gap ends finds them all.
+    root per gap; one batched sectioning from the gap ends finds them all.
     The residuals are recomputed adaptively and normalized by each gap's
     absolute mass; NoConvergence means one is above _RESIDUAL_TOL.
     """
@@ -310,8 +325,8 @@ def solve_critical_points(E):
     moments = np.einsum("jn,jnk->jk", w, _omega_basis(t, m))
     coef = np.concatenate([[1.0], np.linalg.solve(moments[:, 1:], -moments[:, 0])])
     sign = (-1.0) ** np.arange(N - 1, -1, -1)   # of omega at each b_j
-    c = _bisect(lambda x: sign * (_omega_basis(x, m) @ coef), b, a,
-                4e-16 * np.maximum(np.abs(a), np.abs(b)))
+    c = _section(lambda x, k: sign[k, None] * (_omega_basis(x, m) @ coef), b, a,
+                 4e-16 * np.maximum(np.abs(a), np.abs(b)))
     residuals = tuple(float(r) for r in _gap_residuals(E, tuple(c)))
     if max(abs(r) for r in residuals) > _RESIDUAL_TOL:
         raise NoConvergence(

@@ -14,8 +14,9 @@ sign Delta = (-1)**j, and gets the level 2j.  The level is an integer that
 never decreases with the energy, so a scan sees every band edge in its
 window, however narrow the gap or band: each boundary between consecutive
 levels is bracketed by the samples where the level passes it, and all
-boundaries are bisected together, one batched walk per halving.  A closed
-gap shows up as two band ends that touch, and its bands are merged.
+brackets are cut into 32 together, by one batched walk per round at 31
+energies in each.  A closed gap shows up as two band ends that touch, and
+its bands are merged.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import propagation
-from .martin import GapSet, _bisect
+from .martin import GapSet, _section
 
 __all__ = [
     "BandSpectrum",
@@ -77,8 +78,9 @@ def band_spectrum(p, period, lambda_window, resolution, step=1e-3, edge_tol=1e-1
     """Bands inside the window from a `resolution`-point level scan.
 
     Every boundary between the first and the last sample's levels is
-    bisected between the two samples where the level passes it.  An odd
-    boundary is the top of a band, an even one the bottom of the next.
+    sectioned to within edge_tol between the two samples where the level
+    passes it.  An odd boundary is the top of a band, an even one the
+    bottom of the next.
     """
     lo, hi = float(lambda_window[0]), float(lambda_window[1])
     if not (lo < hi and int(resolution) >= 2):
@@ -87,8 +89,12 @@ def band_spectrum(p, period, lambda_window, resolution, step=1e-3, edge_tol=1e-1
     deltas, level = _scan(p, period, lams, step)
     bound = np.arange(level[0], level[-1])
     i = np.searchsorted(level, bound, "right") - 1
-    ends = _bisect(lambda lam: _scan(p, period, lam, step)[1] - bound - 0.5,
-                   lams[i + 1], lams[i], edge_tol).tolist()
+
+    def above(lam, k):   # level less boundary k + 1/2, from one walk
+        return (_scan(p, period, lam.ravel(), step)[1].reshape(lam.shape)
+                - bound[k, None] - 0.5)
+
+    ends = _section(above, lams[i + 1], lams[i], edge_tol).tolist()
     if level[0] % 2:
         ends.insert(0, lams[0])
     if level[-1] % 2:

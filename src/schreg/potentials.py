@@ -14,11 +14,11 @@ registrations.  A family registers what only it knows:
 * `discontinuities` -- the jumps of V inside a window.
 
 Everything else is derived from those three.  The default `segments` cuts
-the window at the discontinuities, `local_l1_profile` takes its kinks from
-them, and `to_json` reads the dataclass fields.  A family registers its
-own `segments` only when it needs more than that: repeated patterns
-(PeriodicSquare, OscillatingExample), a graded smooth mesh (Decaying), a
-single cell (Constant), or vectorized draws (Random).
+the window at the discontinuities, and `to_json` reads the dataclass
+fields.  A family registers its own `segments` only when it needs more
+than that: repeated patterns (PeriodicSquare, OscillatingExample), a
+graded smooth mesh (Decaying), a single cell (Constant), or vectorized
+draws (Random).
 
 The `segments` generator is the bridge to propagation: it decomposes
 [x0, x1) into constant cells, emitting literal cell arrays (`CellBlock`)
@@ -46,8 +46,6 @@ from functools import cached_property, lru_cache, singledispatch
 
 import numpy as np
 
-from .errors import NonIntegrable
-
 __all__ = [
     "Constant",
     "PiecewiseConstant",
@@ -66,7 +64,6 @@ __all__ = [
     "segments",
     "discontinuities",
     "cesaro_trace",
-    "local_l1_profile",
     "to_json",
     "from_json",
 ]
@@ -648,7 +645,7 @@ def _(p: Random, x0, x1, step):
 
 
 # ---------------------------------------------------------------------------
-# traces and L1 profile
+# traces
 
 def cesaro_trace(p, x_grid):
     """Running means of V and |V| over [0, x] for each grid point.
@@ -664,34 +661,6 @@ def cesaro_trace(p, x_grid):
     mean = np.array([prefix_integral(p, x) for x in xs]) / xs
     abs_mean = np.array([prefix_abs_integral(p, x) for x in xs]) / xs
     return CesaroTrace(xs, mean, abs_mean)
-
-
-def local_l1_profile(p, horizon):
-    """sup over x in [0, horizon] of integral_x^{x+1} |V|.
-
-    The window mass is piecewise linear in x with kinks where either window
-    end crosses a discontinuity, so the sweep over those points is exact for
-    step families.  |V| is identically 1 for both square-wave families, so
-    those short-cut to 1.  Raises NonIntegrable if the mass comes out
-    non-finite.
-    """
-    horizon = float(horizon)
-    _require(horizon >= 0, "horizon must be nonnegative")
-    if isinstance(p, (PeriodicSquare, OscillatingExample)):
-        return 1.0
-    starts = {0.0, horizon}
-    for k in discontinuities(p, 0.0, horizon + 1.0):
-        if 0.0 <= k <= horizon:
-            starts.add(k)
-        if 0.0 <= k - 1.0 <= horizon:
-            starts.add(k - 1.0)
-    xs = np.array(sorted(starts))
-    masses = np.array([prefix_abs_integral(p, x + 1.0) - prefix_abs_integral(p, x)
-                       for x in xs])
-    best = float(np.max(masses))
-    if not math.isfinite(best):
-        raise NonIntegrable(f"window mass is not finite for {type(p).__name__}")
-    return best
 
 
 # ---------------------------------------------------------------------------

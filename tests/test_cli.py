@@ -1,7 +1,9 @@
 """Batch CLI: config validation, artifacts, reproducibility, exit codes."""
 import csv
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -182,6 +184,31 @@ def test_manifest_hashes_every_artifact(tmp_path):
         assert len(data) == rec["bytes"]
     names = [rec["name"] for rec in manifest["files"]]
     assert names == sorted(names)
+
+
+def csv_by_cell(header, rows):
+    """CSV bytes with every value through cli._cell: the writer the
+    all-float row template must reproduce."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cli._cell(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_csv_rows_match_the_per_cell_writer(tmp_path):
+    floats = [0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 5e-324, 1.7976931348623157e308,
+              123456789.12345679, -1e22, 2.0 ** 53 + 2, math.pi]
+    specials = [math.nan, math.inf, -math.inf]
+    rows = [tuple(floats[i:i + 3]) for i in range(0, len(floats), 3)]
+    rows += [(s, 1.0, -0.0) for s in specials] + [(1.0, 2.0, s) for s in specials]
+    rows += [(1, 2.0, 3.0), (True, False, 0.5), (np.float64(0.1), 2.0, 3.0),
+             (np.float64(math.nan), np.int64(-3), np.bool_(True)),
+             ("x", "a,b", 'q"t'), [4.0, 5.0, 6.0]]
+    header = ["a", "b", "c"]
+    cli._OutputDir(str(tmp_path)).write_csv("t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == csv_by_cell(header, rows)
 
 
 def test_config_copied_into_output(tmp_path):

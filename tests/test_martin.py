@@ -169,6 +169,163 @@ def test_gap_too_narrow_for_the_residual_check_raises():
 
 
 # ---------------------------------------------------------------------------
+# the sectioning root finder against halving
+
+
+def halving_bisect(f, out, inn, tol):
+    """Roots of f bracketed by f(out) > 0 >= f(inn), all pairs halved
+    together until within tol: the root finder sectioning replaced."""
+    for _ in range(200):
+        live = np.abs(inn - out) > tol
+        if not live.any():
+            break
+        mid = 0.5 * (out + inn)
+        pos = live & (f(mid) > 0.0)
+        out, inn = np.where(pos, mid, out), np.where(live & ~pos, mid, inn)
+    return 0.5 * (out + inn)
+
+
+def section_cases():
+    """(name, f(x, k), out, inn, tol): f maps a (brackets, points) array and
+    the bracket indices to values of the same shape."""
+    rng = np.random.default_rng(5)
+    n = 40
+    root = rng.uniform(-50.0, 50.0, n)
+    slope = rng.uniform(0.01, 100.0, n) * rng.choice([-1.0, 1.0], n)
+    below, above = root - rng.uniform(1e-3, 30.0, n), root + rng.uniform(1e-3, 30.0, n)
+    tol = rng.choice([1e-6, 1e-10, 4e-16 * 50.0], n)
+    done = np.arange(n) % 7 == 0   # already within tol
+    below[done], above[done] = root[done] - 0.25 * tol[done], root[done] + 0.25 * tol[done]
+
+    def monotone(x, k):   # increasing for slope > 0, decreasing otherwise
+        d = x - root[k, None]
+        return slope[k, None] * (d + d ** 3)
+
+    up = slope > 0
+    yield ("monotone", monotone, np.where(up, above, below),
+           np.where(up, below, above), tol)
+    yield ("cosine", lambda x, k: np.cos(x), np.array([0.0]),
+           np.array([3.0 * math.pi - 0.3]), np.array([1e-12]))
+
+
+@pytest.mark.parametrize("case", list(section_cases()), ids=lambda c: c[0])
+def test_section_matches_halving(case):
+    _, f, out, inn, tol = case
+    points = []
+
+    def counted(x, k):
+        v = f(x, k)
+        points.append((np.broadcast_to(k[:, None], x.shape).ravel(), x.ravel(), v.ravel()))
+        return v
+
+    got = M._section(counted, out, inn, tol)
+    want = halving_bisect(lambda x: f(x[:, None], np.arange(x.size))[:, 0],
+                          out, inn, tol)
+    assert np.all(np.abs(got - want) <= tol)
+    width = np.abs(inn - out)
+    rounds = np.ceil(np.log(np.maximum(width / tol, 1.0)) / np.log(32.0))
+    assert len(points) <= rounds.max() + 1
+    # the final bracket is two points with a sign change, got its midpoint
+    k, x, v = (np.concatenate(a) for a in zip(*points))
+    for i, root in enumerate(got):
+        pos = np.append(x[(k == i) & (v > 0.0)], out[i])
+        neg = np.append(x[(k == i) & (v <= 0.0)], inn[i])
+        p, q = np.meshgrid(pos, neg)
+        assert np.any((np.abs(p - q) <= tol[i]) & (0.5 * (p + q) == root))
+
+
+def test_section_of_converged_brackets_calls_nothing():
+    def never(x, k):
+        raise AssertionError("f called on converged brackets")
+
+    got = M._section(never, np.array([1.0, 2.0]), np.array([1.0 + 1e-12, 2.0]), 1e-10)
+    assert np.array_equal(got, [1.0 + 5e-13, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# residuals and the moment basis
+
+
+def quadpack_residuals(E, c):
+    """Gap integral of M' over the integral of |M'|, by QUADPACK with the
+    kink at c_j passed as a break point.  On a gap 0.01 wide its QAGP
+    extrapolation stops 5e-10 from a 30-digit value, so the cases below
+    keep their gaps wider."""
+    def density(x):
+        v = 0.5 / math.sqrt(abs(x - E.b0))
+        for (a, b), cl in zip(E.gaps, c):
+            v *= abs(cl - x) / math.sqrt(abs(x - a) * abs(x - b))
+        return v
+
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    out = []
+    for (a, b), cj in zip(E.gaps, c):
+        signed = quad(lambda x: math.copysign(density(x), cj - x), a, b,
+                      points=[cj], **opts)[0]
+        out.append(signed / quad(density, a, b, points=[cj], **opts)[0])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("E,c", [
+    (M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5))), (1.3, 5.4)),
+    (M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5))), (1.9, 5.05)),
+    (M.GapSet(-0.5, ((1.0, 1.5), (3.0, 7.0), (9.0, 9.5))), (1.1, 6.0, 9.1)),
+])
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_gap_residuals_match_quadpack_with_break_point(E, c):
+    got = M._gap_residuals(E, c)
+    want = quadpack_residuals(E, c)
+    assert np.all(np.abs(want) > 1e-3)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+def test_critical_point_off_by_a_millionth_of_its_gap_raises(monkeypatch):
+    E = M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5)))
+    section = M._section
+
+    def nudged(*args):
+        c = section(*args)
+        return c + np.array([0.0, 1e-6 * 0.5])
+
+    monkeypatch.setattr(M, "_section", nudged)
+    with pytest.raises(NoConvergence):
+        solved(E)
+
+
+def test_gap_flatness_takes_few_quadrature_rounds(monkeypatch):
+    E = M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5)))
+    c = solved(E).c
+    calls = []
+    density = M._m_density
+
+    def counted(*args):   # called once per round by the quadrature's f
+        calls.append(1)
+        return density(*args)
+
+    monkeypatch.setattr(M, "_m_density", counted)
+    assert max(M.gap_flatness(E, c)) <= 1e-10
+    assert 1 <= len(calls) <= 4
+
+
+def omega_basis_by_deletion(t, m):
+    d = t[..., None] - m
+    return np.stack([d.prod(-1)] + [np.delete(d, k, -1).prod(-1)
+                                    for k in range(m.size)], axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 20, 60])
+def test_omega_basis_matches_deletion_form(n):
+    rng = np.random.default_rng(n)
+    m = np.sort(rng.uniform(0.0, 100.0, n))
+    t = rng.uniform(-1.0, 101.0, (5, 64))
+    got, want = M._omega_basis(t, m), omega_basis_by_deletion(t, m)
+    if n <= 3:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+# ---------------------------------------------------------------------------
 # theta_prime
 
 

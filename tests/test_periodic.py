@@ -188,6 +188,19 @@ def test_band_edges_match_per_energy_scan(delta):
     assert np.max(np.abs(np.subtract(got, want))) <= edge_tol
 
 
+def test_band_edges_match_halving_root_finder(monkeypatch):
+    # the same scan with every edge bracket halved instead of sectioned
+    from test_martin import halving_bisect
+
+    p, window, edge_tol = P.PeriodicSquare(0.47), (-2.0, 150.0), 1e-10
+    got = PE.band_spectrum(p, 0.94, window, 512, edge_tol=edge_tol)
+    monkeypatch.setattr(PE, "_section", lambda f, out, inn, tol: halving_bisect(
+        lambda x: f(x[:, None], np.arange(x.size))[:, 0], out, inn, tol))
+    want = PE.band_spectrum(p, 0.94, window, 512, edge_tol=edge_tol)
+    assert len(got.bands) == len(want.bands) >= 4
+    assert np.max(np.abs(np.subtract(got.bands, want.bands))) <= edge_tol
+
+
 def test_discriminant_samples_recorded():
     bs = PE.band_spectrum(FREE, 1.0, (-1.0, 10.0), 64)
     assert len(bs.lam) == 64

@@ -207,25 +207,6 @@ def test_cesaro_requires_increasing_grid():
 
 
 # ---------------------------------------------------------------------------
-# local_l1_profile
-
-
-def test_local_l1_profile_periodic_families_are_one():
-    assert P.local_l1_profile(P.PeriodicSquare(0.5), 40.0) == 1.0
-    assert P.local_l1_profile(P.OscillatingExample(), 40.0) == 1.0
-
-
-def test_local_l1_profile_dominates_window_integrals():
-    for p in ALL_FAMILIES:
-        prof = P.local_l1_profile(p, 30.0)
-        for x in (0.0, 0.4, 3.3, 11.0, 28.9):
-            w = P.prefix_abs_integral(p, x + 1.0) - P.prefix_abs_integral(p, x)
-            s = P.prefix_integral(p, x + 1.0) - P.prefix_integral(p, x)
-            assert abs(s) <= w + 1e-12
-            assert w <= prof + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # segments
 
 
