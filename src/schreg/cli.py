@@ -1,12 +1,12 @@
 """Batch front end: run named experiments from JSON configs.
 
 `schreg <command> --config <file> [--out DIR]` validates the config
-against the packaged draft-07 JSON schemas, rejecting unknown fields and
-non-finite numbers (each `jsonschema.validate` call re-checks its schema,
-about 50 ms against the 2020-12 metaschema), runs the computation, and
-leaves CSV/JSON artifacts plus a manifest.json listing every file with its
-sha256.  Outputs are byte-reproducible: CSV floats carry 17 significant
-digits, JSON floats their shortest round-trip repr; JSON keys are sorted.
+against the packaged draft-07 JSON schemas (with `schreg.jsonschema`, which
+knows only the keywords they use), rejecting unknown fields and non-finite
+numbers, runs the computation, and leaves CSV/JSON artifacts plus a
+manifest.json listing every file with its sha256.  Outputs are
+byte-reproducible: CSV floats carry 17 significant digits, JSON floats
+their shortest round-trip repr; JSON keys are sorted.
 
 Exit codes: 0 success, 1 compute failure (partial manifest with an error
 record), 2 invalid configuration.
@@ -22,10 +22,9 @@ import os
 import sys
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
-from . import martin, periodic, potentials, propagation, regularity
+from . import jsonschema, martin, periodic, potentials, propagation, regularity
 from .errors import ConfigInvalid
 
 __all__ = ["run", "main", "load_schema"]
@@ -136,6 +135,8 @@ def _validate_config(config):
         json.dumps(config, allow_nan=False)
     except ValueError as exc:
         raise ConfigInvalid("config must not contain NaN or Infinity") from exc
+    except TypeError as exc:
+        raise ConfigInvalid(f"config is not JSON: {exc}") from exc
     schema = load_schema("experiment_config.schema.json")
     try:
         jsonschema.validate(config, schema)

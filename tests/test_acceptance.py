@@ -12,6 +12,7 @@ import numpy as np
 
 from schreg import martin as M, periodic as PE, potentials as P
 from schreg import propagation as PR, regularity as R
+from volterra import spectral_point, volterra_solution
 
 FREE = M.GapSet(b0=0.0)
 
@@ -170,7 +171,7 @@ def test_a7_volterra_vs_transfer_routes():
     for p in (P.Constant(1.0), P.PeriodicSquare(0.25), P.Decaying(1.0, 2.0)):
         for z in zs:
             for x in (0.5, 1.0, 1.5, 2.0):
-                via_series = PR.volterra_solution(p, x, z, n_terms=12)
+                via_series = volterra_solution(p, x, z, n_terms=12)
                 s = PR.dirichlet_solution(p, x, z, step=1e-4)
                 via_transfer = s.u * cmath.exp(s.log_scale)
                 worst = max(worst, abs(via_series - via_transfer))
@@ -223,7 +224,7 @@ def _growth_bound_sweep(rng, count):
             p = P.PiecewiseConstant(values=values, breakpoints=bps)
             x = float(rng.uniform(1.0, 30.0))
         z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-2.0, 2.0))
-        bound = 1.0 + PR.spectral_point(z).k.real \
+        bound = 1.0 + spectral_point(z).k.real \
             + P.prefix_abs_integral(p, x) / x
         worst = max(worst, PR.log_growth(p, x, z) - bound)
     return worst

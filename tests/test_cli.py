@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from schreg import cli, propagation as PR
+from schreg import cli, jsonschema as schreg_jsonschema, propagation as PR
 
 FREE_SPECTRUM = {"b0": 0.0, "gaps": []}
 
@@ -377,8 +377,7 @@ def test_console_entry_point(tmp_path):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is a test-only dependency: the package's runtime is numpy and
-    # jsonschema
+    # scipy is a test-only dependency: the package's runtime is numpy
     code = ("import sys, schreg.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code],
@@ -387,8 +386,34 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_does_not_load_jsonschema():
+    # jsonschema is a test-only oracle: configs are validated by
+    # schreg.jsonschema, so neither it nor its dependencies load
+    family = ("jsonschema", "jsonschema_specifications", "referencing",
+              "rpds", "attr", "attrs")
+    code = ("import sys, schreg.cli; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {family}))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("value", [[np.int64(-1), 0.0], {-1.0, 0.0},
+                                   (-1.0, 0.0)], ids=["int64", "set", "tuple"])
+def test_non_json_value_rejected(tmp_path, value):
+    # the Python API takes any object; one that JSON cannot encode, or a
+    # tuple where the schema asks for an array, is a config error
+    config = martin_config()
+    config["params"]["z_grid"][0] = value
+    out = tmp_path / "out"
+    assert cli.run(config, out_dir=str(out)) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
-# schema dialect: draft-07 keeps jsonschema's per-call metaschema check cheap
+# schema dialect and validator: schreg.jsonschema implements the draft-07
+# subset the schemas use, and jsonschema's Draft7Validator is its oracle
 
 
 DRAFT_2020_12 = "https://json-schema.org/draft/2020-12/schema"
@@ -440,8 +465,8 @@ def valid_configs():
 
 
 def test_every_validate_call_uses_draft7(monkeypatch):
-    # a params sub-schema without $schema falls back to 2020-12, whose
-    # metaschema check costs about 50 ms per call
+    # a params sub-schema without $schema would read as 2020-12 to
+    # jsonschema; the oracle tests below check the draft-07 verdicts
     schemas = []
     real = cli.jsonschema.validate
 
@@ -491,9 +516,9 @@ def test_schemas_are_valid_draft7_with_bare_refs():
 MUTATIONS = (0, -1.0, "x", [], {}, True, None, [1.0], [1.0, 2.0, 3.0])
 
 
-def mutants(config):
+def mutants(config, values=MUTATIONS):
     """Copies of config with one value or container replaced by each of
-    MUTATIONS in turn."""
+    values in turn."""
     def paths(node, path):
         if path:
             yield path
@@ -508,7 +533,7 @@ def mutants(config):
 
     text = json.dumps(config)
     for path in paths(config, ()):
-        for value in MUTATIONS:
+        for value in values:
             mutant = json.loads(text)
             node = mutant
             for key in path[:-1]:
@@ -540,3 +565,111 @@ def test_draft7_accepts_exactly_what_2020_12_accepts():
     assert [v for v in verdicts if v[0] != v[1]] == []
     accepted = sum(ok for ok, _ in verdicts)
     assert 0 < accepted < len(verdicts)
+
+
+# values at the schemas' bounds and enum members, duplicates for
+# uniqueItems, and numpy scalars, which are numbers but never integers
+ORACLE_MUTATIONS = MUTATIONS + (
+    2.0, 8.0, 1, False, [1.0, 1.0], [0.5, 0.5], "solve", "decaying",
+    [[1.0, 2.0]], np.float64(3.0), np.int64(3))
+
+
+def own_is_valid(instance, schema):
+    try:
+        schreg_jsonschema.validate(instance, schema)
+    except schreg_jsonschema.ValidationError:
+        return False
+    return True
+
+
+def test_own_validator_agrees_with_draft7_oracle():
+    schema = cli.load_schema("experiment_config.schema.json")
+    checks = {"config": (schema, jsonschema.Draft7Validator(schema))}
+    for c in cli.COMMANDS:
+        sub = dict(schema["$defs"][f"params_{c}"],
+                   **{"$defs": schema["$defs"], "$schema": schema["$schema"]})
+        checks[c] = (sub, jsonschema.Draft7Validator(sub))
+    verdicts = []
+    for config in valid_configs():
+        for m in mutants(config, ORACLE_MUTATIONS):
+            for instance, (s, oracle) in (
+                    (m, checks["config"]),
+                    (m.get("params", {}), checks[config["command"]])):
+                verdicts.append((oracle.is_valid(instance),
+                                 own_is_valid(instance, s)))
+    assert [v for v in verdicts if v[0] != v[1]] == []
+    accepted = sum(ok for ok, _ in verdicts)
+    assert 0 < accepted < len(verdicts)
+
+
+@pytest.mark.parametrize("instance, schema", [
+    ([1, True], {"uniqueItems": True}),         # true is not 1
+    ([1, 1.0], {"uniqueItems": True}),          # but 1.0 is
+    ([[1, "a"], [1.0, "a"]], {"uniqueItems": True}),
+    ([{"a": 1}, {"a": True}], {"uniqueItems": True}),
+    (True, {"enum": [1, 0]}),
+    (1.0, {"const": 1}),
+    ([0], {"const": [False]}),
+    (2.0, {"type": "integer"}),
+    (np.int64(2), {"type": "integer"}),
+    ("a", {"minimum": 5, "items": {"type": "number"}}),
+    ({"a": 1}, {"items": {"type": "string"}, "minItems": 3}),
+    (1.0, {"oneOf": [{"type": "number"}, {"minimum": 0}]}),
+    (-1.0, {"oneOf": [{"type": "number"}, {"minimum": 0}]}),
+])
+def test_own_validator_agrees_with_draft7_oracle_on_edge_cases(instance,
+                                                               schema):
+    assert (own_is_valid(instance, schema)
+            == jsonschema.Draft7Validator(schema).is_valid(instance))
+
+
+OWN_KEYWORDS = {
+    "type", "properties", "additionalProperties", "required", "items",
+    "minItems", "maxItems", "uniqueItems", "minimum", "exclusiveMinimum",
+    "const", "enum", "oneOf", "$ref", "$schema", "$defs", "title",
+    "description"}
+
+
+def subschemas(schema):
+    """Every schema object in schema, found by the keywords that hold
+    schemas; the maps under properties and $defs are not schemas."""
+    yield schema
+    for key in ("properties", "$defs"):
+        for sub in schema.get(key, {}).values():
+            yield from subschemas(sub)
+    for sub in [schema["items"]] if "items" in schema else []:
+        yield from subschemas(sub)
+    for sub in schema.get("oneOf", []):
+        yield from subschemas(sub)
+
+
+def test_schemas_use_only_the_own_validators_keywords():
+    root = resources.files("schreg") / "schemas"
+    schemas = [json.loads((root / name).read_text(encoding="utf-8"))
+               for name in ("experiment_config.schema.json",
+                            "potential_spec.schema.json")]
+    schemas.append(cli.load_schema("experiment_config.schema.json"))
+    for schema in schemas:
+        walked = list(subschemas(schema))
+        for obj in walked:
+            assert set(obj) <= OWN_KEYWORDS, obj
+        # the walk reaches every object: the rest are properties/$defs maps
+        maps = sum(key in obj for obj in walked
+                   for key in ("properties", "$defs"))
+        assert len(walked) + maps == len(list(schema_objects(schema)))
+
+
+@pytest.mark.parametrize("schema", [
+    {"pattern": "x"},
+    {"properties": {"a": {"format": "date"}}},
+    {"type": ["number", "string"]},
+    {"items": [{"type": "number"}]},
+    {"additionalProperties": {"type": "number"}},
+    {"$ref": "#/definitions/a", "definitions": {"a": {}}},
+])
+def test_unsupported_keyword_is_a_schema_error(schema):
+    # a schema bug must not read as a bad config
+    assert not issubclass(schreg_jsonschema.SchemaError,
+                          schreg_jsonschema.ValidationError)
+    with pytest.raises(schreg_jsonschema.SchemaError):
+        schreg_jsonschema.validate({"a": 1.0}, schema)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schreg import potentials as P, propagation as PR
-from schreg.errors import DegenerateDisk, HorizonExceeded, InvalidStep
+from schreg.errors import DegenerateDisk, InvalidStep
+from volterra import (HorizonExceeded, spectral_point, volterra_solution,
+                      volterra_terms)
 
 FREE = P.Constant(0.0)
 
@@ -15,7 +17,7 @@ Z_SAMPLES = [-4.0, -1.0, -0.25, 1j, 2 + 1j, 9.0, -2.0 + 0.5j]
 
 
 def exact_free(x, z):
-    k = PR.spectral_point(z).k
+    k = spectral_point(z).k
     if k == 0:
         return complex(x), 1.0 + 0j
     return cmath.sinh(k * x) / k, cmath.cosh(k * x)
@@ -31,11 +33,11 @@ def unscaled(sample):
 
 
 def test_branch_convention():
-    assert PR.spectral_point(4.0).k == -2.0j          # upper-half-plane limit
-    assert PR.spectral_point(-4.0).k == 2.0
-    assert PR.spectral_point(0.0).k == 0.0
+    assert spectral_point(4.0).k == -2.0j          # upper-half-plane limit
+    assert spectral_point(-4.0).k == 2.0
+    assert spectral_point(0.0).k == 0.0
     for z in (1j, -1 + 3j, 5 - 2j):
-        assert PR.spectral_point(z).k.real >= 0
+        assert spectral_point(z).k.real >= 0
 
 
 @pytest.mark.parametrize("z", Z_SAMPLES)
@@ -181,7 +183,7 @@ def test_conjugation_symmetry(p, z, x):
 
 @given(pc_potentials, z_points, st.floats(1.0, 10.0))
 def test_growth_bound(p, z, x):
-    k = PR.spectral_point(z).k
+    k = spectral_point(z).k
     bound = 1.0 + k.real + P.prefix_abs_integral(p, x) / x
     assert PR.log_growth(p, x, z) <= bound + 1e-9
 
@@ -280,7 +282,7 @@ def test_graded_decaying_growth_matches_uniform_mesh():
 
 def test_weyl_free_center_and_radius():
     z = 4.0j
-    k = PR.spectral_point(z).k
+    k = spectral_point(z).k
     disk = PR.weyl_m_estimate(FREE, z, 20.0)
     assert abs(disk.value - (-k)) <= 1e-10
     predicted = 2.0 * abs(k) ** 2 / abs(k.imag) * math.exp(-2 * 20.0 * k.real)
@@ -292,7 +294,7 @@ def test_weyl_radius_shrinks_exponentially():
     z = 1.0 + 1.0j
     r10 = PR.weyl_m_estimate(FREE, z, 10.0).radius
     r20 = PR.weyl_m_estimate(FREE, z, 20.0).radius
-    k = PR.spectral_point(z).k
+    k = spectral_point(z).k
     assert math.log(r10 / r20) == pytest.approx(2 * 10.0 * k.real, rel=1e-6)
 
 
@@ -302,7 +304,7 @@ def test_weyl_large_energy_expansion():
     from scipy.integrate import quad
     p = P.Decaying(1.0, 2.0)
     z = 400.0j
-    k = PR.spectral_point(z).k
+    k = spectral_point(z).k
     disk = PR.weyl_m_estimate(p, z, 20.0)
     corr = quad(lambda t: P.evaluate(p, t) * cmath.exp(-2 * k * t).real,
                 0, 20)[0] + 1j * quad(
@@ -320,7 +322,7 @@ def test_weyl_requires_upper_half_plane():
 
 def test_weyl_contains_true_m_for_free_field():
     z = -1.0 + 0.5j
-    k = PR.spectral_point(z).k
+    k = spectral_point(z).k
     disk = PR.weyl_m_estimate(FREE, z, 15.0)
     assert abs(disk.value - (-k)) <= disk.radius * (1 + 1e-9)
 
@@ -358,8 +360,8 @@ def test_lyapunov_random_regression_band():
 
 
 def test_volterra_free_is_single_term():
-    terms = PR.volterra_terms(FREE, 1.5, -2.0, n_terms=6)
-    k = PR.spectral_point(-2.0).k
+    terms = volterra_terms(FREE, 1.5, -2.0, n_terms=6)
+    k = spectral_point(-2.0).k
     assert terms[0] == pytest.approx(cmath.sinh(1.5 * k) / k, rel=1e-14)
     assert np.max(np.abs(terms[1:])) == 0.0
 
@@ -368,7 +370,7 @@ def test_volterra_free_is_single_term():
 def test_volterra_matches_transfer(z):
     for p in (P.Constant(1.0), P.PeriodicSquare(0.25), P.Decaying(1.0, 2.0)):
         for x in (1.0, 2.0):
-            series = PR.volterra_solution(p, x, z, n_terms=12)
+            series = volterra_solution(p, x, z, n_terms=12)
             s = PR.dirichlet_solution(p, x, z, step=1e-4)
             u = s.u * math.exp(s.log_scale)
             assert abs(series - u) <= 1e-8 * max(1.0, abs(u))
@@ -377,11 +379,11 @@ def test_volterra_matches_transfer(z):
 def test_volterra_tail_bound():
     p = P.Constant(1.0)
     x, z = 1.0, -1.0
-    terms = PR.volterra_terms(p, x, z, n_terms=12)
+    terms = volterra_terms(p, x, z, n_terms=12)
     s = PR.dirichlet_solution(p, x, z, step=1e-4)
     u = s.u * math.exp(s.log_scale)
     int_v = P.prefix_abs_integral(p, x)
-    k = PR.spectral_point(z).k
+    k = spectral_point(z).k
     for n in (4, 6, 8):
         tail = math.exp((1 + k.real) * x) * sum(
             int_v ** m / math.factorial(m) for m in range(n + 1, 40))
@@ -390,4 +392,4 @@ def test_volterra_tail_bound():
 
 def test_volterra_horizon():
     with pytest.raises(HorizonExceeded):
-        PR.volterra_solution(FREE, 3.0, -1.0)
+        volterra_solution(FREE, 3.0, -1.0)
