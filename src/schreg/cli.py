@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -128,6 +129,12 @@ def load_schema(name):
     return schema
 
 
+@functools.cache
+def _config_schema():
+    """The merged config schema, read once per process and never mutated."""
+    return load_schema("experiment_config.schema.json")
+
+
 def _validate_config(config):
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")
@@ -137,7 +144,7 @@ def _validate_config(config):
         raise ConfigInvalid("config must not contain NaN or Infinity") from exc
     except TypeError as exc:
         raise ConfigInvalid(f"config is not JSON: {exc}") from exc
-    schema = load_schema("experiment_config.schema.json")
+    schema = _config_schema()
     try:
         jsonschema.validate(config, schema)
     except jsonschema.ValidationError as exc:

@@ -29,10 +29,6 @@ class OnSpectrum(SchregError):
     """Evaluation point is on (or too close to) the essential spectrum."""
 
 
-class PathTooCloseToSpectrum(SchregError):
-    """Integration path from the anchor would graze the spectrum."""
-
-
 class DegenerateDisk(SchregError):
     """Weyl disk data is degenerate (no finite positive radius)."""
 

@@ -12,12 +12,13 @@ Theta' over every gap vanishes.  These conditions are linear in the
 coefficients of the monic numerator, so one linear solve gives it, and a
 batched 32-way sectioning finds its one root in each gap.
 
-The Martin function M = Im Theta is evaluated by integrating Theta' from
-the anchor Theta(b0) = 0: along the real axis below b0, from the nearer
-gap edge inside a gap, and along the straight segment
-w(s) = b0 + (z - b0) s**2 for complex z (the substitution absorbs the
-inverse-square-root singularity at the anchor).  On the bands M = 0 and
-the real part of Theta is pi times the spectral cumulative function.
+The Martin function M = Im Theta is anchored at Theta(b0) = 0.  On the
+real axis M is the integral of M' from the nearer finite gap end (b0
+below the spectrum), M = 0 on the bands, and Re Theta is pi times the
+spectral cumulative function.  Off the axis, Theta(x + iy) is Theta(x + i0)
+plus the integral of i Theta' up the vertical segment, taken in t = y s**2
+so that it stays smooth when x is a band edge: the path is as short as
+|Im z|, so no z off the axis is too close to the spectrum.
 
 Every real-axis integral uses one rule: on an interval [a, b] whose
 density blows up like an inverse square root at both ends, the part below
@@ -26,10 +27,11 @@ t = b - s**2, with the edge's factor 1/sqrt|t - e| = 1/s cancelled
 exactly against the Jacobian.  Re Theta on an increasing energy grid is a
 cumulative sum over the band pieces between consecutive grid points.
 Integrals go to `quadrature.quad` in batches: all band pieces of a grid,
-all gaps, all complex z, all real z off the bands, each in one call.
+all gaps, all boundary values and all vertical segments, each in one call.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,12 +40,7 @@ import numpy as np
 # imported under the name `si`, and called only as `si.quad`, so that a
 # span tracer can wrap every quadrature call through this one module global
 from . import quadrature as si
-from .errors import (
-    FitIllConditioned,
-    NoConvergence,
-    OnSpectrum,
-    PathTooCloseToSpectrum,
-)
+from .errors import FitIllConditioned, NoConvergence, OnSpectrum
 from .propagation import MeasureCDF
 
 __all__ = [
@@ -223,8 +220,9 @@ def _band_theta_density(E, c, x, edge):
 
 def _m_density(E, c, j, x, edge):
     """sqrt|x - edge| M'(x) at x[i] in gap j[i]: M' is positive up to c_j,
-    negative after.  Gap 0 is (-inf, b0), with c_0 = -inf."""
-    sign = np.sign(np.array([-math.inf, *c])[j] - x)
+    negative after.  Gap 0 is (-inf, b0), with c_0 = -inf; j = N + 1 gives
+    the band density (c = +inf)."""
+    sign = np.sign(np.array([-math.inf, *c, math.inf])[j] - x)
     return sign * _band_theta_density(E, c, x, edge)
 
 
@@ -258,19 +256,24 @@ def _section(f, out, inn, tol):
     return 0.5 * (out + inn)
 
 
+@functools.cache
+def _panel_rule():   # 24 Gauss points on each of 16 panels of (0, 1), built once
+    x, w = np.polynomial.legendre.leggauss(24)
+    return (np.arange(16)[:, None] + 0.5 + 0.5 * x).ravel() / 16, np.tile(w, 16)
+
+
 def _gap_rules(E):
     """Nodes t[j] and weights w[j], one row per gap, of a fixed Gauss rule
-    (24 points on each of 16 panels per half gap) for integrals over gap j
-    against its positive weight, dt / (sqrt|t - b0| prod sqrt|t - e|) over
-    the gap edges e, up to a constant factor.  The gap's own edge factors
-    are absorbed by the s**2 substitutions from each end."""
-    x, w = np.polynomial.legendre.leggauss(24)
-    s = (np.arange(16)[:, None] + 0.5 + 0.5 * x).ravel() / 16   # in (0, 1)
+    (_panel_rule on each half gap) for integrals over gap j against its
+    positive weight, dt / (sqrt|t - b0| prod sqrt|t - e|) over the gap
+    edges e, up to a constant factor.  The gap's own edge factors are
+    absorbed by the s**2 substitutions from each end."""
+    s, w = _panel_rule()
     a, b = (np.array(E.gaps)[:, i, None] for i in (0, 1))
     h = np.sqrt(0.5 * (b - a)) * s   # s scaled to each half gap
     t = np.concatenate([a + h * h, b - h * h], axis=1)
     edge = np.concatenate([np.broadcast_to(e, h.shape) for e in (a, b)], axis=1)
-    weight = np.tile(np.sqrt(b - a) * np.tile(w, 16), 2)
+    weight = np.tile(np.sqrt(b - a) * w, 2)
     return t, weight * _band_theta_density(E, (), t, edge)
 
 
@@ -353,65 +356,51 @@ def gap_flatness(E, c):
 # ---------------------------------------------------------------------------
 # Theta and M
 
-def _band_mass(E, c, lo, hi):
-    """Integral of the band density over [lo[i], hi[i]] within E, per i.
-
-    Every band piece of every interval goes to one quadrature call.
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    bands = np.array(E.bands())
-    L = np.maximum(lo[:, None], bands[:, 0])
-    H = np.minimum(hi[:, None], bands[:, 1])
-    i, j = np.nonzero(L < H)
-    parts = _edge_quad(lambda x, _, e: _band_theta_density(E, c, x, e),
-                       L[i, j], H[i, j], bands[j, 0], bands[j, 1])
-    return np.bincount(i, parts, lo.size)
-
-
 def martin_function(E, c, z):
     """Martin function M(z) = Im Theta(z) with Theta anchored at Theta(b0)=0.
 
     Returns a MartinEvaluation carrying M and Re Theta; for an array of z
     its fields are arrays shaped like z.  M is symmetric under
     conjugation; Re Theta is reported for the upper-half-plane
-    representative.  Real z below b0 and in gaps use real-axis integrals
-    of the boundary density; z on the bands returns M = 0 with Re Theta =
-    pi times the cumulative spectral measure.  M at all complex z, M at
-    all real z off the bands and Re Theta at all real z take one batched
-    quadrature call each; every value equals the one a scalar call gives.
+    representative.  Theta(z) = Theta(x + i0) plus the integral of
+    i Theta'(x + it) over 0 <= t <= y, for x = Re z and y = |Im z|.  At x,
+    M is the integral of M' from the nearer finite gap end (0 on the
+    bands) and Re Theta the running sum of the finite band masses below x
+    plus the part of x's band below it.  The boundary values take one
+    batched quadrature call, the vertical integrals another; every value
+    equals the one a scalar call gives.
     """
     c = _check_c(E, c)
     zs = np.asarray(z, dtype=complex)
-    flat = zs.ravel()
-    m, theta_real = np.zeros(flat.size), np.zeros(flat.size)
-    scale = max(1.0, abs(E.b0), E.diameter)
-    off = np.flatnonzero(flat.imag != 0.0)
-    if off.size:
-        zz = np.where(flat[off].imag > 0, flat[off], flat[off].conj())
-        for zi, w in zip(flat[off], zz):
-            if distance_to_set(E, w) < 1e-9 * scale:
-                raise PathTooCloseToSpectrum(
-                    f"z={complex(zi)} is within 1e-9*scale of the spectrum")
-        dz = zz - E.b0
-
-        def path_integrand(s, k):
-            w = E.b0 + dz[k] * (s * s)
-            return -1j * _itheta_prime_raw(E, c, w) * 2.0 * s * dz[k]
-
-        theta = si.quad(path_integrand, 0.0, np.ones(off.size),
-                        rtol=1e-12, atol=1e-13)
-        m[off], theta_real[off] = theta.imag, theta.real
-    real = np.flatnonzero(flat.imag == 0.0)
-    lam = flat.real[real]
+    x, y = zs.real.ravel(), np.abs(zs.imag.ravel())
+    N = len(E.gaps)
     gaps = np.array([(-math.inf, E.b0), *E.gaps])
-    inside = (gaps[:, 0] < lam[:, None]) & (lam[:, None] < gaps[:, 1])
-    i, j = np.nonzero(inside)   # integrate M' from the nearer (finite) end
-    x, a, b = lam[i], gaps[j, 0], gaps[j, 1]
-    near = x - a <= b - x
-    v = _edge_quad(lambda t, p, e: _m_density(E, c, j[p], t, e),
-                   np.where(near, a, x), np.where(near, x, b), a, b)
-    m[real[i]] = np.where(near, v, -v)
-    theta_real[real] = _band_mass(E, c, np.full(lam.size, E.b0), lam)
+    lo, hi = np.array(E.bands()).T
+    i, j = np.nonzero((gaps[:, 0] < x[:, None]) & (x[:, None] < gaps[:, 1]))
+    a, b = gaps[j, 0], gaps[j, 1]
+    near = x[i] - a <= b - x[i]
+    q = np.searchsorted(hi[:N], x, side="right")   # x is in band q or the gap below
+    piece = np.concatenate([j, np.full(N + x.size, N + 1)])   # bands: sign +1
+    ends = np.concatenate([   # rows lo, hi, a, b of the pieces:
+        [np.where(near, a, x[i]), np.where(near, x[i], b), a, b],   # M in gaps
+        [lo[:N], hi[:N], lo[:N], hi[:N]],                      # whole bands
+        [lo[q], np.maximum(x, lo[q]), lo[q], hi[q]]], axis=1)   # x's band to x
+    v = _edge_quad(lambda t, p, e: _m_density(E, c, piece[p], t, e), *ends)
+    m = np.zeros(x.size)
+    m[i] = np.where(near, v[:i.size], -v[:i.size])
+    mass = np.concatenate([[0.0], np.cumsum(v[i.size:i.size + N])])
+    theta_real = mass[q] + v[i.size + N:]
+    off = np.flatnonzero(y > 0)
+    if off.size:
+        xo, yo = x[off], y[off]
+
+        def vertical(s, k):   # t = y s**2 keeps it smooth on a band edge
+            w = xo[k] + 1j * (yo[k] * (s * s))
+            return 2.0 * s * yo[k] * _itheta_prime_raw(E, c, w)
+
+        theta = si.quad(vertical, 0.0, np.ones(off.size), rtol=1e-12, atol=1e-13)
+        m[off] += theta.imag
+        theta_real[off] += theta.real
     if zs.ndim == 0:
         return MartinEvaluation(z=complex(zs), value=float(m[0]),
                                 theta_real=float(theta_real[0]))
@@ -430,7 +419,14 @@ def martin_measure_cdf(E, c, lambda_grid):
     scale = max(1.0, abs(E.b0), E.diameter)
     if lams[0] < E.b0 - 1e-12 * scale:
         raise ValueError("grid must start at or above b0")
-    steps = _band_mass(E, c, np.concatenate([[E.b0], lams[:-1]]), lams)
+    # the band pieces between consecutive grid points, in one call
+    bands = np.array(E.bands())
+    L = np.maximum(np.concatenate([[E.b0], lams[:-1]])[:, None], bands[:, 0])
+    H = np.minimum(lams[:, None], bands[:, 1])
+    i, j = np.nonzero(L < H)
+    parts = _edge_quad(lambda x, _, e: _band_theta_density(E, c, x, e),
+                       L[i, j], H[i, j], bands[j, 0], bands[j, 1])
+    steps = np.bincount(i, parts, lams.size)
     return MeasureCDF(lam=lams, cdf=np.cumsum(steps) / math.pi)
 
 

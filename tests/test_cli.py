@@ -309,14 +309,32 @@ def test_bad_growth_fractions_rejected(tmp_path, fractions):
 
 
 def test_compute_failure_writes_error_manifest(tmp_path):
-    # a z-point hugging the essential spectrum is a runtime error, not a
+    # a fit whose fixed k-grid puts -k**2 above b0 is a runtime error, not a
     # config error: exit 1 with a partial manifest describing the failure
-    config = martin_config(zs=((2.0, 1e-12),))
+    config = martin_config()
+    config["spectrum"]["b0"] = -3000.0
+    config["params"]["fit"] = True
     assert cli.run(config, out_dir=str(tmp_path)) == 1
     manifest = read_json(tmp_path / "manifest.json")
     assert manifest["status"] == "error"
     assert "message" in manifest["error"]
+    assert manifest["error"]["type"] == "FitIllConditioned"
     assert {rec["name"] for rec in manifest["files"]} == {"config.json"}
+
+
+def test_mutating_a_loaded_schema_leaves_validation_alone(tmp_path):
+    # validation reads a per-process copy; load_schema hands out fresh ones
+    bad = martin_config()
+    bad["params"]["bogus"] = 1
+    assert cli.run(martin_config(), out_dir=str(tmp_path / "a")) == 0
+    schema = cli.load_schema("experiment_config.schema.json")
+    params = schema["$defs"]["params_martin"]
+    params["properties"]["bogus"] = {"type": "integer"}
+    params["required"].append("fit")
+    schema["required"].append("potential")
+    assert cli.run(martin_config(), out_dir=str(tmp_path / "b")) == 0
+    assert cli.run(bad, out_dir=str(tmp_path / "c")) == 2
+    assert cli.load_schema("experiment_config.schema.json") != schema
 
 
 def test_main_command_mismatch(tmp_path):

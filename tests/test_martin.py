@@ -7,12 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from schreg import martin as M
-from schreg.errors import (
-    FitIllConditioned,
-    NoConvergence,
-    OnSpectrum,
-    PathTooCloseToSpectrum,
-)
+from schreg.errors import FitIllConditioned, NoConvergence, OnSpectrum
 
 FREE = M.GapSet(b0=0.0)
 ONE_GAP = M.GapSet(b0=0.0, gaps=((1.0, 2.0),))
@@ -439,9 +434,19 @@ def test_normalization_at_large_k():
     assert abs(m / k - 1.0) <= 1e-3
 
 
-def test_path_too_close_raises():
-    with pytest.raises(PathTooCloseToSpectrum):
-        M.martin_function(FREE, (), 4.0 + 1e-14j)
+def test_z_next_to_the_spectrum_evaluates():
+    # the vertical segment from x + i0 is as short as Im z, so no z off the
+    # real axis is too close to the bands
+    for z in (4.0 + 1e-14j, 4.0 - 1e-14j):
+        ev = M.martin_function(FREE, (), z)
+        assert ev.value == pytest.approx(cmath.sqrt(-z).real, rel=1e-12)
+        assert ev.theta_real == pytest.approx(2.0, rel=1e-15)
+    E = M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5)))
+    c = solved(E).c
+    z = 150.0 + 1e-8j   # raised QuadratureFailure on the straight path from b0
+    m = M.martin_function(E, c, z).value
+    # M(150) = 0, and to first order M(150 + iy) = y Im(i Theta'(150 + iy))
+    assert m == pytest.approx(1e-8 * M.theta_prime(E, c, z).imag, rel=1e-6)
 
 
 def test_gap_maximum_at_critical_point():
@@ -686,3 +691,74 @@ def test_martin_function_matches_quadpack_oracle(name):
     for z, m, re in zip(zs, ev.value, ev.theta_real):
         one = M.martin_function(E, c, z)
         assert (one.value, one.theta_real) == (m, re)
+
+
+def test_theta_matches_30_digit_reference():
+    # Theta(z) in 30 digits along b0 -> b0 + 2i (in w = b0 + i s**2) ->
+    # Re z + 2i -> z: a route that touches the real axis only at the anchor.
+    # Below b0, in gaps, in bands, on the edges b0, a_1, b_1, b_2, and up the
+    # last band, for Im z from 1e-8 to 10.  The floor 1e-15 is the rounding
+    # of the float c: its gap integrals of Theta' are not exactly 0, so the
+    # reference's Im Theta on the bands is not exactly the package's 0.
+    mp = pytest.importorskip("mpmath")
+    E = M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5)))
+    c = solved(E).c
+    zs = [-3 + 1e-8j, -3 + 10j, 0.5 + 1e-8j, 3.0 + 0.1j, 3.0 + 1e-8j,
+          1.5 + 1e-6j, 5.25 + 1e-8j, 0.0 + 1e-8j, 1.0 + 1e-8j, 2.0 + 1e-4j,
+          5.5 + 1.0j, 150.0 + 1e-8j, 150.0 + 10j]
+    ev = M.martin_function(E, c, np.array(zs))
+    with mp.workdps(30):
+        def dtheta(w):
+            num, den = mp.mpf(1) / 2, mp.sqrt(E.b0 - w)
+            for (a, b), cj in zip(E.gaps, c):
+                num *= cj - w
+                den *= mp.sqrt(a - w) * mp.sqrt(b - w)
+            return -1j * num / den
+
+        top = mp.mpc(E.b0, 2)
+        start = mp.quad(lambda s: dtheta(E.b0 + 1j * s * s) * 2j * s,
+                        [0, mp.sqrt(2)])
+        for z, m, re in zip(zs, ev.value, ev.theta_real):
+            side = mp.mpc(z.real, 2)
+            want = complex(start + mp.quad(dtheta, [top, side])
+                           + mp.quad(dtheta, [side, mp.mpc(z.real, z.imag)]))
+            assert abs(m - want.imag) <= 1e-12 * abs(want.imag) + 1e-15, z
+            assert abs(re - want.real) <= 1e-12 * abs(want.real) + 1e-15, z
+
+
+def test_martin_function_is_continuous_onto_the_real_axis():
+    E = M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5)))
+    c = solved(E).c
+    edges = [0.0, 1.0, 2.0, 5.0, 5.5]
+    inner = [-2.0, 0.5, 1.5, 3.0, 5.25, 100.0]   # off the edges
+    for eps in (1e-4, 1e-8, 1e-12):
+        for x in edges:   # M vanishes on E and grows like sqrt(eps) off it
+            m = M.martin_function(E, c, complex(x, eps)).value
+            assert 0.0 < m <= math.sqrt(eps), (x, eps)
+        for x in inner:
+            m0 = M.martin_function(E, c, x).value
+            m = M.martin_function(E, c, complex(x, eps)).value
+            slope = abs(_itheta(E, c, complex(x, eps)))
+            assert abs(m - m0) <= 1.01 * eps * slope + 4e-16 * max(1.0, m0), (x, eps)
+
+
+def test_complex_z_work_does_not_grow_as_im_z_falls(monkeypatch):
+    # 60 z at Im z = 1e-6 take no more integrand points than the straight
+    # path from b0 took at Im z = 1 (130,032), in two quadrature calls
+    E = M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5)))
+    c = solved(E).c
+    points, calls = [], []
+    quad = M.si.quad
+
+    def counted(f, a, b, **kw):
+        calls.append(1)
+
+        def g(s, k):
+            points.append(s.size)
+            return f(s, k)
+        return quad(g, a, b, **kw)
+
+    monkeypatch.setattr(M.si, "quad", counted)
+    M.martin_function(E, c, np.linspace(-5.0, 150.0, 60) + 1e-6j)
+    assert len(calls) == 2
+    assert sum(points) <= 130_032
