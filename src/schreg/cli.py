@@ -44,14 +44,7 @@ _NEEDS_SPECTRUM = {"martin", "dos", "regularity"}
 # deterministic serialization
 
 
-def _float_17g(value):
-    if value != value:
-        return "NaN"
-    if value == float("inf"):
-        return "Infinity"
-    if value == float("-inf"):
-        return "-Infinity"
-    return format(value, ".17g")
+_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _cell(value):
@@ -61,7 +54,8 @@ def _cell(value):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return _float_17g(float(value))
+    text = format(float(value), ".17g")
+    return _SPECIAL.get(text, text)
 
 
 class _OutputDir:
@@ -83,20 +77,22 @@ class _OutputDir:
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
         self._store(name, text.encode("utf-8"))
 
-    def write_csv(self, name, header, rows):
+    def write_csv(self, name, header, columns):
+        """One column per header field.  A float64 array column free of nan
+        and +-inf is %-formatted, which spells each value as _cell does; a
+        table of only such columns is formatted in one pass."""
+        plain = [isinstance(c, np.ndarray) and c.dtype == np.float64
+                 and bool(np.isfinite(c).all()) for c in columns]
+        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        # an all-float row is one %-format of a row template; its text is
-        # _cell's unless a value is nan or +-inf, which it spells with an n
-        template = ",".join(["%.17g"] * len(header)) + "\n"
-        for row in rows:
-            if all(type(v) is float for v in row):
-                text = template % tuple(row)
-                if "n" not in text:
-                    buf.write(text)
-                    continue
-            writer.writerow([_cell(v) for v in row])
+        if all(plain):
+            template = ",".join(["%.17g"] * len(cols)) + "\n"
+            buf.write("".join(map(template.__mod__, zip(*cols))))
+        else:
+            writer.writerows(zip(*[map("%.17g".__mod__ if ok else _cell, c)
+                                   for c, ok in zip(cols, plain)]))
         self._store(name, buf.getvalue().encode("utf-8"))
 
     def write_manifest(self, config, status, error=None):
@@ -175,8 +171,8 @@ def _validate_config(config):
     return config
 
 
-def _zlist(pairs):
-    return [complex(zr, zi) for zr, zi in pairs]
+def _zarray(pairs):
+    return np.array([complex(zr, zi) for zr, zi in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +183,18 @@ def _cmd_solve(config, out):
     p = potentials.from_json(config["potential"])
     params = config["params"]
     step = params.get("step", 1e-3)
-    zs = _zlist(params["z_grid"])
+    zs = _zarray(params["z_grid"])
     xs = sorted(float(x) for x in params["x_grid"])
     checkpoints, col = np.unique(xs, return_inverse=True)
     s = propagation.dirichlet_profile(p, checkpoints, zs, step=step)
-    h = s.log_growth(checkpoints)
-    rows = []
-    for i, z in enumerate(zs):
-        for x, j in zip(xs, col):
-            rows.append((z.real, z.imag, x, s.u[i, j].real, s.u[i, j].imag,
-                         s.du[i, j].real, s.du[i, j].imag, s.log_scale[i, j],
-                         h[i, j]))
+    u, du = s.u[:, col].ravel(), s.du[:, col].ravel()
+    z = np.repeat(zs, len(xs))
     out.write_csv("solve.csv",
                   ["z_re", "z_im", "x", "u_re", "u_im", "du_re", "du_im",
-                   "log_scale", "h"], rows)
+                   "log_scale", "h"],
+                  [z.real, z.imag, np.tile(xs, len(zs)), u.real, u.imag, du.real,
+                   du.imag, s.log_scale[:, col].ravel(),
+                   s.log_growth(checkpoints)[:, col].ravel()])
 
 
 def _cmd_bands(config, out):
@@ -217,18 +211,15 @@ def _cmd_bands(config, out):
         "gap_set": periodic.to_gap_set(bs).to_json() if bottom else None,
         "lowest_eigenvalue": bs.bands[0][0] if bottom else None,
     })
-    out.write_csv("bands.csv", ["lambda", "delta"],
-                  list(zip(bs.lam.tolist(), bs.delta.tolist())))
+    out.write_csv("bands.csv", ["lambda", "delta"], [bs.lam, bs.delta])
 
 
 def _cmd_martin(config, out):
     E = martin.GapSet.from_json(config["spectrum"])
     params = config["params"]
     cp = martin.solve_critical_points(E)
-    zs = np.array(_zlist(params["z_grid"]))
+    zs = _zarray(params["z_grid"])
     ev = martin.martin_function(E, cp.c, zs)
-    rows = list(zip(zs.real.tolist(), zs.imag.tolist(), ev.value.tolist(),
-                    ev.theta_real.tolist()))
     summary = {
         "b0": E.b0,
         "gaps": [list(g) for g in E.gaps],
@@ -240,7 +231,8 @@ def _cmd_martin(config, out):
         summary["fit_a"] = martin.fit_a_from_martin(
             E, cp.c, np.linspace(50.0, 100.0, 12))
     out.write_json("critical_points.json", summary)
-    out.write_csv("martin.csv", ["z_re", "z_im", "m", "theta_real"], rows)
+    out.write_csv("martin.csv", ["z_re", "z_im", "m", "theta_real"],
+                  [zs.real, zs.imag, ev.value, ev.theta_real])
 
 
 def _cmd_dos(config, out):
@@ -255,8 +247,7 @@ def _cmd_dos(config, out):
         "lambda_window": list(params["lambda_window"]),
         "distance": d.distance,
     })
-    out.write_csv("dos.csv", ["lambda", "rho_x", "rho_e"],
-                  list(zip(d.lam.tolist(), d.rho_x.tolist(), d.rho_e.tolist())))
+    out.write_csv("dos.csv", ["lambda", "rho_x", "rho_e"], [d.lam, d.rho_x, d.rho_e])
 
 
 def _cmd_regularity(config, out):
@@ -266,19 +257,14 @@ def _cmd_regularity(config, out):
     report = regularity.regularity_report(p, E, cfg)
     out.write_json("report.json", report.to_json())
     out.write_csv("cesaro.csv", ["x", "average"],
-                  list(zip(report.cesaro_x.tolist(),
-                           report.cesaro_average.tolist())))
-    growth_rows = []
-    for i, z in enumerate(report.growth_z):
-        for j, x in enumerate(report.growth_x):
-            growth_rows.append((z.real, z.imag, float(x),
-                                float(report.growth_h[i, j]),
-                                float(report.growth_m[i])))
-    out.write_csv("growth.csv", ["z_re", "z_im", "x", "h", "m"], growth_rows)
+                  [report.cesaro_x, report.cesaro_average])
+    nz, nx = report.growth_h.shape
+    z = np.repeat(report.growth_z, nx)
+    out.write_csv("growth.csv", ["z_re", "z_im", "x", "h", "m"],
+                  [z.real, z.imag, np.tile(report.growth_x, nz),
+                   report.growth_h.ravel(), np.repeat(report.growth_m, nx)])
     out.write_csv("dos.csv", ["lambda", "rho_x", "rho_e"],
-                  list(zip(report.dos_lambda.tolist(),
-                           report.dos_rho_x.tolist(),
-                           report.dos_rho_e.tolist())))
+                  [report.dos_lambda, report.dos_rho_x, report.dos_rho_e])
 
 
 _DISPATCH = {

@@ -97,11 +97,10 @@ class RepeatBlock:
 
 @dataclass(frozen=True, eq=False)
 class CesaroTrace:
-    """Running averages (1/x) * integral_0^x of V and of |V| on a grid."""
+    """Running averages (1/x) * integral_0^x of V on a grid."""
 
     x: np.ndarray
     mean: np.ndarray
-    abs_mean: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +647,7 @@ def _(p: Random, x0, x1, step):
 # traces
 
 def cesaro_trace(p, x_grid):
-    """Running means of V and |V| over [0, x] for each grid point.
+    """Running means of V over [0, x] for each grid point.
 
     The grid must be strictly increasing and positive.  Values come from the
     closed-form running integrals, so e.g. the oscillating example returns
@@ -659,8 +658,7 @@ def cesaro_trace(p, x_grid):
     _require(np.all(xs > 0), "grid points must be positive")
     _require(np.all(np.diff(xs) > 0), "grid must be strictly increasing")
     mean = np.array([prefix_integral(p, x) for x in xs]) / xs
-    abs_mean = np.array([prefix_abs_integral(p, x) for x in xs]) / xs
-    return CesaroTrace(xs, mean, abs_mean)
+    return CesaroTrace(xs, mean)
 
 
 # ---------------------------------------------------------------------------

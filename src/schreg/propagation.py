@@ -6,7 +6,9 @@ flow is
     [[cosh(w),        kappa**2 * S],
      [S,              cosh(w)    ]],   w = kappa*h,  S = sinh(w)/kappa,
 
-with kappa**2 = vbar - z.
+with kappa**2 = vbar - z.  At a real z a cell with kappa**2 < 0 oscillates,
+cos and sin of w = |kappa| h taking the place of cosh and sinh; each cell
+evaluates only its own branch, the sinh(w)/w series only if some w is tiny.
 
 One kernel serves products, zero counts and repeats.  Its element stands
 for a stretch of cells: a mantissa m at unit scale and a log scale s, the
@@ -16,6 +18,7 @@ det m = e**(-2 s).  At real energies the element also carries the lifted
 Pruefer angle a of the Dirichlet solution (u = r sin(theta), u' = r
 cos(theta), theta(0) = 0) as a = k*pi + t: t in [0, pi) is the angle of m's
 first column, and the integer k is the number of zeros of u in the stretch.
+A walk that only counts zeros reads k alone and carries no s.
 
 Applying B after A lifts the angle by the rule
 
@@ -23,8 +26,8 @@ Applying B after A lifts the angle by the rule
 
 v_t = (cos t_A, sin t_A) in (u', u) order: the last term is the turn from
 B v_0 to B v_t, in [0, pi] because det B > 0.  The kernel evaluates the
-rule exactly, without atan2.  Mantissas at real energies are signed so
-that their first column lies in the upper half plane (angle in [0, pi));
+rule exactly, without atan2.  A mantissa at a real energy is negated
+when its first column leaves the upper half plane (angle in [0, pi));
 then t_B plus the turn reaches pi exactly when the first column of
 m_B m_A leaves it, so k_BA = k_A + k_B + (1 if it left, else 0).  No
 determinant is evaluated, so none can round to the wrong sign when m_B is
@@ -129,89 +132,101 @@ def _check_step(step):
 # the kernel: elements, their composition, the pairing tree, binary powers
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Elements:
     """A batch of elements: m[i, j] is an array over the batch, as are s
-    and k; k (the integer part of a / pi) is None off the real axis."""
+    and k; k (the integer part of a / pi) is None off the real axis, and s
+    is None where only zero counts are wanted."""
 
     m: np.ndarray
-    s: np.ndarray
+    s: np.ndarray | None
     k: np.ndarray | None
 
     def take(self, idx):
         """The elements at batch index idx (a tuple)."""
-        return _Elements(self.m[(slice(None), slice(None)) + idx], self.s[idx],
+        return _Elements(self.m[(slice(None), slice(None)) + idx],
+                         None if self.s is None else self.s[idx],
                          None if self.k is None else self.k[idx])
 
     def reshape(self, shape):
-        return _Elements(self.m.reshape(2, 2, *shape), self.s.reshape(shape),
+        return _Elements(self.m.reshape(2, 2, *shape),
+                         None if self.s is None else self.s.reshape(shape),
                          None if self.k is None else self.k.reshape(shape))
 
 
 def _select(mask, new, old):
-    return _Elements(np.where(mask, new.m, old.m), np.where(mask, new.s, old.s),
-                     None if new.k is None else np.where(mask, new.k, old.k))
+    """Overwrite old's elements with new's where mask holds, in place."""
+    for dst, src in ((old.m, new.m), (old.s, new.s), (old.k, new.k)):
+        if dst is not None:
+            np.copyto(dst, src, where=mask)
 
 
 def _concat(parts):
+    s, k = parts[0].s, parts[0].k
     return _Elements(np.concatenate([e.m for e in parts], axis=2),
-                     np.concatenate([e.s for e in parts]),
-                     None if parts[0].k is None
-                     else np.concatenate([e.k for e in parts]))
+                     None if s is None else np.concatenate([e.s for e in parts]),
+                     None if k is None else np.concatenate([e.k for e in parts]))
 
 
-def _cells(widths, values, z):
-    """Cell elements, with widths and values broadcast against the energies z.
-
-    At real (float) energies a cell with kappa**2 < 0 oscillates: cos and
-    sin of w = |kappa| h take the place of cosh and sinh, and k counts the
-    whole half-turns of w.  The mantissa is then signed so that its first
-    column lies in the upper half plane (see `_compose`).
-    """
+def _cells(widths, values, z, scaled=True):
+    """Cell elements (with s only if scaled), widths and values broadcast against
+    the energies z; at a real z, k counts the whole half-turns of an oscillating w."""
     h = np.asarray(widths, dtype=float)
     kap2 = values - z
-    if z.dtype.kind == "c":
-        w = np.sqrt(kap2) * h
-        rho = np.abs(w.real)
-        ep = np.exp(w - rho)
-        em = np.exp(-w - rho)
-        C, Sh = 0.5 * (ep + em), 0.5 * (ep - em)
-    else:
+    real = z.dtype.kind != "c"
+    w = np.sqrt(np.abs(kap2) if real else kap2) * h
+    m = np.empty((2, 2) + w.shape, w.dtype)
+    C, S = m[0, 0], m[1, 0]
+    if real:
         osc = kap2 < 0.0
-        w = np.sqrt(np.abs(kap2)) * h
+        hyp = ~osc
         rho = np.where(osc, 0.0, w)
-        em = np.exp(-2.0 * rho)
-        C = np.where(osc, np.cos(w), 0.5 * (1.0 + em))
-        Sh = np.where(osc, np.sin(w), 0.5 * (1.0 - em))
+        np.cos(w, out=C, where=osc)
+        Sh = np.sin(w, out=None, where=osc)
+        em = np.exp(-2.0 * w, out=np.zeros_like(w), where=hyp)
+        np.multiply(0.5, 1.0 + em, out=C, where=hyp)
+        np.multiply(0.5, 1.0 - em, out=Sh, where=hyp)
+        k = np.where(osc, w / np.pi, 0.0).astype(np.int64)   # w >= 0: the cast is the floor
+    else:
+        rho, k = np.abs(w.real), None
+        ep, em = np.exp(w - rho), np.exp(-w - rho)
+        np.multiply(0.5, ep + em, out=C)
+        Sh = 0.5 * (ep - em)
+    np.multiply(Sh, h, out=S)
     w2 = kap2 * h * h
     small = np.abs(w2) < 1e-8
-    # sinh(w)/w = 1 + w^2/6 + w^4/120 + ... guards the kappa -> 0 cancellation
-    series = h * (1.0 + w2 / 6.0 * (1.0 + w2 / 20.0)) * np.exp(-rho)
-    S = np.where(small, series, Sh * h / np.where(small, 1.0, w))
-    m = np.array([[C, kap2 * S], [S, C]])
-    if z.dtype.kind == "c":
-        return _Elements(m, rho, None)
-    return _Elements(m * _turn(m), rho,
-                     np.where(osc, np.floor(w / np.pi), 0.0).astype(np.int64))
+    if small.any():
+        # sinh(w)/w = 1 + w^2/6 + w^4/120 + ... guards the kappa -> 0 cancellation
+        np.copyto(S, h * (1.0 + w2 / 6.0 * (1.0 + w2 / 20.0)) * np.exp(-rho), where=small)
+        np.divide(S, w, out=S, where=~small)
+    else:
+        S /= w
+    if real:
+        m[:, 0] *= np.where(_negative(S, C), -1.0, 1.0)
+    np.multiply(kap2, S, out=m[0, 1])
+    m[1, 1] = C
+    return _Elements(m, rho if scaled else None, k)
 
 
-def _turn(m):
-    """+1 where the first column's angle atan2(u, u') lies in [0, pi), else -1."""
-    u, du = m[1, 0], m[0, 0]
-    return np.where((u > 0.0) | ((u == 0.0) & (du > 0.0)), 1, -1)
+def _negative(u, du):
+    """Where the angle atan2(u, du) of a column (du, u) is outside [0, pi)."""
+    return ~((u > 0.0) | ((u == 0.0) & (du > 0.0)))
 
 
 def _compose(b, a):
     """Elements of applying a, then b."""
-    m = b.m[:, :1] * a.m[None, 0] + b.m[:, 1:] * a.m[None, 1]
+    m = b.m[:, :1] * a.m[None, 0]
+    m += b.m[:, 1:] * a.m[None, 1]
     scale = np.abs(m).max(axis=(0, 1))
-    s = b.s + a.s + np.log(scale)
+    s = None if a.s is None else b.s + a.s + np.log(scale)
     if a.k is None:
-        return _Elements(m / scale, s, None)
+        return _Elements(np.divide(m, scale, out=m), s, None)
     # the first columns of a and b lie in the upper half plane; the
-    # product's leaves it exactly when the angle passed a multiple of pi
-    turn = _turn(m)
-    return _Elements(m * (turn / scale), s, a.k + b.k + (turn < 0))
+    # product's leaves it exactly when the angle passed a multiple of pi,
+    # and is then negated back into it
+    neg = _negative(m[1, 0], m[0, 0])
+    m *= np.where(neg, -1.0, 1.0) / scale
+    return _Elements(m, s, a.k + b.k + neg)
 
 
 def _apply(el, state=None):
@@ -220,10 +235,10 @@ def _apply(el, state=None):
     Neighbours are paired level by level (an unpaired last unit is carried
     up) until one element covers all of them; state None is the identity.
     """
-    while el.s.shape[0] > 1:
-        n = el.s.shape[0] // 2 * 2
+    while el.m.shape[2] > 1:
+        n = el.m.shape[2] // 2 * 2
         pairs = _compose(el.take((slice(1, n, 2),)), el.take((slice(0, n, 2),)))
-        el = pairs if n == el.s.shape[0] else _concat([pairs, el.take((slice(n, None),))])
+        el = pairs if n == el.m.shape[2] else _concat([pairs, el.take((slice(n, None),))])
     step = el.take((0,))
     return step if state is None else _compose(step, state)
 
@@ -236,12 +251,13 @@ def _power(el, n):
         squares.append(_compose(squares[-1], squares[-1]))
     state = squares[-1]
     for j in range(len(squares) - 2, -1, -1):
-        step = _select(n >> j == 1, squares[j], _compose(squares[j], state))
-        state = _select((n >> j) & 1 == 1, step, state)
+        # a column composes at every set bit and starts over at its top bit
+        _select((n >> j) & 1 == 1, _compose(squares[j], state), state)
+        _select(n >> j == 1, squares[j], state)
     return state
 
 
-def _fold_repeats(blocks, z, state):
+def _fold_repeats(blocks, z, state, scaled):
     """Fold RepeatBlocks whose patterns have one length into state, batched
     over blocks and energies: the tree reduces each pattern, `_power` raises
     it to its block's count in O(log count) compositions, and the tree
@@ -256,19 +272,19 @@ def _fold_repeats(blocks, z, state):
     for lo in range(0, len(blocks), size):
         w, v = widths[lo:lo + size].T, values[lo:lo + size].T
         reps = np.repeat(counts[lo:lo + size], len(z))
-        cells = _cells(w[:, :, None], v[:, :, None], z)
+        cells = _cells(w[:, :, None], v[:, :, None], z, scaled)
         power = _power(_apply(cells.reshape((n_cells, -1))), reps)
         state = _apply(power.reshape((w.shape[1], len(z))), state)
     return state
 
 
-def _walk(p, x0, x1, z, step, state=None):
-    """Fold the cells of [x0, x1) at the energies z into state."""
+def _walk(p, x0, x1, z, step, state=None, scaled=True):
+    """Fold the cells of [x0, x1) at the energies z into state; s only if scaled."""
     run = []
     for block in (*potentials.segments(p, x0, x1, step), None):
         repeat = isinstance(block, potentials.RepeatBlock)
         if run and not (repeat and len(block.widths) == len(run[0].widths)):
-            state = _fold_repeats(run, z, state)
+            state = _fold_repeats(run, z, state, scaled)
             run = []
         if repeat:
             run.append(block)
@@ -276,7 +292,7 @@ def _walk(p, x0, x1, z, step, state=None):
             size = max(1, _CHUNK // len(z))
             for lo in range(0, len(block.widths), size):
                 state = _apply(_cells(block.widths[lo:lo + size, None],
-                                      block.values[lo:lo + size, None], z), state)
+                                      block.values[lo:lo + size, None], z, scaled), state)
     return state
 
 
@@ -372,7 +388,7 @@ def lyapunov_estimate(p, x, z, step=1e-3):
 def _counts(p, x, lams, step):
     """Dirichlet zero counts on (0, x], a chunk of energies at a time."""
     return np.concatenate([
-        _walk(p, 0.0, x, lams[lo:lo + _CHUNK], step).k
+        _walk(p, 0.0, x, lams[lo:lo + _CHUNK], step, scaled=False).k
         for lo in range(0, len(lams), _CHUNK)])
 
 

@@ -188,7 +188,7 @@ def test_manifest_hashes_every_artifact(tmp_path):
 
 def csv_by_cell(header, rows):
     """CSV bytes with every value through cli._cell: the writer the
-    all-float row template must reproduce."""
+    column formatting must reproduce."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -201,14 +201,24 @@ def test_csv_rows_match_the_per_cell_writer(tmp_path):
     floats = [0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 5e-324, 1.7976931348623157e308,
               123456789.12345679, -1e22, 2.0 ** 53 + 2, math.pi]
     specials = [math.nan, math.inf, -math.inf]
-    rows = [tuple(floats[i:i + 3]) for i in range(0, len(floats), 3)]
-    rows += [(s, 1.0, -0.0) for s in specials] + [(1.0, 2.0, s) for s in specials]
-    rows += [(1, 2.0, 3.0), (True, False, 0.5), (np.float64(0.1), 2.0, 3.0),
+    finite = [tuple(floats[i:i + 3]) for i in range(0, len(floats), 3)]
+    special = [(s, 1.0, -0.0) for s in specials] + [(1.0, 2.0, s) for s in specials]
+    mixed = [(1, 2.0, 3.0), (True, False, 0.5), (np.float64(0.1), 2.0, 3.0),
              (np.float64(math.nan), np.int64(-3), np.bool_(True)),
              ("x", "a,b", 'q"t'), [4.0, 5.0, 6.0]]
+    tables = [
+        [np.array(c) for c in zip(*finite)],            # one formatting pass
+        [np.array(c) for c in zip(*special)],           # nan, +-inf columns
+        [np.array(c) for c in zip(*finite + special)],
+        list(zip(*finite + special + mixed)),           # not float64 arrays
+        [np.arange(3.0), np.arange(3), np.array([True, False, True])],
+        [np.array([]), np.array([]), np.array([])],
+    ]
     header = ["a", "b", "c"]
-    cli._OutputDir(str(tmp_path)).write_csv("t.csv", header, rows)
-    assert (tmp_path / "t.csv").read_bytes() == csv_by_cell(header, rows)
+    for i, columns in enumerate(tables):
+        cli._OutputDir(str(tmp_path)).write_csv(f"t{i}.csv", header, columns)
+        assert ((tmp_path / f"t{i}.csv").read_bytes()
+                == csv_by_cell(header, list(zip(*columns)))), i
 
 
 def test_config_copied_into_output(tmp_path):
@@ -415,6 +425,30 @@ def test_import_does_not_load_jsonschema():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_load_only_numpy_and_the_standard_library(tmp_path):
+    # the import-time checks above, extended to running every command: a
+    # lazy import inside a computation must not reach past the runtime
+    # dependencies.  Modules the interpreter loaded before schreg (site
+    # hooks) are not the package's; numpy.random, compiled with Cython,
+    # registers Cython's runtime modules.
+    configs = valid_configs()
+    assert {c["command"] for c in configs} == set(cli.COMMANDS)
+    path = tmp_path / "configs.json"
+    path.write_text(json.dumps(configs), encoding="utf-8")
+    code = ("import json, sys; startup = set(sys.modules); from schreg import cli; "
+            "configs = json.load(open(sys.argv[1])); "
+            "print([cli.run(c, f'{sys.argv[2]}/{i}') for i, c in enumerate(configs)]); "
+            "ok = set(sys.stdlib_module_names) | {'numpy', 'schreg'}; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - startup}; "
+            "print(sorted(m for m in new - ok if not m.startswith(('_cython_', 'cython_'))))")
+    proc = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, foreign = proc.stdout.strip().splitlines()
+    assert codes == str([0] * len(configs))
+    assert foreign == "[]"
 
 
 @pytest.mark.parametrize("value", [[np.int64(-1), 0.0], {-1.0, 0.0},

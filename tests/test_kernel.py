@@ -4,7 +4,9 @@ Zero counts are checked against the sequential per-cell Pruefer loop the
 kernel replaced: it walks every cell of every repeat, one at a time, and
 counts sign changes of u on hyperbolic cells and half-turns of the angle
 on oscillatory ones.  Products are checked against the pointwise solver
-and against the same cells listed out one by one.
+and against the same cells listed out one by one.  The kernel's internals
+are checked bit for bit against a straightforward version that evaluates
+both branches at every cell-energy and signs by multiplication.
 """
 import math
 import tracemalloc
@@ -184,6 +186,164 @@ def test_repeat_power_equals_tiled_product():
             b = PR.transfer_matrix(tiled, x, z)
             ratio = math.exp(a.log_scale - b.log_scale)
             assert np.abs(a.m * ratio - b.m).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracle: the kernel as written before its lean real-energy path
+
+
+def ref_cells(widths, values, z):
+    h = np.asarray(widths, dtype=float)
+    kap2 = values - z
+    if z.dtype.kind == "c":
+        w = np.sqrt(kap2) * h
+        rho = np.abs(w.real)
+        ep = np.exp(w - rho)
+        em = np.exp(-w - rho)
+        C, Sh = 0.5 * (ep + em), 0.5 * (ep - em)
+    else:
+        osc = kap2 < 0.0
+        w = np.sqrt(np.abs(kap2)) * h
+        rho = np.where(osc, 0.0, w)
+        em = np.exp(-2.0 * rho)
+        C = np.where(osc, np.cos(w), 0.5 * (1.0 + em))
+        Sh = np.where(osc, np.sin(w), 0.5 * (1.0 - em))
+    w2 = kap2 * h * h
+    small = np.abs(w2) < 1e-8
+    series = h * (1.0 + w2 / 6.0 * (1.0 + w2 / 20.0)) * np.exp(-rho)
+    S = np.where(small, series, Sh * h / np.where(small, 1.0, w))
+    m = np.array([[C, kap2 * S], [S, C]])
+    if z.dtype.kind == "c":
+        return PR._Elements(m, rho, None)
+    return PR._Elements(m * ref_turn(m), rho,
+                        np.where(osc, np.floor(w / np.pi), 0.0).astype(np.int64))
+
+
+def ref_turn(m):
+    u, du = m[1, 0], m[0, 0]
+    return np.where((u > 0.0) | ((u == 0.0) & (du > 0.0)), 1, -1)
+
+
+def ref_compose(b, a):
+    m = b.m[:, :1] * a.m[None, 0] + b.m[:, 1:] * a.m[None, 1]
+    scale = np.abs(m).max(axis=(0, 1))
+    s = b.s + a.s + np.log(scale)
+    if a.k is None:
+        return PR._Elements(m / scale, s, None)
+    turn = ref_turn(m)
+    return PR._Elements(m * (turn / scale), s, a.k + b.k + (turn < 0))
+
+
+def ref_select(mask, new, old):
+    return PR._Elements(np.where(mask, new.m, old.m), np.where(mask, new.s, old.s),
+                        None if new.k is None else np.where(mask, new.k, old.k))
+
+
+def ref_power(el, n):
+    squares = [el]
+    for _ in range(int(n.max()).bit_length() - 1):
+        squares.append(ref_compose(squares[-1], squares[-1]))
+    state = squares[-1]
+    for j in range(len(squares) - 2, -1, -1):
+        step = ref_select(n >> j == 1, squares[j], ref_compose(squares[j], state))
+        state = ref_select((n >> j) & 1 == 1, step, state)
+    return state
+
+
+def bits(x):
+    """Bit patterns of a float or complex array: signed zeros and NaN signs
+    count."""
+    x = np.ascontiguousarray(x)
+    return (x.view(np.float64) if x.dtype.kind == "c" else x).view(np.uint64)
+
+
+def assert_same(got, ref, scaled=True):
+    """got equals ref bit for bit; unless scaled, got carries no log scale."""
+    for g, r in ((got.m, ref.m), (got.s, ref.s))[:1 + scaled]:
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert np.array_equal(bits(g), bits(r))
+    if not scaled:
+        assert got.s is None
+    if ref.k is None:
+        assert got.k is None
+    else:
+        assert got.k.dtype == ref.k.dtype and np.array_equal(got.k, ref.k)
+
+
+def kernel_cases():
+    """(widths, values, z) triples covering both real branches, their seam,
+    barriers with w past pi, kappa**2 == 0, tiny |kappa**2 h**2|, zero-width
+    cells, repeats' 3-d layout, a nan energy and complex energies."""
+    rng = np.random.default_rng(17)
+    h = rng.uniform(1e-3, 0.6, (48, 1))
+    v = rng.uniform(-4.0, 4.0, (48, 1))
+    mixed = np.linspace(-6.0, 40.0, 96)
+    exact = np.concatenate([v[:12, 0], [0.0, -1.5]])
+    tiny = np.concatenate([v[:6, 0] + 1e-12, v[:6, 0] - 3e-11, v[:6, 0] * (1 + 1e-15),
+                           v[:6, 0] + 1e-8])
+    zero_h = np.concatenate([h[:8], [[0.0], [0.0]]])
+    return [
+        (h, v, mixed),
+        (h, 40.0 * v, mixed),
+        (h, v, exact),
+        (h, v, tiny),
+        (h, v, np.concatenate([mixed, exact, tiny])),
+        (zero_h, v[:10], np.array([-3.0, 0.0, 2.0])),
+        (np.full((6, 1), 0.3), v[:6], v[:6, 0] - 1e-8),      # smallest w 3e-5
+        (h.reshape(4, 12, 1), v.reshape(4, 12, 1), mixed[::8]),
+        (h, v, np.array([np.nan, -2.0, 5.0])),
+        (h, v, mixed + 0.3j),
+        (h, v, np.concatenate([mixed + 1e-9j, exact + 0j, tiny - 2.0j])),
+    ]
+
+
+@pytest.mark.parametrize("scaled", [True, False])
+@pytest.mark.parametrize("case", range(11))
+def test_cells_and_products_are_bitwise_the_reference(case, scaled):
+    h, v, z = kernel_cases()[case]
+    cells, ref = PR._cells(h, v, z, scaled), ref_cells(h, v, z)
+    assert_same(cells, ref, scaled)
+    flat, ref = cells.reshape((h.shape[0], -1)), ref.reshape((h.shape[0], -1))
+    state, ref_state = flat.take((0,)), ref.take((0,))
+    for i in range(1, h.shape[0]):
+        state = PR._compose(flat.take((i,)), state)
+        ref_state = ref_compose(ref.take((i,)), ref_state)
+        assert_same(state, ref_state, scaled)
+
+
+def test_compose_turn_on_the_axis_and_at_nan():
+    # a's first columns (u', u) are (+1, 0), (-1, 0), (0, 0), (-0.5, -0),
+    # (nan, 1) and (1, nan), and the identity's 0 * nan makes u nan in the
+    # last two products; u == 0 counts as in the upper half plane only with
+    # u' > 0, and a nan angle counts as having left it
+    e, nan = np.ones(6), np.nan
+    a = PR._Elements(np.array([[[1.0, -1.0, 0.0, -0.5, nan, 1.0], e],
+                               [[0.0, 0.0, 0.0, -0.0, 1.0, nan], e]]),
+                     np.zeros(6), np.arange(6))
+    one = PR._Elements(np.array([[e, 0 * e], [0 * e, e]]), np.zeros(6),
+                       np.zeros(6, np.int64))
+    got = PR._compose(one, a)
+    assert_same(got, ref_compose(one, a))
+    assert got.k.tolist() == [0, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("counts", [
+    [1] * 6, [2] * 6, [8] * 6, [1024] * 6, [7] * 6, [1023] * 6,
+    [1, 2, 3, 4, 5, 1000], [1, 1, 2, 7, 64, 63]])
+@pytest.mark.parametrize("z", [np.linspace(-3.0, 9.0, 5), np.linspace(-3.0, 9.0, 5) + 0.1j])
+def test_power_is_bitwise_the_reference(counts, z):
+    h = np.array([[0.3], [0.45], [0.2]])
+    v = np.array([[1.0], [-1.0], [2.5]])
+    v = v * [1.0, 0.5, 2.0, -1.0, 0.0, 3.0]
+    el = PR._apply(PR._cells(h[:, :, None], v[:, :, None], z).reshape((3, -1)))
+    n = np.repeat(np.array(counts), len(z))
+    before = bits(el.m).copy()
+    ref = ref_power(el, n)
+    assert_same(PR._power(el, n), ref)
+    assert np.array_equal(bits(el.m), before)
+    if z.dtype.kind == "f":
+        bare = PR._Elements(el.m.copy(), None, el.k)
+        assert_same(PR._power(bare, n), ref, scaled=False)
 
 
 # ---------------------------------------------------------------------------

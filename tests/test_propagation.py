@@ -1,6 +1,7 @@
 """Transfer matrices, zero counting, Weyl disks, Volterra cross-checks."""
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,13 @@ def test_eigenvalue_count_free_examples():
     assert PR.eigenvalue_count(FREE, math.pi, 1.0) == 1
     assert PR.eigenvalue_count(FREE, 10.0, -1.0) == 0
     assert PR.eigenvalue_count(FREE, 10.0, 4.0) == 6
+
+
+def test_eigenvalue_count_at_a_nan_energy_is_zero_and_quiet():
+    # no cell oscillates at a nan energy, so no nan is cast to a count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert PR.eigenvalue_count(FREE, 10.0, math.nan) == 0
 
 
 def test_eigenvalue_count_free_formula():
