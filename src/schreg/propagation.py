@@ -36,14 +36,14 @@ nearly rank one.
 The rule is associative, so a stretch is reduced as a tree: neighbouring
 cells are paired level by level, batched over energies, until one element
 covers the stretch, which is then applied to the running state.  A
-RepeatBlock's count n is a binary power of its pattern P: the squares
-P**(2**j) up to n's top bit, applied from the high bit down, batched over
-blocks and energies.  A repeat thus costs O(log n) compositions at every
-energy, in bands, in gaps and below the spectrum alike.  Only associativity
-is used, no conditioning of the operands, and the counts are integers free
-of step error for step potentials.  Work is batched in chunks of at most
-_CHUNK cell-energies, a repeat's squares counting as cells (one block at
-least), which bounds memory.
+RepeatBlock's count n is a binary power of its pattern P from the low bit
+up, batched over blocks and energies: the running square P**(2**j) joins
+the product at each set bit of n (in either order the cells are the same,
+so the counts are exact).  A repeat costs O(log n) compositions at every
+energy, in bands, in gaps and below the spectrum alike.  Only
+associativity is used, no conditioning of the operands, and the counts are
+integers free of step error for step potentials.  Work is batched in chunks
+of at most _CHUNK cell-energies (one block at least), which bounds memory.
 """
 from __future__ import annotations
 
@@ -244,16 +244,16 @@ def _apply(el, state=None):
 
 
 def _power(el, n):
-    """el**n per column, n >= 1: the squares el**(2**j) up to the top bit of
-    max(n), applied from each column's own top bit down."""
-    squares = [el]
-    for _ in range(int(n.max()).bit_length() - 1):
-        squares.append(_compose(squares[-1], squares[-1]))
-    state = squares[-1]
-    for j in range(len(squares) - 2, -1, -1):
-        # a column composes at every set bit and starts over at its top bit
-        _select((n >> j) & 1 == 1, _compose(squares[j], state), state)
-        _select(n >> j == 1, squares[j], state)
+    """el**n per column, n >= 1, from the low bit up: only the running square
+    el**(2**j) and the partial product stay alive, whatever n is."""
+    square = state = el
+    for j in range(1, int(n.max()).bit_length()):
+        square = _compose(square, square)
+        step = _compose(square, state)
+        # a column starts at its lowest set bit and composes at every higher one
+        _select(n & ((2 << j) - 1) == 1 << j, square, step)
+        _select((n >> j) & 1 == 0, state, step)
+        state = step
     return state
 
 
@@ -261,14 +261,13 @@ def _fold_repeats(blocks, z, state, scaled):
     """Fold RepeatBlocks whose patterns have one length into state, batched
     over blocks and energies: the tree reduces each pattern, `_power` raises
     it to its block's count in O(log count) compositions, and the tree
-    applies the blocks in order.  A chunk of blocks holds at most _CHUNK
-    cell-energies, its squares counting as cells (one block at least)."""
+    applies the blocks in order.  A chunk holds at most _CHUNK cell-energies
+    (one block at least); the power's memory does not grow with the counts."""
     widths = np.array([b.widths for b in blocks])
     values = np.array([b.values for b in blocks])
     counts = np.array([b.count for b in blocks])
     n_cells = widths.shape[1]
-    depth = int(counts.max()).bit_length()
-    size = max(1, _CHUNK // (len(z) * (n_cells + depth)))
+    size = max(1, _CHUNK // (len(z) * n_cells))
     for lo in range(0, len(blocks), size):
         w, v = widths[lo:lo + size].T, values[lo:lo + size].T
         reps = np.repeat(counts[lo:lo + size], len(z))
@@ -386,7 +385,12 @@ def lyapunov_estimate(p, x, z, step=1e-3):
 
 
 def _counts(p, x, lams, step):
-    """Dirichlet zero counts on (0, x], a chunk of energies at a time."""
+    """Dirichlet zero counts on (0, x] at finite energies, a chunk at a time."""
+    _check_step(step)
+    if not x > 0:
+        raise ValueError("x must be positive")
+    if not np.isfinite(lams).all():
+        raise ValueError("energies must be finite")
     return np.concatenate([
         _walk(p, 0.0, x, lams[lo:lo + _CHUNK], step, scaled=False).k
         for lo in range(0, len(lams), _CHUNK)])
@@ -398,17 +402,11 @@ def eigenvalue_count(p, x, lam, step=1e-3):
     Equals the number of zeros of the Dirichlet solution at energy lam in
     (0, x], by Sturm oscillation.
     """
-    _check_step(step)
-    if not x > 0:
-        raise ValueError("x must be positive")
     return int(_counts(p, x, np.array([float(lam)]), step)[0])
 
 
 def zero_counting_cdf(p, x, lambda_grid, step=1e-3):
     """Normalized eigenvalue-counting measure: counts(lam)/x on a grid."""
-    _check_step(step)
-    if not x > 0:
-        raise ValueError("x must be positive")
     lams = np.asarray(lambda_grid, dtype=float)
     if not (lams.size and np.all(np.diff(lams) > 0)):
         raise ValueError("lambda_grid must be nonempty and strictly increasing")

@@ -240,6 +240,18 @@ def ref_select(mask, new, old):
 
 
 def ref_power(el, n):
+    """el**n from the low bit up, as the kernel takes it."""
+    square = state = el
+    for j in range(1, int(n.max()).bit_length()):
+        square = ref_compose(square, square)
+        step = ref_select(n & ((2 << j) - 1) == 1 << j, square, ref_compose(square, state))
+        state = ref_select((n >> j) & 1 == 1, step, state)
+    return state
+
+
+def ref_power_top_down(el, n):
+    """el**n from the high bit down: the squares are multiplied in the other
+    order, so in general only the counts are bitwise those of ref_power."""
     squares = [el]
     for _ in range(int(n.max()).bit_length() - 1):
         squares.append(ref_compose(squares[-1], squares[-1]))
@@ -339,15 +351,63 @@ def test_power_is_bitwise_the_reference(counts, z):
     n = np.repeat(np.array(counts), len(z))
     before = bits(el.m).copy()
     ref = ref_power(el, n)
-    assert_same(PR._power(el, n), ref)
+    got = PR._power(el, n)
+    assert_same(got, ref)
     assert np.array_equal(bits(el.m), before)
     if z.dtype.kind == "f":
         bare = PR._Elements(el.m.copy(), None, el.k)
         assert_same(PR._power(bare, n), ref, scaled=False)
+    # the high-bit-first order is an independent oracle: the same cells in
+    # the same turns, the same products up to rounding, and bitwise the same
+    # where a count has one set bit
+    top = ref_power_top_down(el, n)
+    if all(c & (c - 1) == 0 for c in counts):
+        assert_same(got, top)
+    if top.k is not None:
+        assert np.array_equal(got.k, top.k)
+    assert np.abs(got.m - top.m).max() <= 1e-13
+    assert np.all(np.abs(got.s - top.s) <= 1e-13 * np.maximum(1.0, np.abs(top.s)))
+
+
+@pytest.mark.parametrize("p, x", [(P.OscillatingExample(), 300.0),
+                                  (P.PeriodicSquare(0.47), 500.0)])
+def test_results_do_not_depend_on_the_chunking(p, x, monkeypatch):
+    # chunks cut the energies, the cells of a CellBlock and the blocks of a
+    # repeat run; counts are integers, products move only by rounding
+    lams = np.linspace(0.0, 25.0, 200)
+    zs = np.array([-1.5, 4.0, 2.0 + 0.5j, 7.0 - 1e-3j])
+    runs = []
+    for chunk in (1 << 13, 1 << 6, 1 << 20):
+        monkeypatch.setattr(PR, "_CHUNK", chunk)
+        runs.append((kernel_counts(p, x, lams),
+                     PR.dirichlet_profile(p, [37.5, 300.0], zs, step=0.02)))
+    counts, want = runs[0]
+    for got_counts, got in runs[1:]:
+        assert np.array_equal(got_counts, counts)
+        ratio = np.exp(got.log_scale - want.log_scale)
+        for g, w in ((got.u, want.u), (got.du, want.du)):
+            assert np.all(np.abs(g * ratio - w) <= 1e-12 * np.abs(w))
 
 
 # ---------------------------------------------------------------------------
 # memory
+
+
+def test_power_memory_is_flat_in_the_count():
+    # only the running square and the partial product stay alive, so 20
+    # squarings need no more memory than one
+    z = np.linspace(-3.0, 9.0, 2000)
+    el = PR._apply(PR._cells(np.array([[0.3], [0.45]]), np.array([[1.0], [-1.0]]), z))
+    peaks = []
+    for count in (3, 2 ** 20 - 1):
+        n = np.full(z.shape, count)
+        tracemalloc.start()
+        try:
+            PR._power(el, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_counting_memory_is_chunked():

@@ -1,7 +1,6 @@
 """Transfer matrices, zero counting, Weyl disks, Volterra cross-checks."""
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -207,11 +206,18 @@ def test_eigenvalue_count_free_examples():
     assert PR.eigenvalue_count(FREE, 10.0, 4.0) == 6
 
 
-def test_eigenvalue_count_at_a_nan_energy_is_zero_and_quiet():
-    # no cell oscillates at a nan energy, so no nan is cast to a count
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert PR.eigenvalue_count(FREE, 10.0, math.nan) == 0
+@pytest.mark.parametrize("p", [FREE, P.Decaying(1.2, 2.0), P.PeriodicSquare(0.5),
+                               P.OscillatingExample()])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_energies_are_rejected(p, lam):
+    # at a nan energy every composition reads as a half-turn, so a count
+    # would depend on the mesh
+    with pytest.raises(ValueError, match="finite"):
+        PR.eigenvalue_count(p, 10.0, lam)
+    with pytest.raises(ValueError, match="finite"):
+        PR.zero_counting_cdf(p, 10.0, [lam])
+    with pytest.raises(ValueError):
+        PR.zero_counting_cdf(p, 10.0, np.sort([0.0, 1.0, lam]))
 
 
 def test_eigenvalue_count_free_formula():
