@@ -1,30 +1,26 @@
 """Potential families on the half line [0, inf).
 
-Every family is a small frozen dataclass; the functional API below
-(`evaluate`, `prefix_integral`, `segments`, ...) dispatches on the type.
-All potentials are right-continuous, locally integrable, and cheap to
-evaluate pointwise.  Running integrals are closed-form per family, never
-quadrature, so downstream consumers can trust them to machine precision.
+Every family is a small frozen dataclass; the functions below dispatch on
+its type.  The paper reads a potential through two objects, and each family
+registers exactly those two, right after its dataclass:
 
-Each family lives in one place: its dataclass followed by its
-registrations.  A family registers what only it knows:
+* `segments` -- the constant cells of a window, from which propagation
+  builds transfer matrices;
+* `_prefix` -- the exact integral of V over [0, x], behind
+  `prefix_integral` and `cesaro_trace`, the running mean
+  (1/x) integral_0^x V that bounds the Robin-type constant.  It is a
+  closed form per family, never quadrature, so downstream consumers can
+  trust it to machine precision.
 
-* `evaluate` -- the pointwise value;
-* `_prefix` -- the exact integral of V (or |V|) over [0, x];
-* `discontinuities` -- the jumps of V inside a window.
+`to_json` and `from_json` read and build the dataclass fields.
 
-Everything else is derived from those three.  The default `segments` cuts
-the window at the discontinuities, and `to_json` reads the dataclass
-fields.  A family registers its own `segments` only when it needs more
-than that: repeated patterns (PeriodicSquare, OscillatingExample), a
-graded smooth mesh (Decaying), a single cell (Constant), or vectorized
-draws (Random).
-
-The `segments` generator is the bridge to propagation: it decomposes
-[x0, x1) into constant cells, emitting literal cell arrays (`CellBlock`)
-or a repeated pattern with a count (`RepeatBlock`) when the potential is
-periodic on that stretch.  What its `step` argument means depends on the
-family:
+`segments` decomposes [x0, x1) into constant cells, emitting literal cell
+arrays (`CellBlock`) or a repeated pattern with a count (`RepeatBlock`)
+when the potential is periodic on that stretch.  A step family cuts the
+window at its own jumps and reads each cell's value from its own table:
+the breakpoints of PiecewiseConstant, Tabulated and SparseBumps, the +-1
+wave of PeriodicSquare and OscillatingExample, the seeded draws of Random.
+What the `step` argument means depends on the family:
 
 * step functions (every family but Decaying) ignore it.  Their own cells
   are kept whole -- the constant flow over a cell is exact, so subdividing
@@ -40,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache, singledispatch
 
@@ -58,11 +54,8 @@ __all__ = [
     "CellBlock",
     "RepeatBlock",
     "CesaroTrace",
-    "evaluate",
     "prefix_integral",
-    "prefix_abs_integral",
     "segments",
-    "discontinuities",
     "cesaro_trace",
     "to_json",
     "from_json",
@@ -112,44 +105,20 @@ def _unknown(p):
 
 
 @singledispatch
-def evaluate(p, x):
-    """Value of the potential at x >= 0 (right-continuous)."""
+def _prefix(p, x):
+    """Exact integral of V over [0, x], for finite x >= 0."""
     raise _unknown(p)
-
-
-@singledispatch
-def _prefix(p, x, absolute):
-    """Exact integral of V (|V| if `absolute`) over [0, x], for finite x >= 0."""
-    raise _unknown(p)
-
-
-@singledispatch
-def discontinuities(p, x0, x1):
-    """Jump locations of V strictly inside (x0, x1), in increasing order."""
-    raise _unknown(p)
-
-
-def _cells_from_edges(p, edges):
-    """CellBlock over explicit edges; values sampled at cell midpoints."""
-    edges = np.asarray(edges, dtype=float)
-    widths = np.diff(edges)
-    keep = widths > 0
-    widths = widths[keep]
-    mids = ((edges[:-1] + edges[1:]) * 0.5)[keep]
-    values = np.array([evaluate(p, m) for m in mids])
-    return CellBlock(widths, values)
 
 
 @singledispatch
 def segments(p, x0, x1, step):
     """Yield CellBlock/RepeatBlock covering [x0, x1) in order; no cell if x1 <= x0.
 
-    By default one cell per stretch between consecutive discontinuities,
-    which is exact for step potentials; `step` is then ignored.  Decaying
-    takes `step` as its cell width at x = 0 and widens cells as
+    Step families cut the window at their own jumps and ignore `step`.
+    Decaying takes `step` as its cell width at x = 0 and widens cells as
     (1+x)**min((rate+1)/3, 1).
     """
-    yield _cells_from_edges(p, [x0, *discontinuities(p, x0, x1), x1])
+    raise _unknown(p)
 
 
 def _checked_x(x):
@@ -160,21 +129,32 @@ def _checked_x(x):
 
 def prefix_integral(p, x):
     """Exact integral of V over [0, x] (closed form, no quadrature)."""
-    return _prefix(p, _checked_x(x), False)
+    return _prefix(p, _checked_x(x))
 
 
-def prefix_abs_integral(p, x):
-    """Exact integral of |V| over [0, x]."""
-    return _prefix(p, _checked_x(x), True)
+def _cell_block(edges, values):
+    """CellBlock with values[i] on [edges[i], edges[i+1]); empty cells dropped."""
+    widths = np.diff(edges)
+    keep = widths > 0
+    return CellBlock(widths[keep], values[keep])
 
 
-def _inner_multiples(step_width, a, b):
-    """Multiples of step_width strictly inside (a, b)."""
-    j0 = math.floor(a / step_width) + 1
-    j1 = math.ceil(b / step_width) - 1
-    if j1 < j0:
-        return []
-    return [j * step_width for j in range(j0, j1 + 1)]
+def _step_cells(jumps, values, x0, x1):
+    """Cells over [x0, x1) of the step function that jumps to values[i+1]
+    at jumps[i] (nondecreasing) and is values[0] before jumps[0]."""
+    i0 = bisect_right(jumps, x0)
+    i1 = max(bisect_left(jumps, x1), i0)
+    edges = np.array([x0, *jumps[i0:i1], x1], dtype=float)
+    return _cell_block(edges, np.array(values[i0:i1 + 1], dtype=float))
+
+
+def _wave_cells(half, origin, lo, hi):
+    """Cells over [lo, hi) of the wave that is +1 on [origin, origin + half)
+    and changes sign at every multiple of `half` from `origin`."""
+    j0 = math.floor((lo - origin) / half)
+    j = np.arange(j0, max(math.ceil((hi - origin) / half), j0 + 1))
+    edges = np.concatenate([[lo], origin + j[1:] * half, [hi]])
+    return _cell_block(edges, np.where(j % 2 == 0, 1.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +172,9 @@ class Constant:
         _require(math.isfinite(self.value), "constant value must be finite")
 
 
-@evaluate.register
-def _(p: Constant, x):
-    return p.value
-
-
 @_prefix.register
-def _(p: Constant, x, absolute):
-    return (abs(p.value) if absolute else p.value) * x
-
-
-@discontinuities.register
-def _(p: Constant, x0, x1):
-    return []
+def _(p: Constant, x):
+    return p.value * x
 
 
 @segments.register
@@ -270,36 +240,25 @@ class Tabulated:
 
 @lru_cache(maxsize=512)
 def _pc_tables(breakpoints, values):
-    """Edges including 0, plus cumulative integrals of V and |V| at the edges."""
+    """Edges including 0, plus the cumulative integrals of V at the edges."""
     edges = np.concatenate([[0.0], np.asarray(breakpoints, dtype=float)])
     vals = np.asarray(values, dtype=float)
-    seg = np.diff(edges) * vals[:-1]
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    cum_abs = np.concatenate([[0.0], np.cumsum(np.diff(edges) * np.abs(vals[:-1]))])
-    return edges, vals, cum, cum_abs
-
-
-@evaluate.register(PiecewiseConstant)
-@evaluate.register(Tabulated)
-def _(p, x):
-    return p.values[bisect_right(p.breakpoints, x)]
+    cum = np.concatenate([[0.0], np.cumsum(np.diff(edges) * vals[:-1])])
+    return edges, vals, cum
 
 
 @_prefix.register(PiecewiseConstant)
 @_prefix.register(Tabulated)
-def _(p, x, absolute):
-    edges, vals, cum, cum_abs = _pc_tables(p.breakpoints, p.values)
-    c = cum_abs if absolute else cum
-    v = np.abs(vals) if absolute else vals
-    i = min(bisect_right(edges, x) - 1, len(edges) - 1)
-    i = max(i, 0)
-    return float(c[i] + v[i] * (x - edges[i]))
+def _(p, x):
+    edges, vals, cum = _pc_tables(p.breakpoints, p.values)
+    i = bisect_right(edges, x) - 1   # in range: edges[0] = 0 <= x
+    return float(cum[i] + vals[i] * (x - edges[i]))
 
 
-@discontinuities.register(PiecewiseConstant)
-@discontinuities.register(Tabulated)
-def _(p, x0, x1):
-    return [b for b in p.breakpoints if x0 < b < x1]
+@segments.register(PiecewiseConstant)
+@segments.register(Tabulated)
+def _(p, x0, x1, step):
+    yield _step_cells(p.breakpoints, p.values, x0, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +291,9 @@ def _phi_inv(y, q):
     return np.expm1(y) if c == 0.0 else np.expm1(np.log1p(c * y) / c)
 
 
-@evaluate.register
-def _(p: Decaying, x):
-    return p.amplitude / (1.0 + x) ** p.rate
-
-
 @_prefix.register
-def _(p: Decaying, x, absolute):
-    a = abs(p.amplitude) if absolute else p.amplitude
-    return a * float(_phi(x, p.rate))
-
-
-@discontinuities.register
-def _(p: Decaying, x0, x1):
-    return []
+def _(p: Decaying, x):
+    return p.amplitude * float(_phi(x, p.rate))
 
 
 @segments.register
@@ -381,23 +329,10 @@ class PeriodicSquare:
         _require(self.delta > 0 and math.isfinite(self.delta), "delta must be positive")
 
 
-@evaluate.register
+@_prefix.register
 def _(p: PeriodicSquare, x):
     tau = math.fmod(x, 2.0 * p.delta)
-    return 1.0 if tau < p.delta else -1.0
-
-
-@_prefix.register
-def _(p: PeriodicSquare, x, absolute):
-    if absolute:
-        return x
-    tau = math.fmod(x, 2.0 * p.delta)
     return min(tau, p.delta) - max(tau - p.delta, 0.0)
-
-
-@discontinuities.register
-def _(p: PeriodicSquare, x0, x1):
-    return _inner_multiples(p.delta, x0, x1)
 
 
 @segments.register
@@ -405,14 +340,14 @@ def _(p: PeriodicSquare, x0, x1, step):
     P = 2.0 * p.delta
     m0, m1 = math.ceil(x0 / P), math.floor(x1 / P)
     if m1 <= m0:
-        yield _cells_from_edges(p, [x0, *_inner_multiples(p.delta, x0, x1), x1])
+        yield _wave_cells(p.delta, 0.0, x0, x1)
         return
     t0, t1 = m0 * P, m1 * P
     if x0 < t0:
-        yield _cells_from_edges(p, [x0, *_inner_multiples(p.delta, x0, t0), t0])
+        yield _wave_cells(p.delta, 0.0, x0, t0)
     yield RepeatBlock(np.array([p.delta, p.delta]), np.array([1.0, -1.0]), m1 - m0)
     if t1 < x1:
-        yield _cells_from_edges(p, [t1, *_inner_multiples(p.delta, t1, x1), x1])
+        yield _wave_cells(p.delta, 0.0, t1, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +364,8 @@ class OscillatingExample:
     """
 
 
-@evaluate.register
-def _(p: OscillatingExample, x):
-    n = math.floor(x) + 1
-    m = math.floor(2.0 * n * (x - (n - 1)))
-    return 1.0 if m % 2 == 0 else -1.0
-
-
 @_prefix.register
-def _(p: OscillatingExample, x, absolute):
-    if absolute:
-        return x
+def _(p: OscillatingExample, x):
     n = math.floor(x) + 1
     tau = x - (n - 1)
     w = 1.0 / (2.0 * n)
@@ -447,20 +373,6 @@ def _(p: OscillatingExample, x, absolute):
     head = w if m % 2 == 1 else 0.0
     sign = 1.0 if m % 2 == 0 else -1.0
     return head + sign * (tau - m * w)
-
-
-@discontinuities.register
-def _(p: OscillatingExample, x0, x1):
-    out = []
-    for n in range(math.floor(x0) + 1, math.floor(x1) + 2):
-        base, w = n - 1.0, 1.0 / (2.0 * n)
-        lo, hi = max(x0, base), min(x1, float(n))
-        if hi <= lo:
-            continue
-        out.extend(base + t for t in _inner_multiples(w, lo - base, hi - base))
-        if x0 < float(n) < x1:
-            out.append(float(n))
-    return sorted(set(out))
 
 
 @segments.register
@@ -474,9 +386,7 @@ def _(p: OscillatingExample, x0, x1, step):
         if lo == n - 1.0 and hi == float(n):
             yield RepeatBlock(np.array([w, w]), np.array([1.0, -1.0]), n)
         else:
-            base = n - 1.0
-            inner = [base + t for t in _inner_multiples(w, lo - base, hi - base)]
-            yield _cells_from_edges(p, [lo, *inner, hi])
+            yield _wave_cells(w, n - 1.0, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -524,42 +434,28 @@ class SparseBumps:
         return self.bump.breakpoints[-1]
 
 
-@evaluate.register
-def _(p: SparseBumps, x):
-    i = bisect_right(p.positions, x) - 1
-    if i < 0:
-        return 0.0
-    t = x - p.positions[i]
-    if t >= p.support_width:
-        return 0.0
-    return evaluate(p.bump, t)
-
-
 @_prefix.register
-def _(p: SparseBumps, x, absolute):
-    # bump values are nonnegative, so the absolute flag changes nothing
+def _(p: SparseBumps, x):
     i = bisect_right(p.positions, x)
     if i == 0:
         return 0.0
-    mass = _prefix(p.bump, p.support_width, False)
+    mass = _prefix(p.bump, p.support_width)
     total = (i - 1) * mass
     t = x - p.positions[i - 1]
     if t >= p.support_width:
         total += mass
     else:
-        total += _prefix(p.bump, t, False)
+        total += _prefix(p.bump, t)
     return total
 
 
-@discontinuities.register
-def _(p: SparseBumps, x0, x1):
-    rel = [0.0, *p.bump.breakpoints]
-    out = []
-    for pos in p.positions:
-        if pos >= x1:
-            break
-        out.extend(pos + t for t in rel if x0 < pos + t < x1)
-    return out
+@segments.register
+def _(p: SparseBumps, x0, x1, step):
+    # the jumps of the bumps that overlap [x0, x1): the last one starting at
+    # or before x0, and every later one starting before x1
+    bumps = p.positions[max(bisect_right(p.positions, x0) - 1, 0):bisect_left(p.positions, x1)]
+    jumps = [pos + t for pos in bumps for t in (0.0, *p.bump.breakpoints)]
+    yield _step_cells(jumps, (0.0, *(p.bump.values * len(bumps))), x0, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +466,9 @@ def _(p: SparseBumps, x0, x1):
 class Random:
     """Independent uniform values on cells [i*w, (i+1)*w).
 
-    Draws come from numpy's SeedSequence spawned per 1024-cell batch, so the
-    value of any cell is reproducible and independent of query order.
+    Cell i takes entry i % 1024 of the uniform batch drawn from
+    SeedSequence([seed, i // 1024]), so the value of any cell is
+    reproducible and independent of query order.
     """
 
     seed: int
@@ -611,36 +508,19 @@ def _random_values(spec, i0, i1):
     return vals[lo:lo + (i1 - i0)]
 
 
-@evaluate.register
-def _(p: Random, x):
-    i = int(math.floor(x / p.cell_width))
-    return float(_random_values(p, i, i + 1)[0])
-
-
 @_prefix.register
-def _(p: Random, x, absolute):
+def _(p: Random, x):
     w = p.cell_width
     i = int(math.floor(x / w))
     vals = _random_values(p, 0, i + 1)
-    if absolute:
-        vals = np.abs(vals)
     return float(np.sum(vals[:i]) * w + vals[i] * (x - i * w))
-
-
-@discontinuities.register
-def _(p: Random, x0, x1):
-    return _inner_multiples(p.cell_width, x0, x1)
 
 
 @segments.register
 def _(p: Random, x0, x1, step):
     w = p.cell_width
     i0, i1 = int(math.floor(x0 / w)), int(math.ceil(x1 / w))
-    edges = np.clip(np.arange(i0, i1 + 1) * w, x0, x1)
-    widths = np.diff(edges)
-    keep = widths > 0
-    values = _random_values(p, i0, i1)
-    yield CellBlock(widths[keep], values[keep])
+    yield _cell_block(np.clip(np.arange(i0, i1 + 1) * w, x0, x1), _random_values(p, i0, i1))
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +581,5 @@ def from_json(obj):
     _require(kind in _VARIANTS, f"unknown potential variant {kind!r}")
     kwargs = {k: v for k, v in obj.items() if k != "variant"}
     if kind == "sparse_bumps":
-        bump = from_json(kwargs.pop("bump"))
-        _require(isinstance(bump, PiecewiseConstant),
-                 "sparse_bumps bump must be piecewise_constant")
-        return SparseBumps(bump=bump, **kwargs)
+        return SparseBumps(bump=from_json(kwargs.pop("bump")), **kwargs)
     return _VARIANTS[kind](**kwargs)

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+import pointwise
 from schreg import martin as M, periodic as PE, potentials as P
 from schreg import propagation as PR, regularity as R
 from volterra import spectral_point, volterra_solution
@@ -225,7 +226,7 @@ def _growth_bound_sweep(rng, count):
             x = float(rng.uniform(1.0, 30.0))
         z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-2.0, 2.0))
         bound = 1.0 + spectral_point(z).k.real \
-            + P.prefix_abs_integral(p, x) / x
+            + pointwise.abs_integral(p, x) / x
         worst = max(worst, PR.log_growth(p, x, z) - bound)
     return worst
 

@@ -1,4 +1,8 @@
-"""Potential families: evaluation, exact running integrals, serialization."""
+"""Potential families: cells, exact running integrals, serialization.
+
+Pointwise values and jumps come from the test-side description in
+`pointwise`, which the cells of `segments` are checked against.
+"""
 import warnings
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+import pointwise as PW
 from schreg import potentials as P, propagation as PR
 
 
@@ -77,56 +82,56 @@ def test_random_rejects_bad_interval():
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# the pointwise description
 
 
 def test_evaluate_right_continuous_at_breakpoints():
     p = P.PiecewiseConstant(values=(2.0, -1.0, 0.5), breakpoints=(1.0, 2.5))
-    assert P.evaluate(p, 1.0) == -1.0
-    assert P.evaluate(p, 2.5) == 0.5
-    assert P.evaluate(p, 0.999999) == 2.0
+    assert PW.evaluate(p, 1.0) == -1.0
+    assert PW.evaluate(p, 2.5) == 0.5
+    assert PW.evaluate(p, 0.999999) == 2.0
 
 
 def test_decaying_formula():
     p = P.Decaying(3.0, 2.0)
     for x in (0.0, 0.7, 5.0):
-        assert P.evaluate(p, x) == pytest.approx(3.0 / (1 + x) ** 2, rel=1e-15)
+        assert PW.evaluate(p, x) == pytest.approx(3.0 / (1 + x) ** 2, rel=1e-15)
 
 
 def test_periodic_square_values_and_period():
     p = P.PeriodicSquare(0.25)
-    assert P.evaluate(p, 0.0) == 1.0
-    assert P.evaluate(p, 0.25) == -1.0
-    assert P.evaluate(p, 0.5) == 1.0
-    assert P.evaluate(p, 7.1) == P.evaluate(p, 7.1 + 0.5)
+    assert PW.evaluate(p, 0.0) == 1.0
+    assert PW.evaluate(p, 0.25) == -1.0
+    assert PW.evaluate(p, 0.5) == 1.0
+    assert PW.evaluate(p, 7.1) == PW.evaluate(p, 7.1 + 0.5)
 
 
 def test_oscillating_sign_pattern():
     p = P.OscillatingExample()
     # on [n-1, n) the sign alternates every 1/(2n); block n=2 covers [1, 2)
-    assert P.evaluate(p, 1.0) == 1.0
-    assert P.evaluate(p, 1.0 + 0.26) == -1.0
-    assert P.evaluate(p, 1.0 + 0.51) == 1.0
-    assert abs(P.evaluate(p, 3.7)) == 1.0
+    assert PW.evaluate(p, 1.0) == 1.0
+    assert PW.evaluate(p, 1.0 + 0.26) == -1.0
+    assert PW.evaluate(p, 1.0 + 0.51) == 1.0
+    assert abs(PW.evaluate(p, 3.7)) == 1.0
 
 
 def test_sparse_bumps_support():
     p = sparse_squares()
-    assert P.evaluate(p, 4.5) == 1.0   # inside the bump at 4
-    assert P.evaluate(p, 5.5) == 0.0   # between bumps
-    assert P.evaluate(p, 196.5) == 1.0
+    assert PW.evaluate(p, 4.5) == 1.0   # inside the bump at 4
+    assert PW.evaluate(p, 5.5) == 0.0   # between bumps
+    assert PW.evaluate(p, 196.5) == 1.0
 
 
 def test_random_reproducible_and_order_independent():
     a = P.Random(seed=5, cell_width=0.5, low=-1.0, high=2.0)
     b = P.Random(seed=5, cell_width=0.5, low=-1.0, high=2.0)
     xs = [10.3, 2000.7, 0.1, 512.0, 10.3]
-    va = [P.evaluate(a, x) for x in xs]
-    vb = [P.evaluate(b, x) for x in reversed(xs)]
+    va = [PW.evaluate(a, x) for x in xs]
+    vb = [PW.evaluate(b, x) for x in reversed(xs)]
     assert va == list(reversed(vb))
     assert all(-1.0 <= v <= 2.0 for v in va)
     c = P.Random(seed=6, cell_width=0.5, low=-1.0, high=2.0)
-    assert P.evaluate(c, 10.3) != va[0]
+    assert PW.evaluate(c, 10.3) != va[0]
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +141,15 @@ def test_random_reproducible_and_order_independent():
 @pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
 def test_prefix_integral_matches_quadrature(p):
     hi = 7.3
-    pts = [t for t in P.discontinuities(p, 0.0, hi)]
+    pts = [t for t in PW.discontinuities(p, 0.0, hi)]
     for x in (0.9, 3.1, hi):
         inner = [t for t in pts if t < x]
-        ref = quad(lambda t: P.evaluate(p, t), 0.0, x,
+        ref = quad(lambda t: PW.evaluate(p, t), 0.0, x,
                    points=inner, limit=max(50, 2 * len(inner) + 10))[0]
         assert P.prefix_integral(p, x) == pytest.approx(ref, abs=1e-9)
-        ref_abs = quad(lambda t: abs(P.evaluate(p, t)), 0.0, x,
+        ref_abs = quad(lambda t: abs(PW.evaluate(p, t)), 0.0, x,
                        points=inner, limit=max(50, 2 * len(inner) + 10))[0]
-        assert P.prefix_abs_integral(p, x) == pytest.approx(ref_abs, abs=1e-9)
+        assert PW.abs_integral(p, x) == pytest.approx(ref_abs, abs=1e-9)
 
 
 def test_periodic_square_period_integral_is_exactly_zero():
@@ -158,18 +163,18 @@ def test_oscillating_integer_prefix_is_exactly_zero():
     p = P.OscillatingExample()
     for n in (1, 2, 5, 17):
         assert P.prefix_integral(p, float(n)) == 0.0
-        assert P.prefix_abs_integral(p, float(n)) == float(n)
+        assert PW.abs_integral(p, float(n)) == float(n)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_prefix_bound_random_potential(seed):
     p = P.Random(seed=seed, cell_width=1.0, low=-1.0, high=1.0)
     x = 37.5
-    assert abs(P.prefix_integral(p, x)) <= P.prefix_abs_integral(p, x) + 1e-12
+    assert abs(P.prefix_integral(p, x)) <= PW.abs_integral(p, x) + 1e-12
     # additivity against the cell structure
     a = P.prefix_integral(p, 10.0)
     b = P.prefix_integral(p, x) - a
-    ref_b = quad(lambda t: P.evaluate(p, t), 10.0, x,
+    ref_b = quad(lambda t: PW.evaluate(p, t), 10.0, x,
                  points=list(np.arange(11.0, 37.0)), limit=80)[0]
     assert b == pytest.approx(ref_b, abs=1e-9)
 
@@ -182,7 +187,7 @@ def test_cesaro_constant_is_flat():
     grid = np.array([1.0, 10.0, 100.0])
     tr = P.cesaro_trace(P.Constant(1.0), grid)
     assert np.all(tr.mean == 1.0)
-    assert all(P.prefix_abs_integral(P.Constant(1.0), x) / x == 1.0 for x in grid)
+    assert all(PW.abs_integral(P.Constant(1.0), x) / x == 1.0 for x in grid)
 
 
 def test_cesaro_oscillating_integer_grid():
@@ -191,7 +196,7 @@ def test_cesaro_oscillating_integer_grid():
     tr = P.cesaro_trace(p, grid)
     assert np.all(tr.mean == 0.0)       # signed average exactly zero
     # |V| average exactly one
-    assert all(P.prefix_abs_integral(p, x) / x == 1.0 for x in grid)
+    assert all(PW.abs_integral(p, x) / x == 1.0 for x in grid)
 
 
 def test_cesaro_sparse_bumps_bound():
@@ -256,19 +261,46 @@ def test_segment_masses_reproduce_prefix_integral(p):
     assert total == pytest.approx(P.prefix_integral(p, x1), abs=1e-10)
 
 
-@pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
-def test_segment_edges_are_the_discontinuities(p):
-    rng = np.random.default_rng(5)
+def cross_check_windows(p, rng):
+    """Random windows; windows that start or end on a jump or an integer
+    (multiples of delta and bump edges among them); 1e-12-wide windows,
+    some of them on or around a jump."""
     for _ in range(60):
         x0 = float(rng.uniform(0.0, 20.0))
-        x1 = x0 + float(rng.uniform(0.01, 12.0))
-        widths = np.concatenate([np.tile(b.widths, getattr(b, "count", 1))
-                                 for b in P.segments(p, x0, x1, x1 - x0)])
+        yield x0, x0 + float(rng.uniform(0.01, 12.0))
+    points = sorted({*PW.discontinuities(p, 0.0, 20.0), *map(float, range(1, 20))})
+    for i in rng.integers(0, len(points), 30):
+        a = points[i]
+        yield a, a + float(rng.uniform(0.01, 5.0))
+        yield max(0.0, a - float(rng.uniform(0.01, 5.0))), a
+        if i + 1 < len(points):
+            yield a, points[min(i + int(rng.integers(1, 6)), len(points) - 1)]
+        yield a, a + 1e-12
+        yield a - 1e-12, a
+        yield a - 1e-12, a + 1e-12
+    for x0 in rng.uniform(0.0, 20.0, 10):
+        yield float(x0), float(x0) + 1e-12
+
+
+@pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
+def test_segment_edges_are_the_discontinuities(p):
+    """The two descriptions of V agree: cells end at the pointwise jumps, and
+    a step family's cell carries V at its midpoint.  Decaying's cells carry
+    cell averages instead (test_decaying_mesh_is_graded)."""
+    rng = np.random.default_rng(5)
+    for x0, x1 in cross_check_windows(p, rng):
+        blocks = list(P.segments(p, x0, x1, x1 - x0))
+        widths = np.concatenate([np.tile(b.widths, getattr(b, "count", 1)) for b in blocks])
+        values = np.concatenate([np.tile(b.values, getattr(b, "count", 1)) for b in blocks])
         edges = x0 + np.cumsum(widths)
         assert edges[-1] == pytest.approx(x1, abs=1e-12)
-        jumps = P.discontinuities(p, x0, x1)
+        jumps = PW.discontinuities(p, x0, x1)
         assert len(jumps) == len(edges) - 1
         assert np.allclose(edges[:-1], jumps, rtol=0.0, atol=1e-12)
+        if not isinstance(p, P.Decaying):
+            bounds = [x0, *jumps, x1]
+            mids = [(a + b) * 0.5 for a, b in zip(bounds, bounds[1:])]
+            assert values.tolist() == [PW.evaluate(p, m) for m in mids], (x0, x1)
 
 
 @pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
@@ -289,9 +321,9 @@ def test_tabulated_matches_piecewise_constant_bitwise():
     tab = P.Tabulated(grid, values)
     pc = P.PiecewiseConstant(grid[1:], values)
     for x in [*grid, *np.linspace(0.0, 4.0, 37)]:
-        assert P.evaluate(tab, x) == P.evaluate(pc, x)
+        assert PW.evaluate(tab, x) == PW.evaluate(pc, x)
         assert P.prefix_integral(tab, x) == P.prefix_integral(pc, x)
-        assert P.prefix_abs_integral(tab, x) == P.prefix_abs_integral(pc, x)
+        assert PW.abs_integral(tab, x) == PW.abs_integral(pc, x)
     for x0, x1 in [(0.0, 4.0), (0.3, 1.25), (0.5, 2.9), (1.0, 1.1)]:
         for a, b in zip(P.segments(tab, x0, x1, 0.1), P.segments(pc, x0, x1, 0.1),
                         strict=True):
@@ -316,7 +348,7 @@ def test_json_round_trip(p):
     q = P.from_json(obj)
     assert q == p
     for x in (0.0, 1.3, 6.7):
-        assert P.evaluate(q, x) == P.evaluate(p, x)
+        assert PW.evaluate(q, x) == PW.evaluate(p, x)
 
 
 def test_from_json_rejects_unknown_variant():
@@ -327,3 +359,9 @@ def test_from_json_rejects_unknown_variant():
 def test_from_json_rejects_missing_discriminator():
     with pytest.raises(ValueError):
         P.from_json({"value": 1.0})
+
+
+def test_from_json_rejects_a_bump_that_is_not_piecewise_constant():
+    with pytest.raises(ValueError, match="bump must be PiecewiseConstant"):
+        P.from_json({"variant": "sparse_bumps", "positions": [0.0, 4.0],
+                     "bump": {"variant": "constant", "value": 1.0}})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pointwise
 from schreg import potentials as P, propagation as PR
 from schreg.errors import DegenerateDisk, InvalidStep
 from volterra import (HorizonExceeded, spectral_point, volterra_solution,
@@ -184,7 +185,7 @@ def test_conjugation_symmetry(p, z, x):
 @given(pc_potentials, z_points, st.floats(1.0, 10.0))
 def test_growth_bound(p, z, x):
     k = spectral_point(z).k
-    bound = 1.0 + k.real + P.prefix_abs_integral(p, x) / x
+    bound = 1.0 + k.real + pointwise.abs_integral(p, x) / x
     assert PR.log_growth(p, x, z) <= bound + 1e-9
 
 
@@ -320,9 +321,9 @@ def test_weyl_large_energy_expansion():
     z = 400.0j
     k = spectral_point(z).k
     disk = PR.weyl_m_estimate(p, z, 20.0)
-    corr = quad(lambda t: P.evaluate(p, t) * cmath.exp(-2 * k * t).real,
+    corr = quad(lambda t: pointwise.evaluate(p, t) * cmath.exp(-2 * k * t).real,
                 0, 20)[0] + 1j * quad(
-        lambda t: P.evaluate(p, t) * cmath.exp(-2 * k * t).imag, 0, 20)[0]
+        lambda t: pointwise.evaluate(p, t) * cmath.exp(-2 * k * t).imag, 0, 20)[0]
     e_plain = abs(disk.value + k)
     e_corr = abs(disk.value + k + corr)
     assert e_corr <= 1e-3
@@ -396,7 +397,7 @@ def test_volterra_tail_bound():
     terms = volterra_terms(p, x, z, n_terms=12)
     s = PR.dirichlet_solution(p, x, z, step=1e-4)
     u = s.u * math.exp(s.log_scale)
-    int_v = P.prefix_abs_integral(p, x)
+    int_v = pointwise.abs_integral(p, x)
     k = spectral_point(z).k
     for n in (4, 6, 8):
         tail = math.exp((1 + k.real) * x) * sum(

@@ -3,7 +3,9 @@
 It builds the iterated-kernel partial sum on a composite quadrature grid
 aligned with the potential's discontinuities.  It shares no code with the
 transfer-matrix route of `schreg.propagation`, which is the point: the two
-must agree to high accuracy wherever both are defined.
+must agree to high accuracy wherever both are defined.  It reads V through
+the test-side pointwise description (`pointwise`), not through the cells
+of `schreg.potentials`.
 """
 import cmath
 import math
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from schreg import potentials
+import pointwise
 from schreg.errors import QuadratureFailure, SchregError
 
 
@@ -55,7 +57,7 @@ def _volterra_grid(p, x, h_target):
     nodes (right-continuous inside the cell, so the shared boundary node
     carries a different value for the two cells it belongs to).
     """
-    breaks = [b for b in potentials.discontinuities(p, 0.0, x)]
+    breaks = [b for b in pointwise.discontinuities(p, 0.0, x)]
     edges = [0.0, *breaks, x]
     nodes = [0.0]
     cells = []
@@ -69,7 +71,7 @@ def _volterra_grid(p, x, h_target):
         nodes.extend(local.tolist())
         pts = np.concatenate([[lo], local])
         pts[-1] = hi - 1e-6 * h  # left limit at the cell's right edge
-        vals = np.array([potentials.evaluate(p, t) for t in pts])
+        vals = np.array([pointwise.evaluate(p, t) for t in pts])
         cells.append((i0, len(nodes) - 1, h, vals))
     return np.array(nodes), cells
 
