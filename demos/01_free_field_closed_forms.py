@@ -31,9 +31,3 @@ lam = np.array([1.0, 4.0, 9.0, 25.0])
 cdf = M.martin_measure_cdf(free_set, (), lam).cdf
 for lv, cv in zip(lam, cdf):
     print(f"  lambda={lv:5.1f}  cdf={cv:.12f}  sqrt/pi={math.sqrt(lv)/math.pi:.12f}")
-
-print("\nWeyl disk at z=i: the center approaches -sqrt(-i), radius -> 0")
-for x_cut in (5.0, 10.0, 20.0):
-    disk = PR.weyl_m_estimate(vacuum, 1j, x_cut)
-    err = abs(disk.value - (-np.sqrt(complex(0.0, -1.0))))
-    print(f"  x_cut={x_cut:5.1f}  center error={err:.3e}  radius={disk.radius:.3e}")

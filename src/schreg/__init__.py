@@ -1,11 +1,11 @@
 """Numerics for half-line Schrodinger operators -u'' + V u.
 
 Subpackages by theme: `potentials` (the model families and their exact
-running integrals), `propagation` (transfer matrices, zero counting, Weyl
-disks), `periodic` (discriminants and band spectra), `martin` (comb-domain
-conformal data for finite-gap sets), `regularity` (diagnostics comparing a
-potential's finite-x data against its spectral target), and `cli` (the
-`schreg` command, whose configs `jsonschema` validates).
+running integrals), `propagation` (transfer matrices, Dirichlet solutions,
+zero counting), `periodic` (discriminants and band spectra), `martin`
+(comb-domain conformal data for finite-gap sets), `regularity` (diagnostics
+comparing a potential's finite-x data against its spectral target), and
+`cli` (the `schreg` command, whose configs `jsonschema` validates).
 """
 
 from . import martin, periodic, potentials, propagation, regularity

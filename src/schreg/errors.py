@@ -25,14 +25,6 @@ class NoConvergence(SchregError):
     """A solve left residuals above its tolerance."""
 
 
-class OnSpectrum(SchregError):
-    """Evaluation point is on (or too close to) the essential spectrum."""
-
-
-class DegenerateDisk(SchregError):
-    """Weyl disk data is degenerate (no finite positive radius)."""
-
-
 class FitIllConditioned(SchregError):
     """Least-squares design matrix is rank deficient or near-singular."""
 

@@ -40,7 +40,7 @@ import numpy as np
 # imported under the name `si`, and called only as `si.quad`, so that a
 # span tracer can wrap every quadrature call through this one module global
 from . import quadrature as si
-from .errors import FitIllConditioned, NoConvergence, OnSpectrum
+from .errors import FitIllConditioned, NoConvergence
 from .propagation import MeasureCDF
 
 __all__ = [
@@ -48,12 +48,10 @@ __all__ = [
     "CriticalPoints",
     "MartinEvaluation",
     "solve_critical_points",
-    "theta_prime",
     "martin_function",
     "a_constant",
     "fit_a_from_martin",
     "martin_measure_cdf",
-    "gap_flatness",
     "distance_to_set",
 ]
 
@@ -195,16 +193,6 @@ def _itheta_prime_raw(E, c, z):
     return num / den
 
 
-def theta_prime(E, c, z):
-    """i Theta'(z) off the spectrum; raises OnSpectrum too close to E."""
-    c = _check_c(E, c)
-    z = complex(z)
-    scale = max(1.0, abs(E.b0), E.diameter)
-    if distance_to_set(E, z) < 1e-12 * scale:
-        raise OnSpectrum(f"z={z} is on (or numerically on) the spectrum")
-    return complex(_itheta_prime_raw(E, c, z))
-
-
 def _band_theta_density(E, c, x, edge):
     """sqrt|x - edge| Theta'(x + i0) on band interiors, edge being b0 or a
     gap edge per point: Theta' is positive and integrates to pi * cdf."""
@@ -341,16 +329,6 @@ def a_constant(E, c):
     """b0 + sum_j (a_j + b_j - 2 c_j): the comb's asymptotic constant."""
     c = _check_c(E, c)
     return E.b0 + sum(a + b - 2.0 * cj for (a, b), cj in zip(E.gaps, c))
-
-
-def gap_flatness(E, c):
-    """Per gap: |integral of M'| normalized by the integral of |M'|.
-
-    Zero for exact critical points; this is the slit-closure defect of the
-    comb map, computed independently of the linear solve.
-    """
-    c = _check_c(E, c)
-    return np.abs(_gap_residuals(E, c))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache, singledispatch
 
 import numpy as np
@@ -579,7 +579,12 @@ def from_json(obj):
     _require(isinstance(obj, dict) and "variant" in obj, "potential spec needs a 'variant'")
     kind = obj["variant"]
     _require(kind in _VARIANTS, f"unknown potential variant {kind!r}")
-    kwargs = {k: v for k, v in obj.items() if k != "variant"}
+    given = obj.keys() - {"variant"}
+    known = {f.name for f in fields(_VARIANTS[kind])}
+    required = {f.name for f in fields(_VARIANTS[kind]) if f.default is MISSING}
+    _require(given <= known, f"unknown fields {sorted(given - known)} for {kind!r}")
+    _require(required <= given, f"{kind!r} needs the fields {sorted(required - given)}")
+    kwargs = {k: obj[k] for k in given}
     if kind == "sparse_bumps":
-        return SparseBumps(bump=from_json(kwargs.pop("bump")), **kwargs)
+        kwargs["bump"] = from_json(kwargs["bump"])
     return _VARIANTS[kind](**kwargs)

@@ -47,29 +47,24 @@ of at most _CHUNK cell-energies (one block at least), which bounds memory.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import potentials
-from .errors import DegenerateDisk, InvalidStep, ZeroSolution
+from .errors import InvalidStep, ZeroSolution
 
 __all__ = [
     "ScaledTransferMatrix",
     "SolutionSample",
-    "WeylDisk",
     "MeasureCDF",
     "transfer_matrix",
     "dirichlet_solution",
     "dirichlet_profile",
     "log_growth",
-    "log_growth_profile",
-    "lyapunov_estimate",
     "eigenvalue_count",
     "zero_counting_cdf",
-    "weyl_m_estimate",
 ]
 
 _CHUNK = 1 << 13
@@ -77,19 +72,12 @@ _CHUNK = 1 << 13
 
 @dataclass(frozen=True, eq=False)
 class ScaledTransferMatrix:
-    """Transfer matrix e**log_scale * m with the mantissa m at unit norm."""
+    """Transfer matrix e**log_scale * m with the mantissa m at unit spectral
+    norm, so log_scale is the log of the matrix norm (x times the finite-x
+    Lyapunov exponent)."""
 
     m: np.ndarray
     log_scale: float
-
-    def matrix(self):
-        """The literal matrix; may overflow for long propagations."""
-        return math.exp(self.log_scale) * self.m
-
-    def det_log_defect(self):
-        """log det(e**log_scale * m); zero for an exact transfer matrix."""
-        d = self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0]
-        return cmath.log(d) + 2.0 * self.log_scale
 
 
 @dataclass(frozen=True)
@@ -105,14 +93,6 @@ class SolutionSample:
         if np.any(self.u == 0):
             raise ZeroSolution(f"u vanished at x={x}; log-growth undefined")
         return (self.log_scale + np.log(np.abs(self.u))) / x
-
-
-@dataclass(frozen=True)
-class WeylDisk:
-    """Truncation estimate of the Weyl m function: a disk center and radius."""
-
-    value: complex
-    radius: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +293,7 @@ def transfer_matrix(p, x, z, step=1e-3):
     Dirichlet solution (u(0)=0, u'(0)=1), the second has u(0)=1, u'(0)=0.
     The mantissa is normalized to unit spectral norm.  An array of energies
     shares one pass: m is then indexed [i, j, *z.shape] and log_scale is an
-    array of z's shape (the matrix methods take one energy).
+    array of z's shape.
     """
     _check_step(step)
     x = float(x)
@@ -367,19 +347,6 @@ def dirichlet_profile(p, x_list, z_list, step=1e-3):
     return SolutionSample(u, du, log_scale)
 
 
-def log_growth_profile(p, x_list, z, step=1e-3):
-    """h(x, z) along an increasing list of checkpoints, in one propagation."""
-    xs = np.asarray(x_list, dtype=float)
-    return dirichlet_profile(p, xs, [z], step).log_growth(xs)[0]
-
-
-def lyapunov_estimate(p, x, z, step=1e-3):
-    """Finite-x Lyapunov proxy: log of the transfer-matrix norm over x."""
-    if not x > 0:
-        raise ValueError("x must be positive")
-    return transfer_matrix(p, x, z, step).log_scale / x
-
-
 # ---------------------------------------------------------------------------
 # Pruefer zero counting
 
@@ -412,31 +379,3 @@ def zero_counting_cdf(p, x, lambda_grid, step=1e-3):
         raise ValueError("lambda_grid must be nonempty and strictly increasing")
     return MeasureCDF(lam=lams, cdf=_counts(p, x, lams, step) / x)
 
-
-# ---------------------------------------------------------------------------
-# Weyl disk
-
-def weyl_m_estimate(p, z, x_cut, step=1e-3):
-    """Weyl m-function disk from truncation at x_cut, for Im z > 0.
-
-    The center estimate is -v(x)/u(x) (v the Neumann-type solution); the
-    radius is 1/(2 Im z * integral_0^x |u|^2), where the integral comes from
-    the exact identity Im(conj(u') u)(x) = Im z * integral_0^x |u|^2 rather
-    than quadrature.
-    """
-    z = complex(z)
-    if not z.imag > 0:
-        raise ValueError("weyl_m_estimate needs Im z > 0")
-    t = transfer_matrix(p, x_cut, z, step)
-    u, du, v = t.m[1, 0], t.m[0, 0], t.m[1, 1]
-    if u == 0:
-        raise DegenerateDisk("Dirichlet solution vanished at the cut point")
-    value = -v / u
-    growth = (np.conj(du) * u).imag
-    if not growth > 0:
-        raise DegenerateDisk("truncation disk has no positive radius")
-    try:
-        radius = math.exp(-2.0 * t.log_scale) / (2.0 * growth)
-    except OverflowError as exc:
-        raise DegenerateDisk("disk radius overflowed") from exc
-    return WeylDisk(value=complex(value), radius=float(radius))

@@ -361,6 +361,16 @@ def test_from_json_rejects_missing_discriminator():
         P.from_json({"value": 1.0})
 
 
+@pytest.mark.parametrize("spec", [
+    {"variant": "sparse_bumps", "positions": [0.0, 4.0]},
+    {"variant": "constant", "value": 1.0, "colour": 2},
+    {"variant": "constant"},
+])
+def test_from_json_rejects_missing_and_unknown_fields(spec):
+    with pytest.raises(ValueError):
+        P.from_json(spec)
+
+
 def test_from_json_rejects_a_bump_that_is_not_piecewise_constant():
     with pytest.raises(ValueError, match="bump must be PiecewiseConstant"):
         P.from_json({"variant": "sparse_bumps", "positions": [0.0, 4.0],
