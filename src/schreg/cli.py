@@ -14,10 +14,8 @@ record), 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
 import os
 import sys
@@ -44,20 +42,6 @@ _NEEDS_SPECTRUM = {"martin", "dos", "regularity"}
 # deterministic serialization
 
 
-_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    text = format(float(value), ".17g")
-    return _SPECIAL.get(text, text)
-
-
 class _OutputDir:
     """Collects artifacts in a directory and records their hashes."""
 
@@ -78,22 +62,13 @@ class _OutputDir:
         self._store(name, text.encode("utf-8"))
 
     def write_csv(self, name, header, columns):
-        """One column per header field.  A float64 array column free of nan
-        and +-inf is %-formatted, which spells each value as _cell does; a
-        table of only such columns is formatted in one pass."""
-        plain = [isinstance(c, np.ndarray) and c.dtype == np.float64
-                 and bool(np.isfinite(c).all()) for c in columns]
-        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        if all(plain):
-            template = ",".join(["%.17g"] * len(cols)) + "\n"
-            buf.write("".join(map(template.__mod__, zip(*cols))))
-        else:
-            writer.writerows(zip(*[map("%.17g".__mod__ if ok else _cell, c)
-                                   for c, ok in zip(cols, plain)]))
-        self._store(name, buf.getvalue().encode("utf-8"))
+        """One float column per header field, every row through one %.17g
+        template; nan and +-inf are then spelled NaN and [-]Infinity."""
+        template = ",".join(["%.17g"] * len(columns)) + "\n"
+        cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+        body = "".join(map(template.__mod__, zip(*cols)))
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        self._store(name, (",".join(header) + "\n" + body).encode("utf-8"))
 
     def write_manifest(self, config, status, error=None):
         manifest = {

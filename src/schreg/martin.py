@@ -6,11 +6,15 @@ Everything is driven by the closed-form derivative
                   / ( sqrt(b0 - z) * prod_j sqrt(a_j - z) sqrt(b_j - z) ),
 
 principal square roots throughout, which is analytic off [b0, inf) and
-positive on (-inf, b0).  The numerator roots c_j (one per gap (a_j, b_j))
-are the critical points; they are correct exactly when the integral of
-Theta' over every gap vanishes.  These conditions are linear in the
-coefficients of the monic numerator, so one linear solve gives it, and a
-batched 32-way sectioning finds its one root in each gap.
+positive on (-inf, b0).  It is formed as a running product of one bounded
+ratio (c_j - z) / (sqrt(a_j - z) sqrt(b_j - z)) per gap, so it neither
+overflows nor underflows however many gaps there are.  The numerator
+roots c_j (one per gap (a_j, b_j)) are the critical points; they are
+correct exactly when the integral of Theta' over every gap vanishes.
+These conditions are linear in the partial-fraction coefficients of the
+monic numerator over the gap midpoints, so one linear solve gives it, and
+a batched 32-way sectioning finds its one root in each gap.  A solve is
+accepted when each gap's residual is within what one ulp of c_j can move.
 
 The Martin function M = Im Theta is anchored at Theta(b0) = 0.  On the
 real axis M is the integral of M' from the nearer finite gap end (b0
@@ -182,42 +186,42 @@ def _check_c(E, c):
     return c
 
 
+def _ratio_product(E, n, x, root):
+    """(1/2) prod_l (n_l - x) / (root(b0) prod_l root(a_l) root(b_l)), as a
+    running product of one bounded ratio per gap, so that no product over
+    all gaps is ever formed: with n = c and root(e) = sqrt(e - x) it is
+    i Theta'(x)."""
+    v = 0.5 / root(E.b0)
+    for (a, b), nl in zip(E.gaps, n):
+        v = v * ((nl - x) / (root(a) * root(b)))
+    return v
+
+
+def _edge_root(x, edge):
+    """root(e) at real points x, each with its own edge (b0 or a gap edge):
+    1 at that edge, sqrt|x - e| at every other."""
+    return lambda e: np.where(edge == e, 1.0, np.sqrt(np.abs(x - e)))
+
+
 def _itheta_prime_raw(E, c, z):
     """i Theta'(z) for complex z (vectorized); principal branches."""
     z = np.asarray(z, dtype=complex)
-    num = np.full(z.shape, 0.5, dtype=complex)
-    den = np.sqrt(E.b0 - z)
-    for (a, b), cj in zip(E.gaps, c):
-        num = num * (cj - z)
-        den = den * (np.sqrt(a - z) * np.sqrt(b - z))
-    return num / den
-
-
-def _band_theta_density(E, c, x, edge):
-    """sqrt|x - edge| Theta'(x + i0) on band interiors, edge being b0 or a
-    gap edge per point: Theta' is positive and integrates to pi * cdf."""
-    x = np.asarray(x, dtype=float)
-    num = np.full(x.shape, 0.5)
-    for cj in c:
-        num = num * np.abs(x - cj)
-    den = np.ones(x.shape)
-    for e in (E.b0, *(e for gap in E.gaps for e in gap)):
-        den = den * np.where(edge == e, 1.0, np.sqrt(np.abs(x - e)))
-    return num / den
+    return _ratio_product(E, c, z, lambda e: np.sqrt(e - z))
 
 
 def _m_density(E, c, j, x, edge):
     """sqrt|x - edge| M'(x) at x[i] in gap j[i]: M' is positive up to c_j,
     negative after.  Gap 0 is (-inf, b0), with c_0 = -inf; j = N + 1 gives
-    the band density (c = +inf)."""
+    the band density sqrt|x - edge| Theta'(x + i0) (c = +inf), which is
+    positive and integrates to pi * cdf."""
     sign = np.sign(np.array([-math.inf, *c, math.inf])[j] - x)
-    return sign * _band_theta_density(E, c, x, edge)
+    return sign * np.abs(_ratio_product(E, c, x, _edge_root(x, edge)))
 
 
 # ---------------------------------------------------------------------------
 # critical points
 
-_RESIDUAL_TOL = 1e-10   # largest normalized gap residual a solve may leave
+_RESIDUAL_TOL = 1e-10   # normalized gap residual a solve may always leave
 
 
 _SECTIONS = 32   # sub-brackets a bracket is cut into per round of _section
@@ -250,10 +254,10 @@ def _panel_rule():   # 24 Gauss points on each of 16 panels of (0, 1), built onc
     return (np.arange(16)[:, None] + 0.5 + 0.5 * x).ravel() / 16, np.tile(w, 16)
 
 
-def _gap_rules(E):
+def _gap_rules(E, m):
     """Nodes t[j] and weights w[j], one row per gap, of a fixed Gauss rule
-    (_panel_rule on each half gap) for integrals over gap j against its
-    positive weight, dt / (sqrt|t - b0| prod sqrt|t - e|) over the gap
+    (_panel_rule on each half gap) for integrals over gap j against
+    prod_l (m_l - t) dt / (sqrt|t - b0| prod sqrt|t - e|) over the gap
     edges e, up to a constant factor.  The gap's own edge factors are
     absorbed by the s**2 substitutions from each end."""
     s, w = _panel_rule()
@@ -262,17 +266,7 @@ def _gap_rules(E):
     t = np.concatenate([a + h * h, b - h * h], axis=1)
     edge = np.concatenate([np.broadcast_to(e, h.shape) for e in (a, b)], axis=1)
     weight = np.tile(np.sqrt(b - a) * w, 2)
-    return t, weight * _band_theta_density(E, (), t, edge)
-
-
-def _omega_basis(t, m):
-    """prod_l (t - m_l), then prod_{l != k} (t - m_l) for every k, along a
-    new last axis; the latter as exclusive prefix times suffix products."""
-    d = t[..., None] - m
-    one = np.ones(d.shape[:-1] + (1,))
-    pre = np.cumprod(np.concatenate([one, d[..., :-1]], axis=-1), axis=-1)
-    suf = np.cumprod(np.concatenate([one, d[..., :0:-1]], axis=-1), axis=-1)
-    return np.concatenate([d.prod(-1)[..., None], pre * suf[..., ::-1]], axis=-1)
+    return t, weight * _ratio_product(E, m, t, _edge_root(t, edge))
 
 
 def _gap_residuals(E, c):
@@ -297,32 +291,44 @@ def _gap_residuals(E, c):
 def solve_critical_points(E):
     """Critical points of the finite-gap set, one per gap.
 
-    The numerator omega(t) = prod_l (t - c_l) is monic of degree N, so the
-    N gap conditions, integral over gap j of omega against the gap weight
-    = 0, are linear in its lower coefficients.  Written as
-    omega = prod_l (t - m_l) + sum_k p_k prod_{l != k} (t - m_l) with m_l
-    the gap midpoints, one N x N solve on the fixed rule's moments gives p.
-    Each condition makes omega change sign inside its gap, so omega has one
-    root per gap; one batched sectioning from the gap ends finds them all.
-    The residuals are recomputed adaptively and normalized by each gap's
-    absolute mass; NoConvergence means one is above _RESIDUAL_TOL.
+    The numerator omega(t) = prod_l (t - c_l) is monic of degree N; in
+    partial fractions over the gap midpoints m_l it is prod_l (t - m_l)
+    (1 + sum_k p_k / (t - m_k)).  The N gap conditions, integral over gap j
+    of omega against the gap weight = 0, are linear in p: with prod_l
+    (m_l - t) in the fixed rule's weights (one bounded ratio per gap), one
+    N x N solve on the moments of [1, 1/(t - m_k)] gives p.  On gap j,
+    omega / prod_{l != j} (t - m_l) = (t - m_j)(1 + sum_{l != j} p_l /
+    (t - m_l)) + p_j has no pole, is positive at b_j and has omega's one
+    root in the gap; one batched sectioning from the gap ends finds them
+    all.  The residuals r_j are recomputed adaptively and normalized by
+    each gap's absolute mass.  Near the root r_j ~ pi (c_j - root) /
+    (b_j - a_j), so NoConvergence means some |r_j| is above
+    max(_RESIDUAL_TOL, 4 pi ulp(c_j) / (b_j - a_j)).
     """
     N = len(E.gaps)
     if N == 0:
         return CriticalPoints(c=(), residuals=())
     a, b = np.array(E.gaps).T
     m = 0.5 * (a + b)
-    t, w = _gap_rules(E)
-    moments = np.einsum("jn,jnk->jk", w, _omega_basis(t, m))
-    coef = np.concatenate([[1.0], np.linalg.solve(moments[:, 1:], -moments[:, 0])])
-    sign = (-1.0) ** np.arange(N - 1, -1, -1)   # of omega at each b_j
-    c = _section(lambda x, k: sign[k, None] * (_omega_basis(x, m) @ coef), b, a,
-                 4e-16 * np.maximum(np.abs(a), np.abs(b)))
-    residuals = tuple(float(r) for r in _gap_residuals(E, tuple(c)))
-    if max(abs(r) for r in residuals) > _RESIDUAL_TOL:
-        raise NoConvergence(
-            f"gap residuals {residuals} above {_RESIDUAL_TOL}")
-    return CriticalPoints(c=tuple(float(v) for v in c), residuals=residuals)
+    t, w = _gap_rules(E, m)
+    p = np.linalg.solve(np.stack([(w / (t - mk)).sum(1) for mk in m], axis=1),
+                        -w.sum(1))
+
+    def section(x, k):   # omega / prod_{l != k} (x - m_l) on gap k
+        own = np.arange(N) == k[:, None, None]
+        d = x[..., None] - m
+        s = np.divide(p, d, out=np.zeros(d.shape), where=~own).sum(-1)
+        return (x - m[k, None]) * (1.0 + s) + p[k, None]
+
+    c = _section(section, b, a, 4e-16 * np.maximum(np.abs(a), np.abs(b)))
+    r = _gap_residuals(E, tuple(c))
+    bound = np.maximum(_RESIDUAL_TOL, 4.0 * math.pi * np.spacing(np.abs(c)) / (b - a))
+    bad = np.flatnonzero(np.abs(r) > bound)
+    if bad.size:
+        raise NoConvergence(f"residuals {r[bad].tolist()} of gaps {bad.tolist()} above "
+                            f"max({_RESIDUAL_TOL}, 4 pi ulp(c_j) / (b_j - a_j)) "
+                            f"= {bound[bad].tolist()}")
+    return CriticalPoints(c=tuple(c.tolist()), residuals=tuple(r.tolist()))
 
 
 def a_constant(E, c):
@@ -402,7 +408,7 @@ def martin_measure_cdf(E, c, lambda_grid):
     L = np.maximum(np.concatenate([[E.b0], lams[:-1]])[:, None], bands[:, 0])
     H = np.minimum(lams[:, None], bands[:, 1])
     i, j = np.nonzero(L < H)
-    parts = _edge_quad(lambda x, _, e: _band_theta_density(E, c, x, e),
+    parts = _edge_quad(lambda x, _, e: _m_density(E, c, len(E.gaps) + 1, x, e),
                        L[i, j], H[i, j], bands[j, 0], bands[j, 1])
     steps = np.bincount(i, parts, lams.size)
     return MeasureCDF(lam=lams, cdf=np.cumsum(steps) / math.pi)

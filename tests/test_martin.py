@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from schreg import martin as M
+from schreg import martin as M, periodic as PE, potentials as P
 from schreg.errors import FitIllConditioned, NoConvergence
 
 FREE = M.GapSet(b0=0.0)
@@ -163,9 +163,56 @@ def test_random_gap_sets_solve_inside_their_gaps(n):
         assert max(abs(r) for r in cp.residuals) <= 1e-10
 
 
-def test_gap_too_narrow_for_the_residual_check_raises():
-    with pytest.raises(NoConvergence):
-        solved(M.GapSet(0.0, ((100.0, 100.00000001),)))
+NARROW_GAPS = [M.GapSet(0.0, ((100.0, 100.0 + 1e-8),)),
+               M.GapSet(0.0, ((1421.0, 1421.0007),))]
+
+
+def one_gap_root(E, dps=40):
+    """The critical point of a one-gap set to dps digits: the weighted mean
+    of t over the gap, each half taken in t = a + s**2 or t = b - s**2."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        b0 = mp.mpf(E.b0)
+        (a, b), = [(mp.mpf(a), mp.mpf(b)) for a, b in E.gaps]
+        h = mp.sqrt((b - a) / 2)
+
+        def moment(k):
+            def g(t, other):
+                return t ** k / mp.sqrt(t - b0) / mp.sqrt(abs(t - other))
+            return (mp.quad(lambda s: g(a + s * s, b), [0, h])
+                    + mp.quad(lambda s: g(b - s * s, a), [0, h]))
+
+        return moment(1) / moment(0)
+
+
+@pytest.mark.parametrize("E", NARROW_GAPS, ids=["1e-8_at_100", "7e-4_at_1421"])
+def test_narrow_gap_solves_to_within_an_ulp_of_its_root(E):
+    # the residual there is above _RESIDUAL_TOL but below 4 pi ulp(c) / width,
+    # the most one ulp of c can leave (it moves r by about pi ulp(c) / width)
+    mp = pytest.importorskip("mpmath")
+    c = solved(E).c[0]
+    assert abs(mp.mpf(c) - one_gap_root(E)) <= math.ulp(c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_174_gap_square_wave_solves_without_warnings():
+    # PeriodicSquare(5) below 3000: every product over all gaps overflows
+    E = PE.to_gap_set(PE.band_spectrum(P.PeriodicSquare(5.0), 10.0, (-2.0, 3000.0), 2048))
+    assert len(E.gaps) == 174
+    cp = solved(E)
+    assert all(a < c < b for (a, b), c in zip(E.gaps, cp.c))
+
+
+def test_truncated_square_wave_a_constant_tends_to_the_mean():
+    # V periodic is regular, so a_E of its whole spectrum is the mean of V,
+    # 0 here; the spectrum below Lambda gets there as Lambda grows
+    p = P.PeriodicSquare(0.45)
+    a_e = []
+    for top in (50.0, 150.0, 600.0, 3000.0):
+        E = PE.to_gap_set(PE.band_spectrum(p, 0.9, (-2.0, top), 2048))
+        a_e.append(abs(M.a_constant(E, solved(E).c)))
+    assert all(x > y for x, y in zip(a_e, a_e[1:]))
+    assert a_e[-1] < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +290,7 @@ def test_section_of_converged_brackets_calls_nothing():
 
 
 # ---------------------------------------------------------------------------
-# residuals and the moment basis
+# residuals
 
 
 def quadpack_residuals(E, c):
@@ -292,6 +339,19 @@ def test_critical_point_off_by_a_millionth_of_its_gap_raises(monkeypatch):
         solved(E)
 
 
+@pytest.mark.parametrize("E", NARROW_GAPS, ids=["1e-8_at_100", "7e-4_at_1421"])
+def test_narrow_gap_critical_point_off_by_64_ulps_raises(monkeypatch, E):
+    section = M._section
+
+    def nudged(*args):
+        c = section(*args)
+        return c + 64 * np.spacing(c)
+
+    monkeypatch.setattr(M, "_section", nudged)
+    with pytest.raises(NoConvergence):
+        solved(E)
+
+
 def test_gap_flatness_takes_few_quadrature_rounds(monkeypatch):
     E = M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5)))
     c = solved(E).c
@@ -305,24 +365,6 @@ def test_gap_flatness_takes_few_quadrature_rounds(monkeypatch):
     monkeypatch.setattr(M, "_m_density", counted)
     assert max(abs(M._gap_residuals(E, c))) <= 1e-10
     assert 1 <= len(calls) <= 4
-
-
-def omega_basis_by_deletion(t, m):
-    d = t[..., None] - m
-    return np.stack([d.prod(-1)] + [np.delete(d, k, -1).prod(-1)
-                                    for k in range(m.size)], axis=-1)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 20, 60])
-def test_omega_basis_matches_deletion_form(n):
-    rng = np.random.default_rng(n)
-    m = np.sort(rng.uniform(0.0, 100.0, n))
-    t = rng.uniform(-1.0, 101.0, (5, 64))
-    got, want = M._omega_basis(t, m), omega_basis_by_deletion(t, m)
-    if n <= 3:
-        assert np.array_equal(got, want)
-    else:
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 # ---------------------------------------------------------------------------

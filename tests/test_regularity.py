@@ -159,6 +159,16 @@ def test_report_random_inconsistent_across_seeds():
         assert float(np.max(np.abs(rep.growth_gaps))) > 0.15
 
 
+@pytest.mark.parametrize("delta", [0.25, 0.45])
+def test_report_periodic_square_consistent_on_its_own_bands(delta):
+    # a periodic V is regular: its report against the gap set its own band
+    # scan gives, up to Lambda = 3000, finds nothing against regularity
+    p = P.PeriodicSquare(delta)
+    E = PE.to_gap_set(PE.band_spectrum(p, 2.0 * delta, (-2.0, 3000.0), 2048))
+    rep = R.regularity_report(p, E)
+    assert rep.verdict == R.CONSISTENT
+
+
 def test_report_verdict_replayable_from_stored_numbers():
     rep = R.regularity_report(P.Decaying(1.0, 2.0), FREE, small_config())
     replay = R.decide_verdict(rep.inequality_margin,
