@@ -13,7 +13,6 @@ record), 2 invalid configuration.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import json
@@ -71,6 +70,7 @@ class _OutputDir:
         self._store(name, (",".join(header) + "\n" + body).encode("utf-8"))
 
     def write_manifest(self, config, status, error=None):
+        """manifest.json: every file written before it, with its sha256."""
         manifest = {
             "command": config.get("command"),
             "status": status,
@@ -78,9 +78,7 @@ class _OutputDir:
         }
         if error is not None:
             manifest["error"] = error
-        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        with open(os.path.join(self.path, "manifest.json"), "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        self.write_json("manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +194,7 @@ def _cmd_martin(config, out):
     zs = _zarray(params["z_grid"])
     ev = martin.martin_function(E, cp.c, zs)
     summary = {
-        "b0": E.b0,
-        "gaps": [list(g) for g in E.gaps],
+        **E.to_json(),
         "critical_points": list(cp.c),
         "residuals": list(cp.residuals),
         "a_constant": martin.a_constant(E, cp.c),
@@ -277,6 +274,8 @@ def run(config, out_dir=None):
 
 
 def main(argv=None):
+    import argparse   # here, not at module level: `run` never parses arguments
+
     parser = argparse.ArgumentParser(
         prog="schreg",
         description="Half-line Schrodinger spectral experiments from JSON "

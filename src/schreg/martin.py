@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +45,7 @@ import numpy as np
 from . import quadrature as si
 from .errors import FitIllConditioned, NoConvergence
 from .propagation import MeasureCDF
+from .record import Record
 
 __all__ = [
     "GapSet",
@@ -60,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GapSet:
+class GapSet(Record):
     """[b0, inf) with finitely many open gaps (a_j, b_j) removed.
 
     Ordering b0 < a_1 < b_1 < a_2 < ... is enforced; bands() lists the
@@ -72,25 +71,18 @@ class GapSet:
     gaps: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "b0", float(self.b0))
-        gaps = tuple((float(a), float(b)) for a, b in self.gaps)
-        object.__setattr__(self, "gaps", gaps)
+        self._set(b0=float(self.b0), gaps=tuple((float(a), float(b)) for a, b in self.gaps))
+        edges = [self.b0, *(e for gap in self.gaps for e in gap)]
         if not math.isfinite(self.b0):
             raise ValueError("b0 must be finite")
-        if not all(math.isfinite(e) for gap in gaps for e in gap):
+        if not all(map(math.isfinite, edges)):
             raise ValueError("gap edges must be finite")
-        prev = self.b0
-        for a, b in gaps:
-            if not prev < a < b:
-                raise ValueError("gaps must be ordered and disjoint above b0")
-            prev = b
+        if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
+            raise ValueError("gaps must be ordered and disjoint above b0")
 
     def bands(self):
-        edges = [self.b0]
-        for a, b in self.gaps:
-            edges.extend((a, b))
-        edges.append(math.inf)
-        return [(edges[i], edges[i + 1]) for i in range(0, len(edges), 2)]
+        edges = [self.b0, *(e for gap in self.gaps for e in gap), math.inf]
+        return list(zip(edges[::2], edges[1::2]))
 
     @property
     def diameter(self):
@@ -104,8 +96,7 @@ class GapSet:
         return cls(b0=obj["b0"], gaps=tuple(tuple(g) for g in obj.get("gaps", ())))
 
 
-@dataclass(frozen=True)
-class CriticalPoints:
+class CriticalPoints(Record):
     """Solved numerator roots, one per gap, with verified gap residuals.
 
     residuals[j] is the gap-j integral of Theta' normalized by the integral
@@ -117,8 +108,7 @@ class CriticalPoints:
     residuals: tuple
 
 
-@dataclass(frozen=True)
-class MartinEvaluation:
+class MartinEvaluation(Record):
     """Martin function value and the real comb coordinate at one point
     (or arrays of them, one entry per point)."""
 

@@ -20,12 +20,11 @@ its bands are merged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import propagation
 from .martin import GapSet, _section
+from .record import Record
 
 __all__ = [
     "BandSpectrum",
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class BandSpectrum:
+class BandSpectrum(Record, eq=False):
     """Bands of a periodic operator inside a scan window.
 
     `bands` are closed intervals (clipped to the window); `lam`, `delta`
@@ -122,6 +120,5 @@ def to_gap_set(bs):
         raise ValueError("scan starts inside the spectrum; its bottom is unknown")
     if not bs.bands:
         raise ValueError("band spectrum has no bands")
-    gaps = tuple((bs.bands[i][1], bs.bands[i + 1][0])
-                 for i in range(len(bs.bands) - 1))
+    gaps = tuple((lo[1], hi[0]) for lo, hi in zip(bs.bands, bs.bands[1:]))
     return GapSet(b0=bs.bands[0][0], gaps=gaps)

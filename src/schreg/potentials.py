@@ -1,8 +1,8 @@
 """Potential families on the half line [0, inf).
 
-Every family is a small frozen dataclass; the functions below dispatch on
+Every family is a small frozen record; the functions below dispatch on
 its type.  The paper reads a potential through two objects, and each family
-registers exactly those two, right after its dataclass:
+registers exactly those two, right after its class:
 
 * `segments` -- the constant cells of a window, from which propagation
   builds transfer matrices;
@@ -12,7 +12,7 @@ registers exactly those two, right after its dataclass:
   closed form per family, never quadrature, so downstream consumers can
   trust it to machine precision.
 
-`to_json` and `from_json` read and build the dataclass fields.
+`to_json` and `from_json` read and build the record fields.
 
 `segments` decomposes [x0, x1) into constant cells, emitting literal cell
 arrays (`CellBlock`) or a repeated pattern with a count (`RepeatBlock`)
@@ -37,10 +37,11 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache, singledispatch
 
 import numpy as np
+
+from .record import Record
 
 __all__ = [
     "Constant",
@@ -71,25 +72,25 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
-@dataclass(frozen=True, eq=False)
 class CellBlock:
     """A run of literal constant cells: widths[i] wide with average values[i]."""
 
-    widths: np.ndarray
-    values: np.ndarray
+    __slots__ = ("widths", "values")
+
+    def __init__(self, widths, values):
+        self.widths, self.values = widths, values
 
 
-@dataclass(frozen=True, eq=False)
 class RepeatBlock:
     """A cell pattern repeated `count` times back to back."""
 
-    widths: np.ndarray
-    values: np.ndarray
-    count: int
+    __slots__ = ("widths", "values", "count")
+
+    def __init__(self, widths, values, count):
+        self.widths, self.values, self.count = widths, values, count
 
 
-@dataclass(frozen=True, eq=False)
-class CesaroTrace:
+class CesaroTrace(Record, eq=False):
     """Running averages (1/x) * integral_0^x of V on a grid."""
 
     x: np.ndarray
@@ -121,15 +122,11 @@ def segments(p, x0, x1, step):
     raise _unknown(p)
 
 
-def _checked_x(x):
-    x = float(x)
-    _require(x >= 0 and math.isfinite(x), "x must be finite and nonnegative")
-    return x
-
-
 def prefix_integral(p, x):
     """Exact integral of V over [0, x] (closed form, no quadrature)."""
-    return _prefix(p, _checked_x(x))
+    x = float(x)
+    _require(x >= 0 and math.isfinite(x), "x must be finite and nonnegative")
+    return _prefix(p, x)
 
 
 def _cell_block(edges, values):
@@ -161,14 +158,13 @@ def _wave_cells(half, origin, lo, hi):
 # Constant
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Record):
     """V(x) = value everywhere."""
 
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        self._set(value=float(self.value))
         _require(math.isfinite(self.value), "constant value must be finite")
 
 
@@ -187,8 +183,7 @@ def _(p: Constant, x0, x1, step):
 # step functions: PiecewiseConstant and Tabulated
 
 
-@dataclass(frozen=True)
-class PiecewiseConstant:
+class PiecewiseConstant(Record):
     """Step function: values[i] on [b_{i-1}, b_i) with b_{-1} = 0.
 
     `breakpoints` are strictly increasing and positive; `values` has one
@@ -199,8 +194,8 @@ class PiecewiseConstant:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", _as_float_tuple(self.breakpoints))
-        object.__setattr__(self, "values", _as_float_tuple(self.values))
+        self._set(breakpoints=_as_float_tuple(self.breakpoints),
+                  values=_as_float_tuple(self.values))
         _require(len(self.values) == len(self.breakpoints) + 1,
                  "need len(values) == len(breakpoints) + 1")
         _require(all(math.isfinite(v) for v in self.values), "values must be finite")
@@ -210,8 +205,7 @@ class PiecewiseConstant:
                  "breakpoints must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class Tabulated:
+class Tabulated(Record):
     """Right-continuous step interpolation of sampled values.
 
     `grid` starts at 0 and increases strictly; values[i] holds on
@@ -222,8 +216,7 @@ class Tabulated:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", _as_float_tuple(self.grid))
-        object.__setattr__(self, "values", _as_float_tuple(self.values))
+        self._set(grid=_as_float_tuple(self.grid), values=_as_float_tuple(self.values))
         _require(len(self.grid) == len(self.values) and len(self.grid) >= 1,
                  "grid and values must have equal nonzero length")
         _require(self.grid[0] == 0.0, "grid must start at 0")
@@ -265,16 +258,14 @@ def _(p, x0, x1, step):
 # Decaying
 
 
-@dataclass(frozen=True)
-class Decaying:
+class Decaying(Record):
     """V(x) = amplitude / (1 + x)**rate with rate > 0."""
 
     amplitude: float
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        object.__setattr__(self, "rate", float(self.rate))
+        self._set(amplitude=float(self.amplitude), rate=float(self.rate))
         _require(math.isfinite(self.amplitude), "amplitude must be finite")
         _require(self.rate > 0 and math.isfinite(self.rate), "rate must be positive")
 
@@ -318,14 +309,13 @@ def _(p: Decaying, x0, x1, step):
 # PeriodicSquare
 
 
-@dataclass(frozen=True)
-class PeriodicSquare:
+class PeriodicSquare(Record):
     """Square wave: +1 on [0, delta), -1 on [delta, 2*delta), period 2*delta."""
 
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", float(self.delta))
+        self._set(delta=float(self.delta))
         _require(self.delta > 0 and math.isfinite(self.delta), "delta must be positive")
 
 
@@ -354,8 +344,7 @@ def _(p: PeriodicSquare, x0, x1, step):
 # OscillatingExample
 
 
-@dataclass(frozen=True)
-class OscillatingExample:
+class OscillatingExample(Record):
     """Unit-amplitude square wave whose half-period shrinks like 1/(2n).
 
     On the integer block [n-1, n) the sign is (-1)**floor(2*n*(x - n + 1)):
@@ -393,8 +382,7 @@ def _(p: OscillatingExample, x0, x1, step):
 # SparseBumps
 
 
-@dataclass(frozen=True)
-class SparseBumps:
+class SparseBumps(Record):
     """Copies of a fixed nonnegative bump placed at increasingly sparse centers.
 
     Parameters
@@ -414,17 +402,14 @@ class SparseBumps:
     sparse_from: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", _as_float_tuple(self.positions))
-        object.__setattr__(self, "sparse_from", int(self.sparse_from))
+        self._set(positions=_as_float_tuple(self.positions), sparse_from=int(self.sparse_from))
         _require(isinstance(self.bump, PiecewiseConstant), "bump must be PiecewiseConstant")
         _require(self.bump.values[-1] == 0.0, "bump must have compact support (last value 0)")
         _require(all(v >= 0 for v in self.bump.values), "bump values must be nonnegative")
         p = self.positions
         _require(len(p) >= 1 and p[0] >= 0, "need at least one nonnegative position")
-        support = self.bump.breakpoints[-1]
-        _require(all(p[i + 1] - p[i] >= support for i in range(len(p) - 1)),
-                 "bumps must not overlap")
-        gaps = [p[i + 1] - p[i] for i in range(len(p) - 1)]
+        gaps = [b - a for a, b in zip(p, p[1:])]
+        _require(all(g >= self.support_width for g in gaps), "bumps must not overlap")
         start = max(self.sparse_from, 0)
         _require(all(gaps[i] < gaps[i + 1] for i in range(start, len(gaps) - 1)),
                  "gaps must be strictly increasing beyond sparse_from")
@@ -439,14 +424,9 @@ def _(p: SparseBumps, x):
     i = bisect_right(p.positions, x)
     if i == 0:
         return 0.0
-    mass = _prefix(p.bump, p.support_width)
-    total = (i - 1) * mass
-    t = x - p.positions[i - 1]
-    if t >= p.support_width:
-        total += mass
-    else:
-        total += _prefix(p.bump, t)
-    return total
+    # the bump's integral is constant, its whole mass, beyond its support
+    t = min(x - p.positions[i - 1], p.support_width)
+    return (i - 1) * _prefix(p.bump, p.support_width) + _prefix(p.bump, t)
 
 
 @segments.register
@@ -462,8 +442,7 @@ def _(p: SparseBumps, x0, x1, step):
 # Random
 
 
-@dataclass(frozen=True)
-class Random:
+class Random(Record):
     """Independent uniform values on cells [i*w, (i+1)*w).
 
     Cell i takes entry i % 1024 of the uniform batch drawn from
@@ -477,10 +456,8 @@ class Random:
     high: float
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "cell_width", float(self.cell_width))
-        object.__setattr__(self, "low", float(self.low))
-        object.__setattr__(self, "high", float(self.high))
+        self._set(seed=int(self.seed), cell_width=float(self.cell_width),
+                  low=float(self.low), high=float(self.high))
         _require(self.seed >= 0, "seed must be nonnegative")
         _require(self.cell_width > 0 and math.isfinite(self.cell_width),
                  "cell_width must be positive")
@@ -562,13 +539,10 @@ def to_json(p):
     if type(p) not in _VARIANT_NAMES:
         raise _unknown(p)
     obj = {"variant": _VARIANT_NAMES[type(p)]}
-    for f in fields(p):
-        value = getattr(p, f.name)
-        if is_dataclass(value):
+    for name, value in zip(p._fields, p._values()):
+        if isinstance(value, Record):
             value = to_json(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        obj[f.name] = value
+        obj[name] = list(value) if isinstance(value, tuple) else value
     return obj
 
 
@@ -579,12 +553,12 @@ def from_json(obj):
     _require(isinstance(obj, dict) and "variant" in obj, "potential spec needs a 'variant'")
     kind = obj["variant"]
     _require(kind in _VARIANTS, f"unknown potential variant {kind!r}")
-    given = obj.keys() - {"variant"}
-    known = {f.name for f in fields(_VARIANTS[kind])}
-    required = {f.name for f in fields(_VARIANTS[kind]) if f.default is MISSING}
-    _require(given <= known, f"unknown fields {sorted(given - known)} for {kind!r}")
-    _require(required <= given, f"{kind!r} needs the fields {sorted(required - given)}")
+    cls, given = _VARIANTS[kind], obj.keys() - {"variant"}
+    unknown = given - set(cls._fields)
+    missing = {f for f in cls._fields if f not in given and not hasattr(cls, f)}
+    _require(not unknown, f"unknown fields {sorted(unknown)} for {kind!r}")
+    _require(not missing, f"{kind!r} needs the fields {sorted(missing)}")
     kwargs = {k: obj[k] for k in given}
     if kind == "sparse_bumps":
         kwargs["bump"] = from_json(kwargs["bump"])
-    return _VARIANTS[kind](**kwargs)
+    return cls(**kwargs)

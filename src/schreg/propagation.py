@@ -48,12 +48,12 @@ of at most _CHUNK cell-energies (one block at least), which bounds memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import potentials
 from .errors import InvalidStep, ZeroSolution
+from .record import Record
 
 __all__ = [
     "ScaledTransferMatrix",
@@ -70,8 +70,7 @@ __all__ = [
 _CHUNK = 1 << 13
 
 
-@dataclass(frozen=True, eq=False)
-class ScaledTransferMatrix:
+class ScaledTransferMatrix(Record, eq=False):
     """Transfer matrix e**log_scale * m with the mantissa m at unit spectral
     norm, so log_scale is the log of the matrix norm (x times the finite-x
     Lyapunov exponent)."""
@@ -80,8 +79,7 @@ class ScaledTransferMatrix:
     log_scale: float
 
 
-@dataclass(frozen=True)
-class SolutionSample:
+class SolutionSample(Record):
     """Scaled solution data: actual u = u * e**log_scale, same for du."""
 
     u: complex
@@ -95,8 +93,7 @@ class SolutionSample:
         return (self.log_scale + np.log(np.abs(self.u))) / x
 
 
-@dataclass(frozen=True, eq=False)
-class MeasureCDF:
+class MeasureCDF(Record, eq=False):
     """A cumulative distribution sampled on an increasing energy grid."""
 
     lam: np.ndarray
@@ -112,15 +109,15 @@ def _check_step(step):
 # the kernel: elements, their composition, the pairing tree, binary powers
 
 
-@dataclass(eq=False)
 class _Elements:
     """A batch of elements: m[i, j] is an array over the batch, as are s
     and k; k (the integer part of a / pi) is None off the real axis, and s
     is None where only zero counts are wanted."""
 
-    m: np.ndarray
-    s: np.ndarray | None
-    k: np.ndarray | None
+    __slots__ = ("m", "s", "k")
+
+    def __init__(self, m, s, k):
+        self.m, self.s, self.k = m, s, k
 
     def take(self, idx):
         """The elements at batch index idx (a tuple)."""

@@ -17,11 +17,10 @@ report can be re-judged from its JSON alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import martin, potentials, propagation
+from .record import Record
 
 __all__ = [
     "InequalityCheck",
@@ -48,8 +47,7 @@ def _solved_c(E, c):
     return tuple(c)
 
 
-@dataclass(frozen=True, eq=False)
-class InequalityCheck:
+class InequalityCheck(Record, eq=False):
     """Cesaro trace versus a_E; margin is min(tail half) - a_E."""
 
     a_e: float
@@ -59,8 +57,7 @@ class InequalityCheck:
     average: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class GrowthComparison:
+class GrowthComparison(Record, eq=False):
     z: np.ndarray
     x: np.ndarray
     h: np.ndarray        # (len(z), len(x)) log-growth samples
@@ -69,8 +66,7 @@ class GrowthComparison:
     sup_gap: float
 
 
-@dataclass(frozen=True, eq=False)
-class DosComparison:
+class DosComparison(Record, eq=False):
     lam: np.ndarray
     rho_x: np.ndarray
     rho_e: np.ndarray
@@ -144,8 +140,7 @@ def dos_comparison(p, E, x, lambda_window, grid=200, c=None, step=0.02):
                          distance=dist)
 
 
-@dataclass(frozen=True)
-class ReportConfig:
+class ReportConfig(Record):
     """Knobs and thresholds for regularity_report; shipped defaults here.
 
     The thresholds are reporting policy, not mathematical constants: the
@@ -176,8 +171,7 @@ class ReportConfig:
         return cls(**kw)
 
 
-@dataclass(frozen=True, eq=False)
-class RegularityReport:
+class RegularityReport(Record, eq=False):
     potential: dict
     gap_set: dict
     thresholds: dict

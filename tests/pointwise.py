@@ -3,8 +3,8 @@
 `schreg.potentials` describes a potential only through its cells and its
 closed-form running integral.  This module describes the same families a
 second way -- the value V(x) at a point and the jumps of V in a window --
-from the dataclass fields alone, sharing no code with `schreg.potentials`
-beyond the dataclasses.  The Volterra route and the quadrature references
+from the record fields alone, sharing no code with `schreg.potentials`
+beyond the record classes.  The Volterra route and the quadrature references
 read V from here, and the cross-check in `test_potentials` compares the
 two descriptions cell by cell.
 """

@@ -420,6 +420,25 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_builds_no_dataclass_and_no_argument_parser():
+    # every CLI op is a fresh process, so import time is paid per op: the
+    # records generate no code at import, and only `main` parses arguments
+    code = """if True:
+        import sys
+        startup = set(sys.modules)
+        import schreg.cli
+        print(sorted({"argparse", "dataclasses", "gettext"} & (set(sys.modules) - startup)))
+        import inspect
+        print(sorted(f"{m}.{n}" for m, mod in list(sys.modules.items())
+                     if m.split(".")[0] == "schreg"
+                     for n, c in inspect.getmembers(mod, inspect.isclass)
+                     if hasattr(c, "__dataclass_fields__")))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_import_does_not_load_jsonschema():
     # jsonschema is a test-only oracle: configs are validated by
     # schreg.jsonschema, so neither it nor its dependencies load
