@@ -31,11 +31,6 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_CONFIG = 2
 
-COMMANDS = ("solve", "bands", "martin", "dos", "regularity")
-
-_NEEDS_POTENTIAL = {"solve", "bands", "dos", "regularity"}
-_NEEDS_SPECTRUM = {"martin", "dos", "regularity"}
-
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -127,10 +122,10 @@ def _validate_config(config):
     except jsonschema.ValidationError as exc:
         raise ConfigInvalid(
             f"params rejected for command {command!r}: {exc.message}") from exc
-    if command in _NEEDS_POTENTIAL and "potential" not in config:
-        raise ConfigInvalid(f"command {command!r} requires a potential")
-    if command in _NEEDS_SPECTRUM and "spectrum" not in config:
-        raise ConfigInvalid(f"command {command!r} requires a spectrum")
+    needs = _COMMANDS[command][1]
+    for key in needs:
+        if key not in config:
+            raise ConfigInvalid(f"command {command!r} requires a {key}")
     try:
         if "potential" in config:
             potentials.from_json(config["potential"])
@@ -138,7 +133,7 @@ def _validate_config(config):
         E = None if spectrum is None else martin.GapSet.from_json(spectrum)
         if "lambda_window" in params:
             regularity.check_window(params["lambda_window"],
-                                    E if command in _NEEDS_SPECTRUM else None)
+                                    E if "spectrum" in needs else None)
     except (ValueError, TypeError) as exc:
         raise ConfigInvalid(str(exc)) from exc
     return config
@@ -239,13 +234,15 @@ def _cmd_regularity(config, out):
                   [report.dos_lambda, report.dos_rho_x, report.dos_rho_e])
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "bands": _cmd_bands,
-    "martin": _cmd_martin,
-    "dos": _cmd_dos,
-    "regularity": _cmd_regularity,
+# every command: its handler, and the config inputs it reads besides params
+_COMMANDS = {
+    "solve": (_cmd_solve, ("potential",)),
+    "bands": (_cmd_bands, ("potential",)),
+    "martin": (_cmd_martin, ("spectrum",)),
+    "dos": (_cmd_dos, ("potential", "spectrum")),
+    "regularity": (_cmd_regularity, ("potential", "spectrum")),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +259,7 @@ def run(config, out_dir=None):
     out = _OutputDir(out_dir or config.get("output_dir", "."))
     out.write_json("config.json", config)
     try:
-        _DISPATCH[config["command"]](config, out)
+        _COMMANDS[config["command"]][0](config, out)
     except Exception as exc:
         out.write_manifest(config, "error",
                            error={"type": type(exc).__name__,

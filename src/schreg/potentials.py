@@ -1,16 +1,15 @@
 """Potential families on the half line [0, inf).
 
-Every family is a small frozen record; the functions below dispatch on
-its type.  The paper reads a potential through two objects, and each family
-registers exactly those two, right after its class:
+Every family is a small frozen record.  The paper reads a potential through
+two objects, and each family class defines exactly those two as private
+methods, behind two public functions:
 
-* `segments` -- the constant cells of a window, from which propagation
-  builds transfer matrices;
-* `_prefix` -- the exact integral of V over [0, x], behind
-  `prefix_integral` and `cesaro_trace`, the running mean
-  (1/x) integral_0^x V that bounds the Robin-type constant.  It is a
-  closed form per family, never quadrature, so downstream consumers can
-  trust it to machine precision.
+* `_cells(x0, x1, step)`, behind `segments` -- the constant cells of a
+  window, from which propagation builds transfer matrices;
+* `_integral(x)`, behind `prefix_integral` and `cesaro_trace` -- the exact
+  integral of V over [0, x], whose running mean (1/x) integral_0^x V bounds
+  the Robin-type constant.  It is a closed form per family, never
+  quadrature, so downstream consumers can trust it to machine precision.
 
 `to_json` and `from_json` read and build the record fields.
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from functools import cached_property, lru_cache, singledispatch
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -98,20 +97,9 @@ class CesaroTrace(Record, eq=False):
 
 
 # ---------------------------------------------------------------------------
-# the per-family generic functions
+# the two public views of a family, each one of its methods
 
 
-def _unknown(p):
-    return TypeError(f"unknown potential type {type(p).__name__}")
-
-
-@singledispatch
-def _prefix(p, x):
-    """Exact integral of V over [0, x], for finite x >= 0."""
-    raise _unknown(p)
-
-
-@singledispatch
 def segments(p, x0, x1, step):
     """Yield CellBlock/RepeatBlock covering [x0, x1) in order; no cell if x1 <= x0.
 
@@ -119,14 +107,14 @@ def segments(p, x0, x1, step):
     Decaying takes `step` as its cell width at x = 0 and widens cells as
     (1+x)**min((rate+1)/3, 1).
     """
-    raise _unknown(p)
+    return p._cells(x0, x1, step)
 
 
 def prefix_integral(p, x):
     """Exact integral of V over [0, x] (closed form, no quadrature)."""
     x = float(x)
     _require(x >= 0 and math.isfinite(x), "x must be finite and nonnegative")
-    return _prefix(p, x)
+    return p._integral(x)
 
 
 def _cell_block(edges, values):
@@ -167,16 +155,12 @@ class Constant(Record):
         self._set(value=float(self.value))
         _require(math.isfinite(self.value), "constant value must be finite")
 
+    def _integral(self, x):
+        return self.value * x
 
-@_prefix.register
-def _(p: Constant, x):
-    return p.value * x
-
-
-@segments.register
-def _(p: Constant, x0, x1, step):
-    if x1 > x0:
-        yield CellBlock(np.array([x1 - x0]), np.array([p.value]))
+    def _cells(self, x0, x1, step):
+        if x1 > x0:
+            yield CellBlock(np.array([x1 - x0]), np.array([self.value]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +188,14 @@ class PiecewiseConstant(Record):
         _require(all(b[i] < b[i + 1] for i in range(len(b) - 1)),
                  "breakpoints must be strictly increasing")
 
+    def _integral(self, x):
+        edges, vals, cum = _pc_tables(self.breakpoints, self.values)
+        i = bisect_right(edges, x) - 1   # in range: edges[0] = 0 <= x
+        return float(cum[i] + vals[i] * (x - edges[i]))
+
+    def _cells(self, x0, x1, step):
+        yield _step_cells(self.breakpoints, self.values, x0, x1)
+
 
 class Tabulated(Record):
     """Right-continuous step interpolation of sampled values.
@@ -230,6 +222,9 @@ class Tabulated(Record):
         """grid[1:]: the same step function as PiecewiseConstant(grid[1:], values)."""
         return self.grid[1:]
 
+    _integral = PiecewiseConstant._integral
+    _cells = PiecewiseConstant._cells
+
 
 @lru_cache(maxsize=512)
 def _pc_tables(breakpoints, values):
@@ -238,20 +233,6 @@ def _pc_tables(breakpoints, values):
     vals = np.asarray(values, dtype=float)
     cum = np.concatenate([[0.0], np.cumsum(np.diff(edges) * vals[:-1])])
     return edges, vals, cum
-
-
-@_prefix.register(PiecewiseConstant)
-@_prefix.register(Tabulated)
-def _(p, x):
-    edges, vals, cum = _pc_tables(p.breakpoints, p.values)
-    i = bisect_right(edges, x) - 1   # in range: edges[0] = 0 <= x
-    return float(cum[i] + vals[i] * (x - edges[i]))
-
-
-@segments.register(PiecewiseConstant)
-@segments.register(Tabulated)
-def _(p, x0, x1, step):
-    yield _step_cells(p.breakpoints, p.values, x0, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +250,28 @@ class Decaying(Record):
         _require(math.isfinite(self.amplitude), "amplitude must be finite")
         _require(self.rate > 0 and math.isfinite(self.rate), "rate must be positive")
 
+    def _integral(self, x):
+        return self.amplitude * float(_phi(x, self.rate))
+
+    def _cells(self, x0, x1, step):
+        # Equal spacing (at most `step`) in phi(x; q) makes cells at most
+        # step*(1+x)**q wide.  Uncapped, q = (rate+1)/3 > 1 would make phi
+        # bounded, and the last cell would stretch from where V is still
+        # sizeable out to x1.
+        if x1 <= x0:
+            return
+        q = min((self.rate + 1.0) / 3.0, 1.0)
+        y0, y1 = _phi(np.array([x0, x1], dtype=float), q)
+        n = max(1, math.ceil((y1 - y0) / step))
+        inner = _phi_inv(np.linspace(y0, y1, n + 1)[1:-1], q)
+        edges = np.concatenate([[x0], inner, [x1]])
+        lo, widths = edges[:-1], np.diff(edges)
+        # the integral of (1+t)**-rate over [lo, lo + h) is
+        # (1+lo)**(1-rate) * phi(h/(1+lo)); unlike a difference of phi at
+        # the two edges, it does not cancel on narrow cells
+        mass = (1.0 + lo) ** (1.0 - self.rate) * _phi(widths / (1.0 + lo), self.rate)
+        yield CellBlock(widths, self.amplitude * mass / widths)
+
 
 def _phi(x, q):
     """integral_0^x (1+t)**-q dt; log1p/expm1 keep full precision for q near 1."""
@@ -280,29 +283,6 @@ def _phi_inv(y, q):
     """Inverse of _phi in x."""
     c = 1.0 - q
     return np.expm1(y) if c == 0.0 else np.expm1(np.log1p(c * y) / c)
-
-
-@_prefix.register
-def _(p: Decaying, x):
-    return p.amplitude * float(_phi(x, p.rate))
-
-
-@segments.register
-def _(p: Decaying, x0, x1, step):
-    # Equal spacing (at most `step`) in phi(x; q) makes cells at most
-    # step*(1+x)**q wide.  Uncapped, q = (rate+1)/3 > 1 would make phi
-    # bounded, and the last cell would stretch from where V is still
-    # sizeable out to x1.
-    if x1 <= x0:
-        return
-    q = min((p.rate + 1.0) / 3.0, 1.0)
-    y0, y1 = _phi(np.array([x0, x1], dtype=float), q)
-    n = max(1, math.ceil((y1 - y0) / step))
-    inner = _phi_inv(np.linspace(y0, y1, n + 1)[1:-1], q)
-    edges = np.concatenate([[x0], inner, [x1]])
-    widths = np.diff(edges)
-    F = p.amplitude * _phi(edges, p.rate)
-    yield CellBlock(widths, np.diff(F) / widths)
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +298,22 @@ class PeriodicSquare(Record):
         self._set(delta=float(self.delta))
         _require(self.delta > 0 and math.isfinite(self.delta), "delta must be positive")
 
+    def _integral(self, x):
+        tau = math.fmod(x, 2.0 * self.delta)
+        return min(tau, self.delta) - max(tau - self.delta, 0.0)
 
-@_prefix.register
-def _(p: PeriodicSquare, x):
-    tau = math.fmod(x, 2.0 * p.delta)
-    return min(tau, p.delta) - max(tau - p.delta, 0.0)
-
-
-@segments.register
-def _(p: PeriodicSquare, x0, x1, step):
-    P = 2.0 * p.delta
-    m0, m1 = math.ceil(x0 / P), math.floor(x1 / P)
-    if m1 <= m0:
-        yield _wave_cells(p.delta, 0.0, x0, x1)
-        return
-    t0, t1 = m0 * P, m1 * P
-    if x0 < t0:
-        yield _wave_cells(p.delta, 0.0, x0, t0)
-    yield RepeatBlock(np.array([p.delta, p.delta]), np.array([1.0, -1.0]), m1 - m0)
-    if t1 < x1:
-        yield _wave_cells(p.delta, 0.0, t1, x1)
+    def _cells(self, x0, x1, step):
+        P = 2.0 * self.delta
+        m0, m1 = math.ceil(x0 / P), math.floor(x1 / P)
+        if m1 <= m0:
+            yield _wave_cells(self.delta, 0.0, x0, x1)
+            return
+        t0, t1 = m0 * P, m1 * P
+        if x0 < t0:
+            yield _wave_cells(self.delta, 0.0, x0, t0)
+        yield RepeatBlock(np.array([self.delta, self.delta]), np.array([1.0, -1.0]), m1 - m0)
+        if t1 < x1:
+            yield _wave_cells(self.delta, 0.0, t1, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -352,30 +328,26 @@ class OscillatingExample(Record):
     The mean over every complete block vanishes while |V| = 1 everywhere.
     """
 
-
-@_prefix.register
-def _(p: OscillatingExample, x):
-    n = math.floor(x) + 1
-    tau = x - (n - 1)
-    w = 1.0 / (2.0 * n)
-    m = math.floor(tau / w)
-    head = w if m % 2 == 1 else 0.0
-    sign = 1.0 if m % 2 == 0 else -1.0
-    return head + sign * (tau - m * w)
-
-
-@segments.register
-def _(p: OscillatingExample, x0, x1, step):
-    n0 = math.floor(x0) + 1
-    for n in range(n0, math.floor(x1) + 2):
-        lo, hi = max(x0, n - 1.0), min(x1, float(n))
-        if hi <= lo:
-            continue
+    def _integral(self, x):
+        n = math.floor(x) + 1
+        tau = x - (n - 1)
         w = 1.0 / (2.0 * n)
-        if lo == n - 1.0 and hi == float(n):
-            yield RepeatBlock(np.array([w, w]), np.array([1.0, -1.0]), n)
-        else:
-            yield _wave_cells(w, n - 1.0, lo, hi)
+        m = math.floor(tau / w)
+        head = w if m % 2 == 1 else 0.0
+        sign = 1.0 if m % 2 == 0 else -1.0
+        return head + sign * (tau - m * w)
+
+    def _cells(self, x0, x1, step):
+        n0 = math.floor(x0) + 1
+        for n in range(n0, math.floor(x1) + 2):
+            lo, hi = max(x0, n - 1.0), min(x1, float(n))
+            if hi <= lo:
+                continue
+            w = 1.0 / (2.0 * n)
+            if lo == n - 1.0 and hi == float(n):
+                yield RepeatBlock(np.array([w, w]), np.array([1.0, -1.0]), n)
+            else:
+                yield _wave_cells(w, n - 1.0, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -418,24 +390,21 @@ class SparseBumps(Record):
     def support_width(self):
         return self.bump.breakpoints[-1]
 
+    def _integral(self, x):
+        i = bisect_right(self.positions, x)
+        if i == 0:
+            return 0.0
+        # the bump's integral is constant, its whole mass, beyond its support
+        t = min(x - self.positions[i - 1], self.support_width)
+        return (i - 1) * self.bump._integral(self.support_width) + self.bump._integral(t)
 
-@_prefix.register
-def _(p: SparseBumps, x):
-    i = bisect_right(p.positions, x)
-    if i == 0:
-        return 0.0
-    # the bump's integral is constant, its whole mass, beyond its support
-    t = min(x - p.positions[i - 1], p.support_width)
-    return (i - 1) * _prefix(p.bump, p.support_width) + _prefix(p.bump, t)
-
-
-@segments.register
-def _(p: SparseBumps, x0, x1, step):
-    # the jumps of the bumps that overlap [x0, x1): the last one starting at
-    # or before x0, and every later one starting before x1
-    bumps = p.positions[max(bisect_right(p.positions, x0) - 1, 0):bisect_left(p.positions, x1)]
-    jumps = [pos + t for pos in bumps for t in (0.0, *p.bump.breakpoints)]
-    yield _step_cells(jumps, (0.0, *(p.bump.values * len(bumps))), x0, x1)
+    def _cells(self, x0, x1, step):
+        # the jumps of the bumps that overlap [x0, x1): the last one starting
+        # at or before x0, and every later one starting before x1
+        pos = self.positions
+        bumps = pos[max(bisect_right(pos, x0) - 1, 0):bisect_left(pos, x1)]
+        jumps = [b + t for b in bumps for t in (0.0, *self.bump.breakpoints)]
+        yield _step_cells(jumps, (0.0, *(self.bump.values * len(bumps))), x0, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +433,18 @@ class Random(Record):
         _require(self.low <= self.high and math.isfinite(self.low) and math.isfinite(self.high),
                  "need finite low <= high")
 
+    def _integral(self, x):
+        w = self.cell_width
+        i = int(math.floor(x / w))
+        vals = _random_values(self, 0, i + 1)
+        return float(np.sum(vals[:i]) * w + vals[i] * (x - i * w))
+
+    def _cells(self, x0, x1, step):
+        w = self.cell_width
+        i0, i1 = int(math.floor(x0 / w)), int(math.ceil(x1 / w))
+        yield _cell_block(np.clip(np.arange(i0, i1 + 1) * w, x0, x1),
+                          _random_values(self, i0, i1))
+
 
 _RANDOM_BATCH = 1024
 
@@ -483,21 +464,6 @@ def _random_values(spec, i0, i1):
     vals = np.concatenate(parts)
     lo = i0 - b0 * _RANDOM_BATCH
     return vals[lo:lo + (i1 - i0)]
-
-
-@_prefix.register
-def _(p: Random, x):
-    w = p.cell_width
-    i = int(math.floor(x / w))
-    vals = _random_values(p, 0, i + 1)
-    return float(np.sum(vals[:i]) * w + vals[i] * (x - i * w))
-
-
-@segments.register
-def _(p: Random, x0, x1, step):
-    w = p.cell_width
-    i0, i1 = int(math.floor(x0 / w)), int(math.ceil(x1 / w))
-    yield _cell_block(np.clip(np.arange(i0, i1 + 1) * w, x0, x1), _random_values(p, i0, i1))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +503,7 @@ _VARIANT_NAMES = {cls: name for name, cls in _VARIANTS.items()}
 def to_json(p):
     """Plain-dict form with a 'variant' discriminator (JSON-serializable)."""
     if type(p) not in _VARIANT_NAMES:
-        raise _unknown(p)
+        raise TypeError(f"unknown potential type {type(p).__name__}")
     obj = {"variant": _VARIANT_NAMES[type(p)]}
     for name, value in zip(p._fields, p._values()):
         if isinstance(value, Record):
@@ -558,7 +524,5 @@ def from_json(obj):
     missing = {f for f in cls._fields if f not in given and not hasattr(cls, f)}
     _require(not unknown, f"unknown fields {sorted(unknown)} for {kind!r}")
     _require(not missing, f"{kind!r} needs the fields {sorted(missing)}")
-    kwargs = {k: obj[k] for k in given}
-    if kind == "sparse_bumps":
-        kwargs["bump"] = from_json(kwargs["bump"])
-    return cls(**kwargs)
+    # a nested object is itself a potential spec (the bump of SparseBumps)
+    return cls(**{k: from_json(obj[k]) if isinstance(obj[k], dict) else obj[k] for k in given})

@@ -45,3 +45,26 @@ def test_every_error_type_is_raised_or_caught():
     assert classes
     orphans = sorted(set(classes) - used)
     assert not orphans, f"error types nothing in src/ raises or catches: {orphans}"
+
+
+def test_every_potential_family_is_named_and_owns_its_two_views():
+    # `from_json` builds only what `_VARIANTS` names, and `segments` and
+    # `prefix_integral` reach a family only through its own two methods
+    from schreg import potentials as P
+    from schreg.record import Record
+    families = {getattr(P, n) for n in P.__all__
+                if inspect.isclass(getattr(P, n)) and issubclass(getattr(P, n), Record)}
+    assert families - {P.CesaroTrace} == set(P._VARIANTS.values())
+    for cls in P._VARIANTS.values():
+        assert callable(cls.__dict__.get("_cells")), cls.__name__
+        assert callable(cls.__dict__.get("_integral")), cls.__name__
+    assert P.Tabulated._cells is P.PiecewiseConstant._cells
+    assert P.Tabulated._integral is P.PiecewiseConstant._integral
+
+
+def test_cli_commands_match_the_config_schema():
+    from schreg import cli
+    schema = cli.load_schema("experiment_config.schema.json")
+    assert list(cli.COMMANDS) == schema["properties"]["command"]["enum"]
+    params = {k[len("params_"):] for k in schema["$defs"] if k.startswith("params_")}
+    assert params == set(cli.COMMANDS)

@@ -243,6 +243,18 @@ def test_decaying_mesh_is_graded(rate):
     assert len(block.widths) == 1
 
 
+@pytest.mark.parametrize("rate", [2.0, 1.0])
+@pytest.mark.parametrize("w", [1e-9, 1e-12])
+def test_decaying_narrow_cell_average_has_no_cancellation(rate, w):
+    # a difference of the running integral at the two edges loses about
+    # log10(1/w) digits of the average; over so narrow a cell the average
+    # is V at the midpoint to well within 1e-14
+    p = P.Decaying(1.0, rate)
+    (block,) = P.segments(p, 5.0, 5.0 + w, 0.02)
+    (h,), (value,) = block.widths, block.values
+    assert value == pytest.approx(PW.evaluate(p, 5.0 + h / 2), rel=1e-14)
+
+
 @pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
 def test_segment_masses_reproduce_prefix_integral(p):
     x1 = 9.25
