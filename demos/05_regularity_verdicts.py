@@ -25,17 +25,17 @@ cases = [
 
 for name, p in cases:
     rep = R.regularity_report(p, free_set, config)
-    growth = float(np.max(np.abs(rep.growth_gaps)))
+    growth = float(np.max(np.abs(rep.growth.gaps)))
     print(f"{name}  (tested against E = [0, inf))")
-    print(f"  inequality margin : {rep.inequality_margin:+.5f}")
+    print(f"  inequality margin : {rep.inequality.margin:+.5f}")
     print(f"  growth sup-gap    : {growth:.5f}")
-    print(f"  dos distance      : {rep.dos_distance:.5f}")
+    print(f"  dos distance      : {rep.dos.distance:.5f}")
     print(f"  verdict           : {rep.verdict}\n")
 
 print("The verdict is a pure function of the stored numbers, so a report")
 print("can be re-judged later without recomputing anything:")
 rep = R.regularity_report(P.Decaying(1.0, 2.0), free_set, config)
-again = R.decide_verdict(rep.inequality_margin,
-                         float(np.max(np.abs(rep.growth_gaps))),
-                         rep.dos_distance, **rep.thresholds)
+again = R.decide_verdict(rep.inequality.margin,
+                         float(np.max(np.abs(rep.growth.gaps))),
+                         rep.dos.distance, **rep.thresholds)
 print(f"  replayed verdict = {again!r}")

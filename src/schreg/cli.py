@@ -167,11 +167,7 @@ def _cmd_solve(config, out):
 
 def _cmd_bands(config, out):
     p = potentials.from_json(config["potential"])
-    params = config["params"]
-    bs = periodic.band_spectrum(
-        p, params["period"], tuple(params["lambda_window"]),
-        params.get("resolution", 512), step=params.get("step", 1e-3),
-        edge_tol=params.get("edge_tol", 1e-10))
+    bs = periodic.band_spectrum(p, **config["params"])
     bottom = bs.level[0] == 0   # the window starts below the spectrum
     out.write_json("bands.json", {
         "period": bs.period,
@@ -208,6 +204,7 @@ def _cmd_dos(config, out):
     params = config["params"]
     d = regularity.dos_comparison(
         p, E, params["x"], tuple(params["lambda_window"]),
+        martin.solve_critical_points(E).c,
         grid=params.get("grid_points", 200), step=params.get("step", 0.02))
     out.write_json("dos.json", {
         "x": params["x"],
@@ -223,15 +220,14 @@ def _cmd_regularity(config, out):
     cfg = regularity.ReportConfig.from_json(config.get("params", {}))
     report = regularity.regularity_report(p, E, cfg)
     out.write_json("report.json", report.to_json())
-    out.write_csv("cesaro.csv", ["x", "average"],
-                  [report.cesaro_x, report.cesaro_average])
-    nz, nx = report.growth_h.shape
-    z = np.repeat(report.growth_z, nx)
+    ineq, growth, dos = report.inequality, report.growth, report.dos
+    out.write_csv("cesaro.csv", ["x", "average"], [ineq.x, ineq.average])
+    nz, nx = growth.h.shape
+    z = np.repeat(growth.z, nx)
     out.write_csv("growth.csv", ["z_re", "z_im", "x", "h", "m"],
-                  [z.real, z.imag, np.tile(report.growth_x, nz),
-                   report.growth_h.ravel(), np.repeat(report.growth_m, nx)])
-    out.write_csv("dos.csv", ["lambda", "rho_x", "rho_e"],
-                  [report.dos_lambda, report.dos_rho_x, report.dos_rho_e])
+                  [z.real, z.imag, np.tile(growth.x, nz), growth.h.ravel(),
+                   np.repeat(growth.m, nx)])
+    out.write_csv("dos.csv", ["lambda", "rho_x", "rho_e"], [dos.lam, dos.rho_x, dos.rho_e])
 
 
 # every command: its handler, and the config inputs it reads besides params

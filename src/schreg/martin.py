@@ -84,10 +84,6 @@ class GapSet(Record):
         edges = [self.b0, *(e for gap in self.gaps for e in gap), math.inf]
         return list(zip(edges[::2], edges[1::2]))
 
-    @property
-    def diameter(self):
-        return (self.gaps[-1][1] - self.b0) if self.gaps else 1.0
-
     def to_json(self):
         return {"b0": self.b0, "gaps": [list(g) for g in self.gaps]}
 
@@ -220,14 +216,16 @@ _SECTIONS = 32   # sub-brackets a bracket is cut into per round of _section
 def _section(f, out, inn, tol):
     """Roots of f bracketed by pairs of ends, f(out) > 0 >= f(inn), each
     pair in either order, until each pair is within the absolute tolerance
-    tol.  Each round calls f once, with the _SECTIONS - 1 inner points of
-    every live pair as an array of shape (pairs, _SECTIONS - 1) and the
-    indices k of those pairs, and keeps the sub-bracket at the first inner
-    point with f <= 0: a sign change, whether or not f is monotone."""
+    tol or no float lies strictly between its ends.  Each round calls f
+    once, with the _SECTIONS - 1 inner points of every live pair as an
+    array of shape (pairs, _SECTIONS - 1) and the indices k of those pairs,
+    and keeps the sub-bracket at the first inner point with f <= 0: a sign
+    change, whether or not f is monotone."""
     out, inn = np.array(out, dtype=float), np.array(inn, dtype=float)
     frac = np.arange(1, _SECTIONS) / _SECTIONS
     for _ in range(200):
-        k = np.flatnonzero(np.abs(inn - out) > tol)
+        mid = 0.5 * (out + inn)
+        k = np.flatnonzero((np.abs(inn - out) > tol) & (mid != out) & (mid != inn))
         if not k.size:
             break
         pts = np.column_stack([out[k], out[k, None] + (inn - out)[k, None] * frac,
@@ -390,8 +388,7 @@ def martin_measure_cdf(E, c, lambda_grid):
         raise ValueError("lambda_grid must be a nonempty 1-d sequence")
     if not np.all(np.diff(lams) > 0):
         raise ValueError("lambda_grid must be strictly increasing")
-    scale = max(1.0, abs(E.b0), E.diameter)
-    if lams[0] < E.b0 - 1e-12 * scale:
+    if lams[0] < E.b0 - 1e-12 * max(1.0, abs(E.b0)):
         raise ValueError("grid must start at or above b0")
     # the band pieces between consecutive grid points, in one call
     bands = np.array(E.bands())

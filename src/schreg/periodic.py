@@ -72,7 +72,7 @@ def discriminant(p, period, lam, step=1e-3):
     return float(delta[0]) if lam.ndim == 0 else delta.reshape(lam.shape)
 
 
-def band_spectrum(p, period, lambda_window, resolution, step=1e-3, edge_tol=1e-10):
+def band_spectrum(p, period, lambda_window, resolution=512, step=1e-3, edge_tol=1e-10):
     """Bands inside the window from a `resolution`-point level scan.
 
     Every boundary between the first and the last sample's levels is

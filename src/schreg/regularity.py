@@ -10,6 +10,10 @@ Three comparisons, each a finite-x shadow of an asymptotic statement:
 * density of states -- the zero-counting measure at scale x should be
   KS-close to the Martin measure on a compact energy window.
 
+Each comparison takes the critical points c of the set and returns its own
+record; a RegularityReport holds the three records themselves, which
+regularity_report computes against one solve of c.
+
 The essential spectrum is always an input (a GapSet); nothing here tries
 to infer it from V except through the periodic band pipeline upstream.
 Verdicts are a pure function of the stored numbers and thresholds, so a
@@ -41,12 +45,6 @@ INCONSISTENT = "inconsistent"
 INCONCLUSIVE = "inconclusive"
 
 
-def _solved_c(E, c):
-    if c is None:
-        return martin.solve_critical_points(E).c
-    return tuple(c)
-
-
 class InequalityCheck(Record, eq=False):
     """Cesaro trace versus a_E; margin is min(tail half) - a_E."""
 
@@ -73,7 +71,7 @@ class DosComparison(Record, eq=False):
     distance: float
 
 
-def universal_inequality_check(p, E, x_max, c=None, grid_points=128):
+def universal_inequality_check(p, E, x_max, c, grid_points=128):
     """Margin of the universal Cesaro inequality at horizon x_max.
 
     The liminf of the trace average is estimated as the minimum over the
@@ -84,8 +82,7 @@ def universal_inequality_check(p, E, x_max, c=None, grid_points=128):
     """
     if not x_max >= 100:
         raise ValueError("x_max must be at least 100")
-    cc = _solved_c(E, c)
-    a_e = martin.a_constant(E, cc)
+    a_e = martin.a_constant(E, c)
     xs = np.geomspace(max(1.0, x_max / 1000.0), x_max, int(grid_points))
     trace = potentials.cesaro_trace(p, xs)
     tail = trace.mean[xs >= 0.5 * x_max]
@@ -94,20 +91,19 @@ def universal_inequality_check(p, E, x_max, c=None, grid_points=128):
                            x=xs, average=trace.mean)
 
 
-def growth_comparison(p, E, z_grid, x_list, c=None, step=0.02):
+def growth_comparison(p, E, z_grid, x_list, c, step=0.02):
     """h(x, z) along checkpoints against the Martin target M(z).
 
     Every z must keep distance >= 0.1 from [b0, inf); the summary field is
     the sup over z of |h(x_max, z) - M(z)|.
     """
-    cc = _solved_c(E, c)
     zs = np.asarray([complex(z) for z in z_grid])
     for z in zs:
         if martin.distance_to_set(E, z) < 0.1:
             raise ValueError(f"z={z} closer than 0.1 to the spectrum")
     xs = np.asarray(sorted(float(x) for x in x_list))
     h = propagation.dirichlet_profile(p, xs, zs, step).log_growth(xs)
-    m = martin.martin_function(E, cc, zs).value
+    m = martin.martin_function(E, c, zs).value
     gaps = h[:, -1] - m
     return GrowthComparison(z=zs, x=xs, h=h, m=m, gaps=gaps,
                             sup_gap=float(np.max(np.abs(gaps))))
@@ -123,18 +119,17 @@ def check_window(lambda_window, E=None):
     return lo, hi
 
 
-def dos_comparison(p, E, x, lambda_window, grid=200, c=None, step=0.02):
+def dos_comparison(p, E, x, lambda_window, c, grid=200, step=0.02):
     """KS distance between the zero-counting and Martin CDFs on a window.
 
     `grid` is either a point count (linear grid over the window) or an
     explicit increasing array inside [b0, Lambda].
     """
-    cc = _solved_c(E, c)
     lo, hi = check_window(lambda_window, E)
     lams = np.asarray(grid, dtype=float) if np.ndim(grid) else \
         np.linspace(lo, hi, int(grid))
     rho_x = propagation.zero_counting_cdf(p, x, lams, step=step)
-    rho_e = martin.martin_measure_cdf(E, cc, lams)
+    rho_e = martin.martin_measure_cdf(E, c, lams)
     dist = float(np.max(np.abs(rho_x.cdf - rho_e.cdf)))
     return DosComparison(lam=lams, rho_x=rho_x.cdf, rho_e=rho_e.cdf,
                          distance=dist)
@@ -175,41 +170,31 @@ class RegularityReport(Record, eq=False):
     potential: dict
     gap_set: dict
     thresholds: dict
-    a_e: float
-    cesaro_x: np.ndarray
-    cesaro_average: np.ndarray
-    inequality_margin: float
-    growth_z: np.ndarray
-    growth_x: np.ndarray
-    growth_h: np.ndarray
-    growth_m: np.ndarray
-    growth_gaps: np.ndarray
-    dos_lambda: np.ndarray
-    dos_rho_x: np.ndarray
-    dos_rho_e: np.ndarray
-    dos_distance: float
+    inequality: InequalityCheck
+    growth: GrowthComparison
+    dos: DosComparison
     verdict: str
 
     def to_json(self):
+        ineq, growth, dos = self.inequality, self.growth, self.dos
         return {
             "potential": self.potential,
             "gap_set": self.gap_set,
             "thresholds": dict(self.thresholds),
-            "a_e": self.a_e,
-            "cesaro": {"x": self.cesaro_x.tolist(),
-                       "average": self.cesaro_average.tolist()},
-            "inequality_margin": self.inequality_margin,
+            "a_e": ineq.a_e,
+            "cesaro": {"x": ineq.x.tolist(), "average": ineq.average.tolist()},
+            "inequality_margin": ineq.margin,
             "growth": {
-                "z": [[z.real, z.imag] for z in self.growth_z],
-                "x": self.growth_x.tolist(),
-                "h": self.growth_h.tolist(),
-                "m": self.growth_m.tolist(),
-                "gaps": self.growth_gaps.tolist(),
+                "z": [[z.real, z.imag] for z in growth.z],
+                "x": growth.x.tolist(),
+                "h": growth.h.tolist(),
+                "m": growth.m.tolist(),
+                "gaps": growth.gaps.tolist(),
             },
-            "dos": {"lambda": self.dos_lambda.tolist(),
-                    "rho_x": self.dos_rho_x.tolist(),
-                    "rho_e": self.dos_rho_e.tolist(),
-                    "distance": self.dos_distance},
+            "dos": {"lambda": dos.lam.tolist(),
+                    "rho_x": dos.rho_x.tolist(),
+                    "rho_e": dos.rho_e.tolist(),
+                    "distance": dos.distance},
             "verdict": self.verdict,
         }
 
@@ -234,27 +219,21 @@ def decide_verdict(margin, growth_gap, dos_distance, margin_tol, growth_tol,
 
 
 def regularity_report(p, E, config=None, c=None):
-    """Run all three diagnostics and return the judged report."""
+    """Run all three diagnostics and return the judged report.  The
+    critical points c are solved here, once, when not given."""
     cfg = config or ReportConfig()
-    cc = _solved_c(E, c)
-    ineq = universal_inequality_check(p, E, cfg.x_max, c=cc,
+    c = martin.solve_critical_points(E).c if c is None else c
+    ineq = universal_inequality_check(p, E, cfg.x_max, c,
                                       grid_points=cfg.cesaro_points)
     x_list = [f * cfg.x_max for f in cfg.growth_fractions]
-    growth = growth_comparison(p, E, cfg.z_grid, x_list, c=cc, step=cfg.step)
+    growth = growth_comparison(p, E, cfg.z_grid, x_list, c, step=cfg.step)
     window = cfg.lambda_window or (E.b0, E.b0 + 25.0)
-    dos = dos_comparison(p, E, cfg.dos_x, window, grid=cfg.dos_points,
-                         c=cc, step=cfg.step)
-    verdict = decide_verdict(ineq.margin, growth.sup_gap, dos.distance,
-                             cfg.margin_tol, cfg.growth_tol, cfg.dos_tol)
+    dos = dos_comparison(p, E, cfg.dos_x, window, c, grid=cfg.dos_points,
+                         step=cfg.step)
     thresholds = {"margin_tol": cfg.margin_tol, "growth_tol": cfg.growth_tol,
                   "dos_tol": cfg.dos_tol}
     return RegularityReport(
         potential=potentials.to_json(p), gap_set=E.to_json(),
-        thresholds=thresholds, a_e=ineq.a_e,
-        cesaro_x=ineq.x, cesaro_average=ineq.average,
-        inequality_margin=ineq.margin,
-        growth_z=growth.z, growth_x=growth.x, growth_h=growth.h,
-        growth_m=growth.m, growth_gaps=growth.gaps,
-        dos_lambda=dos.lam, dos_rho_x=dos.rho_x, dos_rho_e=dos.rho_e,
-        dos_distance=dos.distance, verdict=verdict,
-    )
+        thresholds=thresholds, inequality=ineq, growth=growth, dos=dos,
+        verdict=decide_verdict(ineq.margin, growth.sup_gap, dos.distance,
+                               **thresholds))

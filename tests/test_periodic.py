@@ -201,6 +201,20 @@ def test_band_edges_match_halving_root_finder(monkeypatch):
     assert np.max(np.abs(np.subtract(got.bands, want.bands))) <= edge_tol
 
 
+@pytest.mark.parametrize("delta", [0.25, 0.45, 0.48, 1.3, 5.0])
+def test_band_edges_stop_where_no_float_splits_the_bracket(monkeypatch, delta):
+    # an edge_tol below the float spacing stops each bracket at adjacent
+    # floats, a dozen walks, not at the 200-round cap of 201 walks
+    p, window = P.PeriodicSquare(delta), (-2.0, 60.0)
+    want = PE.band_spectrum(p, 2 * delta, window, edge_tol=1e-10)
+    scan, calls = PE._scan, []
+    monkeypatch.setattr(PE, "_scan", lambda *args: calls.append(1) or scan(*args))
+    got = PE.band_spectrum(p, 2 * delta, window, edge_tol=1e-300)
+    assert len(calls) <= 14
+    assert len(got.bands) == len(want.bands) >= 2
+    assert np.max(np.abs(np.subtract(got.bands, want.bands))) <= 1e-10
+
+
 def test_discriminant_samples_recorded():
     bs = PE.band_spectrum(FREE, 1.0, (-1.0, 10.0), 64)
     assert len(bs.lam) == 64

@@ -109,6 +109,21 @@ def test_dos_gap_count_bound():
         assert (cdf.cdf[1] - cdf.cdf[0]) <= 2.0 / x + 1e-12
 
 
+WIDE = M.GapSet(b0=0.0, gaps=((1.0, 2.0), (999.0, 1000.0)))
+
+
+@pytest.mark.parametrize("starts_at", [
+    lambda lo: M.martin_measure_cdf(WIDE, M.solve_critical_points(WIDE).c,
+                                    [lo, 0.5]),
+    lambda lo: R.check_window((lo, 0.5), WIDE),
+], ids=["martin_measure_cdf", "check_window"])
+def test_one_starts_at_b0_rule(starts_at):
+    # the same rounding allowance below b0 wherever a grid or window starts
+    with pytest.raises(ValueError, match="b0"):
+        starts_at(-5e-10)
+    starts_at(-1e-13)
+
+
 # ---------------------------------------------------------------------------
 # verdict rule
 
@@ -140,8 +155,8 @@ def small_config(**over):
 def test_report_decaying_consistent():
     rep = R.regularity_report(P.Decaying(1.0, 2.0), FREE, small_config())
     assert rep.verdict == R.CONSISTENT
-    assert np.all(rep.growth_h >= rep.growth_m[:, None] - 0.05)
-    assert rep.inequality_margin >= -0.05
+    assert np.all(rep.growth.h >= rep.growth.m[:, None] - 0.05)
+    assert rep.inequality.margin >= -0.05
 
 
 def test_report_sparse_bumps_consistent():
@@ -155,8 +170,8 @@ def test_report_random_inconsistent_across_seeds():
         p = P.Random(seed=seed, cell_width=1.0, low=0.0, high=1.0)
         rep = R.regularity_report(p, FREE, small_config())
         assert rep.verdict == R.INCONSISTENT
-        assert rep.inequality_margin > 0.40
-        assert float(np.max(np.abs(rep.growth_gaps))) > 0.15
+        assert rep.inequality.margin > 0.40
+        assert float(np.max(np.abs(rep.growth.gaps))) > 0.15
 
 
 @pytest.mark.parametrize("delta", [0.25, 0.45])
@@ -171,9 +186,9 @@ def test_report_periodic_square_consistent_on_its_own_bands(delta):
 
 def test_report_verdict_replayable_from_stored_numbers():
     rep = R.regularity_report(P.Decaying(1.0, 2.0), FREE, small_config())
-    replay = R.decide_verdict(rep.inequality_margin,
-                              float(np.max(np.abs(rep.growth_gaps))),
-                              rep.dos_distance, **rep.thresholds)
+    replay = R.decide_verdict(rep.inequality.margin,
+                              float(np.max(np.abs(rep.growth.gaps))),
+                              rep.dos.distance, **rep.thresholds)
     assert replay == rep.verdict
     doc = rep.to_json()
     replay2 = R.decide_verdict(
@@ -181,6 +196,35 @@ def test_report_verdict_replayable_from_stored_numbers():
         float(np.max(np.abs(doc["growth"]["gaps"]))),
         doc["dos"]["distance"], **doc["thresholds"])
     assert replay2 == doc["verdict"]
+
+
+def test_report_holds_its_three_diagnostics(monkeypatch):
+    p, E, cfg = P.Decaying(1.0, 2.0), M.GapSet(b0=0.0, gaps=((1.0, 2.0),)), small_config()
+    solve, solved_for = M.solve_critical_points, []
+    monkeypatch.setattr(M, "solve_critical_points",
+                        lambda s: solved_for.append(s) or solve(s))
+    rep = R.regularity_report(p, E, cfg)
+    assert solved_for == [E]
+    assert R.RegularityReport._fields == ("potential", "gap_set", "thresholds",
+                                          "inequality", "growth", "dos", "verdict")
+    c = solve(E).c
+    alone = (
+        R.universal_inequality_check(p, E, cfg.x_max, c, grid_points=cfg.cesaro_points),
+        R.growth_comparison(p, E, cfg.z_grid, [f * cfg.x_max for f in cfg.growth_fractions],
+                            c, step=cfg.step),
+        R.dos_comparison(p, E, cfg.dos_x, (E.b0, E.b0 + 25.0), c, grid=cfg.dos_points,
+                         step=cfg.step),
+    )
+    for held, own in zip((rep.inequality, rep.growth, rep.dos), alone):
+        assert type(held) is type(own)
+        for field in own._fields:
+            np.testing.assert_array_equal(getattr(held, field), getattr(own, field))
+    doc = rep.to_json()
+    assert sorted(doc) == ["a_e", "cesaro", "dos", "gap_set", "growth",
+                           "inequality_margin", "potential", "thresholds", "verdict"]
+    assert sorted(doc["cesaro"]) == ["average", "x"]
+    assert sorted(doc["growth"]) == ["gaps", "h", "m", "x", "z"]
+    assert sorted(doc["dos"]) == ["distance", "lambda", "rho_e", "rho_x"]
 
 
 def test_report_config_json_round_trip():
