@@ -3,7 +3,9 @@
 `schreg <command> --config <file> [--out DIR]` validates the config
 against the packaged draft-07 JSON schemas (with `schreg.jsonschema`, which
 knows only the keywords they use), rejecting unknown fields and non-finite
-numbers, runs the computation, and leaves CSV/JSON artifacts plus a
+numbers.  Validation builds the potential, gap set and params the command
+then runs on; a window below b0, or a `regularity` z closer than 0.1 to
+the spectrum, is rejected there.  The run leaves CSV/JSON artifacts plus a
 manifest.json listing every file with its sha256.  Outputs are
 byte-reproducible: CSV floats carry 17 significant digits, JSON floats
 their shortest round-trip repr; JSON keys are sorted.
@@ -100,6 +102,8 @@ def _config_schema():
 
 
 def _validate_config(config):
+    """Check config and build what its command runs on: (p, E, params),
+    with p or E None when the config has no potential or spectrum."""
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")
     try:
@@ -127,16 +131,17 @@ def _validate_config(config):
         if key not in config:
             raise ConfigInvalid(f"command {command!r} requires a {key}")
     try:
-        if "potential" in config:
-            potentials.from_json(config["potential"])
-        spectrum = config.get("spectrum")
-        E = None if spectrum is None else martin.GapSet.from_json(spectrum)
+        p = potentials.from_json(config["potential"]) if "potential" in config else None
+        E = martin.GapSet.from_json(config["spectrum"]) if "spectrum" in config else None
         if "lambda_window" in params:
             regularity.check_window(params["lambda_window"],
                                     E if "spectrum" in needs else None)
+        if command == "regularity":
+            params = regularity.ReportConfig.from_json(params)
+            regularity.check_z_grid(params.z_grid, E)
     except (ValueError, TypeError) as exc:
         raise ConfigInvalid(str(exc)) from exc
-    return config
+    return p, E, params
 
 
 def _zarray(pairs):
@@ -147,9 +152,7 @@ def _zarray(pairs):
 # commands
 
 
-def _cmd_solve(config, out):
-    p = potentials.from_json(config["potential"])
-    params = config["params"]
+def _cmd_solve(p, E, params, out):
     step = params.get("step", 1e-3)
     zs = _zarray(params["z_grid"])
     xs = sorted(float(x) for x in params["x_grid"])
@@ -165,9 +168,8 @@ def _cmd_solve(config, out):
                    s.log_growth(checkpoints)[:, col].ravel()])
 
 
-def _cmd_bands(config, out):
-    p = potentials.from_json(config["potential"])
-    bs = periodic.band_spectrum(p, **config["params"])
+def _cmd_bands(p, E, params, out):
+    bs = periodic.band_spectrum(p, **params)
     bottom = bs.level[0] == 0   # the window starts below the spectrum
     out.write_json("bands.json", {
         "period": bs.period,
@@ -178,9 +180,7 @@ def _cmd_bands(config, out):
     out.write_csv("bands.csv", ["lambda", "delta"], [bs.lam, bs.delta])
 
 
-def _cmd_martin(config, out):
-    E = martin.GapSet.from_json(config["spectrum"])
-    params = config["params"]
+def _cmd_martin(p, E, params, out):
     cp = martin.solve_critical_points(E)
     zs = _zarray(params["z_grid"])
     ev = martin.martin_function(E, cp.c, zs)
@@ -198,10 +198,7 @@ def _cmd_martin(config, out):
                   [zs.real, zs.imag, ev.value, ev.theta_real])
 
 
-def _cmd_dos(config, out):
-    p = potentials.from_json(config["potential"])
-    E = martin.GapSet.from_json(config["spectrum"])
-    params = config["params"]
+def _cmd_dos(p, E, params, out):
     d = regularity.dos_comparison(
         p, E, params["x"], tuple(params["lambda_window"]),
         martin.solve_critical_points(E).c,
@@ -214,10 +211,7 @@ def _cmd_dos(config, out):
     out.write_csv("dos.csv", ["lambda", "rho_x", "rho_e"], [d.lam, d.rho_x, d.rho_e])
 
 
-def _cmd_regularity(config, out):
-    p = potentials.from_json(config["potential"])
-    E = martin.GapSet.from_json(config["spectrum"])
-    cfg = regularity.ReportConfig.from_json(config.get("params", {}))
+def _cmd_regularity(p, E, cfg, out):
     report = regularity.regularity_report(p, E, cfg)
     out.write_json("report.json", report.to_json())
     ineq, growth, dos = report.inequality, report.growth, report.dos
@@ -248,14 +242,14 @@ COMMANDS = tuple(_COMMANDS)
 def run(config, out_dir=None):
     """Validate and execute one experiment config; returns the exit code."""
     try:
-        config = _validate_config(config)
+        p, E, params = _validate_config(config)
     except ConfigInvalid as exc:
         print(f"schreg: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = _OutputDir(out_dir or config.get("output_dir", "."))
     out.write_json("config.json", config)
     try:
-        _COMMANDS[config["command"]][0](config, out)
+        _COMMANDS[config["command"]][0](p, E, params, out)
     except Exception as exc:
         out.write_manifest(config, "error",
                            error={"type": type(exc).__name__,

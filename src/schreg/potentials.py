@@ -33,7 +33,6 @@ What the `step` argument means depends on the family:
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
@@ -514,8 +513,6 @@ def to_json(p):
 
 def from_json(obj):
     """Inverse of to_json; raises ValueError on malformed input."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     _require(isinstance(obj, dict) and "variant" in obj, "potential spec needs a 'variant'")
     kind = obj["variant"]
     _require(kind in _VARIANTS, f"unknown potential variant {kind!r}")

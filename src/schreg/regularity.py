@@ -36,6 +36,7 @@ __all__ = [
     "growth_comparison",
     "dos_comparison",
     "check_window",
+    "check_z_grid",
     "decide_verdict",
     "regularity_report",
 ]
@@ -97,10 +98,7 @@ def growth_comparison(p, E, z_grid, x_list, c, step=0.02):
     Every z must keep distance >= 0.1 from [b0, inf); the summary field is
     the sup over z of |h(x_max, z) - M(z)|.
     """
-    zs = np.asarray([complex(z) for z in z_grid])
-    for z in zs:
-        if martin.distance_to_set(E, z) < 0.1:
-            raise ValueError(f"z={z} closer than 0.1 to the spectrum")
+    zs = check_z_grid(z_grid, E)
     xs = np.asarray(sorted(float(x) for x in x_list))
     h = propagation.dirichlet_profile(p, xs, zs, step).log_growth(xs)
     m = martin.martin_function(E, c, zs).value
@@ -119,15 +117,20 @@ def check_window(lambda_window, E=None):
     return lo, hi
 
 
-def dos_comparison(p, E, x, lambda_window, c, grid=200, step=0.02):
-    """KS distance between the zero-counting and Martin CDFs on a window.
+def check_z_grid(z_grid, E):
+    """The z grid as a complex array; ValueError if a z lies closer than
+    0.1 to the spectrum E."""
+    zs = np.asarray([complex(z) for z in z_grid])
+    for z in zs:
+        if martin.distance_to_set(E, z) < 0.1:
+            raise ValueError(f"z={z} closer than 0.1 to the spectrum")
+    return zs
 
-    `grid` is either a point count (linear grid over the window) or an
-    explicit increasing array inside [b0, Lambda].
-    """
-    lo, hi = check_window(lambda_window, E)
-    lams = np.asarray(grid, dtype=float) if np.ndim(grid) else \
-        np.linspace(lo, hi, int(grid))
+
+def dos_comparison(p, E, x, lambda_window, c, grid=200, step=0.02):
+    """KS distance between the zero-counting and Martin CDFs on `grid`
+    evenly spaced points of the window."""
+    lams = np.linspace(*check_window(lambda_window, E), int(grid))
     rho_x = propagation.zero_counting_cdf(p, x, lams, step=step)
     rho_e = martin.martin_measure_cdf(E, c, lams)
     dist = float(np.max(np.abs(rho_x.cdf - rho_e.cdf)))

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from schreg import cli, jsonschema as schreg_jsonschema, propagation as PR
+from schreg import cli, jsonschema as schreg_jsonschema, martin, potentials, propagation as PR
 
 FREE_SPECTRUM = {"b0": 0.0, "gaps": []}
 
@@ -129,7 +129,6 @@ def test_solve_csv_round_trips_solver_values(tmp_path):
     header, rows = read_csv(tmp_path / "solve.csv")
     assert header[:4] == ["z_re", "z_im", "x", "u_re"]
     assert len(rows) == 6     # 2 z-points x 3 x-points
-    from schreg import potentials
     p = potentials.from_json(config["potential"])
     zs = [complex(*z) for z in config["params"]["z_grid"]]
     xs = config["params"]["x_grid"]
@@ -322,6 +321,19 @@ def test_bad_growth_fractions_rejected(tmp_path, fractions):
     config = window_config("regularity", (0.0, 5.0))
     config["params"]["growth_fractions"] = fractions
     assert cli.run(config, out_dir=str(tmp_path)) == 2
+
+
+def test_regularity_z_grid_touching_spectrum_rejected(tmp_path, capsys):
+    # the default z grid holds -0.5, within 0.1 of this b0: a config error,
+    # caught before any output is written
+    config = {"command": "regularity",
+              "potential": {"variant": "constant", "value": -0.45},
+              "spectrum": {"b0": -0.45, "gaps": []},
+              "params": {"x_max": 200.0}}
+    out = tmp_path / "out"
+    assert cli.run(config, out_dir=str(out)) == cli.EXIT_CONFIG
+    assert "closer than 0.1 to the spectrum" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compute_failure_writes_error_manifest(tmp_path):
@@ -555,11 +567,35 @@ def test_every_validate_call_uses_draft7(monkeypatch):
     configs = {c["command"]: c for c in valid_configs()}
     assert sorted(configs) == sorted(cli.COMMANDS)
     for config in configs.values():
-        assert cli._validate_config(config) is config
+        p, E, _ = cli._validate_config(config)
+        assert p == (potentials.from_json(config["potential"])
+                     if "potential" in config else None)
     assert len(schemas) == 2 * len(cli.COMMANDS)
     for schema in schemas:
         assert (jsonschema.validators.validator_for(schema)
                 is jsonschema.Draft7Validator)
+
+
+def test_each_input_is_built_once_per_run(tmp_path, monkeypatch):
+    # validation builds the potential and the gap set; the command runs on
+    # those, so neither is parsed again
+    built = []
+
+    def recording(build):
+        def wrapper(obj):
+            built.append(obj)
+            return build(obj)
+        return wrapper
+
+    monkeypatch.setattr(potentials, "from_json", recording(potentials.from_json))
+    monkeypatch.setattr(martin.GapSet, "from_json",
+                        staticmethod(recording(martin.GapSet.from_json)))
+    for k, config in enumerate(valid_configs()):
+        built.clear()
+        assert cli.run(config, out_dir=str(tmp_path / str(k))) == 0
+        for key in ("potential", "spectrum"):
+            # a nested spec (the bump of sparse_bumps) is another object
+            assert built.count(config.get(key)) == (key in config), (k, key)
 
 
 def schema_objects(node):

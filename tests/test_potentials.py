@@ -3,6 +3,7 @@
 Pointwise values and jumps come from the test-side description in
 `pointwise`, which the cells of `segments` are checked against.
 """
+import json
 import warnings
 
 import numpy as np
@@ -366,6 +367,12 @@ def test_json_round_trip(p):
 def test_from_json_rejects_unknown_variant():
     with pytest.raises(ValueError):
         P.from_json({"variant": "quartic_well"})
+
+
+def test_from_json_rejects_a_json_string():
+    # a spec is the parsed object; JSON text is the caller's to parse
+    with pytest.raises(ValueError):
+        P.from_json(json.dumps(P.to_json(P.Constant(1.0))))
 
 
 def test_from_json_rejects_missing_discriminator():
