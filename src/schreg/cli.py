@@ -4,11 +4,14 @@
 against the packaged draft-07 JSON schemas (with `schreg.jsonschema`, which
 knows only the keywords they use), rejecting unknown fields and non-finite
 numbers.  Validation builds the potential, gap set and params the command
-then runs on; a window below b0, or a `regularity` z closer than 0.1 to
-the spectrum, is rejected there.  The run leaves CSV/JSON artifacts plus a
-manifest.json listing every file with its sha256.  Outputs are
-byte-reproducible: CSV floats carry 17 significant digits, JSON floats
-their shortest round-trip repr; JSON keys are sorted.
+then runs on; a window below b0, a `regularity` z closer than 0.1 to the
+spectrum, or a `martin` fit with b0 at or below -50**2 is rejected there.
+The run leaves each array once, in a CSV table, JSON summaries (for
+`regularity`, report.json: the verdict record, which
+`regularity.decide_verdict` re-judges alone) and a manifest.json listing
+every file with its sha256.  Outputs are byte-reproducible: CSV floats
+carry 17 significant digits, JSON floats their shortest round-trip repr;
+JSON keys are sorted.
 
 Exit codes: 0 success, 1 compute failure (partial manifest with an error
 record), 2 invalid configuration.
@@ -32,6 +35,7 @@ __all__ = ["run", "main", "load_schema"]
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_CONFIG = 2
+_FIT_K = np.linspace(50.0, 100.0, 12)   # k grid of the `martin` fit
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +87,15 @@ class _OutputDir:
 
 
 def load_schema(name):
-    """Load a packaged schema; the config schema gets the potential spec
-    injected into its $defs so a single validator covers both files."""
+    """Load a packaged schema; the config schema gets the potential spec and
+    its $defs injected into its $defs so a single validator covers both."""
     root = resources.files("schreg") / "schemas"
     schema = json.loads((root / name).read_text(encoding="utf-8"))
     if name == "experiment_config.schema.json":
         pot = json.loads((root / "potential_spec.schema.json")
                          .read_text(encoding="utf-8"))
         pot.pop("$schema", None)
-        schema["$defs"]["potential_spec"] = pot
+        schema["$defs"].update(pot.pop("$defs"), potential_spec=pot)
     return schema
 
 
@@ -139,6 +143,8 @@ def _validate_config(config):
         if command == "regularity":
             params = regularity.ReportConfig.from_json(params)
             regularity.check_z_grid(params.z_grid, E)
+        if command == "martin" and params.get("fit") and not -_FIT_K[0] ** 2 < E.b0:
+            raise ValueError(f"fit needs b0 above -k**2 = {-_FIT_K[0] ** 2:g}")
     except (ValueError, TypeError) as exc:
         raise ConfigInvalid(str(exc)) from exc
     return p, E, params
@@ -191,8 +197,7 @@ def _cmd_martin(p, E, params, out):
         "a_constant": martin.a_constant(E, cp.c),
     }
     if params.get("fit"):
-        summary["fit_a"] = martin.fit_a_from_martin(
-            E, cp.c, np.linspace(50.0, 100.0, 12))
+        summary["fit_a"] = martin.fit_a_from_martin(E, cp.c, _FIT_K)
     out.write_json("critical_points.json", summary)
     out.write_csv("martin.csv", ["z_re", "z_im", "m", "theta_real"],
                   [zs.real, zs.imag, ev.value, ev.theta_real])

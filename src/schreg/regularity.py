@@ -179,25 +179,15 @@ class RegularityReport(Record, eq=False):
     verdict: str
 
     def to_json(self):
-        ineq, growth, dos = self.inequality, self.growth, self.dos
+        """The verdict record; the CLI writes the arrays as CSV tables."""
         return {
             "potential": self.potential,
             "gap_set": self.gap_set,
             "thresholds": dict(self.thresholds),
-            "a_e": ineq.a_e,
-            "cesaro": {"x": ineq.x.tolist(), "average": ineq.average.tolist()},
-            "inequality_margin": ineq.margin,
-            "growth": {
-                "z": [[z.real, z.imag] for z in growth.z],
-                "x": growth.x.tolist(),
-                "h": growth.h.tolist(),
-                "m": growth.m.tolist(),
-                "gaps": growth.gaps.tolist(),
-            },
-            "dos": {"lambda": dos.lam.tolist(),
-                    "rho_x": dos.rho_x.tolist(),
-                    "rho_e": dos.rho_e.tolist(),
-                    "distance": dos.distance},
+            "a_e": self.inequality.a_e,
+            "inequality_margin": self.inequality.margin,
+            "growth_sup_gap": self.growth.sup_gap,
+            "dos_distance": self.dos.distance,
             "verdict": self.verdict,
         }
 

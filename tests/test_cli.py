@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from schreg import cli, jsonschema as schreg_jsonschema, martin, potentials, propagation as PR
+from schreg import regularity
+from schreg.errors import FitIllConditioned
 
 FREE_SPECTRUM = {"b0": 0.0, "gaps": []}
 
@@ -105,6 +107,34 @@ def test_regularity_verdict_from_config(tmp_path):
     assert report["verdict"] == "consistent-with-regular"
     for name in ("report.json", "cesaro.csv", "growth.csv", "dos.csv"):
         assert (tmp_path / name).exists()
+
+
+def test_report_json_is_the_verdict_record(tmp_path):
+    # report.json holds the three numbers the verdict rests on; the arrays
+    # behind them are only in the CSV tables, which reproduce them bitwise
+    config = {
+        "command": "regularity",
+        "potential": {"variant": "decaying", "amplitude": 1.0, "rate": 2.0},
+        "spectrum": {"b0": 0.0, "gaps": [[1.0, 2.0]]},
+        "params": {"x_max": 200.0, "dos_x": 100.0, "dos_points": 50,
+                   "cesaro_points": 16, "growth_fractions": [0.5, 1.0]},
+    }
+    assert cli.run(config, out_dir=str(tmp_path)) == 0
+    doc = read_json(tmp_path / "report.json")
+    assert sorted(doc) == ["a_e", "dos_distance", "gap_set", "growth_sup_gap",
+                           "inequality_margin", "potential", "thresholds", "verdict"]
+    header, rows = read_csv(tmp_path / "growth.csv")
+    assert header == ["z_re", "z_im", "x", "h", "m"]
+    g = np.array(rows, dtype=float)
+    last = g[:, 2] == g[:, 2].max()
+    assert doc["growth_sup_gap"] == float(np.max(np.abs(g[last, 3] - g[last, 4])))
+    header, rows = read_csv(tmp_path / "dos.csv")
+    assert header == ["lambda", "rho_x", "rho_e"]
+    d = np.array(rows, dtype=float)
+    assert doc["dos_distance"] == float(np.max(np.abs(d[:, 1] - d[:, 2])))
+    assert regularity.decide_verdict(
+        doc["inequality_margin"], doc["growth_sup_gap"], doc["dos_distance"],
+        **doc["thresholds"]) == doc["verdict"]
 
 
 def test_dos_artifacts(tmp_path):
@@ -336,11 +366,14 @@ def test_regularity_z_grid_touching_spectrum_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_compute_failure_writes_error_manifest(tmp_path):
-    # a fit whose fixed k-grid puts -k**2 above b0 is a runtime error, not a
+def test_compute_failure_writes_error_manifest(tmp_path, monkeypatch):
+    # a fit that fails while the command runs is a runtime error, not a
     # config error: exit 1 with a partial manifest describing the failure
+    def ill_conditioned(E, c, k_grid):
+        raise FitIllConditioned("k grid gives a near-singular design matrix")
+
+    monkeypatch.setattr(martin, "fit_a_from_martin", ill_conditioned)
     config = martin_config()
-    config["spectrum"]["b0"] = -3000.0
     config["params"]["fit"] = True
     assert cli.run(config, out_dir=str(tmp_path)) == 1
     manifest = read_json(tmp_path / "manifest.json")
@@ -348,6 +381,19 @@ def test_compute_failure_writes_error_manifest(tmp_path):
     assert "message" in manifest["error"]
     assert manifest["error"]["type"] == "FitIllConditioned"
     assert {rec["name"] for rec in manifest["files"]} == {"config.json"}
+
+
+def test_fit_below_its_k_grid_is_a_config_error(tmp_path, capsys):
+    # every -k**2 of the fit's k grid must lie below b0, so b0 = -3000
+    # cannot be fitted: validation says so before any output is written
+    config = {"command": "martin", "spectrum": {"b0": -3000.0, "gaps": []},
+              "params": {"z_grid": [[-4000.0, 0.0]], "fit": True}}
+    out = tmp_path / "out"
+    assert cli.run(config, out_dir=str(out)) == cli.EXIT_CONFIG
+    assert "fit needs b0 above -k**2 = -2500" in capsys.readouterr().err
+    assert not out.exists()
+    config["params"]["fit"] = False
+    assert cli.run(config, out_dir=str(out)) == 0
 
 
 def test_mutating_a_loaded_schema_leaves_validation_alone(tmp_path):
