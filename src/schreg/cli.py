@@ -138,11 +138,10 @@ def _validate_config(config):
         p = potentials.from_json(config["potential"]) if "potential" in config else None
         E = martin.GapSet.from_json(config["spectrum"]) if "spectrum" in config else None
         if "lambda_window" in params:
-            regularity.check_window(params["lambda_window"],
-                                    E if "spectrum" in needs else None)
+            martin.check_window(params["lambda_window"], E if "spectrum" in needs else None)
         if command == "regularity":
             params = regularity.ReportConfig.from_json(params)
-            regularity.check_z_grid(params.z_grid, E)
+            martin.check_z_grid(params.z_grid, E)
         if command == "martin" and params.get("fit") and not -_FIT_K[0] ** 2 < E.b0:
             raise ValueError(f"fit needs b0 above -k**2 = {-_FIT_K[0] ** 2:g}")
     except (ValueError, TypeError) as exc:

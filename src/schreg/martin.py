@@ -32,6 +32,7 @@ exactly against the Jacobian.  Re Theta on an increasing energy grid is a
 cumulative sum over the band pieces between consecutive grid points.
 Integrals go to `quadrature.quad` in batches: all band pieces of a grid,
 all gaps, all boundary values and all vertical segments, each in one call.
+The spectrum checks `check_window` and `check_z_grid` live here, beside GapSet.
 """
 from __future__ import annotations
 
@@ -57,6 +58,8 @@ __all__ = [
     "fit_a_from_martin",
     "martin_measure_cdf",
     "distance_to_set",
+    "check_window",
+    "check_z_grid",
 ]
 
 
@@ -73,10 +76,8 @@ class GapSet(Record):
     def __post_init__(self):
         self._set(b0=float(self.b0), gaps=tuple((float(a), float(b)) for a, b in self.gaps))
         edges = [self.b0, *(e for gap in self.gaps for e in gap)]
-        if not math.isfinite(self.b0):
-            raise ValueError("b0 must be finite")
         if not all(map(math.isfinite, edges)):
-            raise ValueError("gap edges must be finite")
+            raise ValueError("b0 and gap edges must be finite")
         if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
             raise ValueError("gaps must be ordered and disjoint above b0")
 
@@ -123,6 +124,26 @@ def distance_to_set(E, z):
         if a < x < b:
             return min(abs(z - a), abs(z - b))
     return y
+
+
+def check_window(lambda_window, E=None):
+    """(lo, hi) of a window; ValueError unless lo < hi and lo >= E.b0."""
+    lo, hi = float(lambda_window[0]), float(lambda_window[1])
+    if not lo < hi:
+        raise ValueError("lambda_window must be increasing")
+    if E is not None and lo < E.b0 - 1e-12 * max(1.0, abs(E.b0)):
+        raise ValueError("window must start at or above b0")
+    return lo, hi
+
+
+def check_z_grid(z_grid, E):
+    """The z grid as a complex array; ValueError if a z lies closer than
+    0.1 to the spectrum E."""
+    zs = np.asarray([complex(z) for z in z_grid])
+    for z in zs:
+        if distance_to_set(E, z) < 0.1:
+            raise ValueError(f"z={z} closer than 0.1 to the spectrum")
+    return zs
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +409,7 @@ def martin_measure_cdf(E, c, lambda_grid):
         raise ValueError("lambda_grid must be a nonempty 1-d sequence")
     if not np.all(np.diff(lams) > 0):
         raise ValueError("lambda_grid must be strictly increasing")
-    if lams[0] < E.b0 - 1e-12 * max(1.0, abs(E.b0)):
-        raise ValueError("grid must start at or above b0")
+    check_window((lams[0], math.inf), E)
     # the band pieces between consecutive grid points, in one call
     bands = np.array(E.bands())
     L = np.maximum(np.concatenate([[E.b0], lams[:-1]])[:, None], bands[:, 0])
@@ -402,7 +422,8 @@ def martin_measure_cdf(E, c, lambda_grid):
 
 
 def fit_a_from_martin(E, c, k_grid):
-    """Fit the asymptotic constant from 2k (M(-k**2) - k) ~ a + beta/k.
+    """Fit a from 2k (M(-k**2) - k) ~ a + beta/k**2: the expansion
+    M(-k**2) = k + a/(2k) + O(k**-3) leaves no 1/k term.
 
     Returns the fitted constant.  The design must be well conditioned:
     at least two distinct positive k with -k**2 below b0, condition
@@ -432,7 +453,7 @@ def fit_a_from_martin(E, c, k_grid):
 
     free = E.b0 / (np.sqrt(E.b0 + ks * ks) + ks)
     y = 2.0 * ks * (_edge_quad(excess, -ks * ks, E.b0, -math.inf, E.b0) + free)
-    A = np.column_stack([np.ones_like(ks), 1.0 / ks])
+    A = np.column_stack([np.ones_like(ks), 1.0 / (ks * ks)])
     if np.linalg.cond(A) > 1e8:
         raise FitIllConditioned("k grid gives a near-singular design matrix")
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)

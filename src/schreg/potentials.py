@@ -187,8 +187,15 @@ class PiecewiseConstant(Record):
         _require(all(b[i] < b[i + 1] for i in range(len(b) - 1)),
                  "breakpoints must be strictly increasing")
 
+    @cached_property
+    def _table(self):
+        """Edges including 0, the values, and the integral of V up to each edge."""
+        edges = np.concatenate([[0.0], self.breakpoints])
+        vals = np.asarray(self.values, dtype=float)
+        return edges, vals, np.concatenate([[0.0], np.cumsum(np.diff(edges) * vals[:-1])])
+
     def _integral(self, x):
-        edges, vals, cum = _pc_tables(self.breakpoints, self.values)
+        edges, vals, cum = self._table
         i = bisect_right(edges, x) - 1   # in range: edges[0] = 0 <= x
         return float(cum[i] + vals[i] * (x - edges[i]))
 
@@ -221,17 +228,9 @@ class Tabulated(Record):
         """grid[1:]: the same step function as PiecewiseConstant(grid[1:], values)."""
         return self.grid[1:]
 
+    _table = PiecewiseConstant._table
     _integral = PiecewiseConstant._integral
     _cells = PiecewiseConstant._cells
-
-
-@lru_cache(maxsize=512)
-def _pc_tables(breakpoints, values):
-    """Edges including 0, plus the cumulative integrals of V at the edges."""
-    edges = np.concatenate([[0.0], np.asarray(breakpoints, dtype=float)])
-    vals = np.asarray(values, dtype=float)
-    cum = np.concatenate([[0.0], np.cumsum(np.diff(edges) * vals[:-1])])
-    return edges, vals, cum
 
 
 # ---------------------------------------------------------------------------
@@ -389,21 +388,19 @@ class SparseBumps(Record):
     def support_width(self):
         return self.bump.breakpoints[-1]
 
-    def _integral(self, x):
-        i = bisect_right(self.positions, x)
-        if i == 0:
-            return 0.0
-        # the bump's integral is constant, its whole mass, beyond its support
-        t = min(x - self.positions[i - 1], self.support_width)
-        return (i - 1) * self.bump._integral(self.support_width) + self.bump._integral(t)
+    @cached_property
+    def breakpoints(self):
+        """Every jump, nondecreasing: each bump's start and its own breakpoints."""
+        return tuple(b + t for b in self.positions for t in (0.0, *self.bump.breakpoints))
 
-    def _cells(self, x0, x1, step):
-        # the jumps of the bumps that overlap [x0, x1): the last one starting
-        # at or before x0, and every later one starting before x1
-        pos = self.positions
-        bumps = pos[max(bisect_right(pos, x0) - 1, 0):bisect_left(pos, x1)]
-        jumps = [b + t for b in bumps for t in (0.0, *self.bump.breakpoints)]
-        yield _step_cells(jumps, (0.0, *(self.bump.values * len(bumps))), x0, x1)
+    @cached_property
+    def values(self):
+        """0 before the first bump, then each bump's values in turn."""
+        return (0.0, *(self.bump.values * len(self.positions)))
+
+    _table = PiecewiseConstant._table
+    _integral = PiecewiseConstant._integral
+    _cells = PiecewiseConstant._cells
 
 
 # ---------------------------------------------------------------------------

@@ -286,25 +286,20 @@ def _spectral_norm(m):
 def transfer_matrix(p, x, z, step=1e-3):
     """Scaled transfer matrix of [0, x] at spectral parameter z.
 
-    Columns propagate (u', u) initial data; the first column is the
-    Dirichlet solution (u(0)=0, u'(0)=1), the second has u(0)=1, u'(0)=0.
-    The mantissa is normalized to unit spectral norm.  An array of energies
-    shares one pass: m is then indexed [i, j, *z.shape] and log_scale is an
-    array of z's shape.
+    x must be positive.  Columns propagate (u', u) initial data; the first
+    column is the Dirichlet solution (u(0)=0, u'(0)=1), the second has
+    u(0)=1, u'(0)=0.  The mantissa is normalized to unit spectral norm.  An
+    array of energies shares one pass: m is then indexed [i, j, *z.shape]
+    and log_scale is an array of z's shape.
     """
     _check_step(step)
-    x = float(x)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not x > 0:
+        raise ValueError("x must be positive")
     zs = np.asarray(z, dtype=complex)
-    if x == 0.0:
-        m = np.multiply.outer(np.eye(2), np.ones(zs.shape, complex))
-        s = np.zeros(zs.shape)
-    else:
-        el = _walk(p, 0.0, x, zs.reshape(-1), step)
-        nrm = _spectral_norm(el.m)
-        m = (el.m / nrm).reshape(2, 2, *zs.shape)
-        s = (el.s + np.log(nrm)).reshape(zs.shape)
+    el = _walk(p, 0.0, float(x), zs.reshape(-1), step)
+    nrm = _spectral_norm(el.m)
+    m = (el.m / nrm).reshape(2, 2, *zs.shape)
+    s = (el.s + np.log(nrm)).reshape(zs.shape)
     return ScaledTransferMatrix(m, float(s) if zs.ndim == 0 else s)
 
 
@@ -317,8 +312,6 @@ def dirichlet_solution(p, x, z, step=1e-3):
 
 def log_growth(p, x, z, step=1e-3):
     """h(x, z) = log|u(x, z)| / x for the Dirichlet solution."""
-    if not x > 0:
-        raise ValueError("x must be positive")
     return float(dirichlet_solution(p, x, z, step).log_growth(x))
 
 

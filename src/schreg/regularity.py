@@ -16,6 +16,8 @@ regularity_report computes against one solve of c.
 
 The essential spectrum is always an input (a GapSet); nothing here tries
 to infer it from V except through the periodic band pipeline upstream.
+The checks of a window and a z grid against it live beside GapSet, in
+martin.
 Verdicts are a pure function of the stored numbers and thresholds, so a
 report can be re-judged from its JSON alone.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import martin, potentials, propagation
+from .martin import check_window, check_z_grid
 from .record import Record
 
 __all__ = [
@@ -35,8 +38,6 @@ __all__ = [
     "universal_inequality_check",
     "growth_comparison",
     "dos_comparison",
-    "check_window",
-    "check_z_grid",
     "decide_verdict",
     "regularity_report",
 ]
@@ -105,26 +106,6 @@ def growth_comparison(p, E, z_grid, x_list, c, step=0.02):
     gaps = h[:, -1] - m
     return GrowthComparison(z=zs, x=xs, h=h, m=m, gaps=gaps,
                             sup_gap=float(np.max(np.abs(gaps))))
-
-
-def check_window(lambda_window, E=None):
-    """(lo, hi) of a window; ValueError unless lo < hi and lo >= E.b0."""
-    lo, hi = float(lambda_window[0]), float(lambda_window[1])
-    if not lo < hi:
-        raise ValueError("lambda_window must be increasing")
-    if E is not None and lo < E.b0 - 1e-12 * max(1.0, abs(E.b0)):
-        raise ValueError("window must start at or above b0")
-    return lo, hi
-
-
-def check_z_grid(z_grid, E):
-    """The z grid as a complex array; ValueError if a z lies closer than
-    0.1 to the spectrum E."""
-    zs = np.asarray([complex(z) for z in z_grid])
-    for z in zs:
-        if martin.distance_to_set(E, z) < 0.1:
-            raise ValueError(f"z={z} closer than 0.1 to the spectrum")
-    return zs
 
 
 def dos_comparison(p, E, x, lambda_window, c, grid=200, step=0.02):
@@ -211,11 +192,11 @@ def decide_verdict(margin, growth_gap, dos_distance, margin_tol, growth_tol,
     return INCONCLUSIVE
 
 
-def regularity_report(p, E, config=None, c=None):
+def regularity_report(p, E, config=None):
     """Run all three diagnostics and return the judged report.  The
-    critical points c are solved here, once, when not given."""
+    critical points c are solved here, once for all three."""
     cfg = config or ReportConfig()
-    c = martin.solve_critical_points(E).c if c is None else c
+    c = martin.solve_critical_points(E).c
     ineq = universal_inequality_check(p, E, cfg.x_max, c,
                                       grid_points=cfg.cesaro_points)
     x_list = [f * cfg.x_max for f in cfg.growth_fractions]

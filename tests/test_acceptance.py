@@ -101,9 +101,9 @@ def test_a3_robin_constant_two_routes():
         fit = M.fit_a_from_martin(E, c, k_grid)
         worst = max(worst, abs(a - fit) / max(1.0, abs(a)))
     dt = time.perf_counter() - t0
-    ok = worst <= 0.01 and dt < 60.0
+    ok = worst <= 1e-5 and dt < 60.0
     report("3 additive constant vs asymptotic fit", ok,
-           f"worst relative gap {worst:.2e}<=1e-2 over 20 sets, {dt:.1f}s<60s")
+           f"worst relative gap {worst:.2e}<=1e-5 over 20 sets, {dt:.1f}s<60s")
 
 
 def truncated_square_wave_bands():

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import inspect
+import math
 import pathlib
 import pkgutil
 
@@ -68,3 +69,46 @@ def test_cli_commands_match_the_config_schema():
     assert list(cli.COMMANDS) == schema["properties"]["command"]["enum"]
     params = {k[len("params_"):] for k in schema["$defs"] if k.startswith("params_")}
     assert params == set(cli.COMMANDS)
+
+
+def _input_checks():
+    """(id, call, error, message) for each input check in src/ that no other
+    test reaches."""
+    from schreg import martin as M, periodic as PE, potentials as P, propagation as PR
+    from schreg.errors import FitIllConditioned, ZeroSolution
+    free, one_gap, wave = P.Constant(0.0), M.GapSet(0.0, ((1.0, 2.0),)), P.PeriodicSquare(0.5)
+    return [
+        ("gap_set_b0", lambda: M.GapSet(math.inf), ValueError, "finite"),
+        ("c_count", lambda: M.a_constant(one_gap, ()), ValueError, "one critical point"),
+        ("c_outside_gap", lambda: M.a_constant(one_gap, (3.0,)), ValueError, "outside"),
+        ("cdf_empty_grid", lambda: M.martin_measure_cdf(M.GapSet(0.0), (), []),
+         ValueError, "nonempty"),
+        ("cdf_grid_not_increasing", lambda: M.martin_measure_cdf(M.GapSet(0.0), (), [1.0, 1.0]),
+         ValueError, "increasing"),
+        ("fit_one_k", lambda: M.fit_a_from_martin(M.GapSet(0.0), (), [-50.0, 50.0]),
+         FitIllConditioned, "two positive"),
+        ("discriminant_period", lambda: PE.discriminant(wave, 0.0, 1.0), ValueError, "period"),
+        ("band_window_reversed", lambda: PE.band_spectrum(wave, 1.0, (3.0, -2.0)),
+         ValueError, "increasing window"),
+        ("band_resolution", lambda: PE.band_spectrum(wave, 1.0, (-2.0, 3.0), 1),
+         ValueError, "resolution"),
+        ("gap_set_of_no_bands",
+         lambda: PE.to_gap_set(PE.band_spectrum(wave, 1.0, (-5.0, -3.0))), ValueError, "no bands"),
+        ("to_json_unknown", lambda: P.to_json(one_gap), TypeError, "unknown potential type"),
+        ("log_growth_at_a_zero",
+         lambda: PR.SolutionSample(u=0j, du=1 + 0j, log_scale=0.0).log_growth(1.0),
+         ZeroSolution, "vanished"),
+        ("log_growth_x", lambda: PR.log_growth(free, 0.0, -1.0), ValueError, "positive"),
+        ("profile_decreasing", lambda: PR.dirichlet_profile(free, [2.0, 1.0], [-1.0]),
+         ValueError, "increasing"),
+        ("eigenvalue_count_x", lambda: PR.eigenvalue_count(free, 0.0, 1.0), ValueError, "positive"),
+        ("transfer_matrix_at_0", lambda: PR.transfer_matrix(free, 0.0, -1.0), ValueError,
+         "positive"),
+    ]
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [pytest.param(*row, id=name) for name, *row in _input_checks()])
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
