@@ -1,6 +1,8 @@
 """Martin (comb) data of a finite-gap set E = [b0, inf) minus open gaps.
 
-Everything is driven by the closed-form derivative
+The free set (no gaps) is closed form: Theta(z) = sqrt(z - b0) at x + i|y|,
+whose imaginary part is +0 on the axis, so the principal branch holds; the
+measure's CDF is sqrt(lambda - b0) / pi.  With gaps, all rests on
 
     i Theta'(z) = (1/2) prod_j (c_j - z)
                   / ( sqrt(b0 - z) * prod_j sqrt(a_j - z) sqrt(b_j - z) ),
@@ -16,27 +18,23 @@ monic numerator over the gap midpoints, so one linear solve gives it, and
 a batched 32-way sectioning finds its one root in each gap.  A solve is
 accepted when each gap's residual is within what one ulp of c_j can move.
 
-The Martin function M = Im Theta is anchored at Theta(b0) = 0.  On the
-real axis M is the integral of M' from the nearer finite gap end (b0
-below the spectrum), M = 0 on the bands, and Re Theta is pi times the
-spectral cumulative function.  Off the axis, Theta(x + iy) is Theta(x + i0)
-plus the integral of i Theta' up the vertical segment, taken in t = y s**2
-so that it stays smooth when x is a band edge: the path is as short as
-|Im z|, so no z off the axis is too close to the spectrum.
+M = Im Theta is anchored at Theta(b0) = 0.  On the real axis M is the
+integral of M' from the nearer finite gap end (b0 below the spectrum), 0
+on the bands, and Re Theta is pi times the spectral CDF.  Off the axis,
+Theta(x + iy) is Theta(x + i0) plus the integral of i Theta' up the
+vertical segment in t = y s**2, smooth when x is a band edge; the path is
+as short as |Im z|, so no z off the axis is too close to the spectrum.
 
-Every real-axis integral uses one rule: on an interval [a, b] whose
-density blows up like an inverse square root at both ends, the part below
-the midpoint is taken in t = a + s**2 and the part above it in
-t = b - s**2, with the edge's factor 1/sqrt|t - e| = 1/s cancelled
-exactly against the Jacobian.  Re Theta on an increasing energy grid is a
-cumulative sum over the band pieces between consecutive grid points.
-Integrals go to `quadrature.quad` in batches: all band pieces of a grid,
-all gaps, all boundary values and all vertical segments, each in one call.
-The spectrum checks `check_window` and `check_z_grid` live here, beside GapSet.
+Every real-axis integral uses one rule: on [a, b], with an inverse-sqrt
+density at both ends, the part below the midpoint is taken in t = a + s**2
+and the part above it in t = b - s**2, the edge factor 1/sqrt|t - e| = 1/s
+cancelling exactly against the Jacobian.  Re Theta on an increasing grid
+is a cumulative sum over the band pieces between grid points.  Integrals
+go to `quadrature.quad` in batches: all band pieces of a grid, all gaps,
+all boundary values and all vertical segments, each in one call.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -257,19 +255,14 @@ def _section(f, out, inn, tol):
     return 0.5 * (out + inn)
 
 
-@functools.cache
-def _panel_rule():   # 24 Gauss points on each of 16 panels of (0, 1), built once
-    x, w = np.polynomial.legendre.leggauss(24)
-    return (np.arange(16)[:, None] + 0.5 + 0.5 * x).ravel() / 16, np.tile(w, 16)
-
-
 def _gap_rules(E, m):
     """Nodes t[j] and weights w[j], one row per gap, of a fixed Gauss rule
-    (_panel_rule on each half gap) for integrals over gap j against
-    prod_l (m_l - t) dt / (sqrt|t - b0| prod sqrt|t - e|) over the gap
-    edges e, up to a constant factor.  The gap's own edge factors are
-    absorbed by the s**2 substitutions from each end."""
-    s, w = _panel_rule()
+    (24 points on each of 16 panels of each half gap) for integrals over
+    gap j against prod_l (m_l - t) dt / (sqrt|t - b0| prod sqrt|t - e|)
+    over the gap edges e, up to a constant factor.  The gap's own edge
+    factors are absorbed by the s**2 substitutions from each end."""
+    x, w = si.gauss(24)
+    s, w = (np.arange(16)[:, None] + 0.5 + 0.5 * x).ravel() / 16, np.tile(w, 16)
     a, b = (np.array(E.gaps)[:, i, None] for i in (0, 1))
     h = np.sqrt(0.5 * (b - a)) * s   # s scaled to each half gap
     t = np.concatenate([a + h * h, b - h * h], axis=1)
@@ -349,23 +342,9 @@ def a_constant(E, c):
 # ---------------------------------------------------------------------------
 # Theta and M
 
-def martin_function(E, c, z):
-    """Martin function M(z) = Im Theta(z) with Theta anchored at Theta(b0)=0.
-
-    Returns a MartinEvaluation carrying M and Re Theta; for an array of z
-    its fields are arrays shaped like z.  M is symmetric under
-    conjugation; Re Theta is reported for the upper-half-plane
-    representative.  Theta(z) = Theta(x + i0) plus the integral of
-    i Theta'(x + it) over 0 <= t <= y, for x = Re z and y = |Im z|.  At x,
-    M is the integral of M' from the nearer finite gap end (0 on the
-    bands) and Re Theta the running sum of the finite band masses below x
-    plus the part of x's band below it.  The boundary values take one
-    batched quadrature call, the vertical integrals another; every value
-    equals the one a scalar call gives.
-    """
-    c = _check_c(E, c)
-    zs = np.asarray(z, dtype=complex)
-    x, y = zs.real.ravel(), np.abs(zs.imag.ravel())
+def _theta_gapped(E, c, x, y):
+    """Theta at x + iy, y >= 0, for a set with gaps: the boundary values in
+    one batched quadrature call, the vertical integrals in another."""
     N = len(E.gaps)
     gaps = np.array([(-math.inf, E.b0), *E.gaps])
     lo, hi = np.array(E.bands()).T
@@ -379,10 +358,10 @@ def martin_function(E, c, z):
         [lo[:N], hi[:N], lo[:N], hi[:N]],                      # whole bands
         [lo[q], np.maximum(x, lo[q]), lo[q], hi[q]]], axis=1)   # x's band to x
     v = _edge_quad(lambda t, p, e: _m_density(E, c, piece[p], t, e), *ends)
-    m = np.zeros(x.size)
-    m[i] = np.where(near, v[:i.size], -v[:i.size])
+    theta = np.zeros(x.size, dtype=complex)
+    theta.imag[i] = np.where(near, v[:i.size], -v[:i.size])
     mass = np.concatenate([[0.0], np.cumsum(v[i.size:i.size + N])])
-    theta_real = mass[q] + v[i.size + N:]
+    theta.real = mass[q] + v[i.size + N:]
     off = np.flatnonzero(y > 0)
     if off.size:
         xo, yo = x[off], y[off]
@@ -391,14 +370,24 @@ def martin_function(E, c, z):
             w = xo[k] + 1j * (yo[k] * (s * s))
             return 2.0 * s * yo[k] * _itheta_prime_raw(E, c, w)
 
-        theta = si.quad(vertical, 0.0, np.ones(off.size), rtol=1e-12, atol=1e-13)
-        m[off] += theta.imag
-        theta_real[off] += theta.real
+        theta[off] += si.quad(vertical, 0.0, np.ones(off.size), rtol=1e-12, atol=1e-13)
+    return theta
+
+
+def martin_function(E, c, z):
+    """Martin function M(z) = Im Theta(z), Theta(b0) = 0, and Re Theta at
+    x + i|y| in a MartinEvaluation; for an array of z, arrays shaped like z,
+    each equal to a scalar call's.  M is symmetric under conjugation."""
+    c = _check_c(E, c)
+    zs = np.asarray(z, dtype=complex)
+    x, y = zs.real.ravel(), np.abs(zs.imag.ravel())
+    # the free set's Theta is sqrt(z - b0), whose Im is +0 on the axis here
+    theta = _theta_gapped(E, c, x, y) if E.gaps else np.sqrt(x - E.b0 + 1j * y)
     if zs.ndim == 0:
-        return MartinEvaluation(z=complex(zs), value=float(m[0]),
-                                theta_real=float(theta_real[0]))
-    return MartinEvaluation(z=zs, value=m.reshape(zs.shape),
-                            theta_real=theta_real.reshape(zs.shape))
+        return MartinEvaluation(z=complex(zs), value=float(theta.imag[0]),
+                                theta_real=float(theta.real[0]))
+    return MartinEvaluation(z=zs, value=theta.imag.reshape(zs.shape),
+                            theta_real=theta.real.reshape(zs.shape))
 
 
 def martin_measure_cdf(E, c, lambda_grid):
@@ -410,6 +399,8 @@ def martin_measure_cdf(E, c, lambda_grid):
     if not np.all(np.diff(lams) > 0):
         raise ValueError("lambda_grid must be strictly increasing")
     check_window((lams[0], math.inf), E)
+    if not E.gaps:   # the free set: sqrt(lambda - b0) / pi, 0 below b0
+        return MeasureCDF(lam=lams, cdf=np.sqrt(np.maximum(lams - E.b0, 0.0)) / math.pi)
     # the band pieces between consecutive grid points, in one call
     bands = np.array(E.bands())
     L = np.maximum(np.concatenate([[E.b0], lams[:-1]])[:, None], bands[:, 0])

@@ -12,20 +12,29 @@ _MAX_PANELS panels, or a panel too narrow to halve, raises
 QuadratureFailure, and so does a summed error left above the tolerance (a
 tolerance below rounding).  Each interval's value depends only on its own
 panels, so a batch gives bitwise the values of one call per interval.
+The rules are built on first use, so importing loads no numpy.polynomial.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .errors import QuadratureFailure
 
-__all__ = ["quad"]
+__all__ = ["quad", "gauss"]
 
-_X16, _W16 = np.polynomial.legendre.leggauss(16)
-_X8, _W8 = np.polynomial.legendre.leggauss(8)
-_NODES = np.concatenate([_X16, _X8])
 _ROUNDING = 50.0 * np.finfo(float).eps
 _MAX_PANELS = 400   # per interval
+
+
+@functools.cache
+def gauss(n):
+    """numpy's n-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _rule(v, w):
@@ -62,16 +71,18 @@ def quad(f, a, b, *, rtol=1e-11, atol=1e-12):
     n, width = a.size, np.abs(b - a)
     k = np.flatnonzero(a != b)
     lo, hi = a[k], b[k]
+    (x16, w16), (x8, w8) = gauss(16), gauss(8)
+    nodes = np.concatenate([x16, x8])
     total, spent, panels = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
     while k.size:
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        v = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel(),
-                         np.repeat(k, _NODES.size))).reshape(k.size, -1)
-        mean16 = 0.5 * _rule(v[:, :16], _W16)
-        i16, i8 = 2.0 * half * mean16, half * _rule(v[:, 16:], _W8)
+        v = np.asarray(f((mid[:, None] + half[:, None] * nodes).ravel(),
+                         np.repeat(k, nodes.size))).reshape(k.size, -1)
+        mean16 = 0.5 * _rule(v[:, :16], w16)
+        i16, i8 = 2.0 * half * mean16, half * _rule(v[:, 16:], w8)
         err = _error(np.abs(i16 - i8), np.abs(half) * _rule(
-            np.abs(v[:, :16] - mean16[:, None]), _W16))
-        floor = _ROUNDING * np.abs(half) * _rule(np.abs(v[:, :16]), _W16)
+            np.abs(v[:, :16] - mean16[:, None]), w16))
+        floor = _ROUNDING * np.abs(half) * _rule(np.abs(v[:, :16]), w16)
         err, at_floor = np.maximum(err, floor), err <= floor
         total = total.astype(np.result_type(total, i16), copy=False)
         tol = np.maximum(atol, rtol * np.abs(total + _sum_by(k, i16, n)))

@@ -16,8 +16,6 @@ regularity_report computes against one solve of c.
 
 The essential spectrum is always an input (a GapSet); nothing here tries
 to infer it from V except through the periodic band pipeline upstream.
-The checks of a window and a z grid against it live beside GapSet, in
-martin.
 Verdicts are a pure function of the stored numbers and thresholds, so a
 report can be re-judged from its JSON alone.
 """

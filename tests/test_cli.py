@@ -478,6 +478,28 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_free_set_run_does_not_load_numpy_polynomial(tmp_path):
+    # the Gauss rules are built on first use: a free-set dos run integrates
+    # nothing, so it never imports numpy.polynomial; a gapped martin run does
+    dos = {"command": "dos", "potential": {"variant": "decaying", "amplitude": 1.0,
+                                           "rate": 2.0},
+           "spectrum": dict(FREE_SPECTRUM),
+           "params": {"x": 100.0, "lambda_window": [0.0, 10.0], "grid_points": 50}}
+    gapped = dict(martin_config(), spectrum={"b0": 0.0, "gaps": [[1.0, 2.0]]})
+    code = """if True:
+        import json, sys
+        from schreg import cli
+        for config, out in zip(json.loads(sys.argv[1]), sys.argv[2:]):
+            assert cli.run(config, out) == 0
+            print("numpy.polynomial" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps([dos, gapped]),
+                           str(tmp_path / "dos"), str(tmp_path / "martin")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_import_builds_no_dataclass_and_no_argument_parser():
     # every CLI op is a fresh process, so import time is paid per op: the
     # records generate no code at import, and only `main` parses arguments

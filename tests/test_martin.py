@@ -2,12 +2,14 @@
 import cmath
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from schreg import martin as M, periodic as PE, potentials as P
+from schreg import martin as M, periodic as PE, potentials as P, propagation as PR
+from schreg import regularity as R
 from schreg.errors import FitIllConditioned, NoConvergence
 
 FREE = M.GapSet(b0=0.0)
@@ -431,6 +433,53 @@ def test_free_field_values():
             want, abs=1e-8)
 
 
+# offsets from b0 of the free-set test points: below b0, on b0, on the
+# band, conjugate pairs and |Im z| = 1e-12 on both sides of b0
+FREE_OFFSETS = [-3.0, -1e-3, 0.0, 0.7, 100.0, 2 + 1j, 2 - 1j, -1 + 3j, -1 - 3j,
+                3 + 1e-12j, 3 - 1e-12j, -2 + 1e-12j, -2 - 1e-12j, 1e-12j]
+
+
+@pytest.mark.parametrize("b0", [0.0, -1.0, 2.5])
+def test_free_set_theta_is_the_principal_root(b0):
+    # Theta = sqrt(z - b0) at x + i|y|: below b0, M = sqrt(b0 - x) and
+    # Re Theta = 0; on the band, M = 0 and Re Theta = +sqrt(x - b0), where
+    # the other branch, i sqrt(b0 - z), gives -sqrt(x - b0).  Measured
+    # 9.6e-17 relative per component against 30 digits (correctly
+    # rounded); the bound is 2**-52, a factor 2.3 above it.
+    mp = pytest.importorskip("mpmath")
+    E = M.GapSet(b0)
+    zs = np.array([b0 + d for d in FREE_OFFSETS] + [1j, 2 + 1j, -0.5])
+    ev = M.martin_function(E, (), zs)
+    with mp.workdps(30):
+        for z, m, re in zip(zs, ev.value, ev.theta_real):
+            want = mp.sqrt(mp.mpc(z.real, abs(z.imag)) - b0)
+            assert abs(m - want.imag) <= 2.0 ** -52 * abs(want.imag), z
+            assert abs(re - want.real) <= 2.0 ** -52 * abs(want.real), z
+
+
+def test_free_set_scalar_calls_are_bitwise_the_array_call():
+    E = M.GapSet(-1.0)
+    zs = np.array([-1.0 + d for d in FREE_OFFSETS]).reshape(2, -1)
+    ev = M.martin_function(E, (), zs)
+    assert ev.value.shape == ev.theta_real.shape == zs.shape
+    for z, m, re in zip(zs.ravel(), ev.value.ravel(), ev.theta_real.ravel()):
+        one = M.martin_function(E, (), z)
+        assert (one.value.hex(), one.theta_real.hex()) == (m.hex(), re.hex()), z
+
+
+def test_free_set_closed_form_matches_the_quadrature_route():
+    # _theta_gapped, the route a set with gaps takes, gives on the free set
+    # what martin_function gave before its closed form.  Measured 2.0e-16
+    # relative per component; the bound 1e-15 is a factor 5 above it.
+    for b0 in (0.0, -1.0, 2.5):
+        E = M.GapSet(b0)
+        zs = np.array([b0 + d for d in FREE_OFFSETS])
+        ev = M.martin_function(E, (), zs)
+        q = M._theta_gapped(E, (), zs.real, np.abs(zs.imag))
+        assert np.all(np.abs(ev.value - q.imag) <= 1e-15 * np.abs(q.imag))
+        assert np.all(np.abs(ev.theta_real - q.real) <= 1e-15 * np.abs(q.real))
+
+
 def test_conjugation_symmetry():
     cp = solved(ONE_GAP)
     for z in (0.5 + 0.5j, -2.0 + 1.0j, 3.0 + 0.25j):
@@ -568,6 +617,38 @@ def test_free_measure_cdf():
     assert np.max(np.abs(cdf.cdf - np.sqrt(lams) / math.pi)) <= 1e-8
     one = M.martin_measure_cdf(FREE, (), np.array([math.pi ** 2]))
     assert one.cdf[0] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("b0", [0.0, -1.0, 2.5])
+def test_free_set_cdf_in_closed_form(b0):
+    # sqrt(lambda - b0) / pi: measured 2.8e-16 relative against 30 digits,
+    # the worst case of its three roundings; the bound is 2**-51, a factor
+    # 1.6 above it.  A grid starting 1e-13 below b0, which check_window
+    # allows, reads 0 there without taking the root of a negative number.
+    mp = pytest.importorskip("mpmath")
+    E = M.GapSet(b0)
+    lams = np.linspace(b0, b0 + 25.0, 200)
+    cdf = M.martin_measure_cdf(E, (), lams).cdf
+    assert cdf[0] == 0.0
+    with mp.workdps(30):
+        want = [mp.sqrt(mp.mpf(lam) - b0) / mp.pi for lam in lams]
+        assert all(abs(g - w) <= 2.0 ** -51 * w for g, w in zip(cdf, want))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        low = M.martin_measure_cdf(E, (), np.linspace(b0 - 1e-13, b0 + 25.0, 200)).cdf
+    assert low[0] == 0.0 and np.all(low[1:] > 0.0)
+
+
+def test_free_set_diagnostics_run_no_quadrature(monkeypatch):
+    calls = []
+    quad = M.si.quad
+    monkeypatch.setattr(M.si, "quad", lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+    p = P.Decaying(1.0, 2.0)
+    R.regularity_report(p, FREE, R.ReportConfig(x_max=400.0, dos_x=200.0))
+    R.dos_comparison(p, M.GapSet(-1.0), 200.0, (-1.0, 10.0), ())
+    assert calls == []
+    M.martin_function(ONE_GAP, solved(ONE_GAP).c, 1j)   # a gapped set integrates
+    assert calls
 
 
 def alg_band_cdf(E, c, lam):
@@ -841,11 +922,11 @@ def floquet_m_error(E, c, delta):
     return np.max(np.abs(M.martin_function(E, c, zs).value - want) / want)
 
 
-def floquet_cdf_error(E, c, delta):
-    """Largest relative gap between the Martin CDF and theta / (pi T) at 1/10,
-    1/2 and 9/10 of each band starting below 1000 and in the middle of each
-    gap after it.  In band n (from 0) the rotation angle theta is n pi +
-    arccos((-1)**n Delta / 2); over the gap after it, (n + 1) pi."""
+def floquet_rotation(E, delta):
+    """lambda at 1/10, 1/2 and 9/10 of each band starting below 1000 and in
+    the middle of each gap after it, and theta / (pi T) there.  In band n
+    (from 0) the rotation angle theta is n pi + arccos((-1)**n Delta / 2);
+    over the gap after it, (n + 1) pi."""
     lam, theta = [], []
     for n, ((lo, hi), (a, b)) in enumerate(zip(E.bands(), E.gaps)):
         if lo > 1000.0:
@@ -854,7 +935,13 @@ def floquet_cdf_error(E, c, delta):
         turn = np.arccos((-1) ** n * square_wave_discriminant(delta, x).real / 2.0)
         lam += [*x, 0.5 * (a + b)]
         theta += [*(n * math.pi + turn), (n + 1) * math.pi]
-    want = np.array(theta) / (2.0 * math.pi * delta)
+    return np.array(lam), np.array(theta) / (2.0 * math.pi * delta)
+
+
+def floquet_cdf_error(E, c, delta):
+    """Largest relative gap between the Martin CDF and theta / (pi T) at the
+    floquet_rotation points."""
+    lam, want = floquet_rotation(E, delta)
     cdf = M.martin_measure_cdf(E, c, lam).cdf
     return np.max(np.abs(cdf - want) / want)
 
@@ -883,3 +970,14 @@ def test_floquet_m_test_sees_a_critical_point_off_by_a_millionth_of_its_gap(delt
     a, b = E.gaps[0]
     moved = (c[0] + 1e-6 * (b - a), *c[1:])
     assert floquet_m_error(E, moved, delta) > FLOQUET_TOL
+
+
+@pytest.mark.parametrize("x", [500.0, 2000.0])
+@pytest.mark.parametrize("delta", [0.45, 1.3])
+def test_zero_count_is_the_floquet_rotation_number_within_2_over_x(delta, x):
+    # Sturm oscillation bounds the count error by a few eigenvalues: measured
+    # max |count/x - theta/(pi T)| x = 1.00 to 1.11 over these four cases
+    E, _ = band_derived_set(delta)
+    lam, want = floquet_rotation(E, delta)
+    count = PR.zero_counting_cdf(P.PeriodicSquare(delta), x, lam).cdf
+    assert np.max(np.abs(count - want)) <= 2.0 / x

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from schreg.errors import QuadratureFailure
-from schreg.quadrature import _MAX_PANELS, quad
+from schreg.quadrature import _MAX_PANELS, gauss, quad
 
 
 def test_batch_matches_closed_forms():
@@ -76,3 +76,13 @@ def test_unreachable_tolerance_raises_with_bounded_work(case):
 def test_nan_integrand_raises():
     with pytest.raises(QuadratureFailure):
         quad(lambda x, k: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_gauss_is_leggauss_bitwise(n):
+    x, w = gauss(n)
+    want_x, want_w = np.polynomial.legendre.leggauss(n)
+    assert (x.tobytes(), w.tobytes()) == (want_x.tobytes(), want_w.tobytes())
+    assert gauss(n) is gauss(n)   # built once, shared read-only by every caller
+    with pytest.raises(ValueError):
+        w[0] = 0.0
