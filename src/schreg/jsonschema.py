@@ -53,12 +53,7 @@ def _equal(a, b):
 
 
 def _unique(items):
-    try:    # sorted, equal items are neighbours
-        s = sorted(map(_unbool, items))
-        return not any(map(_equal, s, s[1:]))
-    except TypeError:
-        return not any(_equal(a, b) for i, a in enumerate(items)
-                       for b in items[:i])
+    return not any(_equal(a, b) for i, a in enumerate(items) for b in items[:i])
 
 
 def _valid(inst, schema, root):

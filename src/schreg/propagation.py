@@ -18,7 +18,10 @@ det m = e**(-2 s).  At real energies the element also carries the lifted
 Pruefer angle a of the Dirichlet solution (u = r sin(theta), u' = r
 cos(theta), theta(0) = 0) as a = k*pi + t: t in [0, pi) is the angle of m's
 first column, and the integer k is the number of zeros of u in the stretch.
-A walk that only counts zeros reads k alone and carries no s.
+A walk that only counts zeros reads k alone and carries no s.  A batch of
+elements is one array whose axis 0 holds m00, m01, m10 and m11, then s if
+scaled, then k at real energies: k is integer-valued float64, exact below
+2**53, and a complex batch carries s with imaginary part 0.
 
 Applying B after A lifts the angle by the rule
 
@@ -109,40 +112,10 @@ def _check_step(step):
 # the kernel: elements, their composition, the pairing tree, binary powers
 
 
-class _Elements:
-    """A batch of elements: m[i, j] is an array over the batch, as are s
-    and k; k (the integer part of a / pi) is None off the real axis, and s
-    is None where only zero counts are wanted."""
-
-    __slots__ = ("m", "s", "k")
-
-    def __init__(self, m, s, k):
-        self.m, self.s, self.k = m, s, k
-
-    def take(self, idx):
-        """The elements at batch index idx (a tuple)."""
-        return _Elements(self.m[(slice(None), slice(None)) + idx],
-                         None if self.s is None else self.s[idx],
-                         None if self.k is None else self.k[idx])
-
-    def reshape(self, shape):
-        return _Elements(self.m.reshape(2, 2, *shape),
-                         None if self.s is None else self.s.reshape(shape),
-                         None if self.k is None else self.k.reshape(shape))
-
-
-def _select(mask, new, old):
-    """Overwrite old's elements with new's where mask holds, in place."""
-    for dst, src in ((old.m, new.m), (old.s, new.s), (old.k, new.k)):
-        if dst is not None:
-            np.copyto(dst, src, where=mask)
-
-
-def _concat(parts):
-    s, k = parts[0].s, parts[0].k
-    return _Elements(np.concatenate([e.m for e in parts], axis=2),
-                     None if s is None else np.concatenate([e.s for e in parts]),
-                     None if k is None else np.concatenate([e.k for e in parts]))
+def _parts(e):
+    """Views (m, s, k) of a batch; s is None unless scaled, k None off the real axis."""
+    real, m = e.dtype.kind != "c", e[:4].reshape(2, 2, *e.shape[1:])
+    return m, e[4] if len(e) - real > 4 else None, e[-1] if real else None
 
 
 def _cells(widths, values, z, scaled=True):
@@ -152,7 +125,8 @@ def _cells(widths, values, z, scaled=True):
     kap2 = values - z
     real = z.dtype.kind != "c"
     w = np.sqrt(np.abs(kap2) if real else kap2) * h
-    m = np.empty((2, 2) + w.shape, w.dtype)
+    e = np.empty((4 + scaled + real,) + w.shape, w.dtype)
+    m, s, k = _parts(e)
     C, S = m[0, 0], m[1, 0]
     if real:
         osc = kap2 < 0.0
@@ -163,9 +137,9 @@ def _cells(widths, values, z, scaled=True):
         em = np.exp(-2.0 * w, out=np.zeros_like(w), where=hyp)
         np.multiply(0.5, 1.0 + em, out=C, where=hyp)
         np.multiply(0.5, 1.0 - em, out=Sh, where=hyp)
-        k = np.where(osc, w / np.pi, 0.0).astype(np.int64)   # w >= 0: the cast is the floor
+        np.floor(np.where(osc, w / np.pi, 0.0), out=k)
     else:
-        rho, k = np.abs(w.real), None
+        rho = np.abs(w.real)
         ep, em = np.exp(w - rho), np.exp(-w - rho)
         np.multiply(0.5, ep + em, out=C)
         Sh = 0.5 * (ep - em)
@@ -182,7 +156,9 @@ def _cells(widths, values, z, scaled=True):
         m[:, 0] *= np.where(_negative(S, C), -1.0, 1.0)
     np.multiply(kap2, S, out=m[0, 1])
     m[1, 1] = C
-    return _Elements(m, rho if scaled else None, k)
+    if s is not None:
+        s[...] = rho
+    return e
 
 
 def _negative(u, du):
@@ -192,44 +168,49 @@ def _negative(u, du):
 
 def _compose(b, a):
     """Elements of applying a, then b."""
-    m = b.m[:, :1] * a.m[None, 0]
-    m += b.m[:, 1:] * a.m[None, 1]
+    e = np.empty_like(a)
+    m, s, k = _parts(e)
+    # m[i, j] = b[i, 0] a[0, j] + b[i, 1] a[1, j], read off the rows m00, m01, m10, m11
+    np.multiply(b[0:4:2, None], a[None, 0:2], out=m)
+    m += b[1:4:2, None] * a[None, 2:4]
     scale = np.abs(m).max(axis=(0, 1))
-    s = None if a.s is None else b.s + a.s + np.log(scale)
-    if a.k is None:
-        return _Elements(np.divide(m, scale, out=m), s, None)
+    if s is not None:
+        np.add(b[4] + a[4], np.log(scale), out=s)
+    if k is None:
+        np.divide(m, scale, out=m)
+        return e
     # the first columns of a and b lie in the upper half plane; the
     # product's leaves it exactly when the angle passed a multiple of pi,
     # and is then negated back into it
     neg = _negative(m[1, 0], m[0, 0])
     m *= np.where(neg, -1.0, 1.0) / scale
-    return _Elements(m, s, a.k + b.k + neg)
+    np.add(a[-1] + b[-1], neg, out=k)
+    return e
 
 
-def _apply(el, state=None):
-    """Fold the units along axis 0 of el into state, first unit first.
+def _apply(e, state=None):
+    """Fold the units along axis 1 of e into state, first unit first.
 
     Neighbours are paired level by level (an unpaired last unit is carried
     up) until one element covers all of them; state None is the identity.
     """
-    while el.m.shape[2] > 1:
-        n = el.m.shape[2] // 2 * 2
-        pairs = _compose(el.take((slice(1, n, 2),)), el.take((slice(0, n, 2),)))
-        el = pairs if n == el.m.shape[2] else _concat([pairs, el.take((slice(n, None),))])
-    step = el.take((0,))
-    return step if state is None else _compose(step, state)
+    while e.shape[1] > 1:
+        n = e.shape[1] // 2 * 2
+        pairs = _compose(e[:, 1:n:2], e[:, 0:n:2])
+        e = pairs if n == e.shape[1] else np.concatenate([pairs, e[:, n:]], axis=1)
+    return e[:, 0] if state is None else _compose(e[:, 0], state)
 
 
-def _power(el, n):
-    """el**n per column, n >= 1, from the low bit up: only the running square
-    el**(2**j) and the partial product stay alive, whatever n is."""
-    square = state = el
+def _power(e, n):
+    """e**n per column, n >= 1, from the low bit up: only the running square
+    e**(2**j) and the partial product stay alive, whatever n is."""
+    square = state = e
     for j in range(1, int(n.max()).bit_length()):
         square = _compose(square, square)
         step = _compose(square, state)
         # a column starts at its lowest set bit and composes at every higher one
-        _select(n & ((2 << j) - 1) == 1 << j, square, step)
-        _select((n >> j) & 1 == 0, state, step)
+        np.copyto(step, square, where=n & ((2 << j) - 1) == 1 << j)
+        np.copyto(step, state, where=(n >> j) & 1 == 0)
         state = step
     return state
 
@@ -249,8 +230,8 @@ def _fold_repeats(blocks, z, state, scaled):
         w, v = widths[lo:lo + size].T, values[lo:lo + size].T
         reps = np.repeat(counts[lo:lo + size], len(z))
         cells = _cells(w[:, :, None], v[:, :, None], z, scaled)
-        power = _power(_apply(cells.reshape((n_cells, -1))), reps)
-        state = _apply(power.reshape((w.shape[1], len(z))), state)
+        power = _power(_apply(cells.reshape(len(cells), n_cells, -1)), reps)
+        state = _apply(power.reshape(len(power), w.shape[1], len(z)), state)
     return state
 
 
@@ -296,10 +277,10 @@ def transfer_matrix(p, x, z, step=1e-3):
     if not x > 0:
         raise ValueError("x must be positive")
     zs = np.asarray(z, dtype=complex)
-    el = _walk(p, 0.0, float(x), zs.reshape(-1), step)
-    nrm = _spectral_norm(el.m)
-    m = (el.m / nrm).reshape(2, 2, *zs.shape)
-    s = (el.s + np.log(nrm)).reshape(zs.shape)
+    m, s, _ = _parts(_walk(p, 0.0, float(x), zs.reshape(-1), step))
+    nrm = _spectral_norm(m)
+    m = (m / nrm).reshape(2, 2, *zs.shape)
+    s = (s.real + np.log(nrm)).reshape(zs.shape)
     return ScaledTransferMatrix(m, float(s) if zs.ndim == 0 else s)
 
 
@@ -332,7 +313,8 @@ def dirichlet_profile(p, x_list, z_list, step=1e-3):
     state, x_prev = None, 0.0
     for i, x in enumerate(xs):
         state = _walk(p, x_prev, float(x), zs, step, state)
-        u[:, i], du[:, i], log_scale[:, i] = state.m[1, 0], state.m[0, 0], state.s
+        m, s, _ = _parts(state)
+        u[:, i], du[:, i], log_scale[:, i] = m[1, 0], m[0, 0], s.real
         x_prev = float(x)
     return SolutionSample(u, du, log_scale)
 
@@ -349,7 +331,7 @@ def _counts(p, x, lams, step):
     if not np.isfinite(lams).all():
         raise ValueError("energies must be finite")
     return np.concatenate([
-        _walk(p, 0.0, x, lams[lo:lo + _CHUNK], step, scaled=False).k
+        _parts(_walk(p, 0.0, x, lams[lo:lo + _CHUNK], step, scaled=False))[2]
         for lo in range(0, len(lams), _CHUNK)])
 
 

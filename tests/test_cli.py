@@ -153,6 +153,31 @@ def test_dos_artifacts(tmp_path):
     assert len(rows) == 100
 
 
+def test_dos_counts_past_the_int64_range(tmp_path):
+    # counts near 3e20 at lambda = 1e40: rho_x stays within 1/x of rho_e
+    config = {"command": "dos", "potential": {"variant": "constant", "value": 0.0},
+              "spectrum": dict(FREE_SPECTRUM),
+              "params": {"x": 10.0, "lambda_window": [0.0, 1e40], "grid_points": 50}}
+    assert cli.run(config, out_dir=str(tmp_path)) == 0
+    _, rows = read_csv(tmp_path / "dos.csv")
+    d = np.array(rows, dtype=float)
+    rho_x, rho_e = d[:, 1], d[:, 2]
+    assert np.all(rho_x >= 0.0)
+    assert np.all(np.abs(rho_x - rho_e) <= 0.1 + 1e-15 * rho_e)
+
+
+def test_one_sample_tabulated_runs_as_its_constant(tmp_path):
+    # Tabulated accepts a one-sample table, so the schema must accept its spec
+    h = []
+    for p in (potentials.Tabulated((0.0,), (1.5,)), potentials.Constant(1.5)):
+        out = tmp_path / type(p).__name__
+        config = {**solve_config(), "potential": potentials.to_json(p)}
+        assert cli.run(config, out_dir=str(out)) == 0
+        header, rows = read_csv(out / "solve.csv")
+        h.append([row[header.index("h")] for row in rows])
+    assert h[0] == h[1]
+
+
 def test_solve_csv_round_trips_solver_values(tmp_path):
     config = solve_config()
     assert cli.run(config, out_dir=str(tmp_path)) == 0

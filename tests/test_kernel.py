@@ -192,6 +192,29 @@ def test_repeat_power_equals_tiled_product():
 # bitwise oracle: the kernel as written before its lean real-energy path
 
 
+class Elements:
+    """The oracle's batch of elements: m[i, j] is an array over the batch,
+    as are s and k; k (the integer part of a / pi) is None off the real axis."""
+
+    def __init__(self, m, s, k):
+        self.m, self.s, self.k = m, s, k
+
+    def take(self, idx):
+        """The elements at batch index idx (a tuple)."""
+        return Elements(self.m[(slice(None), slice(None)) + idx], self.s[idx],
+                        None if self.k is None else self.k[idx])
+
+    def reshape(self, shape):
+        return Elements(self.m.reshape(2, 2, *shape), self.s.reshape(shape),
+                        None if self.k is None else self.k.reshape(shape))
+
+
+def record(e):
+    """The oracle's record of a kernel batch e, with s real."""
+    m, s, k = PR._parts(e)
+    return Elements(m, s.real, k)
+
+
 def ref_cells(widths, values, z):
     h = np.asarray(widths, dtype=float)
     kap2 = values - z
@@ -214,9 +237,8 @@ def ref_cells(widths, values, z):
     S = np.where(small, series, Sh * h / np.where(small, 1.0, w))
     m = np.array([[C, kap2 * S], [S, C]])
     if z.dtype.kind == "c":
-        return PR._Elements(m, rho, None)
-    return PR._Elements(m * ref_turn(m), rho,
-                        np.where(osc, np.floor(w / np.pi), 0.0).astype(np.int64))
+        return Elements(m, rho, None)
+    return Elements(m * ref_turn(m), rho, np.where(osc, np.floor(w / np.pi), 0.0))
 
 
 def ref_turn(m):
@@ -229,14 +251,14 @@ def ref_compose(b, a):
     scale = np.abs(m).max(axis=(0, 1))
     s = b.s + a.s + np.log(scale)
     if a.k is None:
-        return PR._Elements(m / scale, s, None)
+        return Elements(m / scale, s, None)
     turn = ref_turn(m)
-    return PR._Elements(m * (turn / scale), s, a.k + b.k + (turn < 0))
+    return Elements(m * (turn / scale), s, a.k + b.k + (turn < 0))
 
 
 def ref_select(mask, new, old):
-    return PR._Elements(np.where(mask, new.m, old.m), np.where(mask, new.s, old.s),
-                        None if new.k is None else np.where(mask, new.k, old.k))
+    return Elements(np.where(mask, new.m, old.m), np.where(mask, new.s, old.s),
+                    None if new.k is None else np.where(mask, new.k, old.k))
 
 
 def ref_power(el, n):
@@ -270,16 +292,24 @@ def bits(x):
 
 
 def assert_same(got, ref, scaled=True):
-    """got equals ref bit for bit; unless scaled, got carries no log scale."""
-    for g, r in ((got.m, ref.m), (got.s, ref.s))[:1 + scaled]:
+    """The kernel batch got equals ref bit for bit; unless scaled, got
+    carries no log scale.  A complex batch carries s with imaginary part 0,
+    and counts are integral float64."""
+    m, s, k = PR._parts(got)
+    if scaled:
+        if s.dtype.kind == "c":
+            assert not bits(s.imag).any()
+            s = s.real
+    else:
+        assert s is None
+    for g, r in ((m, ref.m), (s, ref.s))[:1 + scaled]:
         assert g.dtype == r.dtype and g.shape == r.shape
         assert np.array_equal(bits(g), bits(r))
-    if not scaled:
-        assert got.s is None
     if ref.k is None:
-        assert got.k is None
+        assert k is None
     else:
-        assert got.k.dtype == ref.k.dtype and np.array_equal(got.k, ref.k)
+        assert k.dtype == ref.k.dtype == np.float64 and np.array_equal(k, ref.k)
+        assert np.array_equal(k, np.floor(k))
 
 
 def kernel_cases():
@@ -315,10 +345,10 @@ def test_cells_and_products_are_bitwise_the_reference(case, scaled):
     h, v, z = kernel_cases()[case]
     cells, ref = PR._cells(h, v, z, scaled), ref_cells(h, v, z)
     assert_same(cells, ref, scaled)
-    flat, ref = cells.reshape((h.shape[0], -1)), ref.reshape((h.shape[0], -1))
-    state, ref_state = flat.take((0,)), ref.take((0,))
+    flat, ref = cells.reshape(len(cells), h.shape[0], -1), ref.reshape((h.shape[0], -1))
+    state, ref_state = flat[:, 0], ref.take((0,))
     for i in range(1, h.shape[0]):
-        state = PR._compose(flat.take((i,)), state)
+        state = PR._compose(flat[:, i], state)
         ref_state = ref_compose(ref.take((i,)), ref_state)
         assert_same(state, ref_state, scaled)
 
@@ -328,15 +358,14 @@ def test_compose_turn_on_the_axis_and_at_nan():
     # (nan, 1) and (1, nan), and the identity's 0 * nan makes u nan in the
     # last two products; u == 0 counts as in the upper half plane only with
     # u' > 0, and a nan angle counts as having left it
+    # (a batch's rows are m00, m01, m10, m11, s and k)
     e, nan = np.ones(6), np.nan
-    a = PR._Elements(np.array([[[1.0, -1.0, 0.0, -0.5, nan, 1.0], e],
-                               [[0.0, 0.0, 0.0, -0.0, 1.0, nan], e]]),
-                     np.zeros(6), np.arange(6))
-    one = PR._Elements(np.array([[e, 0 * e], [0 * e, e]]), np.zeros(6),
-                       np.zeros(6, np.int64))
+    a = np.array([[1.0, -1.0, 0.0, -0.5, nan, 1.0], e,
+                  [0.0, 0.0, 0.0, -0.0, 1.0, nan], e, 0 * e, np.arange(6.0)])
+    one = np.array([e, 0 * e, 0 * e, e, 0 * e, 0 * e])
     got = PR._compose(one, a)
-    assert_same(got, ref_compose(one, a))
-    assert got.k.tolist() == [0, 2, 3, 4, 5, 6]
+    assert_same(got, ref_compose(record(one), record(a)))
+    assert PR._parts(got)[2].tolist() == [0, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("counts", [
@@ -347,26 +376,28 @@ def test_power_is_bitwise_the_reference(counts, z):
     h = np.array([[0.3], [0.45], [0.2]])
     v = np.array([[1.0], [-1.0], [2.5]])
     v = v * [1.0, 0.5, 2.0, -1.0, 0.0, 3.0]
-    el = PR._apply(PR._cells(h[:, :, None], v[:, :, None], z).reshape((3, -1)))
+    cells = PR._cells(h[:, :, None], v[:, :, None], z)
+    el = PR._apply(cells.reshape(len(cells), 3, -1))
     n = np.repeat(np.array(counts), len(z))
-    before = bits(el.m).copy()
-    ref = ref_power(el, n)
+    before = bits(el).copy()
+    ref = ref_power(record(el), n)
     got = PR._power(el, n)
     assert_same(got, ref)
-    assert np.array_equal(bits(el.m), before)
+    assert np.array_equal(bits(el), before)
     if z.dtype.kind == "f":
-        bare = PR._Elements(el.m.copy(), None, el.k)
+        bare = np.delete(el, 4, axis=0)   # m and k, no s
         assert_same(PR._power(bare, n), ref, scaled=False)
     # the high-bit-first order is an independent oracle: the same cells in
     # the same turns, the same products up to rounding, and bitwise the same
     # where a count has one set bit
-    top = ref_power_top_down(el, n)
+    top = ref_power_top_down(record(el), n)
     if all(c & (c - 1) == 0 for c in counts):
         assert_same(got, top)
+    m, s, k = PR._parts(got)
     if top.k is not None:
-        assert np.array_equal(got.k, top.k)
-    assert np.abs(got.m - top.m).max() <= 1e-13
-    assert np.all(np.abs(got.s - top.s) <= 1e-13 * np.maximum(1.0, np.abs(top.s)))
+        assert np.array_equal(k, top.k)
+    assert np.abs(m - top.m).max() <= 1e-13
+    assert np.all(np.abs(s.real - top.s) <= 1e-13 * np.maximum(1.0, np.abs(top.s)))
 
 
 @pytest.mark.parametrize("p, x", [(P.OscillatingExample(), 300.0),

@@ -226,6 +226,13 @@ def test_eigenvalue_count_free_formula():
             assert PR.eigenvalue_count(FREE, x, lam) == want
 
 
+@pytest.mark.parametrize("lam", [1e37, 1e40])
+def test_eigenvalue_count_past_the_int64_range(lam):
+    # [0, 10] is one cell of the free potential, so the count is that cell's
+    # floor(w / pi) with w = 10 sqrt(lam): above 2**63, not wrapped below 0
+    assert PR.eigenvalue_count(FREE, 10.0, lam) == math.floor(10.0 * math.sqrt(lam) / math.pi)
+
+
 def test_eigenvalue_count_monotone_in_lambda_and_x():
     p = P.PiecewiseConstant(values=(1.5, -0.5, 0.0), breakpoints=(2.0, 5.0))
     lams = np.linspace(-1.0, 12.0, 40)
