@@ -9,9 +9,9 @@ spectrum, or a `martin` fit with b0 at or below -50**2 is rejected there.
 The run leaves each array once, in a CSV table, JSON summaries (for
 `regularity`, report.json: the verdict record, which
 `regularity.decide_verdict` re-judges alone) and a manifest.json listing
-every file with its sha256.  Outputs are byte-reproducible: CSV floats
-carry 17 significant digits, JSON floats their shortest round-trip repr;
-JSON keys are sorted.
+every file's sha256, from the built-in `_sha256` (else `hashlib`).  Outputs
+are byte-reproducible: CSV floats carry 17 significant digits, JSON floats
+their shortest round-trip repr; JSON keys are sorted.
 
 Exit codes: 0 success, 1 compute failure (partial manifest with an error
 record), 2 invalid configuration.
@@ -19,11 +19,15 @@ record), 2 invalid configuration.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import sys
 from importlib import resources
+
+try:
+    from _sha256 import sha256   # built in: hashlib would map OpenSSL's _hashlib
+except ImportError:
+    from hashlib import sha256
 
 import numpy as np
 
@@ -54,20 +58,21 @@ class _OutputDir:
         with open(os.path.join(self.path, name), "wb") as fh:
             fh.write(data)
         self.records.append({"name": name,
-                             "sha256": hashlib.sha256(data).hexdigest(),
+                             "sha256": sha256(data).hexdigest(),
                              "bytes": len(data)})
 
     def write_json(self, name, obj):
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
         self._store(name, text.encode("utf-8"))
 
     def write_csv(self, name, header, columns):
-        """One float column per header field, every row through one %.17g
-        template; nan and +-inf are then spelled NaN and [-]Infinity."""
+        """One float column per header field, the whole table through one
+        %.17g template; nan and +-inf are then spelled NaN and [-]Infinity."""
+        table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
         template = ",".join(["%.17g"] * len(columns)) + "\n"
-        cols = [np.asarray(c, dtype=float).tolist() for c in columns]
-        body = "".join(map(template.__mod__, zip(*cols)))
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        body = (template * len(table)) % tuple(table.ravel().tolist())
+        if not np.isfinite(table).all():   # a finite table skips two text passes
+            body = body.replace("nan", "NaN").replace("inf", "Infinity")
         self._store(name, (",".join(header) + "\n" + body).encode("utf-8"))
 
     def write_manifest(self, config, status, error=None):
@@ -149,20 +154,15 @@ def _validate_config(config):
     return p, E, params
 
 
-def _zarray(pairs):
-    return np.array([complex(zr, zi) for zr, zi in pairs])
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_solve(p, E, params, out):
-    step = params.get("step", 1e-3)
-    zs = _zarray(params["z_grid"])
+    zs = np.array([complex(zr, zi) for zr, zi in params["z_grid"]])
     xs = sorted(float(x) for x in params["x_grid"])
     checkpoints, col = np.unique(xs, return_inverse=True)
-    s = propagation.dirichlet_profile(p, checkpoints, zs, step=step)
+    s = propagation.dirichlet_profile(p, checkpoints, zs, step=params.get("step", 1e-3))
     u, du = s.u[:, col].ravel(), s.du[:, col].ravel()
     z = np.repeat(zs, len(xs))
     out.write_csv("solve.csv",
@@ -187,7 +187,7 @@ def _cmd_bands(p, E, params, out):
 
 def _cmd_martin(p, E, params, out):
     cp = martin.solve_critical_points(E)
-    zs = _zarray(params["z_grid"])
+    zs = np.array([complex(zr, zi) for zr, zi in params["z_grid"]])
     ev = martin.martin_function(E, cp.c, zs)
     summary = {
         **E.to_json(),

@@ -166,6 +166,20 @@ def test_dos_counts_past_the_int64_range(tmp_path):
     assert np.all(np.abs(rho_x - rho_e) <= 0.1 + 1e-15 * rho_e)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_dos_distance_is_a_compute_failure(tmp_path):
+    # lambda - V overflows, so the distance is not finite: dos.json must stay
+    # standard JSON, so the run fails before it writes dos.json or dos.csv
+    config = {"command": "dos", "potential": {"variant": "constant", "value": -1e308},
+              "spectrum": dict(FREE_SPECTRUM),
+              "params": {"x": 10.0, "lambda_window": [0.0, 1e308], "grid_points": 5}}
+    assert cli.run(config, out_dir=str(tmp_path)) == cli.EXIT_COMPUTE
+    manifest = read_json(tmp_path / "manifest.json")
+    assert manifest["status"] == "error"
+    assert manifest["error"]["type"] == "ValueError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "manifest.json"]
+
+
 def test_one_sample_tabulated_runs_as_its_constant(tmp_path):
     # Tabulated accepts a one-sample table, so the schema must accept its spec
     h = []
@@ -273,9 +287,21 @@ def test_csv_rows_match_the_per_cell_writer(tmp_path):
         [np.array(c) for c in zip(*finite + special)],
         list(zip(*finite + special)),                   # tuples, not arrays
         [np.array([]), np.array([]), np.array([])],
+        [np.array([c]) for c in floats[:3]],            # one row
+        [np.array(floats + specials)],                  # one column
     ]
-    header = ["a", "b", "c"]
+    # more rows than bands.csv: subnormals, signed zeros, the largest
+    # finite floats and specials mixed into seeded random values
+    rng = np.random.default_rng(30)
+    extremes = np.array([5e-324, 2.2250738585072009e-308, -1e-310, 0.0, -0.0,
+                         1.7976931348623157e308, -1.7976931348623157e308,
+                         math.nan, math.inf, -math.inf])
+    big = rng.standard_normal((4096, 3)) * 10.0 ** rng.integers(-300, 300, (4096, 3))
+    mask = rng.random(big.shape) < 0.2
+    big[mask] = rng.choice(extremes, mask.sum())
+    tables.append(list(big.T))
     for i, columns in enumerate(tables):
+        header = ["a", "b", "c"][:len(columns)]
         cli._OutputDir(str(tmp_path)).write_csv(f"t{i}.csv", header, columns)
         assert ((tmp_path / f"t{i}.csv").read_bytes()
                 == csv_by_cell(header, list(zip(*columns)))), i
@@ -557,6 +583,27 @@ def test_import_does_not_load_jsonschema():
     assert proc.stdout.strip() == "[]"
 
 
+def run_every_command(out, configs, prelude="pass"):
+    """Run configs through cli.run in a fresh interpreter, after the
+    statement prelude, config i writing to out/i.  Returns two stdout lines:
+    the top-level modules loaded after startup that are neither the standard
+    library's nor numpy's nor schreg's, and whether OpenSSL's _hashlib was
+    loaded."""
+    code = (f"import json, sys; {prelude}; startup = set(sys.modules); "
+            "from schreg import cli; configs = json.loads(sys.argv[1]); "
+            "print([cli.run(c, f'{sys.argv[2]}/{i}') for i, c in enumerate(configs)]); "
+            "ok = set(sys.stdlib_module_names) | {'numpy', 'schreg'}; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - startup}; "
+            "print(sorted(m for m in new - ok if not m.startswith(('_cython_', 'cython_')))); "
+            "print('_hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(configs), str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, foreign, hashlib_loaded = proc.stdout.strip().splitlines()
+    assert codes == str([0] * len(configs))
+    return foreign, hashlib_loaded
+
+
 def test_commands_load_only_numpy_and_the_standard_library(tmp_path):
     # the import-time checks above, extended to running every command: a
     # lazy import inside a computation must not reach past the runtime
@@ -565,20 +612,24 @@ def test_commands_load_only_numpy_and_the_standard_library(tmp_path):
     # registers Cython's runtime modules.
     configs = valid_configs()
     assert {c["command"] for c in configs} == set(cli.COMMANDS)
-    path = tmp_path / "configs.json"
-    path.write_text(json.dumps(configs), encoding="utf-8")
-    code = ("import json, sys; startup = set(sys.modules); from schreg import cli; "
-            "configs = json.load(open(sys.argv[1])); "
-            "print([cli.run(c, f'{sys.argv[2]}/{i}') for i, c in enumerate(configs)]); "
-            "ok = set(sys.stdlib_module_names) | {'numpy', 'schreg'}; "
-            "new = {m.split('.')[0] for m in set(sys.modules) - startup}; "
-            "print(sorted(m for m in new - ok if not m.startswith(('_cython_', 'cython_'))))")
-    proc = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    codes, foreign = proc.stdout.strip().splitlines()
-    assert codes == str([0] * len(configs))
-    assert foreign == "[]"
+    assert run_every_command(tmp_path, configs)[0] == "[]"
+
+
+def test_manifests_hash_without_openssl(tmp_path):
+    # the built-in sha256 keeps OpenSSL's _hashlib (+3.5 MB resident) out of
+    # every command; without the built-in module, the hashlib fallback
+    # writes the same manifest bytes.  The random family is left out:
+    # numpy.random imports secrets, whose hmac loads _hashlib itself.
+    pytest.importorskip("_sha256")
+    configs = [c for c in valid_configs()
+               if c.get("potential", {}).get("variant") != "random"]
+    assert {c["command"] for c in configs} == set(cli.COMMANDS)
+    assert run_every_command(tmp_path / "built_in", configs)[1] == "False"
+    fallback = 'sys.modules["_sha256"] = None'
+    assert run_every_command(tmp_path / "fallback", configs, fallback)[1] == "True"
+    for i in range(len(configs)):
+        manifest = (tmp_path / "built_in" / str(i) / "manifest.json").read_bytes()
+        assert (tmp_path / "fallback" / str(i) / "manifest.json").read_bytes() == manifest, i
 
 
 @pytest.mark.parametrize("value", [[np.int64(-1), 0.0], {-1.0, 0.0},
