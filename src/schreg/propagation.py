@@ -38,15 +38,12 @@ nearly rank one.
 
 The rule is associative, so a stretch is reduced as a tree: neighbouring
 cells are paired level by level, batched over energies, until one element
-covers the stretch, which is then applied to the running state.  A
-RepeatBlock's count n is a binary power of its pattern P from the low bit
-up, batched over blocks and energies: the running square P**(2**j) joins
-the product at each set bit of n (in either order the cells are the same,
-so the counts are exact).  A repeat costs O(log n) compositions at every
-energy, in bands, in gaps and below the spectrum alike.  Only
+covers the stretch, which is then applied to the running state.  Only
 associativity is used, no conditioning of the operands, and the counts are
-integers free of step error for step potentials.  Work is batched in chunks
-of at most _CHUNK cell-energies (one block at least), which bounds memory.
+integers free of step error for step potentials.  A RepeatBlock of count
+n > 1 costs O(1) at every energy: P**n and its count are in closed form
+(see floquet).  Work is batched in chunks of at most _CHUNK cell-energies
+(one block at least), which bounds memory.
 """
 from __future__ import annotations
 
@@ -55,6 +52,7 @@ import math
 import numpy as np
 
 from . import potentials
+from .floquet import _fold, _negative, _power, _turn
 from .errors import InvalidStep, ZeroSolution
 from .record import Record
 
@@ -109,7 +107,7 @@ def _check_step(step):
 
 
 # ---------------------------------------------------------------------------
-# the kernel: elements, their composition, the pairing tree, binary powers
+# the kernel: elements, their composition, the pairing tree, repeats
 
 
 def _parts(e):
@@ -118,31 +116,49 @@ def _parts(e):
     return m, e[4] if len(e) - real > 4 else None, e[-1] if real else None
 
 
-def _cells(widths, values, z, scaled=True):
+def _cells(widths, values, z, scaled=True, offset=False):
     """Cell elements (with s only if scaled), widths and values broadcast against
-    the energies z; at a real z, k counts the whole half-turns of an oscillating w."""
+    the energies z; at a real z, k counts the whole half-turns of an oscillating w.
+    With offset, the cells' offsets instead (see floquet)."""
     h = np.asarray(widths, dtype=float)
     kap2 = values - z
     real = z.dtype.kind != "c"
     w = np.sqrt(np.abs(kap2) if real else kap2) * h
-    e = np.empty((4 + scaled + real,) + w.shape, w.dtype)
-    m, s, k = _parts(e)
+    e = np.empty((4 + scaled + real + offset * (1 + real),) + w.shape, w.dtype)
+    m = e[:4].reshape(2, 2, *w.shape)
     C, S = m[0, 0], m[1, 0]
     if real:
         osc = kap2 < 0.0
         hyp = ~osc
         rho = np.where(osc, 0.0, w)
-        np.cos(w, out=C, where=osc)
-        Sh = np.sin(w, out=None, where=osc)
-        em = np.exp(-2.0 * w, out=np.zeros_like(w), where=hyp)
-        np.multiply(0.5, 1.0 + em, out=C, where=hyp)
-        np.multiply(0.5, 1.0 - em, out=Sh, where=hyp)
-        np.floor(np.where(osc, w / np.pi, 0.0), out=k)
+        if offset:
+            # e**-w (cosh(w) - 1) = expm1(-w)**2 / 2
+            C[...], Sh = _turn(w)
+            e1 = np.expm1(-w, out=np.zeros_like(w), where=hyp)
+            np.multiply(0.5, e1 * e1, out=C, where=hyp)
+            np.multiply(-0.5, e1 * (2.0 + e1), out=Sh, where=hyp)
+            t = np.exp(-rho)
+        else:
+            np.cos(w, out=C, where=osc)
+            Sh = np.sin(w, out=None, where=osc)
+            em = np.exp(-2.0 * w, out=np.zeros_like(w), where=hyp)
+            np.multiply(0.5, 1.0 + em, out=C, where=hyp)
+            np.multiply(0.5, 1.0 - em, out=Sh, where=hyp)
+        np.floor(np.where(osc, w / np.pi, 0.0), out=e[-1])
     else:
         rho = np.abs(w.real)
-        ep, em = np.exp(w - rho), np.exp(-w - rho)
-        np.multiply(0.5, ep + em, out=C)
-        Sh = 0.5 * (ep - em)
+        if offset:
+            # e**-rho (cosh(w) - 1) = e**(i Im w) expm1(-w)**2 / 2, rho = Re w
+            c, sn = _turn(w.imag)
+            E, t = np.expm1(-rho), np.exp(-rho)
+            ep = (1.0 + c) + 1j * sn
+            e1 = (E + c + E * c) - 1j * (t * sn)
+            np.multiply(0.5 * ep, e1 * e1, out=C)
+            Sh = -0.5 * ep * e1 * (2.0 + e1)
+        else:
+            ep, em = np.exp(w - rho), np.exp(-w - rho)
+            np.multiply(0.5, ep + em, out=C)
+            Sh = 0.5 * (ep - em)
     np.multiply(Sh, h, out=S)
     w2 = kap2 * h * h
     small = np.abs(w2) < 1e-8
@@ -152,18 +168,18 @@ def _cells(widths, values, z, scaled=True):
         np.divide(S, w, out=S, where=~small)
     else:
         S /= w
-    if real:
+    if offset:
+        e[5] = t
+        if real:
+            # S is 0 only at w = 0, where cos(w) = 1: the mantissa's sign is S's
+            e[6] = np.where(S < 0.0, -1.0, 1.0)
+    elif real:
         m[:, 0] *= np.where(_negative(S, C), -1.0, 1.0)
     np.multiply(kap2, S, out=m[0, 1])
     m[1, 1] = C
-    if s is not None:
-        s[...] = rho
+    if scaled:
+        e[4] = rho
     return e
-
-
-def _negative(u, du):
-    """Where the angle atan2(u, du) of a column (du, u) is outside [0, pi)."""
-    return ~((u > 0.0) | ((u == 0.0) & (du > 0.0)))
 
 
 def _compose(b, a):
@@ -188,7 +204,7 @@ def _compose(b, a):
     return e
 
 
-def _apply(e, state=None):
+def _apply(e, state=None, compose=_compose):
     """Fold the units along axis 1 of e into state, first unit first.
 
     Neighbours are paired level by level (an unpaired last unit is carried
@@ -196,42 +212,32 @@ def _apply(e, state=None):
     """
     while e.shape[1] > 1:
         n = e.shape[1] // 2 * 2
-        pairs = _compose(e[:, 1:n:2], e[:, 0:n:2])
+        pairs = compose(e[:, 1:n:2], e[:, 0:n:2])
         e = pairs if n == e.shape[1] else np.concatenate([pairs, e[:, n:]], axis=1)
-    return e[:, 0] if state is None else _compose(e[:, 0], state)
+    return e[:, 0] if state is None else compose(e[:, 0], state)
 
 
-def _power(e, n):
-    """e**n per column, n >= 1, from the low bit up: only the running square
-    e**(2**j) and the partial product stay alive, whatever n is."""
-    square = state = e
-    for j in range(1, int(n.max()).bit_length()):
-        square = _compose(square, square)
-        step = _compose(square, state)
-        # a column starts at its lowest set bit and composes at every higher one
-        np.copyto(step, square, where=n & ((2 << j) - 1) == 1 << j)
-        np.copyto(step, state, where=(n >> j) & 1 == 0)
-        state = step
-    return state
+def _repeat(widths, values, z, counts, scaled=True):
+    """Elements of each block's pattern raised to its count, indexed [row,
+    block, energy]: a pattern's cells run along axis 0 of widths and values,
+    the blocks along axis 1.  The cells are dropped once folded."""
+    cells = _cells(widths[:, :, None], values[:, :, None], z, offset=True)
+    pattern = _apply(cells.reshape(len(cells), len(widths), -1), compose=_fold)
+    del cells
+    power = _power(pattern, np.repeat(counts, len(z)), scaled)
+    return power.reshape(len(power), len(counts), len(z))
 
 
 def _fold_repeats(blocks, z, state, scaled):
-    """Fold RepeatBlocks whose patterns have one length into state, batched
-    over blocks and energies: the tree reduces each pattern, `_power` raises
-    it to its block's count in O(log count) compositions, and the tree
-    applies the blocks in order.  A chunk holds at most _CHUNK cell-energies
-    (one block at least); the power's memory does not grow with the counts."""
-    widths = np.array([b.widths for b in blocks])
-    values = np.array([b.values for b in blocks])
-    counts = np.array([b.count for b in blocks])
-    n_cells = widths.shape[1]
-    size = max(1, _CHUNK // (len(z) * n_cells))
+    """Fold RepeatBlocks whose patterns have one length into state, in order,
+    a chunk of at most _CHUNK cell-energies (one block at least) at a time."""
+    widths = np.array([b.widths for b in blocks]).T
+    values = np.array([b.values for b in blocks]).T
+    counts = np.array([b.count for b in blocks], dtype=float)
+    size = max(1, _CHUNK // (len(z) * len(widths)))
     for lo in range(0, len(blocks), size):
-        w, v = widths[lo:lo + size].T, values[lo:lo + size].T
-        reps = np.repeat(counts[lo:lo + size], len(z))
-        cells = _cells(w[:, :, None], v[:, :, None], z, scaled)
-        power = _power(_apply(cells.reshape(len(cells), n_cells, -1)), reps)
-        state = _apply(power.reshape(len(power), w.shape[1], len(z)), state)
+        state = _apply(_repeat(widths[:, lo:lo + size], values[:, lo:lo + size], z,
+                               counts[lo:lo + size], scaled), state)
     return state
 
 
@@ -239,7 +245,7 @@ def _walk(p, x0, x1, z, step, state=None, scaled=True):
     """Fold the cells of [x0, x1) at the energies z into state; s only if scaled."""
     run = []
     for block in (*potentials.segments(p, x0, x1, step), None):
-        repeat = isinstance(block, potentials.RepeatBlock)
+        repeat = isinstance(block, potentials.RepeatBlock) and block.count > 1
         if run and not (repeat and len(block.widths) == len(run[0].widths)):
             state = _fold_repeats(run, z, state, scaled)
             run = []

@@ -10,12 +10,13 @@ both branches at every cell-energy and signs by multiplication.
 """
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from schreg import periodic, potentials as P, propagation as PR
+from schreg import floquet as F, periodic, potentials as P, propagation as PR
 
 
 def loop_counts(p, x, lams, step):
@@ -368,36 +369,180 @@ def test_compose_turn_on_the_axis_and_at_nan():
     assert PR._parts(got)[2].tolist() == [0, 2, 3, 4, 5, 6]
 
 
+# The closed-form power rounds differently from binary powering, so against
+# it only the counts are bitwise.  Over these cases the mantissas and log
+# scales differ by at most 2.7e-12 and 4.3e-12, at counts 1023 and 1024; the
+# bound has a margin of about 5.  Against a 40-digit product of the same
+# cells at count 1023, both are off by up to 1.8e-12 at the real energies,
+# and the closed form by 9.6e-13 to binary powering's 2.2e-13 at the complex
+# ones: these 3-cell patterns lie far from I.
+POWER_TOL = 2e-11
+
+
 @pytest.mark.parametrize("counts", [
     [1] * 6, [2] * 6, [8] * 6, [1024] * 6, [7] * 6, [1023] * 6,
     [1, 2, 3, 4, 5, 1000], [1, 1, 2, 7, 64, 63]])
 @pytest.mark.parametrize("z", [np.linspace(-3.0, 9.0, 5), np.linspace(-3.0, 9.0, 5) + 0.1j])
 def test_power_is_bitwise_the_reference(counts, z):
+    # the closed form against the binary powers of the same cells, from the
+    # low bit up (ref_power) and from the high bit down: counts bitwise,
+    # mantissas and log scales within POWER_TOL
     h = np.array([[0.3], [0.45], [0.2]])
     v = np.array([[1.0], [-1.0], [2.5]])
     v = v * [1.0, 0.5, 2.0, -1.0, 0.0, 3.0]
-    cells = PR._cells(h[:, :, None], v[:, :, None], z)
-    el = PR._apply(cells.reshape(len(cells), 3, -1))
     n = np.repeat(np.array(counts), len(z))
-    before = bits(el).copy()
-    ref = ref_power(record(el), n)
-    got = PR._power(el, n)
-    assert_same(got, ref)
-    assert np.array_equal(bits(el), before)
-    if z.dtype.kind == "f":
-        bare = np.delete(el, 4, axis=0)   # m and k, no s
-        assert_same(PR._power(bare, n), ref, scaled=False)
-    # the high-bit-first order is an independent oracle: the same cells in
-    # the same turns, the same products up to rounding, and bitwise the same
-    # where a count has one set bit
-    top = ref_power_top_down(record(el), n)
-    if all(c & (c - 1) == 0 for c in counts):
-        assert_same(got, top)
+    el = record(PR._apply(PR._cells(h[:, :, None], v[:, :, None], z).reshape(-1, 3, n.size)))
+    got = PR._repeat(h, v, z, np.array(counts, dtype=float)).reshape(-1, n.size)
     m, s, k = PR._parts(got)
-    if top.k is not None:
-        assert np.array_equal(k, top.k)
-    assert np.abs(m - top.m).max() <= 1e-13
-    assert np.all(np.abs(s.real - top.s) <= 1e-13 * np.maximum(1.0, np.abs(top.s)))
+    for ref in (ref_power(el, n), ref_power_top_down(el, n)):
+        if ref.k is not None:
+            assert k.dtype == np.float64 and np.array_equal(k, ref.k)
+        assert np.abs(m - ref.m).max() <= POWER_TOL
+        assert np.all(np.abs(s.real - ref.s) <= POWER_TOL * np.maximum(1.0, np.abs(ref.s)))
+    if z.dtype.kind == "f":
+        # a walk that only counts takes the same path without the log scale
+        bare = PR._repeat(h, v, z, np.array(counts, dtype=float), scaled=False)
+        assert_same(bare.reshape(-1, n.size), record(got), scaled=False)
+
+
+def test_power_counts_at_exact_edges():
+    # patterns built by hand, one column each, with their count k_P: u(T) = 0
+    # (m10 = 0) with either mantissa sign, and tau^ = +1 and -1 exactly with
+    # either sign; the rule's band and gap forms meet at these points
+    patterns = [([[2.0, 3.0], [0.0, 0.5]], 4), ([[-2.0, -3.0], [0.0, -0.5]], 1),
+                ([[1.0, 0.0], [2.0, 1.0]], 1), ([[-1.0, 0.0], [-2.0, -1.0]], 0),
+                ([[-1.0, 0.0], [1.0, -1.0]], 2), ([[1.0, 0.0], [-1.0, 1.0]], 3)]
+    counts = np.array([1, 2, 3, 7, 64, 1000])
+    mats = np.array([m for m, _ in patterns]).transpose(1, 2, 0).reshape(4, -1)
+    k_p = np.array([k for _, k in patterns], dtype=float)
+    sigma = np.where((mats[2] > 0) | ((mats[2] == 0) & (mats[0] > 0)), 1.0, -1.0)
+    scale = np.abs(mats).max(axis=0)
+    offset = np.concatenate([mats - [[1.0], [0.0], [0.0], [1.0]], [np.zeros(6), np.ones(6), sigma, k_p]])
+    regular = np.concatenate([sigma * mats / scale, [np.log(scale), k_p]])
+    for n in counts:
+        got = F._power(offset, np.full(6, float(n)))
+        ref = ref_power(record(regular), np.full(6, n))
+        m, s, k = PR._parts(got)
+        assert np.array_equal(k, ref.k), n
+        assert np.abs(m - ref.m).max() <= 1e-15
+        assert np.all(np.abs(s - ref.s) <= 1e-14 * np.maximum(1.0, np.abs(ref.s)))
+
+
+def band_edge_energies(delta):
+    """The band edges of PeriodicSquare(delta) below 400 at float resolution,
+    each with the 4 floats on either side."""
+    bs = periodic.band_spectrum(P.PeriodicSquare(delta), 2.0 * delta, (-2.0, 400.0), 512,
+                                edge_tol=0)
+    edges = np.array([e for band in bs.bands for e in band])
+    edges = edges[edges < 400.0]
+    return np.unique(np.concatenate([edges + j * np.spacing(edges) for j in range(-4, 5)]))
+
+
+def walked_counts(el, n):
+    """Counts of el applied n times over, one period after another."""
+    state = el
+    for _ in range(n - 1):
+        state = PR._compose(el, state)
+    return PR._parts(state)[2]
+
+
+def test_power_counts_at_band_edges():
+    # 171, 99 and 1143 energies on and next to the float-resolution edges of
+    # three square waves; a few counts up to 1000 drawn from a seeded rng
+    rng = np.random.default_rng(31)
+    for delta in (0.75, 0.45, 5.0):
+        lams = band_edge_energies(delta)
+        h, v = np.array([[delta], [delta]]), np.array([[1.0], [-1.0]])
+        el, bare = (PR._apply(PR._cells(h[:, :, None], v[:, :, None], lams, scaled)
+                              .reshape(-1, 2, lams.size)) for scaled in (True, False))
+        for n in [*rng.integers(2, 1000, 2), 1000]:
+            got = PR._repeat(h, v, lams, np.array([float(n)]), scaled=False)
+            k = PR._parts(got.reshape(-1, lams.size))[2]
+            assert np.array_equal(k, ref_power(record(el), np.full(lams.size, n)).k)
+            assert np.array_equal(k, walked_counts(bare, n))
+        # at 1e5 periods binary powering is no oracle: it differs from the
+        # walk at 19 of these energies, the closed form at none.  Where the
+        # two powers agree they match or miss the walk together, so only
+        # the energies where they differ are walked
+        n = 10 ** 5
+        got = PR._repeat(h, v, lams, np.array([float(n)]), scaled=False)
+        k = PR._parts(got.reshape(-1, lams.size))[2]
+        k_ref = ref_power(record(el), np.full(lams.size, n)).k
+        split = k != k_ref
+        if split.any():
+            walked = walked_counts(bare[:, split], n)
+            assert np.sum(k[split] != walked) <= np.sum(k_ref[split] != walked)
+
+
+def ref_walk(p, x, z):
+    """Scaled Dirichlet element of [0, x] from ref_power, block after block."""
+    state = None
+    for block in P.segments(p, 0.0, x, 0.02):
+        el = record(PR._apply(PR._cells(block.widths[:, None], block.values[:, None], z)))
+        power = ref_power(el, np.full(z.shape, getattr(block, "count", 1)))
+        state = power if state is None else ref_compose(power, state)
+    return state
+
+
+@pytest.mark.parametrize("p, x, z", [
+    (P.PeriodicSquare(400.0), 4e4, np.array([-10.0, 0.5])),
+    (P.PeriodicSquare(400.0), 4e4, np.array([-10.0 + 1j])),
+    (P.OscillatingExample(), 50.0, np.array([-1e4, 2e4])),
+    (P.OscillatingExample(), 50.0, np.array([1e4j, -2e4 + 5e3j]))],
+    ids=["square-real", "square-complex", "oscillating-real", "oscillating-complex"])
+def test_long_and_deep_repeats_stay_finite(p, x, z):
+    # 50 periods of PeriodicSquare(400) are one block whose cells grow like
+    # e**1327 at z = -10 (an unscaled offset overflows there); the
+    # oscillating blocks are deep in their gaps or bands at |z| >= 1e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = PR._walk(p, 0.0, x, z, 0.02)
+        if z.dtype.kind == "f":
+            assert np.array_equal(PR._parts(PR._walk(p, 0.0, x, z, 0.02, scaled=False))[2],
+                                  PR._parts(got)[2])
+    ref = ref_walk(p, x, z)
+    m, s, k = PR._parts(got)
+    assert np.isfinite(m).all() and np.isfinite(s).all()
+    assert np.all(np.abs(s.real - ref.s) <= 1e-12 * np.abs(ref.s))
+    if ref.k is not None:
+        assert np.array_equal(k, ref.k)
+
+
+def test_repeat_products_match_a_40_digit_product():
+    # u(1000, z) of OscillatingExample against the product of the same float
+    # cells in 40-digit arithmetic (each block's pattern raised by squaring):
+    # below the spectrum, in its band and off the axis.  The closed form is
+    # within 7.5e-14 of it in log u at these energies; binary powering was
+    # 2.2e-12 to 1.4e-11 off
+    mp = pytest.importorskip("mpmath")
+    zs = [-2.0, 3.7, 2.0 + 1.0j]
+    p = P.OscillatingExample()
+    prof = PR.dirichlet_profile(p, [1000.0], np.array(zs, dtype=complex), step=0.02)
+
+    def mul(b, a):
+        return (b[0] * a[0] + b[1] * a[2], b[0] * a[1] + b[1] * a[3],
+                b[2] * a[0] + b[3] * a[2], b[2] * a[1] + b[3] * a[3])
+
+    with mp.workdps(40):
+        for i, z in enumerate(zs):
+            z = mp.mpc(z) if isinstance(z, complex) else mp.mpf(z)
+            state = (1, 0, 0, 1)
+            for block in P.segments(p, 0.0, 1000.0, 0.02):
+                pattern = (1, 0, 0, 1)
+                for h, v in zip(block.widths, block.values):
+                    kappa = mp.sqrt(mp.mpf(v) - z)
+                    c, s = mp.cosh(kappa * h), mp.sinh(kappa * h) / kappa
+                    pattern = mul((c, kappa * kappa * s, s, c), pattern)
+                n, power = block.count, (1, 0, 0, 1)
+                while n:
+                    if n & 1:
+                        power = mul(pattern, power)
+                    n >>= 1
+                    pattern = mul(pattern, pattern) if n else pattern
+                state = mul(power, state)
+            want = complex(mp.log(state[2]))
+            got = complex(np.log(prof.u[i, 0])) + prof.log_scale[i, 0]
+            assert abs(got - want) <= 5e-13, (zs[i], abs(got - want))
 
 
 @pytest.mark.parametrize("p, x", [(P.OscillatingExample(), 300.0),
@@ -425,16 +570,15 @@ def test_results_do_not_depend_on_the_chunking(p, x, monkeypatch):
 
 
 def test_power_memory_is_flat_in_the_count():
-    # only the running square and the partial product stay alive, so 20
-    # squarings need no more memory than one
+    # the closed form's work does not grow with the count, so 2**20 - 1
+    # periods need no more memory than 3
     z = np.linspace(-3.0, 9.0, 2000)
-    el = PR._apply(PR._cells(np.array([[0.3], [0.45]]), np.array([[1.0], [-1.0]]), z))
+    h, v = np.array([[0.3], [0.45]]), np.array([[1.0], [-1.0]])
     peaks = []
     for count in (3, 2 ** 20 - 1):
-        n = np.full(z.shape, count)
         tracemalloc.start()
         try:
-            PR._power(el, n)
+            PR._repeat(h, v, z, np.array([float(count)]))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
