@@ -175,7 +175,7 @@ def _cmd_solve(p, E, params, out):
 
 def _cmd_bands(p, E, params, out):
     bs = periodic.band_spectrum(p, **params)
-    bottom = bs.level[0] == 0   # the window starts below the spectrum
+    bottom = bs.bands and bs.level[0] == 0   # the window starts below some band
     out.write_json("bands.json", {
         "period": bs.period,
         "bands": [list(b) for b in bs.bands],

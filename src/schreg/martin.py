@@ -232,15 +232,16 @@ _RESIDUAL_TOL = 1e-10   # normalized gap residual a solve may always leave
 _SECTIONS = 32   # sub-brackets a bracket is cut into per round of _section
 
 
-def _section(f, out, inn, tol):
+def _section(f, out, inn):
     """Roots of f bracketed by pairs of ends, f(out) > 0 >= f(inn), each
-    pair in either order, until each pair is within the absolute tolerance
-    tol or no float lies strictly between its ends.  Each round calls f
-    once, with the _SECTIONS - 1 inner points of every live pair as an
-    array of shape (pairs, _SECTIONS - 1) and the indices k of those pairs,
-    and keeps the sub-bracket at the first inner point with f <= 0: a sign
-    change, whether or not f is monotone."""
+    pair in either order, until a pair is within 4e-16 times the larger of
+    its starting |ends| (about 2 ulp) or no float splits it.  Each round
+    calls f once, with the _SECTIONS - 1 inner points of every live pair
+    (shape (pairs, _SECTIONS - 1)) and the pairs' indices k, and keeps the
+    sub-bracket at the first inner point with f <= 0: a sign change,
+    whether or not f is monotone."""
     out, inn = np.array(out, dtype=float), np.array(inn, dtype=float)
+    tol = 4e-16 * np.maximum(np.abs(out), np.abs(inn))
     frac = np.arange(1, _SECTIONS) / _SECTIONS
     for _ in range(200):
         mid = 0.5 * (out + inn)
@@ -322,7 +323,7 @@ def solve_critical_points(E):
         s = np.divide(p, d, out=np.zeros(d.shape), where=~own).sum(-1)
         return (x - m[k, None]) * (1.0 + s) + p[k, None]
 
-    c = _section(section, b, a, 4e-16 * np.maximum(np.abs(a), np.abs(b)))
+    c = _section(section, b, a)
     r = _gap_residuals(E, tuple(c))
     bound = np.maximum(_RESIDUAL_TOL, 4.0 * math.pi * np.spacing(np.abs(c)) / (b - a))
     bad = np.flatnonzero(np.abs(r) > bound)

@@ -13,10 +13,10 @@ an energy in gap j (gap 0 lies below the spectrum) has k = j - 1 or j and
 sign Delta = (-1)**j, and gets the level 2j.  The level is an integer that
 never decreases with the energy, so a scan sees every band edge in its
 window, however narrow the gap or band: each boundary between consecutive
-levels is bracketed by the samples where the level passes it, and all
-brackets are cut into 32 together, by one batched walk per round at 31
-energies in each.  A closed gap shows up as two band ends that touch, and
-its bands are merged.
+levels is bracketed by the samples where the level passes it.  All
+brackets are cut into 32 together, one batched walk per round, until each
+is within 4e-16 times its larger starting |end| or no float splits it.
+Bands whose ends touch (a closed gap) are merged.
 """
 from __future__ import annotations
 
@@ -74,13 +74,13 @@ def discriminant(p, period, lam, step=1e-3):
     return float(delta[0]) if lam.ndim == 0 else delta.reshape(lam.shape)
 
 
-def band_spectrum(p, period, lambda_window, resolution=512, step=1e-3, edge_tol=1e-10):
+def band_spectrum(p, period, lambda_window, resolution=512, step=1e-3):
     """Bands inside the window from a `resolution`-point level scan.
 
-    Every boundary between the first and the last sample's levels is
-    sectioned to within edge_tol between the two samples where the level
-    passes it.  An odd boundary is the top of a band, an even one the
-    bottom of the next.
+    Each boundary between the first and last sample's levels is sectioned
+    from the two samples where the level passes it, to 4e-16 times their
+    larger |lam| or until no float splits the bracket.  An odd boundary is
+    a band's top, an even one the next band's bottom.
     """
     lo, hi = float(lambda_window[0]), float(lambda_window[1])
     if not (lo < hi and int(resolution) >= 2):
@@ -94,7 +94,7 @@ def band_spectrum(p, period, lambda_window, resolution=512, step=1e-3, edge_tol=
         return (_scan(p, period, lam.ravel(), step)[1].reshape(lam.shape)
                 - bound[k, None] - 0.5)
 
-    ends = _section(above, lams[i + 1], lams[i], edge_tol).tolist()
+    ends = _section(above, lams[i + 1], lams[i]).tolist()
     if level[0] % 2:
         ends.insert(0, lams[0])
     if level[-1] % 2:

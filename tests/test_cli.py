@@ -94,6 +94,15 @@ def test_bands_window_inside_spectrum_has_no_bottom(tmp_path):
     assert doc["lowest_eigenvalue"] is None
 
 
+def test_bands_window_below_spectrum_has_no_bands(tmp_path):
+    config = window_config("bands", (-5.0, -3.0))
+    assert cli.run(config, out_dir=str(tmp_path)) == 0
+    doc = read_json(tmp_path / "bands.json")
+    assert doc["bands"] == []
+    assert doc["gap_set"] is None
+    assert doc["lowest_eigenvalue"] is None
+
+
 def test_regularity_verdict_from_config(tmp_path):
     config = {
         "command": "regularity",
@@ -376,6 +385,15 @@ def window_config(command, window):
             "potential": {"variant": "periodic_square", "delta": 0.5},
             "spectrum": dict(FREE_SPECTRUM),
             "params": {**params, "lambda_window": list(window)}}
+
+
+def test_bands_edge_tol_rejected(tmp_path):
+    # band edges have one built-in stopping rule; the old knob is a typo now
+    config = window_config("bands", (-2.0, 40.0))
+    config["params"]["edge_tol"] = 1e-12
+    out = tmp_path / "out"
+    assert cli.run(config, out_dir=str(out)) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["bands", "dos", "regularity"])
@@ -671,7 +689,7 @@ def valid_configs():
          "potential": {"variant": "random", "seed": 3, "cell_width": 0.25,
                        "low": -1.0, "high": 1.0},
          "params": {"period": 2.0, "lambda_window": [-5.0, 20.0],
-                    "resolution": 64, "step": 0.01, "edge_tol": 1e-9}},
+                    "resolution": 64, "step": 0.01}},
         martin_config(),
         {"command": "martin",
          "spectrum": {"b0": -0.5, "gaps": [[1.0, 2.0], [5.0, 5.5]]},

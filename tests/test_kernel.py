@@ -429,10 +429,9 @@ def test_power_counts_at_exact_edges():
 
 
 def band_edge_energies(delta):
-    """The band edges of PeriodicSquare(delta) below 400 at float resolution,
-    each with the 4 floats on either side."""
-    bs = periodic.band_spectrum(P.PeriodicSquare(delta), 2.0 * delta, (-2.0, 400.0), 512,
-                                edge_tol=0)
+    """The band edges of PeriodicSquare(delta) below 400, sectioned to about
+    2 ulp, each with the 4 floats on either side."""
+    bs = periodic.band_spectrum(P.PeriodicSquare(delta), 2.0 * delta, (-2.0, 400.0), 512)
     edges = np.array([e for band in bs.bands for e in band])
     edges = edges[edges < 400.0]
     return np.unique(np.concatenate([edges + j * np.spacing(edges) for j in range(-4, 5)]))

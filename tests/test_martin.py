@@ -222,30 +222,37 @@ def test_truncated_square_wave_a_constant_tends_to_the_mean():
 # the sectioning root finder against halving
 
 
-def halving_bisect(f, out, inn, tol):
+def section_bound(out, inn):
+    """4e-16 times the larger of each pair's |ends|: about 2 ulp, the width
+    at which sectioning stops a bracket (or sooner, where no float splits it)."""
+    return 4e-16 * np.maximum(np.abs(out), np.abs(inn))
+
+
+def halving_bisect(f, out, inn):
     """Roots of f bracketed by f(out) > 0 >= f(inn), all pairs halved
-    together until within tol: the root finder sectioning replaced."""
+    together until each is within section_bound of its starting ends or no
+    float splits it: the root finder sectioning replaced."""
+    tol = section_bound(out, inn)
     for _ in range(200):
-        live = np.abs(inn - out) > tol
+        mid = 0.5 * (out + inn)
+        live = (np.abs(inn - out) > tol) & (mid != out) & (mid != inn)
         if not live.any():
             break
-        mid = 0.5 * (out + inn)
         pos = live & (f(mid) > 0.0)
         out, inn = np.where(pos, mid, out), np.where(live & ~pos, mid, inn)
     return 0.5 * (out + inn)
 
 
 def section_cases():
-    """(name, f(x, k), out, inn, tol): f maps a (brackets, points) array and
+    """(name, f(x, k), out, inn): f maps a (brackets, points) array and
     the bracket indices to values of the same shape."""
     rng = np.random.default_rng(5)
     n = 40
     root = rng.uniform(-50.0, 50.0, n)
     slope = rng.uniform(0.01, 100.0, n) * rng.choice([-1.0, 1.0], n)
     below, above = root - rng.uniform(1e-3, 30.0, n), root + rng.uniform(1e-3, 30.0, n)
-    tol = rng.choice([1e-6, 1e-10, 4e-16 * 50.0], n)
-    done = np.arange(n) % 7 == 0   # already within tol
-    below[done], above[done] = root[done] - 0.25 * tol[done], root[done] + 0.25 * tol[done]
+    done = np.arange(n) % 7 == 0   # already adjacent floats
+    below[done], above[done] = root[done], np.nextafter(root[done], math.inf)
 
     def monotone(x, k):   # increasing for slope > 0, decreasing otherwise
         d = x - root[k, None]
@@ -253,14 +260,15 @@ def section_cases():
 
     up = slope > 0
     yield ("monotone", monotone, np.where(up, above, below),
-           np.where(up, below, above), tol)
+           np.where(up, below, above))
     yield ("cosine", lambda x, k: np.cos(x), np.array([0.0]),
-           np.array([3.0 * math.pi - 0.3]), np.array([1e-12]))
+           np.array([3.0 * math.pi - 0.3]))
 
 
 @pytest.mark.parametrize("case", list(section_cases()), ids=lambda c: c[0])
 def test_section_matches_halving(case):
-    _, f, out, inn, tol = case
+    _, f, out, inn = case
+    tol = section_bound(out, inn)
     points = []
 
     def counted(x, k):
@@ -268,9 +276,9 @@ def test_section_matches_halving(case):
         points.append((np.broadcast_to(k[:, None], x.shape).ravel(), x.ravel(), v.ravel()))
         return v
 
-    got = M._section(counted, out, inn, tol)
+    got = M._section(counted, out, inn)
     want = halving_bisect(lambda x: f(x[:, None], np.arange(x.size))[:, 0],
-                          out, inn, tol)
+                          out, inn)
     assert np.all(np.abs(got - want) <= tol)
     width = np.abs(inn - out)
     rounds = np.ceil(np.log(np.maximum(width / tol, 1.0)) / np.log(32.0))
@@ -288,8 +296,12 @@ def test_section_of_converged_brackets_calls_nothing():
     def never(x, k):
         raise AssertionError("f called on converged brackets")
 
-    got = M._section(never, np.array([1.0, 2.0]), np.array([1.0 + 1e-12, 2.0]), 1e-10)
-    assert np.array_equal(got, [1.0 + 5e-13, 2.0])
+    # 3 ulps apart, within 4e-16 times 1.9; equal ends; adjacent floats at
+    # 0, where 4e-16 times the ends is below the float spacing
+    out = np.array([1.9, 2.0, 0.0])
+    inn = np.array([1.9 + 3 * np.spacing(1.9), 2.0, 5e-324])
+    got = M._section(never, out, inn)
+    assert np.array_equal(got, 0.5 * (out + inn))
 
 
 # ---------------------------------------------------------------------------
@@ -899,11 +911,12 @@ def test_complex_z_work_does_not_grow_as_im_z_falls(monkeypatch):
 @functools.cache
 def band_derived_set(delta):
     """The gap set `band_spectrum` finds for PeriodicSquare(delta) below
-    3000, and its critical points.  The edges are sectioned to 1e-12, not
-    the default 1e-10: delta = 5's first band is 5.1e-4 wide, and there
-    Delta(b0) = 2 + 1.0e-7, so edges 1.3e-11 off move the CDF by 3.3e-9."""
+    3000, and its critical points.  Each edge is sectioned to 4e-16 times
+    its magnitude (about 2 ulp) or until no float splits its bracket: delta
+    = 5's first band is 5.1e-4 wide, and there Delta(b0) = 2 + 1.0e-7, so
+    edges 1.3e-11 off would move the CDF by 3.3e-9."""
     E = PE.to_gap_set(PE.band_spectrum(P.PeriodicSquare(delta), 2.0 * delta,
-                                       (-2.0, 3000.0), 2048, edge_tol=1e-12))
+                                       (-2.0, 3000.0), 2048))
     return E, solved(E).c
 
 
@@ -913,7 +926,8 @@ def floquet_m_error(E, c, delta):
     axis.  Every z is far below the truncation at 3000.  No z is in a
     narrower gap: there M is small and the two sides differ by up to 8e-11
     absolute (2.3e-5 relative in the gap 5.7e-4 wide at 1755 on delta =
-    0.45), whether the set is cut at 3000 or 6000 and whatever edge_tol."""
+    0.45), whether the set is cut at 3000 or 6000 and whether its edges
+    are sectioned to 1e-10 or to 2 ulp."""
     wide = [0.5 * (a + b) for a, b in E.gaps if b - a > 0.2]
     zs = np.array([E.b0 - d for d in (0.5, 3.0, 30.0, 300.0)] + wide
                   + [complex(x, y) for x in (E.b0 - 1.0, wide[0], 100.0, 1000.0)

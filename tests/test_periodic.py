@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schreg import martin, periodic as PE, potentials as P
-from test_martin import square_wave_gap_set
+from test_martin import section_bound, square_wave_gap_set
 
 FREE = P.Constant(0.0)
 
@@ -152,10 +152,18 @@ def test_coarse_scan_finds_narrow_band():
         assert bs.bands[0][1] == pytest.approx(-39.03225850, abs=1e-6)
 
 
-def scalar_band_edges(p, period, window, resolution, edge_tol):
+# Two bisections of one edge may stop at different sign changes of the
+# computed level, which flips back and forth over up to 445 ulps around a
+# narrow gap's edge (PeriodicSquare(0.47) at 44.67).  They differ by at
+# most 6.3e-13 below; the 2 ulp of the stopping rule cannot bound that.
+EDGE_NOISE = 2e-12
+
+
+def scalar_band_edges(p, period, window, resolution):
     """Reference scan: the discriminant at every sample, then each edge
     bisected on its own, one scalar call per halving, between its
-    out-of-band and in-band samples."""
+    out-of-band and in-band samples, until within section_bound of them or
+    no float splits the bracket."""
     lams = np.linspace(window[0], window[1], resolution)
     d = PE.discriminant(p, period, lams)
     edges = []
@@ -165,7 +173,8 @@ def scalar_band_edges(p, period, window, resolution, edge_tol):
         out, inn = (i, i + 1) if abs(d[i]) > 2.0 else (i + 1, i)
         sign = 1.0 if d[out] > 2.0 else -1.0
         lo, hi = lams[out], lams[inn]
-        while abs(hi - lo) > edge_tol:
+        tol = section_bound(lo, hi)
+        while abs(hi - lo) > tol and lo != 0.5 * (lo + hi) != hi:
             mid = 0.5 * (lo + hi)
             if sign * PE.discriminant(p, period, mid) - 2.0 > 0.0:
                 lo = mid
@@ -177,42 +186,68 @@ def scalar_band_edges(p, period, window, resolution, edge_tol):
 
 @pytest.mark.parametrize("delta", [0.25, 0.5, 1.3])
 def test_band_edges_match_per_energy_scan(delta):
-    window, edge_tol = (-2.0, 60.0), 1e-10
-    bs = PE.band_spectrum(P.PeriodicSquare(delta), 2 * delta, window, 512,
-                          edge_tol=edge_tol)
+    window = (-2.0, 60.0)
+    bs = PE.band_spectrum(P.PeriodicSquare(delta), 2 * delta, window, 512)
     got = [e for band in bs.bands for e in band if e not in window]
     # the reference scans finely enough to see every gap in the window
-    want = scalar_band_edges(P.PeriodicSquare(delta), 2 * delta, window, 1 << 14,
-                             edge_tol)
+    want = scalar_band_edges(P.PeriodicSquare(delta), 2 * delta, window, 1 << 14)
     assert len(got) == len(want) >= 2
-    assert np.max(np.abs(np.subtract(got, want))) <= edge_tol
+    assert np.max(np.abs(np.subtract(got, want))) <= EDGE_NOISE
 
 
 def test_band_edges_match_halving_root_finder(monkeypatch):
     # the same scan with every edge bracket halved instead of sectioned
     from test_martin import halving_bisect
 
-    p, window, edge_tol = P.PeriodicSquare(0.47), (-2.0, 150.0), 1e-10
-    got = PE.band_spectrum(p, 0.94, window, 512, edge_tol=edge_tol)
-    monkeypatch.setattr(PE, "_section", lambda f, out, inn, tol: halving_bisect(
-        lambda x: f(x[:, None], np.arange(x.size))[:, 0], out, inn, tol))
-    want = PE.band_spectrum(p, 0.94, window, 512, edge_tol=edge_tol)
+    p, window = P.PeriodicSquare(0.47), (-2.0, 150.0)
+    got = PE.band_spectrum(p, 0.94, window, 512)
+    monkeypatch.setattr(PE, "_section", lambda f, out, inn: halving_bisect(
+        lambda x: f(x[:, None], np.arange(x.size))[:, 0], out, inn))
+    want = PE.band_spectrum(p, 0.94, window, 512)
     assert len(got.bands) == len(want.bands) >= 4
-    assert np.max(np.abs(np.subtract(got.bands, want.bands))) <= edge_tol
+    assert np.max(np.abs(np.subtract(got.bands, want.bands))) <= EDGE_NOISE
+
+
+def scans_and_edges(monkeypatch, p, period, window, resolution):
+    """The levels of every sample band_spectrum walks, and its interior edges."""
+    scan, seen = PE._scan, []
+
+    def recorded(*args):
+        delta, level = scan(*args)
+        seen.append((args[2], level))
+        return delta, level
+
+    monkeypatch.setattr(PE, "_scan", recorded)
+    bs = PE.band_spectrum(p, period, window, resolution)
+    edges = [e for band in bs.bands for e in band if e not in window]
+    return len(seen), *(np.concatenate(a) for a in zip(*seen)), edges
 
 
 @pytest.mark.parametrize("delta", [0.25, 0.45, 0.48, 1.3, 5.0])
 def test_band_edges_stop_where_no_float_splits_the_bracket(monkeypatch, delta):
-    # an edge_tol below the float spacing stops each bracket at adjacent
-    # floats, a dozen walks, not at the 200-round cap of 201 walks
-    p, window = P.PeriodicSquare(delta), (-2.0, 60.0)
-    want = PE.band_spectrum(p, 2 * delta, window, edge_tol=1e-10)
-    scan, calls = PE._scan, []
-    monkeypatch.setattr(PE, "_scan", lambda *args: calls.append(1) or scan(*args))
-    got = PE.band_spectrum(p, 2 * delta, window, edge_tol=1e-300)
-    assert len(calls) <= 14
-    assert len(got.bands) == len(want.bands) >= 2
-    assert np.max(np.abs(np.subtract(got.bands, want.bands))) <= 1e-10
+    # every edge is the midpoint of two walked samples at different levels,
+    # no farther apart than 4e-16 times the bracket's starting samples
+    # (about 2 ulp), after a dozen walks, not the 200-round cap of 201
+    window, resolution = (-2.0, 60.0), 512
+    calls, lam, level, edges = scans_and_edges(
+        monkeypatch, P.PeriodicSquare(delta), 2 * delta, window, resolution)
+    assert calls <= 14
+    assert len(edges) >= 2
+    for e in edges:
+        bound = 4e-16 * (abs(e) + (window[1] - window[0]) / (resolution - 1))
+        near = np.abs(lam - e) <= bound
+        x, y = np.meshgrid(lam[near], lam[near])
+        u, v = np.meshgrid(level[near], level[near])
+        assert np.any((u != v) & (np.abs(x - y) <= bound) & (0.5 * (x + y) == e))
+
+
+def test_band_edge_at_zero_takes_a_dozen_walks(monkeypatch):
+    # the free band starts at 0, where floats crowd: the stopping rule's
+    # width, 4e-16 times the starting samples, ends the bracket after 11
+    # sectioning rounds, long before no float splits it
+    calls, lam, level, edges = scans_and_edges(monkeypatch, FREE, 1.0, (-1.0, 1.0), 3)
+    assert calls <= 14
+    assert len(edges) == 1 and abs(edges[0]) <= 1e-15
 
 
 def test_discriminant_samples_recorded():
