@@ -291,6 +291,23 @@ def _gap_residuals(E, c):
     return np.divide(signed, mass, out=np.zeros(N), where=mass > 0)
 
 
+def _eliminate(A, b):
+    """x with A x = b, by Gaussian elimination with partial pivoting in
+    numpy row updates; NoConvergence on a zero pivot or a non-finite row."""
+    n = len(b)
+    R = np.column_stack([A, b])
+    for k in range(n):
+        i = k + np.abs(R[k:, k]).argmax()
+        R[[k, i]] = R[[i, k]]
+        if R[k, k] == 0.0 or not np.all(np.isfinite(R[k])):
+            raise NoConvergence(f"moment matrix singular or not finite at pivot {k}")
+        R[k + 1:] -= (R[k + 1:, k] / R[k, k])[:, None] * R[k]
+    x = np.zeros(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (R[k, n] - (R[k, k + 1:n] * x[k + 1:]).sum()) / R[k, k]
+    return x
+
+
 def solve_critical_points(E):
     """Critical points of the finite-gap set, one per gap.
 
@@ -299,7 +316,9 @@ def solve_critical_points(E):
     (1 + sum_k p_k / (t - m_k)).  The N gap conditions, integral over gap j
     of omega against the gap weight = 0, are linear in p: with prod_l
     (m_l - t) in the fixed rule's weights (one bounded ratio per gap), one
-    N x N solve on the moments of [1, 1/(t - m_k)] gives p.  On gap j,
+    N x N solve on the moments of [1, 1/(t - m_k)] gives p: Gaussian
+    elimination with partial pivoting in numpy row updates, which raises
+    NoConvergence on a zero pivot or a non-finite row.  On gap j,
     omega / prod_{l != j} (t - m_l) = (t - m_j)(1 + sum_{l != j} p_l /
     (t - m_l)) + p_j has no pole, is positive at b_j and has omega's one
     root in the gap; one batched sectioning from the gap ends finds them
@@ -314,8 +333,7 @@ def solve_critical_points(E):
     a, b = np.array(E.gaps).T
     m = 0.5 * (a + b)
     t, w = _gap_rules(E, m)
-    p = np.linalg.solve(np.stack([(w / (t - mk)).sum(1) for mk in m], axis=1),
-                        -w.sum(1))
+    p = _eliminate(np.stack([(w / (t - mk)).sum(1) for mk in m], axis=1), -w.sum(1))
 
     def section(x, k):   # omega / prod_{l != k} (x - m_l) on gap k
         own = np.arange(N) == k[:, None, None]
@@ -417,9 +435,13 @@ def fit_a_from_martin(E, c, k_grid):
     """Fit a from 2k (M(-k**2) - k) ~ a + beta/k**2: the expansion
     M(-k**2) = k + a/(2k) + O(k**-3) leaves no 1/k term.
 
-    Returns the fitted constant.  The design must be well conditioned:
-    at least two distinct positive k with -k**2 below b0, condition
-    number below 1e8.
+    Returns the fitted constant: least squares on [1, u], u = 1/k**2, in
+    closed form after centering, beta = sum du (y - mean y) / sum du**2
+    for du = u - mean u and a = mean y - beta mean u.  The design must be
+    well conditioned: at least two distinct positive k with -k**2 below
+    b0, and lam / sqrt(det) below 1e8, from its Gram matrix's det = n sum
+    du**2, tr = n + sum u**2 and larger eigenvalue lam = (tr + sqrt(tr**2
+    - 4 det)) / 2.
 
     M(-k**2) - k is not M minus k, whose rounding 2k would amplify, but
     sqrt(b0 + k**2) - k plus the integral of M' less the free M',
@@ -445,8 +467,15 @@ def fit_a_from_martin(E, c, k_grid):
 
     free = E.b0 / (np.sqrt(E.b0 + ks * ks) + ks)
     y = 2.0 * ks * (_edge_quad(excess, -ks * ks, E.b0, -math.inf, E.b0) + free)
-    A = np.column_stack([np.ones_like(ks), 1.0 / (ks * ks)])
-    if np.linalg.cond(A) > 1e8:
+    return _intercept(1.0 / (ks * ks), y)
+
+
+def _intercept(u, y):
+    """a of y ~ a + beta u, fit and checked as fit_a_from_martin says."""
+    du = u - u.mean()
+    ss = (du * du).sum()
+    det, tr = len(u) * ss, len(u) + (u * u).sum()
+    if det == 0.0 or (tr + math.sqrt(tr * tr - 4.0 * det)) / 2.0 > 1e8 * math.sqrt(det):
         raise FitIllConditioned("k grid gives a near-singular design matrix")
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0])
+    beta = (du * (y - y.mean())).sum() / ss
+    return float(y.mean() - beta * u.mean())

@@ -12,11 +12,10 @@ _MAX_PANELS panels, or a panel too narrow to halve, raises
 QuadratureFailure, and so does a summed error left above the tolerance (a
 tolerance below rounding).  Each interval's value depends only on its own
 panels, so a batch gives bitwise the values of one call per interval.
-The rules are built on first use, so importing loads no numpy.polynomial.
+The rules are literal tables, bit for bit numpy's leggauss (the tests check
+it), so no run imports numpy.polynomial or calls LAPACK to build them.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -28,13 +27,42 @@ _ROUNDING = 50.0 * np.finfo(float).eps
 _MAX_PANELS = 400   # per interval
 
 
-@functools.cache
-def gauss(n):
-    """numpy's n-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
-    rule = np.polynomial.legendre.leggauss(n)
+# positive halves (nodes increasing, then their weights) of numpy 2.4.6's
+# leggauss(n), which makes its rules symmetric bit for bit
+_HALVES = {
+    8: ([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+        [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]),
+    16: ([0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+          0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+         [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+          0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176]),
+    24: ([0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+          0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+          0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213],
+         [0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+          0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+          0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869]),
+}
+
+
+def _mirror(x, w):
+    rule = np.array([-v for v in x[::-1]] + x), np.array(w[::-1] + w)
     for a in rule:
         a.flags.writeable = False
     return rule
+
+
+_RULES = {n: _mirror(*half) for n, half in _HALVES.items()}
+
+
+def gauss(n):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1] for n = 8,
+    16 or 24, read-only and shared: mirrored from the tables above, they
+    equal numpy's leggauss(n) bit for bit (tests/test_quadrature.py checks
+    it).  Any other n is a ValueError."""
+    if n not in _RULES:
+        raise ValueError(f"Gauss-Legendre rules are tabled for n = 8, 16 and 24, not {n}")
+    return _RULES[n]
 
 
 def _rule(v, w):

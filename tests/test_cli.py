@@ -548,8 +548,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_free_set_run_does_not_load_numpy_polynomial(tmp_path):
-    # the Gauss rules are built on first use: a free-set dos run integrates
-    # nothing, so it never imports numpy.polynomial; a gapped martin run does
+    # the Gauss rules are literal tables: neither a free-set dos run, which
+    # integrates nothing, nor a gapped martin run imports numpy.polynomial
     dos = {"command": "dos", "potential": {"variant": "decaying", "amplitude": 1.0,
                                            "rate": 2.0},
            "spectrum": dict(FREE_SPECTRUM),
@@ -566,7 +566,7 @@ def test_free_set_run_does_not_load_numpy_polynomial(tmp_path):
                            str(tmp_path / "dos"), str(tmp_path / "martin")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_import_builds_no_dataclass_and_no_argument_parser():
@@ -648,6 +648,22 @@ def test_manifests_hash_without_openssl(tmp_path):
     for i in range(len(configs)):
         manifest = (tmp_path / "built_in" / str(i) / "manifest.json").read_bytes()
         assert (tmp_path / "fallback" / str(i) / "manifest.json").read_bytes() == manifest, i
+
+
+def test_commands_call_no_lapack_and_load_no_numpy_polynomial(tmp_path):
+    # the Gauss rules are tables, the moment system is solved by row
+    # updates and the fit is closed form: every command still runs, to the
+    # same manifest bytes, with numpy.polynomial blocked and numpy.linalg's
+    # LAPACK routines set to None, so that calling one raises TypeError
+    lapack = ("solve", "lstsq", "cond", "eigvalsh", "eigh", "svd", "inv")
+    blocked = ('sys.modules["numpy.polynomial"] = None; import numpy.linalg as la; '
+               f'la.__dict__.update(dict.fromkeys({lapack}))')
+    configs = valid_configs()
+    run_every_command(tmp_path / "plain", configs)
+    run_every_command(tmp_path / "blocked", configs, blocked)
+    for i in range(len(configs)):
+        manifest = (tmp_path / "plain" / str(i) / "manifest.json").read_bytes()
+        assert (tmp_path / "blocked" / str(i) / "manifest.json").read_bytes() == manifest, i
 
 
 @pytest.mark.parametrize("value", [[np.int64(-1), 0.0], {-1.0, 0.0},

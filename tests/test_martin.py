@@ -1,8 +1,11 @@
 """Finite-gap Martin function: critical points, evaluation, measure, fit."""
 import cmath
 import functools
+import json
 import math
+import pathlib
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,13 +119,14 @@ def test_two_gap_residuals_small():
     assert max(abs(r) for r in cp.residuals) <= 1e-10
 
 
-@pytest.mark.parametrize("E", [
-    M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5))),
-    M.GapSet(-0.019341080133447444, (   # PeriodicSquare(0.48186328550012664)
-        (9.98490373268532, 11.258028808241063),
-        (42.500298099961064, 42.523815488457124),
-        (95.42902612550928, 95.85330345715084))),
-], ids=["two_gaps", "square_wave"])
+SQUARE_WAVE = M.GapSet(-0.019341080133447444, (   # PeriodicSquare(0.48186328550012664)
+    (9.98490373268532, 11.258028808241063),
+    (42.500298099961064, 42.523815488457124),
+    (95.42902612550928, 95.85330345715084)))
+
+
+@pytest.mark.parametrize("E", [M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5))), SQUARE_WAVE],
+                         ids=["two_gaps", "square_wave"])
 def test_critical_points_match_high_precision_reference(E):
     # 30-digit Newton on the product-form conditions, integral over gap j of
     # prod_l (t - c_l) / (sqrt(t - b0) prod_e sqrt|t - e|) = 0, each half of
@@ -204,6 +208,77 @@ def test_174_gap_square_wave_solves_without_warnings():
     assert len(E.gaps) == 174
     cp = solved(E)
     assert all(a < c < b for (a, b), c in zip(E.gaps, cp.c))
+
+
+# c as the moment system's LAPACK solve (np.linalg.solve) gave them
+PINNED_C = json.loads((pathlib.Path(__file__).parent / "critical_points.json").read_text())
+
+
+@pytest.mark.parametrize("name, ulps", [("square_wave", 0), ("delta_0.45", 0),
+                                        ("delta_1.3", 0), ("delta_5.0", 2)])
+def test_critical_points_match_the_pinned_lapack_values(name, ulps):
+    # the moment system is solved by row updates now: the sectioning makes
+    # c bitwise the LAPACK route's on the 3-, 15- and 45-gap sets, and one
+    # c of the 174-gap set moves by 2 ulps
+    E = SQUARE_WAVE if name == "square_wave" else band_derived_set(float(name[6:]))[0]
+    c, want = np.array(solved(E).c), np.array(PINNED_C[name])
+    assert c.shape == want.shape
+    assert np.max(np.abs(c - want) / np.spacing(np.abs(want))) <= ulps
+
+
+def moment_systems():
+    """(id, A, b): seeded systems of 1, 2, 3 and 20 unknowns, and the moment
+    systems solve_critical_points builds on the band-derived sets."""
+    for n in (1, 2, 3, 20):
+        rng = np.random.default_rng(n)
+        for i in range(3):
+            yield f"seeded_{n}_{i}", rng.standard_normal((n, n)), rng.standard_normal(n)
+    for delta in (0.45, 1.3, 5.0):
+        seen = []
+
+        def spy(A, b):
+            seen.append((A, b))
+            return eliminate(A, b)
+
+        eliminate, M._eliminate = M._eliminate, spy
+        try:
+            solved(band_derived_set(delta)[0])
+        finally:
+            M._eliminate = eliminate
+        yield f"delta_{delta}", *seen[0]
+
+
+def test_elimination_matches_lapack_solve():
+    # backward stable: |A x - b| <= 4 eps |A| |x| in the max norm (measured
+    # at most 0.99 eps), and within 8 eps cond(A) of LAPACK's x (measured
+    # at most 0.2 eps cond(A))
+    eps = np.finfo(float).eps
+    for name, A, b in moment_systems():
+        x, want = M._eliminate(A, b), np.linalg.solve(A, b)
+        scale = np.abs(A).sum(axis=1).max() * np.abs(x).max()
+        assert np.abs(A @ x - b).max() <= 4.0 * eps * scale, name
+        assert (np.abs(x - want).max()
+                <= 8.0 * eps * np.linalg.cond(A, np.inf) * np.abs(want).max()), name
+
+
+@pytest.mark.parametrize("A", [np.zeros((2, 2)), [[1.0, 2.0], [2.0, 4.0]],
+                               [[1.0, 0.0], [0.0, np.nan]], [[np.inf, 0.0], [0.0, 1.0]]],
+                         ids=["zero", "rank_1", "nan", "inf"])
+def test_elimination_of_a_singular_or_non_finite_matrix_raises(A):
+    with pytest.raises(NoConvergence, match="pivot"):
+        M._eliminate(np.array(A), np.ones(2))
+
+
+def test_singular_moment_matrix_raises(monkeypatch):
+    rules = M._gap_rules
+
+    def weightless(E, m):
+        t, w = rules(E, m)
+        return t, np.zeros_like(w)
+
+    monkeypatch.setattr(M, "_gap_rules", weightless)
+    with pytest.raises(NoConvergence, match="singular"):
+        solved(M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5))))
 
 
 def test_truncated_square_wave_a_constant_tends_to_the_mean():
@@ -617,6 +692,61 @@ def test_fit_matches_high_precision_reference():
         A = mp.matrix([[1, 1 / mp.mpf(k) ** 2] for k in ks])
         want = float(mp.lu_solve(A.T * A, A.T * mp.matrix(y))[0])
     assert abs(M.fit_a_from_martin(E, c, ks) - want) <= 1e-13
+
+
+def least_squares_intercept(u, y):
+    """The exact least-squares intercept of y ~ a + beta u on the float data,
+    in rationals, rounded once."""
+    u, y = [Fraction(float(v)) for v in u], [Fraction(float(v)) for v in y]
+    n, su, sy = len(u), sum(u), sum(y)
+    suu, suy = sum(v * v for v in u), sum(v * w for v, w in zip(u, y))
+    return float((suu * sy - su * suy) / (n * suu - su * su))
+
+
+@pytest.mark.parametrize("E", [
+    FREE, M.GapSet(-1.0), ONE_GAP, M.GapSet(0.0, ((1.0, 2.0), (5.0, 5.5))), SQUARE_WAVE,
+    "delta_0.45", "delta_1.3"], ids=["free", "shifted", "one_gap", "two_gaps",
+                                     "square_wave", "delta_0.45", "delta_1.3"])
+def test_closed_form_fit_matches_lstsq(monkeypatch, E):
+    # on the CLI's k grid: within 8 ulps of max |y| of LAPACK's lstsq and
+    # within 2 of the exact least-squares intercept (measured at most 1.5
+    # and 1.0).  The fitted a can be 100 times smaller than y, so in ulps
+    # of a itself lstsq and the closed form differ by up to 255
+    from schreg.cli import _FIT_K
+    if isinstance(E, str):
+        E = band_derived_set(float(E[6:]))[0]
+    seen, intercept = [], M._intercept
+    monkeypatch.setattr(M, "_intercept", lambda u, y: seen.append((u, y)) or intercept(u, y))
+    a = M.fit_a_from_martin(E, solved(E).c, _FIT_K)
+    (u, y), = seen
+    ulp = np.spacing(np.abs(y).max())
+    want, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(u), u]), y, rcond=None)
+    assert abs(a - want[0]) <= 8 * ulp
+    assert abs(a - least_squares_intercept(u, y)) <= 2 * ulp
+
+
+def test_fit_conditioning_check_is_lapack_cond():
+    # seeded k grids of 2 to 15 points, tightly clustered, whose design
+    # [1, 1/k**2] has a condition number between 1e6 and 1e10 by
+    # np.linalg.cond; grids within 1e-6 of the 1e8 threshold are skipped
+    rng = np.random.default_rng(2)
+    verdicts = []
+    for _ in range(400):
+        n = int(rng.integers(2, 16))
+        ks = rng.uniform(1.0, 100.0) * (1.0 + 10 ** rng.uniform(-7, -1) * rng.uniform(-1, 1, n))
+        u = 1.0 / (ks * ks)
+        cond = np.linalg.cond(np.column_stack([np.ones(n), u]))
+        if not 1e6 <= cond <= 1e10 or abs(cond / 1e8 - 1.0) <= 1e-6:
+            continue
+        try:
+            M._intercept(u, np.zeros(n))
+            rejected = False
+        except FitIllConditioned:
+            rejected = True
+        verdicts.append((cond > 1e8, rejected))
+    above = sum(want for want, _ in verdicts)
+    assert above >= 50 and len(verdicts) - above >= 50
+    assert all(want == got for want, got in verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,27 @@ def test_every_error_type_is_raised_or_caught():
     assert not orphans, f"error types nothing in src/ raises or catches: {orphans}"
 
 
+def test_src_calls_no_blas_lapack_or_numpy_polynomial():
+    # on float arrays a matrix product calls BLAS, and numpy.linalg LAPACK:
+    # both page their library into the process and may round differently
+    # on another build or CPU kernel.  Sums of products are written out.
+    banned = {"linalg", "polynomial", "dot", "matmul", "inner", "vdot"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                names = {"@"} if isinstance(node.op, ast.MatMult) else set()
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & banned
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                names = {part for m in modules for part in m.split(".")} & banned
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names)]
+    assert not found
+
+
 def test_every_potential_family_is_named_and_owns_its_two_views():
     # `from_json` builds only what `_VARIANTS` names, and `segments` and
     # `prefix_integral` reach a family only through its own two methods

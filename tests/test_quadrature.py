@@ -86,3 +86,8 @@ def test_gauss_is_leggauss_bitwise(n):
     assert gauss(n) is gauss(n)   # built once, shared read-only by every caller
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+def test_gauss_serves_only_its_tabled_sizes():
+    with pytest.raises(ValueError, match="8, 16 and 24"):
+        gauss(5)
