@@ -161,7 +161,9 @@ def _validate_config(config):
 def _cmd_solve(p, E, params, out):
     zs = np.array([complex(zr, zi) for zr, zi in params["z_grid"]])
     xs = sorted(float(x) for x in params["x_grid"])
-    checkpoints, col = np.unique(xs, return_inverse=True)
+    checkpoints = sorted(set(xs))
+    index = {x: i for i, x in enumerate(checkpoints)}
+    col = [index[x] for x in xs]
     s = propagation.dirichlet_profile(p, checkpoints, zs, step=params.get("step", 1e-3))
     u, du = s.u[:, col].ravel(), s.du[:, col].ravel()
     z = np.repeat(zs, len(xs))

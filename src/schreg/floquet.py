@@ -1,6 +1,6 @@
 """Repeat blocks in closed form: the offset fold, the power and the count.
 
-A RepeatBlock's pattern P is folded into its offset D = e**-s (P - I), t =
+Each RepeatBlock pattern P is folded into its offset D = e**-s (P - I), t =
 e**-s, never into P: offsets compose as D_b D_a + t_a D_b + t_b D_a, so
 tau - 1 = tr D / (2t), tau = tr P / 2, has no cancellation however close P
 is to I.  As det P = 1, Cayley-Hamilton gives P**n = U_{n-1}(tau) (P - I) +

@@ -14,8 +14,8 @@ methods, behind two public functions:
 `to_json` and `from_json` read and build the record fields.
 
 `segments` decomposes [x0, x1) into constant cells, emitting literal cell
-arrays (`CellBlock`) or a repeated pattern with a count (`RepeatBlock`)
-when the potential is periodic on that stretch.  A step family cuts the
+arrays (`CellBlock`) or runs of patterns, each repeated with a count
+(`RepeatBlock`), where V is periodic on a stretch.  A step family cuts the
 window at its own jumps and reads each cell's value from its own table:
 the breakpoints of PiecewiseConstant, Tabulated and SparseBumps, the +-1
 wave of PeriodicSquare and OscillatingExample, the seeded draws of Random.
@@ -80,12 +80,16 @@ class CellBlock:
 
 
 class RepeatBlock:
-    """A cell pattern repeated `count` times back to back."""
+    """A run of cell patterns: pattern j, the cells widths[:, j] with values[:, j],
+    repeated counts[j] >= 2 times back to back, then pattern j + 1."""
 
-    __slots__ = ("widths", "values", "count")
+    __slots__ = ("widths", "values", "counts")
 
-    def __init__(self, widths, values, count):
-        self.widths, self.values, self.count = widths, values, count
+    def __init__(self, widths, values, counts):
+        self.widths, self.values, self.counts = widths, values, counts
+
+    count = property(lambda self: int(self.counts.sum()),
+                     doc="The run's pattern copies: len(widths) * count cells.")
 
 
 class CesaroTrace(Record, eq=False):
@@ -130,6 +134,10 @@ def _step_cells(jumps, values, x0, x1):
     i1 = max(bisect_left(jumps, x1), i0)
     edges = np.array([x0, *jumps[i0:i1], x1], dtype=float)
     return _cell_block(edges, np.array(values[i0:i1 + 1], dtype=float))
+
+
+_SIGNS = np.broadcast_to([[1.0], [-1.0]], (2, 1))   # a wave's period, read-only
+_RUN = 4096   # patterns per run at most, so a walk's memory does not grow with x
 
 
 def _wave_cells(half, origin, lo, hi):
@@ -309,7 +317,10 @@ class PeriodicSquare(Record):
         t0, t1 = m0 * P, m1 * P
         if x0 < t0:
             yield _wave_cells(self.delta, 0.0, x0, t0)
-        yield RepeatBlock(np.array([self.delta, self.delta]), np.array([1.0, -1.0]), m1 - m0)
+        if m1 - m0 > 1:
+            yield RepeatBlock(np.full((2, 1), self.delta), _SIGNS, np.array([m1 - m0], float))
+        else:
+            yield CellBlock(np.array([self.delta, self.delta]), np.array([1.0, -1.0]))
         if t1 < x1:
             yield _wave_cells(self.delta, 0.0, t1, x1)
 
@@ -336,16 +347,20 @@ class OscillatingExample(Record):
         return head + sign * (tau - m * w)
 
     def _cells(self, x0, x1, step):
-        n0 = math.floor(x0) + 1
-        for n in range(n0, math.floor(x1) + 2):
-            lo, hi = max(x0, n - 1.0), min(x1, float(n))
-            if hi <= lo:
-                continue
-            w = 1.0 / (2.0 * n)
-            if lo == n - 1.0 and hi == float(n):
-                yield RepeatBlock(np.array([w, w]), np.array([1.0, -1.0]), n)
-            else:
-                yield _wave_cells(w, n - 1.0, lo, hi)
+        # blocks lo, ..., hi - 1, those from 2 on that [x0, x1) covers whole,
+        # come as runs of at most _RUN patterns, block n a cell pair 1/(2n)
+        # wide repeated n times.  The cut or first block lo - 1 before them
+        # and the cut block after them are literal cells
+        lo, hi = max(math.ceil(x0), 1) + 1, math.floor(x1) + 1
+        head, end = min(x1, lo - 1.0), max(lo, hi)
+        if x0 < head:
+            yield _wave_cells(1.0 / (2.0 * (lo - 1)), lo - 2.0, x0, head)
+        for a in range(lo, hi, _RUN):
+            n = np.arange(a, min(a + _RUN, hi), dtype=float)
+            w = np.broadcast_to(1.0 / (2.0 * n), (2, len(n)))
+            yield RepeatBlock(w, np.broadcast_to(_SIGNS, w.shape), n)
+        if end - 1.0 < x1:
+            yield _wave_cells(1.0 / (2.0 * end), end - 1.0, end - 1.0, x1)
 
 
 # ---------------------------------------------------------------------------

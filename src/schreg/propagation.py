@@ -40,10 +40,11 @@ The rule is associative, so a stretch is reduced as a tree: neighbouring
 cells are paired level by level, batched over energies, until one element
 covers the stretch, which is then applied to the running state.  Only
 associativity is used, no conditioning of the operands, and the counts are
-integers free of step error for step potentials.  A RepeatBlock of count
-n > 1 costs O(1) at every energy: P**n and its count are in closed form
-(see floquet).  Work is batched in chunks of at most _CHUNK cell-energies
-(one block at least), which bounds memory.
+integers free of step error for step potentials.  Each pattern P of a
+RepeatBlock run costs O(1) at every energy, whatever its count n: P**n and
+its zero count are in closed form (see floquet).  Work is batched in
+chunks of at most _CHUNK cell-energies (one pattern at least), which
+bounds memory.
 """
 from __future__ import annotations
 
@@ -218,9 +219,9 @@ def _apply(e, state=None, compose=_compose):
 
 
 def _repeat(widths, values, z, counts, scaled=True):
-    """Elements of each block's pattern raised to its count, indexed [row,
-    block, energy]: a pattern's cells run along axis 0 of widths and values,
-    the blocks along axis 1.  The cells are dropped once folded."""
+    """Elements of each pattern raised to its count, indexed [row, pattern,
+    energy]: a pattern's cells run along axis 0 of widths and values, the
+    patterns along axis 1.  The cells are dropped once folded."""
     cells = _cells(widths[:, :, None], values[:, :, None], z, offset=True)
     pattern = _apply(cells.reshape(len(cells), len(widths), -1), compose=_fold)
     del cells
@@ -228,30 +229,17 @@ def _repeat(widths, values, z, counts, scaled=True):
     return power.reshape(len(power), len(counts), len(z))
 
 
-def _fold_repeats(blocks, z, state, scaled):
-    """Fold RepeatBlocks whose patterns have one length into state, in order,
-    a chunk of at most _CHUNK cell-energies (one block at least) at a time."""
-    widths = np.array([b.widths for b in blocks]).T
-    values = np.array([b.values for b in blocks]).T
-    counts = np.array([b.count for b in blocks], dtype=float)
-    size = max(1, _CHUNK // (len(z) * len(widths)))
-    for lo in range(0, len(blocks), size):
-        state = _apply(_repeat(widths[:, lo:lo + size], values[:, lo:lo + size], z,
-                               counts[lo:lo + size], scaled), state)
-    return state
-
-
 def _walk(p, x0, x1, z, step, state=None, scaled=True):
-    """Fold the cells of [x0, x1) at the energies z into state; s only if scaled."""
-    run = []
-    for block in (*potentials.segments(p, x0, x1, step), None):
-        repeat = isinstance(block, potentials.RepeatBlock) and block.count > 1
-        if run and not (repeat and len(block.widths) == len(run[0].widths)):
-            state = _fold_repeats(run, z, state, scaled)
-            run = []
-        if repeat:
-            run.append(block)
-        elif block is not None:
+    """Fold the cells of [x0, x1) at the energies z into state, a chunk of a
+    block's cells or patterns at a time; s only if scaled."""
+    for block in potentials.segments(p, x0, x1, step):
+        if isinstance(block, potentials.RepeatBlock):
+            w, v, n = block.widths, block.values, block.counts
+            size = max(1, _CHUNK // (len(z) * len(w)))
+            for lo in range(0, len(n), size):
+                chunk = slice(lo, lo + size)
+                state = _apply(_repeat(w[:, chunk], v[:, chunk], z, n[chunk], scaled), state)
+        else:
             size = max(1, _CHUNK // len(z))
             for lo in range(0, len(block.widths), size):
                 state = _apply(_cells(block.widths[lo:lo + size, None],

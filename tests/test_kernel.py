@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from blocks import patterns
 from schreg import floquet as F, periodic, potentials as P, propagation as PR
 
 
@@ -60,9 +61,10 @@ def loop_counts(p, x, lams, step):
         DU /= nrm
 
     for block in P.segments(p, 0.0, x, step):
-        for _ in range(getattr(block, "count", 1)):
-            for h, v in zip(block.widths, block.values):
-                advance(float(h), float(v))
+        for widths, values, n in patterns(block):
+            for _ in range(n):
+                for h, v in zip(widths, values):
+                    advance(float(h), float(v))
     return counts
 
 
@@ -169,8 +171,9 @@ def test_profile_rows_match_pointwise(p, rel, tol_h):
 
 
 def test_repeat_power_equals_tiled_product():
-    # PeriodicSquare(0.75) on [0, 1.5 n] is one RepeatBlock of count n; the
-    # step function below lists the same 2n cells out one by one
+    # PeriodicSquare(0.75) on [0, 1.5 n] is one RepeatBlock of count n (for
+    # n = 1 its two literal cells); the step function below lists the same
+    # 2n cells out one by one
     sq = P.PeriodicSquare(0.75)
     lams = np.concatenate([[-0.5, 0.4, 3.0, 12.0], gap_energies(0.75, 200)])
     lams = np.unique(lams)
@@ -179,7 +182,8 @@ def test_repeat_power_equals_tiled_product():
         tiled = P.PiecewiseConstant(breakpoints=tuple(0.75 * np.arange(1, 2 * n)),
                                     values=(1.0, -1.0) * n)
         (block,) = P.segments(sq, 0.0, x, 0.02)
-        assert block.count == n
+        assert isinstance(block, P.RepeatBlock) == (n > 1)
+        assert getattr(block, "count", 1) == n
         assert np.array_equal(kernel_counts(sq, x, lams),
                               kernel_counts(tiled, x, lams))
         for z in (-2.0 + 0j, 1.0 + 1j, 5.0 + 0.2j):
@@ -477,9 +481,10 @@ def ref_walk(p, x, z):
     """Scaled Dirichlet element of [0, x] from ref_power, block after block."""
     state = None
     for block in P.segments(p, 0.0, x, 0.02):
-        el = record(PR._apply(PR._cells(block.widths[:, None], block.values[:, None], z)))
-        power = ref_power(el, np.full(z.shape, getattr(block, "count", 1)))
-        state = power if state is None else ref_compose(power, state)
+        for widths, values, n in patterns(block):
+            el = record(PR._apply(PR._cells(widths[:, None], values[:, None], z)))
+            power = ref_power(el, np.full(z.shape, n))
+            state = power if state is None else ref_compose(power, state)
     return state
 
 
@@ -527,18 +532,19 @@ def test_repeat_products_match_a_40_digit_product():
             z = mp.mpc(z) if isinstance(z, complex) else mp.mpf(z)
             state = (1, 0, 0, 1)
             for block in P.segments(p, 0.0, 1000.0, 0.02):
-                pattern = (1, 0, 0, 1)
-                for h, v in zip(block.widths, block.values):
-                    kappa = mp.sqrt(mp.mpf(v) - z)
-                    c, s = mp.cosh(kappa * h), mp.sinh(kappa * h) / kappa
-                    pattern = mul((c, kappa * kappa * s, s, c), pattern)
-                n, power = block.count, (1, 0, 0, 1)
-                while n:
-                    if n & 1:
-                        power = mul(pattern, power)
-                    n >>= 1
-                    pattern = mul(pattern, pattern) if n else pattern
-                state = mul(power, state)
+                for widths, values, n in patterns(block):
+                    pattern = (1, 0, 0, 1)
+                    for h, v in zip(widths, values):
+                        kappa = mp.sqrt(mp.mpf(v) - z)
+                        c, s = mp.cosh(kappa * h), mp.sinh(kappa * h) / kappa
+                        pattern = mul((c, kappa * kappa * s, s, c), pattern)
+                    power = (1, 0, 0, 1)
+                    while n:
+                        if n & 1:
+                            power = mul(pattern, power)
+                        n >>= 1
+                        pattern = mul(pattern, pattern) if n else pattern
+                    state = mul(power, state)
             want = complex(mp.log(state[2]))
             got = complex(np.log(prof.u[i, 0])) + prof.log_scale[i, 0]
             assert abs(got - want) <= 5e-13, (zs[i], abs(got - want))
@@ -547,13 +553,16 @@ def test_repeat_products_match_a_40_digit_product():
 @pytest.mark.parametrize("p, x", [(P.OscillatingExample(), 300.0),
                                   (P.PeriodicSquare(0.47), 500.0)])
 def test_results_do_not_depend_on_the_chunking(p, x, monkeypatch):
-    # chunks cut the energies, the cells of a CellBlock and the blocks of a
-    # repeat run; counts are integers, products move only by rounding
+    # chunks cut the energies, the cells of a CellBlock and the patterns of
+    # a RepeatBlock, and a run cap cuts a run into blocks; counts are
+    # integers, products move only by rounding
     lams = np.linspace(0.0, 25.0, 200)
     zs = np.array([-1.5, 4.0, 2.0 + 0.5j, 7.0 - 1e-3j])
     runs = []
-    for chunk in (1 << 13, 1 << 6, 1 << 20):
+    for chunk, cap in ((1 << 13, P._RUN), (1 << 6, P._RUN), (1 << 20, P._RUN),
+                       (1 << 13, 3)):
         monkeypatch.setattr(PR, "_CHUNK", chunk)
+        monkeypatch.setattr(P, "_RUN", cap)
         runs.append((kernel_counts(p, x, lams),
                      PR.dirichlet_profile(p, [37.5, 300.0], zs, step=0.02)))
     counts, want = runs[0]
@@ -582,6 +591,21 @@ def test_power_memory_is_flat_in_the_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_oscillating_walk_memory_does_not_grow_with_x():
+    # whole blocks come as runs of at most 4,096 patterns, so a walk holds no
+    # per-block object; the peak measured 1.28 MB at x = 1e4 and 1e5 alike,
+    # and a list of one block per unit of x took 43 MB at 1e5.  The bound
+    # leaves about 2x of margin
+    lams = np.linspace(0.0, 25.0, 10)
+    tracemalloc.start()
+    try:
+        PR.zero_counting_cdf(P.OscillatingExample(), 1e5, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_counting_memory_is_chunked():

@@ -4,6 +4,7 @@ Pointwise values and jumps come from the test-side description in
 `pointwise`, which the cells of `segments` are checked against.
 """
 import json
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import pointwise as PW
+from blocks import patterns
 from schreg import potentials as P, propagation as PR
 
 
@@ -262,14 +264,14 @@ def test_segment_masses_reproduce_prefix_integral(p):
     total = 0.0
     width = 0.0
     for block in P.segments(p, 0.0, x1, 0.125):
-        w = np.asarray(block.widths, dtype=float)
-        v = np.asarray(block.values, dtype=float)
-        reps = getattr(block, "count", 1)
-        assert np.all(w > 0)
-        if isinstance(p, P.Decaying):  # graded: cells widen with x
-            assert_graded_widths(p, 0.0, w, 0.125)
-        total += reps * float(w @ v)
-        width += reps * float(np.sum(w))
+        for w, v, reps in patterns(block):
+            w = np.asarray(w, dtype=float)
+            v = np.asarray(v, dtype=float)
+            assert np.all(w > 0)
+            if isinstance(p, P.Decaying):  # graded: cells widen with x
+                assert_graded_widths(p, 0.0, w, 0.125)
+            total += reps * float(w @ v)
+            width += reps * float(np.sum(w))
     assert width == pytest.approx(x1, abs=1e-12)
     assert total == pytest.approx(P.prefix_integral(p, x1), abs=1e-10)
 
@@ -302,9 +304,9 @@ def test_segment_edges_are_the_discontinuities(p):
     cell averages instead (test_decaying_mesh_is_graded)."""
     rng = np.random.default_rng(5)
     for x0, x1 in cross_check_windows(p, rng):
-        blocks = list(P.segments(p, x0, x1, x1 - x0))
-        widths = np.concatenate([np.tile(b.widths, getattr(b, "count", 1)) for b in blocks])
-        values = np.concatenate([np.tile(b.values, getattr(b, "count", 1)) for b in blocks])
+        runs = [r for b in P.segments(p, x0, x1, x1 - x0) for r in patterns(b)]
+        widths = np.concatenate([np.tile(w, n) for w, _, n in runs])
+        values = np.concatenate([np.tile(v, n) for _, v, n in runs])
         edges = x0 + np.cumsum(widths)
         assert edges[-1] == pytest.approx(x1, abs=1e-12)
         jumps = PW.discontinuities(p, x0, x1)
@@ -322,7 +324,7 @@ def test_empty_window_has_no_cells(p):
         warnings.simplefilter("error")
         for x in (0.0, 5.0, 7.25):
             blocks = list(P.segments(p, x, x, 0.02))
-            assert sum(len(b.widths) * getattr(b, "count", 1) for b in blocks) == 0
+            assert sum(len(w) * n for b in blocks for w, _, n in patterns(b)) == 0
             # the propagation kernel leaves its state (None: the identity) as it is
             assert PR._walk(p, x, x, np.array([-1.0, 3.0]), 0.02) is None
             assert PR._walk(p, x, x, np.array([-1.0 + 1j]), 0.02) is None
@@ -349,6 +351,73 @@ def test_segments_use_repeat_blocks_for_periodic_runs():
     assert any(isinstance(b, P.RepeatBlock) and b.count > 10 for b in blocks)
     blocks = list(P.segments(P.OscillatingExample(), 0.0, 50.0, 1.0))
     assert any(isinstance(b, P.RepeatBlock) for b in blocks)
+
+
+def reference_oscillating_blocks(x0, x1):
+    """OscillatingExample's cells over [x0, x1) as (widths, values, count),
+    one per unit block: the per-block generator that runs replaced, with a
+    whole block n as its cell pair 1/(2n) wide repeated n times."""
+    for n in range(math.floor(x0) + 1, math.floor(x1) + 2):
+        lo, hi = max(x0, n - 1.0), min(x1, float(n))
+        if hi <= lo:
+            continue
+        w = 1.0 / (2.0 * n)
+        if lo == n - 1.0 and hi == float(n):
+            yield np.array([w, w]), np.array([1.0, -1.0]), n
+        else:
+            block = P._wave_cells(w, n - 1.0, lo, hi)
+            yield block.widths, block.values, 1
+
+
+def oscillating_windows(rng):
+    """Seeded windows: fractional ends, inside one block, x0 in block 1,
+    integer ends, and windows across one or more 4,096-pattern cuts."""
+    for _ in range(40):
+        x0 = float(rng.uniform(0.0, 300.0))
+        yield x0, x0 + float(rng.uniform(0.0, 60.0))
+    for _ in range(10):
+        k = float(rng.integers(0, 500))
+        yield k + float(rng.uniform(0.0, 0.5)), k + float(rng.uniform(0.5, 1.0))
+        yield float(rng.uniform(0.0, 1.0)), float(rng.uniform(1.0, 40.0))
+        yield k, k + float(rng.integers(1, 30))
+        yield 0.0, k + 1.0
+    for x0 in (0.0, 0.5, 1.0, 2.0, 2.25, 99.0):
+        yield x0, x0 + 4098.0 + float(rng.uniform(0.0, 3.0))
+        yield x0, x0 + 2 * 4096.0 + 2.5
+
+
+def test_oscillating_runs_expand_to_the_per_block_cells():
+    # a run lists each whole block from 2 on as one pattern with its count;
+    # pattern by pattern, bit for bit, they are the per-block generator's
+    rng = np.random.default_rng(35)
+    p = P.OscillatingExample()
+    cut = 0
+    for x0, x1 in oscillating_windows(rng):
+        blocks = list(P.segments(p, x0, x1, 0.02))
+        cut += sum(isinstance(b, P.RepeatBlock) for b in blocks) > 1
+        got = [r for b in blocks for r in patterns(b)]
+        want = list(reference_oscillating_blocks(x0, x1))
+        assert len(got) == len(want), (x0, x1)
+        for (w, v, n), (w_ref, v_ref, n_ref) in zip(got, want):
+            assert n == n_ref, (x0, x1)
+            assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+        for b in blocks:
+            if isinstance(b, P.RepeatBlock):
+                assert b.widths.shape == b.values.shape == (2, len(b.counts))
+                assert 1 <= len(b.counts) <= 4096 and np.all(b.counts >= 2)
+                assert b.count == b.counts.sum()
+    assert cut == 12
+
+
+def test_periodic_square_is_literal_for_one_period():
+    # one whole period is its two literal cells, more are a one-pattern run
+    p = P.PeriodicSquare(0.75)
+    (one,) = P.segments(p, 1.5, 3.0, 0.02)
+    assert isinstance(one, P.CellBlock)
+    assert one.widths.tolist() == [0.75, 0.75] and one.values.tolist() == [1.0, -1.0]
+    head, run, tail = P.segments(p, 1.0, 4.7, 0.02)
+    assert isinstance(run, P.RepeatBlock) and run.counts.tolist() == [2.0]
+    assert run.widths.tolist() == [[0.75], [0.75]] and run.values.tolist() == [[1.0], [-1.0]]
 
 
 # ---------------------------------------------------------------------------

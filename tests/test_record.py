@@ -150,7 +150,10 @@ def test_every_record_class_is_listed_here():
 
 def test_kernel_blocks_are_slotted_and_only_a_repeat_has_a_count():
     cells = P.CellBlock(np.ones(2), np.zeros(2))
-    repeat = P.RepeatBlock(np.ones(2), np.array([1.0, -1.0]), 5)
+    repeat = P.RepeatBlock(np.ones((2, 2)), np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                           np.array([2.0, 3.0]))
     assert repeat.count == 5
+    with pytest.raises(AttributeError):
+        repeat.count = 6
     assert not hasattr(cells, "count") and not hasattr(cells, "__dict__")
     assert not hasattr(repeat, "__dict__")
