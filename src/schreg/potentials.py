@@ -18,7 +18,8 @@ arrays (`CellBlock`) or runs of patterns, each repeated with a count
 (`RepeatBlock`), where V is periodic on a stretch.  A step family cuts the
 window at its own jumps and reads each cell's value from its own table:
 the breakpoints of PiecewiseConstant, Tabulated and SparseBumps, the +-1
-wave of PeriodicSquare and OscillatingExample, the seeded draws of Random.
+wave of PeriodicSquare and OscillatingExample, and for Random a SplitMix64
+hash of (seed, cell index).
 What the `step` argument means depends on the family:
 
 * step functions (every family but Decaying) ignore it.  Their own cells
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -425,9 +426,12 @@ class SparseBumps(Record):
 class Random(Record):
     """Independent uniform values on cells [i*w, (i+1)*w).
 
-    Cell i takes entry i % 1024 of the uniform batch drawn from
-    SeedSequence([seed, i // 1024]), so the value of any cell is
-    reproducible and independent of query order.
+    Cell i takes the value low + (high - low) * u_i.  Here u_i is the top 53
+    bits, times 2**-53, of output i + 1 of a SplitMix64 generator seeded
+    with `seed` (Steele, Lea & Flood, OOPSLA 2014), that is of the mix of
+    seed + (i + 1) * 0x9E3779B97F4A7C15 mod 2**64.  A value depends on
+    (seed, i) alone, so it is reproducible and independent of query order.
+    The seed must lie in [0, 2**64).
     """
 
     seed: int
@@ -438,7 +442,7 @@ class Random(Record):
     def __post_init__(self):
         self._set(seed=int(self.seed), cell_width=float(self.cell_width),
                   low=float(self.low), high=float(self.high))
-        _require(self.seed >= 0, "seed must be nonnegative")
+        _require(0 <= self.seed < 2**64, "seed must lie in [0, 2**64)")
         _require(self.cell_width > 0 and math.isfinite(self.cell_width),
                  "cell_width must be positive")
         _require(self.low <= self.high and math.isfinite(self.low) and math.isfinite(self.high),
@@ -457,24 +461,13 @@ class Random(Record):
                           _random_values(self, i0, i1))
 
 
-_RANDOM_BATCH = 1024
-
-
-@lru_cache(maxsize=4096)
-def _random_batch(spec, batch):
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, batch]))
-    return rng.uniform(spec.low, spec.high, _RANDOM_BATCH)
-
-
 def _random_values(spec, i0, i1):
-    """Cell values w_i for i in [i0, i1)."""
-    if i1 <= i0:
-        return np.empty(0)
-    b0, b1 = i0 // _RANDOM_BATCH, (i1 - 1) // _RANDOM_BATCH
-    parts = [_random_batch(spec, b) for b in range(b0, b1 + 1)]
-    vals = np.concatenate(parts)
-    lo = i0 - b0 * _RANDOM_BATCH
-    return vals[lo:lo + (i1 - i0)]
+    """Cell values for i in [i0, i1): SplitMix64 in uint64 arrays, which wrap."""
+    z = np.arange(i0 + 1, i1 + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15 + spec.seed
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    u = ((z ^ (z >> 31)) >> 11) * 2.0**-53
+    return spec.low + (spec.high - spec.low) * u
 
 
 # ---------------------------------------------------------------------------

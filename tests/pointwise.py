@@ -10,9 +10,7 @@ two descriptions cell by cell.
 """
 import math
 from bisect import bisect_right
-from functools import lru_cache, singledispatch
-
-import numpy as np
+from functools import singledispatch
 
 from schreg.potentials import (Constant, Decaying, OscillatingExample, PeriodicSquare,
                                PiecewiseConstant, Random, SparseBumps, Tabulated)
@@ -138,20 +136,31 @@ def _(p: SparseBumps, x0, x1):
     return out
 
 
-# Random's draws, re-derived from the scheme its docstring states.
-_RANDOM_BATCH = 1024
+# Random's draws, re-derived from the scheme its docstring states: a
+# sequential SplitMix64 in Python ints, one output per cell.
+_MASK = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-@lru_cache(maxsize=64)
-def _random_batch(seed, low, high, batch):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
-    return rng.uniform(low, high, _RANDOM_BATCH)
+def splitmix64(seed, n):
+    """The first n outputs of SplitMix64 seeded with seed, in order."""
+    out, state = [], seed
+    for _ in range(n):
+        state = (state + _GAMMA) & _MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def random_values(p, n):
+    """Values of Random p on cells 0 .. n-1, from the sequential generator."""
+    return [p.low + (p.high - p.low) * ((z >> 11) * 2.0**-53) for z in splitmix64(p.seed, n)]
 
 
 @evaluate.register
 def _(p: Random, x):
-    batch, k = divmod(int(math.floor(x / p.cell_width)), _RANDOM_BATCH)
-    return float(_random_batch(p.seed, p.low, p.high, batch)[k])
+    return random_values(p, int(math.floor(x / p.cell_width)) + 1)[-1]
 
 
 @discontinuities.register

@@ -387,6 +387,14 @@ def window_config(command, window):
             "params": {**params, "lambda_window": list(window)}}
 
 
+def test_random_seed_past_64_bits_rejected(tmp_path):
+    config = next(c for c in valid_configs() if c.get("potential", {}).get("variant") == "random")
+    config["potential"]["seed"] = 2**64
+    out = tmp_path / "out"
+    assert cli.run(config, out_dir=str(out)) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_bands_edge_tol_rejected(tmp_path):
     # band edges have one built-in stopping rule; the old knob is a typo now
     config = window_config("bands", (-2.0, 40.0))
@@ -605,29 +613,28 @@ def run_every_command(out, configs, prelude="pass"):
     """Run configs through cli.run in a fresh interpreter, after the
     statement prelude, config i writing to out/i.  Returns two stdout lines:
     the top-level modules loaded after startup that are neither the standard
-    library's nor numpy's nor schreg's, and whether OpenSSL's _hashlib was
-    loaded."""
+    library's nor numpy's nor schreg's, and which of OpenSSL's _hashlib and
+    numpy.random were loaded."""
     code = (f"import json, sys; {prelude}; startup = set(sys.modules); "
             "from schreg import cli; configs = json.loads(sys.argv[1]); "
             "print([cli.run(c, f'{sys.argv[2]}/{i}') for i, c in enumerate(configs)]); "
             "ok = set(sys.stdlib_module_names) | {'numpy', 'schreg'}; "
             "new = {m.split('.')[0] for m in set(sys.modules) - startup}; "
-            "print(sorted(m for m in new - ok if not m.startswith(('_cython_', 'cython_')))); "
-            "print('_hashlib' in sys.modules)")
+            "print(sorted(new - ok)); "
+            "print(sorted({'_hashlib', 'numpy.random'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(configs), str(out)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    codes, foreign, hashlib_loaded = proc.stdout.strip().splitlines()
+    codes, foreign, heavy = proc.stdout.strip().splitlines()
     assert codes == str([0] * len(configs))
-    return foreign, hashlib_loaded
+    return foreign, heavy
 
 
 def test_commands_load_only_numpy_and_the_standard_library(tmp_path):
     # the import-time checks above, extended to running every command: a
     # lazy import inside a computation must not reach past the runtime
     # dependencies.  Modules the interpreter loaded before schreg (site
-    # hooks) are not the package's; numpy.random, compiled with Cython,
-    # registers Cython's runtime modules.
+    # hooks) are not the package's.
     configs = valid_configs()
     assert {c["command"] for c in configs} == set(cli.COMMANDS)
     assert run_every_command(tmp_path, configs)[0] == "[]"
@@ -636,18 +643,23 @@ def test_commands_load_only_numpy_and_the_standard_library(tmp_path):
 def test_manifests_hash_without_openssl(tmp_path):
     # the built-in sha256 keeps OpenSSL's _hashlib (+3.5 MB resident) out of
     # every command; without the built-in module, the hashlib fallback
-    # writes the same manifest bytes.  The random family is left out:
-    # numpy.random imports secrets, whose hmac loads _hashlib itself.
+    # writes the same manifest bytes
     pytest.importorskip("_sha256")
-    configs = [c for c in valid_configs()
-               if c.get("potential", {}).get("variant") != "random"]
-    assert {c["command"] for c in configs} == set(cli.COMMANDS)
-    assert run_every_command(tmp_path / "built_in", configs)[1] == "False"
+    configs = valid_configs()
+    assert run_every_command(tmp_path / "built_in", configs)[1] == "[]"
     fallback = 'sys.modules["_sha256"] = None'
-    assert run_every_command(tmp_path / "fallback", configs, fallback)[1] == "True"
+    assert run_every_command(tmp_path / "fallback", configs, fallback)[1] == "['_hashlib']"
     for i in range(len(configs)):
         manifest = (tmp_path / "built_in" / str(i) / "manifest.json").read_bytes()
         assert (tmp_path / "fallback" / str(i) / "manifest.json").read_bytes() == manifest, i
+
+
+def test_random_configs_load_neither_numpy_random_nor_openssl(tmp_path):
+    # the random family hashes (seed, cell) with SplitMix64 in numpy uint64
+    # arrays; numpy.random would import secrets, whose hmac maps _hashlib
+    configs = [c for c in valid_configs() if c.get("potential", {}).get("variant") == "random"]
+    assert configs
+    assert run_every_command(tmp_path, configs)[1] == "[]"
 
 
 def test_commands_call_no_lapack_and_load_no_numpy_polynomial(tmp_path):

@@ -208,6 +208,54 @@ def test_band_edges_match_halving_root_finder(monkeypatch):
     assert np.max(np.abs(np.subtract(got.bands, want.bands))) <= EDGE_NOISE
 
 
+def kronig_penney(mp, delta, lam):
+    """Discriminant of PeriodicSquare(delta) in mpmath: the trace of the
+    product of the two cells' flows, 2 C_a C_b + (k_a + k_b) S_a S_b with
+    k = V - lam (so k_a + k_b = -2 lam) and C, S = cosh, sinh(sqrt(k) h) /
+    sqrt(k)."""
+    h, cs = mp.mpf(delta), []
+    for k in (1 - lam, -1 - lam):
+        r = mp.sqrt(k)
+        cs.append((mp.mpf(1), h) if k == 0 else
+                  (mp.re(mp.cosh(r * h)), mp.re(mp.sinh(r * h) / r)))
+    (ca, sa), (cb, sb) = cs
+    return 2 * ca * cb - 2 * lam * sa * sb
+
+
+# Worst readings against the 40-digit roots when these bounds were set:
+# 393 ulps at an interior edge (delta = 0.47 at 44.67, window (-2, 60))
+# and 85 ulps at b0 (delta = 0.47).  The bounds leave a margin of about
+# 2.5 for other platforms' libm; a more exact band test tightens them.
+EDGE_ULPS, B0_ULPS = 1000, 200
+
+
+@pytest.mark.parametrize("window", [(-2.0, 150.0), (-2.0, 60.0)])
+@pytest.mark.parametrize("delta", [0.47, 0.5, 1.3])
+def test_band_edges_match_40_digit_kronig_penney_roots(delta, window):
+    mp = pytest.importorskip("mpmath")
+    bs = PE.band_spectrum(P.PeriodicSquare(delta), 2 * delta, window, 512)
+    ends = [e for band in bs.bands for e in band if e not in window]
+    assert len(ends) >= 5 and bs.level[0] == 0
+    with mp.workdps(40):
+        errors = []
+        for e in ends:
+            x = mp.mpf(e)
+            target = 2 if kronig_penney(mp, delta, x) > 0 else -2
+            f = lambda lam: kronig_penney(mp, delta, lam) - target
+            d = 1e-12 * max(1.0, abs(e))
+            while f(x - d) * f(x + d) > 0:
+                d *= 4
+            root = mp.findroot(f, (x - d, x + d), solver="anderson")
+            errors.append(float(abs(x - root)) / math.ulp(float(root)))
+        # every stretch between the ends is what it is said to be: a band
+        # where |Delta| <= 2, a gap where it is not
+        mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        verdicts = [abs(kronig_penney(mp, delta, mp.mpf(m))) <= 2 for m in mids]
+    assert verdicts == [i % 2 == 0 for i in range(len(mids))]
+    assert errors[0] <= B0_ULPS
+    assert max(errors[1:]) <= EDGE_ULPS
+
+
 def scans_and_edges(monkeypatch, p, period, window, resolution):
     """The levels of every sample band_spectrum walks, and its interior edges."""
     scan, seen = PE._scan, []

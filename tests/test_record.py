@@ -122,15 +122,6 @@ def test_equal_fields_of_another_type_are_unequal():
     assert martin.GapSet(0.0) != {"b0": 0.0, "gaps": []}
 
 
-def test_random_stays_an_lru_cache_key():
-    P._random_batch.cache_clear()
-    first = P._random_batch(P.Random(11, 1.0, 0.0, 1.0), 0)
-    again = P._random_batch(P.Random(seed=11, cell_width=1, low=0, high=1), 0)
-    assert again is first
-    info = P._random_batch.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-
-
 @pytest.mark.parametrize("cls", ARRAY_RECORDS, ids=lambda c: c.__name__)
 def test_array_records_compare_by_identity(cls):
     record, twin_record = filled(cls), filled(cls)
