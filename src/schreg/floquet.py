@@ -1,17 +1,18 @@
-"""Repeat blocks in closed form: the offset fold, the power and the count.
+"""Periods and repeats in closed form: offset fold, band test, power, count.
 
-Each RepeatBlock pattern P is folded into its offset D = e**-s (P - I), t =
-e**-s, never into P: offsets compose as D_b D_a + t_a D_b + t_b D_a, so
-tau - 1 = tr D / (2t), tau = tr P / 2, has no cancellation however close P
-is to I.  As det P = 1, Cayley-Hamilton gives P**n = U_{n-1}(tau) (P - I) +
-W_{n-1}(tau) I, with U the Chebyshev polynomials of the second kind and
-W_{n-1} = U_{n-1} - U_{n-2} those of the fourth.  With tau = cosh(eta),
-eta = 2 asinh(sqrt((tau - 1)/2)), they are sinh(n eta)/sinh(eta) and
-cosh((n - 1/2) eta)/cosh(eta/2): in a band (eta = i alpha) their sin and
-cos forms, in a gap expm1 forms over e**((n-1) eta), which joins the log
-scale.  A P with Re tau < 0 is reflected to -P, whose offset -D - 2t I has
-exact small diagonal entries.  Each branch is evaluated only on its own
-columns, in real arithmetic at a real energy.
+A period or RepeatBlock pattern P is folded into its offset D = e**-s (P -
+I), t = e**-s, never into P: offsets compose as D_b D_a + t_a D_b + t_b D_a,
+so tau - 1 = tr D / (2t), tau = tr P / 2, has no cancellation however close
+P is to I.  The one band test (_reflect) takes r P, r = +-1 with Re r tau >=
+0 (its offset has exact small diagonal entries), and g = t (r tau - 1) < 0
+in a band.  As det P = 1, Cayley-Hamilton gives P**n = U_{n-1}(tau) (P - I)
++ W_{n-1}(tau) I, with U the Chebyshev polynomials of the second kind and
+W_{n-1} = U_{n-1} - U_{n-2} those of the fourth.  With tau = cosh(eta), eta
+= 2 asinh(sqrt((tau - 1)/2)), they are sinh(n eta)/sinh(eta) and cosh((n -
+1/2) eta)/cosh(eta/2): in a band (eta = i alpha) their sin and cos forms, in
+a gap expm1 forms over e**((n-1) eta), which joins the log scale.  Each
+branch is evaluated only on its own columns, in real arithmetic at a real
+energy.
 
 The zero count is Floquet's (Eastham 1973): if the mantissa sigma P / |P|,
 first column in the upper half plane, has count k_P and half trace tau^ =
@@ -67,6 +68,20 @@ def _fold(b, a):
     return e
 
 
+def _reflect(e, out=None):
+    """The band test of offsets e of P: r, D' = r D + (r - 1) t I (r P's offset,
+    into out) and g.  D''s entries err by about an ulp of max(|D'|, t), so the
+    error of -det D' / (2 t), g where det P = 1, is |D'| / t times the half
+    trace's; it is taken where |D'| < t (never where t underflows to 0)."""
+    t = e[5].real
+    r = np.where((e[0] + e[3]).real < -2.0 * t, -1.0, 1.0)
+    D = np.multiply(r, e[:4], out=out)
+    D[0::3] += (r - 1.0) * t
+    g = 0.5 * (D[0] + D[3])
+    np.divide(D[1] * D[2] - D[0] * D[3], 2.0 * t, out=g, where=np.abs(D).max(axis=0) < t)
+    return r, D, g
+
+
 def _hyperbolic(g, t, s, n):
     """U_{n-1} and W_{n-1} at tau = 1 + g/t = cosh(eta), Re eta >= 0, each over
     e**((n-1) Re eta), and (n-1) Re eta."""
@@ -97,16 +112,7 @@ def _power(e, n, scaled=True):
     real = e.dtype.kind != "c"
     s, t = e[4].real, e[5].real
     out = np.empty((4 + scaled + real,) + t.shape, e.dtype)
-    # r P, r = +-1, has Re tau >= 0 and the offset r D + (r - 1) t I
-    r = np.where((e[0] + e[3]).real < -2.0 * t, -1.0, 1.0)
-    D = np.multiply(r, e[:4], out=out[:4])
-    D[0::3] += (r - 1.0) * t
-    g = 0.5 * (D[0] + D[3])
-    # near -I the fold's rounding moves det P off 1; -det(P - I) / 2, equal
-    # to tau - 1 where det P = 1, then keeps the angle closer than the trace
-    near = (r < 0.0) & (np.abs(g) < t)
-    if near.any():
-        g = np.where(near, -0.5 * (D[0] * D[3] - D[1] * D[2]) / t, g)
+    r, D, g = _reflect(e, out[:4])
     if real:
         band = g < 0.0
         U, W, grow = np.empty_like(g), np.empty_like(g), np.zeros_like(g)
@@ -126,8 +132,7 @@ def _power(e, n, scaled=True):
         sn, cn = 2.0 * T * cn, (1.0 - T * T) * cn
         U[band] = (sn * ch + cn * sh) / (2.0 * sh * ch)
         W[band] = cn / ch
-        # the Floquet count; where sigma != r, tau^ = -tau and arccos(tau^)
-        # = pi - alpha
+        # the Floquet count: where sigma != r, arccos(tau^) = pi - alpha
         flip = r != e[6]
         extra = np.where(flip, n - 1.0, 0.0)
         turns = nb * alpha / np.pi

@@ -1,28 +1,26 @@
 """Band structure of periodic potentials through exact band levels.
 
-For a potential of period P the discriminant Delta is the trace of the
-transfer matrix over one period; energies with |Delta| <= 2 form the bands.
-One walk of the propagation kernel over one period gives both Delta and the
-exact Dirichlet zero count k of the period at every real energy: the
-kernel's real-energy mantissa is (-1)**k times the transfer matrix.
-
-One Dirichlet eigenvalue of the period lies in each closed gap (Magnus &
-Winkler, Hill's Equation, 1966; Eastham, 1973), so k is a band index.  An
-energy in band n (counted from 1) has k = n - 1 and gets the level 2n - 1;
-an energy in gap j (gap 0 lies below the spectrum) has k = j - 1 or j and
-sign Delta = (-1)**j, and gets the level 2j.  The level is an integer that
-never decreases with the energy, so a scan sees every band edge in its
-window, however narrow the gap or band: each boundary between consecutive
-levels is bracketed by the samples where the level passes it.  All
-brackets are cut into 32 together, one batched walk per round, until each
-is within 4e-16 times its larger starting |end| or no float splits it.
-Bands whose ends touch (a closed gap) are merged.
+For a potential of period T the discriminant Delta is the trace of the
+transfer matrix P over [0, T]; the bands are where |Delta| <= 2.  One walk
+of the kernel in offset form over a period (see floquet) gives Delta = e**s
+(tr D + 2t), floquet's band test (r = sign Delta, g < 0 in a band), the
+period's Dirichlet zero count k and the sign sigma that puts P's first
+column in the upper half plane.  A closed gap holds one Dirichlet eigenvalue
+of the period (Magnus & Winkler 1966; Eastham 1973), so band n (from 1) has
+k = n - 1 and the level 2n - 1, and gap j (gap 0 lies below the spectrum)
+has k = j - 1 or j, sign Delta = (-1)**j, so j = k + [sigma != r], and the
+level 2j.  The level never decreases with the energy, so each boundary
+between levels, however narrow its gap or band, is bracketed by the scan
+samples where the level passes it.  All brackets are cut into 32 together,
+one batched walk per round, until each is within 4e-16 times its larger
+starting |end| or no float splits it.  Touching bands (a closed gap) merge.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import propagation
+from .floquet import _reflect
 from .martin import GapSet, _section
 from .record import Record
 
@@ -52,18 +50,14 @@ class BandSpectrum(Record, eq=False):
 
 def _scan(p, period, lam, step):
     """Discriminant and band level at the real energies lam (a 1-d array),
-    from one walk of the kernel over one period."""
+    from one offset walk of the kernel over one period."""
     if not period > 0:
         raise ValueError("period must be positive")
     propagation._check_step(step)
-    m, s, k = propagation._parts(propagation._walk(p, 0.0, float(period), lam, step))
-    trace = m[0, 0] + m[1, 1]
-    # k is odd where k / 2 is not whole (float % takes about 5x as long)
-    delta = np.where(np.floor(k / 2) < k / 2, -1.0, 1.0) * np.exp(s) * trace
-    # in gap j, sign Delta = (-1)**j: j = k + 1 exactly when the trace of
-    # the mantissa, (-1)**k Delta at unit scale, is negative
-    gap = 2 * (k + (trace < 0.0))
-    return delta, np.where(np.abs(delta) <= 2.0, 2 * k + 1, gap)
+    e = propagation._walk(p, 0.0, float(period), lam, step, offset=True)
+    r, _, g = _reflect(e)
+    level = np.where(g < 0.0, 2 * e[7] + 1, 2 * (e[7] + (e[6] != r)))
+    return np.exp(e[4]) * (e[0] + e[3] + 2.0 * e[5]), level
 
 
 def discriminant(p, period, lam, step=1e-3):
@@ -102,9 +96,8 @@ def band_spectrum(p, period, lambda_window, resolution=512, step=1e-3):
     bands = []
     for a, b in zip(ends[::2], ends[1::2]):
         if bands and a <= bands[-1][1]:   # a closed gap: the bands touch
-            bands[-1] = (bands[-1][0], float(b))
-        else:
-            bands.append((float(a), float(b)))
+            a = bands.pop()[0]
+        bands.append((float(a), float(b)))
     return BandSpectrum(period=float(period), bands=tuple(bands), lam=lams,
                         delta=deltas, level=level)
 

@@ -229,21 +229,23 @@ def _repeat(widths, values, z, counts, scaled=True):
     return power.reshape(len(power), len(counts), len(z))
 
 
-def _walk(p, x0, x1, z, step, state=None, scaled=True):
-    """Fold the cells of [x0, x1) at the energies z into state, a chunk of a
-    block's cells or patterns at a time; s only if scaled."""
+def _walk(p, x0, x1, z, step, state=None, scaled=True, offset=False):
+    """Fold the cells of [x0, x1) at the energies z (their offsets if offset, a
+    repeat's copies spelled out) into state, a chunk at a time; s only if scaled."""
     for block in potentials.segments(p, x0, x1, step):
-        if isinstance(block, potentials.RepeatBlock):
-            w, v, n = block.widths, block.values, block.counts
-            size = max(1, _CHUNK // (len(z) * len(w)))
+        w, v, repeat = block.widths, block.values, isinstance(block, potentials.RepeatBlock)
+        if repeat and offset:
+            w, v = (np.repeat(a, block.counts.astype(int), axis=1).ravel("F") for a in (w, v))
+        elif repeat:
+            n, size = block.counts, max(1, _CHUNK // (len(z) * len(w)))
             for lo in range(0, len(n), size):
                 chunk = slice(lo, lo + size)
                 state = _apply(_repeat(w[:, chunk], v[:, chunk], z, n[chunk], scaled), state)
-        else:
-            size = max(1, _CHUNK // len(z))
-            for lo in range(0, len(block.widths), size):
-                state = _apply(_cells(block.widths[lo:lo + size, None],
-                                      block.values[lo:lo + size, None], z, scaled), state)
+            continue
+        size = max(1, _CHUNK // len(z))
+        for lo in range(0, len(w), size):
+            cells = _cells(w[lo:lo + size, None], v[lo:lo + size, None], z, scaled, offset)
+            state = _apply(cells, state, _fold if offset else _compose)
     return state
 
 
