@@ -161,18 +161,12 @@ def _validate_config(config):
 def _cmd_solve(p, E, params, out):
     zs = np.array([complex(zr, zi) for zr, zi in params["z_grid"]])
     xs = sorted(float(x) for x in params["x_grid"])
-    checkpoints = sorted(set(xs))
-    index = {x: i for i, x in enumerate(checkpoints)}
-    col = [index[x] for x in xs]
-    s = propagation.dirichlet_profile(p, checkpoints, zs, step=params.get("step", 1e-3))
-    u, du = s.u[:, col].ravel(), s.du[:, col].ravel()
-    z = np.repeat(zs, len(xs))
+    s = propagation.dirichlet_profile(p, xs, zs, step=params.get("step", 1e-3))
+    z, u, du = np.repeat(zs, len(xs)), s.u.ravel(), s.du.ravel()
     out.write_csv("solve.csv",
-                  ["z_re", "z_im", "x", "u_re", "u_im", "du_re", "du_im",
-                   "log_scale", "h"],
+                  ["z_re", "z_im", "x", "u_re", "u_im", "du_re", "du_im", "log_scale", "h"],
                   [z.real, z.imag, np.tile(xs, len(zs)), u.real, u.imag, du.real,
-                   du.imag, s.log_scale[:, col].ravel(),
-                   s.log_growth(checkpoints)[:, col].ravel()])
+                   du.imag, s.log_scale.ravel(), s.log_growth(xs).ravel()])
 
 
 def _cmd_bands(p, E, params, out):

@@ -8,8 +8,10 @@ methods, behind two public functions:
   window, from which propagation builds transfer matrices;
 * `_integral(x)`, behind `prefix_integral` and `cesaro_trace` -- the exact
   integral of V over [0, x], whose running mean (1/x) integral_0^x V bounds
-  the Robin-type constant.  It is a closed form per family, never
-  quadrature, so downstream consumers can trust it to machine precision.
+  the Robin-type constant.  One call takes a float x >= 0 or an array of
+  them and answers each entry bit for bit as a call at it alone would.  A
+  closed form per family, never quadrature, it holds to machine precision;
+  Random's running sum over cells to about 1e-14 relative at 1e5 cells.
 
 `to_json` and `from_json` read and build the record fields.
 
@@ -116,9 +118,8 @@ def segments(p, x0, x1, step):
 
 def prefix_integral(p, x):
     """Exact integral of V over [0, x] (closed form, no quadrature)."""
-    x = float(x)
-    _require(x >= 0 and math.isfinite(x), "x must be finite and nonnegative")
-    return p._integral(x)
+    _require(0 <= float(x) < math.inf, "x must be finite and nonnegative")
+    return float(p._integral(float(x)))
 
 
 def _cell_block(edges, values):
@@ -205,8 +206,8 @@ class PiecewiseConstant(Record):
 
     def _integral(self, x):
         edges, vals, cum = self._table
-        i = bisect_right(edges, x) - 1   # in range: edges[0] = 0 <= x
-        return float(cum[i] + vals[i] * (x - edges[i]))
+        i = np.searchsorted(edges, x, "right") - 1   # in range: edges[0] = 0 <= x
+        return cum[i] + vals[i] * (x - edges[i])
 
     def _cells(self, x0, x1, step):
         yield _step_cells(self.breakpoints, self.values, x0, x1)
@@ -258,7 +259,7 @@ class Decaying(Record):
         _require(self.rate > 0 and math.isfinite(self.rate), "rate must be positive")
 
     def _integral(self, x):
-        return self.amplitude * float(_phi(x, self.rate))
+        return self.amplitude * _phi(x, self.rate)
 
     def _cells(self, x0, x1, step):
         # Equal spacing (at most `step`) in phi(x; q) makes cells at most
@@ -306,8 +307,8 @@ class PeriodicSquare(Record):
         _require(self.delta > 0 and math.isfinite(self.delta), "delta must be positive")
 
     def _integral(self, x):
-        tau = math.fmod(x, 2.0 * self.delta)
-        return min(tau, self.delta) - max(tau - self.delta, 0.0)
+        tau = np.fmod(x, 2.0 * self.delta)
+        return np.minimum(tau, self.delta) - np.maximum(tau - self.delta, 0.0)
 
     def _cells(self, x0, x1, step):
         P = 2.0 * self.delta
@@ -339,13 +340,11 @@ class OscillatingExample(Record):
     """
 
     def _integral(self, x):
-        n = math.floor(x) + 1
-        tau = x - (n - 1)
-        w = 1.0 / (2.0 * n)
-        m = math.floor(tau / w)
-        head = w if m % 2 == 1 else 0.0
-        sign = 1.0 if m % 2 == 0 else -1.0
-        return head + sign * (tau - m * w)
+        tau = x - np.floor(x)
+        w = 0.5 / (np.floor(x) + 1.0)
+        m = np.floor(tau / w)
+        odd = m % 2.0   # the cells alternate +1, -1 from the block's start
+        return odd * w + (1.0 - 2.0 * odd) * (tau - m * w)
 
     def _cells(self, x0, x1, step):
         # blocks lo, ..., hi - 1, those from 2 on that [x0, x1) covers whole,
@@ -450,9 +449,10 @@ class Random(Record):
 
     def _integral(self, x):
         w = self.cell_width
-        i = int(math.floor(x / w))
-        vals = _random_values(self, 0, i + 1)
-        return float(np.sum(vals[:i]) * w + vals[i] * (x - i * w))
+        i = np.floor(x / w).astype(np.int64)
+        vals = _random_values(self, 0, int(np.max(i)) + 1)
+        cum = np.concatenate([[0.0], np.cumsum(vals)])
+        return cum[i] * w + vals[i] * (x - i * w)
 
     def _cells(self, x0, x1, step):
         w = self.cell_width
@@ -476,16 +476,15 @@ def _random_values(spec, i0, i1):
 def cesaro_trace(p, x_grid):
     """Running means of V over [0, x] for each grid point.
 
-    The grid must be strictly increasing and positive.  Values come from the
-    closed-form running integrals, so e.g. the oscillating example returns
-    exactly zero means at integer grid points.
+    The grid must be positive, finite and strictly increasing.  One call of
+    the closed-form running integral answers it all, so e.g. the oscillating
+    example returns exactly zero means at integer grid points.
     """
     xs = np.asarray(x_grid, dtype=float)
     _require(xs.ndim == 1 and len(xs) >= 1, "x_grid must be a 1-d sequence")
-    _require(np.all(xs > 0), "grid points must be positive")
-    _require(np.all(np.diff(xs) > 0), "grid must be strictly increasing")
-    mean = np.array([prefix_integral(p, x) for x in xs]) / xs
-    return CesaroTrace(xs, mean)
+    _require(np.all(np.diff(xs, prepend=0.0) > 0) and xs[-1] < np.inf,
+             "grid must be positive, finite and strictly increasing")
+    return CesaroTrace(xs, p._integral(xs) / xs)
 
 
 # ---------------------------------------------------------------------------

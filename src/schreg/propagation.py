@@ -119,8 +119,11 @@ def _parts(e):
 
 def _cells(widths, values, z, scaled=True, offset=False):
     """Cell elements (with s only if scaled), widths and values broadcast against
-    the energies z; at a real z, k counts the whole half-turns of an oscillating w.
-    With offset, the cells' offsets instead (see floquet)."""
+    the energies z; with offset, the cells' offsets instead (see floquet).  At a
+    real z one half-turn rule gives sign and k: S = sin(w)/|kappa| is 0 only at
+    w = 0, so with neg = S < 0 the first column (the offset's sigma) is negated
+    where neg, and k = 2 floor((w - pi neg) / (2 pi) + 1/4) + neg, the integer of
+    neg's parity in (w/pi - 3/2, w/pi + 1/2], on an oscillating cell, else 0 (nan z too)."""
     h = np.asarray(widths, dtype=float)
     kap2 = values - z
     real = z.dtype.kind != "c"
@@ -145,7 +148,6 @@ def _cells(widths, values, z, scaled=True, offset=False):
             em = np.exp(-2.0 * w, out=np.zeros_like(w), where=hyp)
             np.multiply(0.5, 1.0 + em, out=C, where=hyp)
             np.multiply(0.5, 1.0 - em, out=Sh, where=hyp)
-        np.floor(np.where(osc, w / np.pi, 0.0), out=e[-1])
     else:
         rho = np.abs(w.real)
         if offset:
@@ -169,13 +171,21 @@ def _cells(widths, values, z, scaled=True, offset=False):
         np.divide(S, w, out=S, where=~small)
     else:
         S /= w
+    if real:
+        neg = S < 0.0
+        sign = np.where(neg, -1.0, 1.0)
+        k = np.multiply(w, 0.5 / np.pi, out=e[-1])   # in place: temporaries cost 1.7x
+        k += 0.25 * sign   # + 1/4 - neg/2
+        np.floor(k, out=k)
+        k *= 2.0
+        k += neg
+        np.copyto(k, 0.0, where=hyp)
     if offset:
         e[5] = t
         if real:
-            # S is 0 only at w = 0, where cos(w) = 1: the mantissa's sign is S's
-            e[6] = np.where(S < 0.0, -1.0, 1.0)
+            e[6] = sign
     elif real:
-        m[:, 0] *= np.where(_negative(S, C), -1.0, 1.0)
+        m[:, 0] *= sign
     np.multiply(kap2, S, out=m[0, 1])
     m[1, 1] = C
     if scaled:
@@ -295,24 +305,20 @@ def log_growth(p, x, z, step=1e-3):
 def dirichlet_profile(p, x_list, z_list, step=1e-3):
     """Dirichlet data at every (z, x) in one pass over the checkpoints.
 
-    x_list must be positive and increasing.  Returns a SolutionSample whose
+    x_list must be positive and nondecreasing.  Returns a SolutionSample whose
     fields are arrays indexed [z, x]; all energies share the pass.
     """
     _check_step(step)
     xs = np.asarray(x_list, dtype=float)
-    if not (np.all(xs > 0) and np.all(np.diff(xs) > 0)):
-        raise ValueError("checkpoints must be positive and increasing")
+    if not (xs.size and np.all(xs > 0) and np.all(np.diff(xs) >= 0)):
+        raise ValueError("checkpoints must be nonempty, positive and increasing or repeated")
     zs = np.asarray(z_list, dtype=complex)
-    u = np.empty((len(zs), len(xs)), dtype=complex)
-    du = np.empty_like(u)
-    log_scale = np.empty(u.shape)
-    state, x_prev = None, 0.0
-    for i, x in enumerate(xs):
-        state = _walk(p, x_prev, float(x), zs, step, state)
-        m, s, _ = _parts(state)
-        u[:, i], du[:, i], log_scale[:, i] = m[1, 0], m[0, 0], s.real
-        x_prev = float(x)
-    return SolutionSample(u, du, log_scale)
+    rows, state = [], None
+    for x0, x1 in zip([0.0, *xs], xs):
+        state = _walk(p, float(x0), float(x1), zs, step, state)
+        rows.append(state[[2, 0, 4]])   # u = m10, du = m00 and s
+    u, du, s = np.stack(rows, axis=-1)
+    return SolutionSample(u, du, s.real)
 
 
 # ---------------------------------------------------------------------------

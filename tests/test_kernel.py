@@ -550,6 +550,79 @@ def test_repeat_products_match_a_40_digit_product():
             assert abs(got - want) <= 5e-13, (zs[i], abs(got - want))
 
 
+def near_half_turns(turn, v, n):
+    """Energies v + (j turn)**2, j = 1...n, where a cell of value v and width
+    pi / turn has w = j pi, each with the 4 floats either side, increasing."""
+    lam = v + (np.arange(1, n + 1) * turn) ** 2
+    return np.unique((lam.view(np.int64)[:, None] + np.arange(-4, 5)).view(float))
+
+
+def mp_zeros(mp, cells, lam):
+    """Zeros of the Dirichlet u on (0, x] over the float cells (h, v) at the
+    float energy lam in working precision, and the sine of u's modified
+    Pruefer angle at x.  An oscillating cell adds the multiples of pi its
+    angle passes, any other cell a sign change of u."""
+    lam, u, du, count = mp.mpf(float(lam)), mp.mpf(0), mp.mpf(1), 0
+    for h, v in cells:
+        h, k2 = mp.mpf(float(h)), mp.mpf(float(v)) - lam
+        om = mp.sqrt(abs(k2))
+        if k2 < 0:
+            count += int(mp.floor((mp.atan2(om * u, du) % mp.pi + om * h) / mp.pi))
+            c, s = mp.cos(om * h), mp.sin(om * h) / om
+        else:
+            c, s = mp.cosh(om * h), (mp.sinh(om * h) / om if om else h)
+        u0, (u, du) = u, (c * u + s * du, k2 * s * u + c * du)
+        count += k2 >= 0 and u0 != 0 and (u == 0 or (u > 0) != (u0 > 0))
+    om = om or 1
+    return count, float(om * abs(u) / mp.sqrt(du * du + om * om * u * u))
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 4.0])
+def test_free_counts_at_half_turns_match_40_digits(x):
+    # one Constant(0) cell of width x at (n pi / x)**2 and the 4 floats either
+    # side.  With x a power of two the cell's float w is fl(sqrt(lam)) x, within
+    # half an ulp of sqrt(lam) x, and the half-turn rule counts the zeros of
+    # sin on (0, w] exactly: those of the exact u wherever w is over an ulp
+    # from n pi
+    mp = pytest.importorskip("mpmath")
+    lams = near_half_turns(math.pi / x, 0.0, 199)
+    got = kernel_counts(P.Constant(0.0), x, lams)
+    w = np.sqrt(lams) * x
+    with mp.workdps(40):
+        own = [int(mp.floor(mp.mpf(float(v)) / mp.pi)) for v in w]
+        turns = [mp.sqrt(mp.mpf(float(lam))) * x / mp.pi for lam in lams]
+        want = np.array([int(mp.floor(t)) for t in turns])
+        far = np.array([abs(t - mp.nint(t)) * mp.pi > d for t, d in zip(turns, np.spacing(w))])
+    assert np.array_equal(got, own)
+    assert far.mean() > 0.4 and np.array_equal(got[far], want[far])
+
+
+@pytest.mark.parametrize("delta", [0.47, 1.3])
+def test_square_wave_counts_at_half_turns_match_40_digits(delta):
+    # PeriodicSquare(delta) where its +1 or its -1 cells turn by n pi: over 2,
+    # 10 and 11 half-periods, that is literal cells on the flat path, then a
+    # RepeatBlock of whole periods (the offset path and the Floquet count)
+    # and literal cells after it; the offset walk of all the cells spelled out
+    # as well.  Against the zeros of the exact u of the same float cells
+    # wherever u(x) is not zero to rounding
+    mp = pytest.importorskip("mpmath")
+    p = P.PeriodicSquare(delta)
+    lams = np.unique(np.concatenate(
+        [near_half_turns(math.pi / delta, v, 16) for v in (1.0, -1.0)]))
+    for x in (2 * delta, 10 * delta, 11 * delta):
+        cells = [(h, v) for block in P.segments(p, 0.0, x, 1e-3)
+                 for widths, values, n in patterns(block) for _ in range(n)
+                 for h, v in zip(widths, values)]
+        got = kernel_counts(p, x, lams)
+        offset = PR._walk(p, 0.0, x, lams, 1e-3, offset=True)[-1]
+        with mp.workdps(40):
+            want, sine = map(np.array, zip(*(mp_zeros(mp, cells, lam) for lam in lams)))
+        decided = sine > 1e-9
+        assert decided.mean() > 0.95
+        assert np.array_equal(got[decided], want[decided])
+        assert np.array_equal(offset[decided], want[decided])
+
+
 @pytest.mark.parametrize("p, x", [(P.OscillatingExample(), 300.0),
                                   (P.PeriodicSquare(0.47), 500.0)])
 def test_results_do_not_depend_on_the_chunking(p, x, monkeypatch):

@@ -199,8 +199,27 @@ def test_solution_nonvanishing_off_real_axis():
 # eigenvalue counting
 
 
+@pytest.mark.parametrize("p", [P.Decaying(1.0, 2.0), P.OscillatingExample(),
+                               P.PeriodicSquare(0.47), P.Random(5, 0.3, -1.0, 1.0)])
+def test_profile_repeats_are_the_deduplicated_rows(p):
+    # a repeated checkpoint walks no cells: its column is bit for bit that of
+    # the same checkpoint given once
+    zs = np.array([-1.0, 2.0 + 1.0j, 0.5])
+    xs = [0.94, 0.94, 3.0, 7.5, 7.5, 7.5, 12.0]
+    unique = sorted(set(xs))
+    got = PR.dirichlet_profile(p, xs, zs, step=0.02)
+    want = PR.dirichlet_profile(p, unique, zs, step=0.02)
+    col = [unique.index(x) for x in xs]
+    for name in ("u", "du", "log_scale"):
+        g, w = getattr(got, name), getattr(want, name)[:, col]
+        assert g.shape == w.shape
+        assert np.array_equal(*(np.ascontiguousarray(a).view(np.uint64) for a in (g, w)))
+
+
 def test_eigenvalue_count_free_examples():
-    assert PR.eigenvalue_count(FREE, math.pi, 1.0) == 1
+    # fl(pi) < pi and sin(fl(pi)) > 0: u = sin(x) has no zero in (0, fl(pi)]
+    assert PR.eigenvalue_count(FREE, math.pi, 1.0) == 0
+    assert PR.eigenvalue_count(FREE, 3.2, 1.0) == 1
     assert PR.eigenvalue_count(FREE, 10.0, -1.0) == 0
     assert PR.eigenvalue_count(FREE, 10.0, 4.0) == 6
 
