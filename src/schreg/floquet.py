@@ -106,19 +106,19 @@ def _hyperbolic(g, t, s, n):
     return U, W, (n - 1.0) * eta.real
 
 
-def _power(e, n, scaled=True):
-    """Elements of P**n (with s only if scaled) from the offsets e of the
-    patterns P, n >= 1 per column."""
+def _power(e, n):
+    """Elements of P**n, five rows (m, then k at a real energy, s at a complex
+    one), from the offsets e of the patterns P, n >= 1 per column."""
     real = e.dtype.kind != "c"
     s, t = e[4].real, e[5].real
-    out = np.empty((4 + scaled + real,) + t.shape, e.dtype)
+    out = np.empty((5,) + t.shape, e.dtype)
     r, D, g = _reflect(e, out[:4])
     if real:
         band = g < 0.0
-        U, W, grow = np.empty_like(g), np.empty_like(g), np.zeros_like(g)
+        U, W = np.empty_like(g), np.empty_like(g)
         gap = ~band
         if gap.any():
-            U[gap], W[gap], grow[gap] = _hyperbolic(g[gap], t[gap], s[gap], n[gap])
+            U[gap], W[gap] = _hyperbolic(g[gap], t[gap], s[gap], n[gap])[:2]
         gb, nb = g[band] / t[band], n[band]
         sh, ch = np.sqrt(-0.5 * gb), np.sqrt(1.0 + 0.5 * gb)
         # alpha/2 = arcsin(sh), from arccos to an absolute ulp and one Newton
@@ -147,8 +147,8 @@ def _power(e, n, scaled=True):
     scale = np.abs(D).max(axis=0)
     if real:
         scale[_negative(D[2], D[0])] *= -1.0
-        np.add(n * e[7], extra, out=out[-1])
+        np.add(n * e[7], extra, out=out[4])
+    else:
+        out[4] = s + grow + np.log(scale)
     D /= scale
-    if scaled:
-        out[4] = s + grow + np.log(np.abs(scale))
     return out

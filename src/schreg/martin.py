@@ -135,9 +135,11 @@ def check_window(lambda_window, E=None):
 
 
 def check_z_grid(z_grid, E):
-    """The z grid as a complex array; ValueError if a z lies closer than
-    0.1 to the spectrum E."""
+    """The z grid as a complex array; ValueError if a z is not finite or lies
+    closer than 0.1 to the spectrum E."""
     zs = np.asarray([complex(z) for z in z_grid])
+    if not np.isfinite(zs).all():
+        raise ValueError("z must be finite")
     for z in zs:
         if distance_to_set(E, z) < 0.1:
             raise ValueError(f"z={z} closer than 0.1 to the spectrum")
@@ -399,6 +401,8 @@ def martin_function(E, c, z):
     each equal to a scalar call's.  M is symmetric under conjugation."""
     c = _check_c(E, c)
     zs = np.asarray(z, dtype=complex)
+    if not np.isfinite(zs).all():
+        raise ValueError("z must be finite")
     x, y = zs.real.ravel(), np.abs(zs.imag.ravel())
     # the free set's Theta is sqrt(z - b0), whose Im is +0 on the axis here
     theta = _theta_gapped(E, c, x, y) if E.gaps else np.sqrt(x - E.b0 + 1j * y)

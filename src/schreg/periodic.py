@@ -51,8 +51,8 @@ class BandSpectrum(Record, eq=False):
 def _scan(p, period, lam, step):
     """Discriminant and band level at the real energies lam (a 1-d array),
     from one offset walk of the kernel over one period."""
-    if not period > 0:
-        raise ValueError("period must be positive")
+    if not 0 < period < np.inf:
+        raise ValueError("period must be positive and finite")
     propagation._check_step(step)
     e = propagation._walk(p, 0.0, float(period), lam, step, offset=True)
     r, _, g = _reflect(e)

@@ -18,10 +18,10 @@ det m = e**(-2 s).  At real energies the element also carries the lifted
 Pruefer angle a of the Dirichlet solution (u = r sin(theta), u' = r
 cos(theta), theta(0) = 0) as a = k*pi + t: t in [0, pi) is the angle of m's
 first column, and the integer k is the number of zeros of u in the stretch.
-A walk that only counts zeros reads k alone and carries no s.  A batch of
-elements is one array whose axis 0 holds m00, m01, m10 and m11, then s if
-scaled, then k at real energies: k is integer-valued float64, exact below
-2**53, and a complex batch carries s with imaginary part 0.
+A walk reads the zero count at a real energy and the log scale at a
+complex one, so a batch of elements is one array of five rows along axis
+0: m00, m01, m10 and m11, then k at real energies (integer-valued float64,
+exact below 2**53) and s at complex ones (imaginary part 0).
 
 Applying B after A lifts the angle by the rule
 
@@ -111,24 +111,19 @@ def _check_step(step):
 # the kernel: elements, their composition, the pairing tree, repeats
 
 
-def _parts(e):
-    """Views (m, s, k) of a batch; s is None unless scaled, k None off the real axis."""
-    real, m = e.dtype.kind != "c", e[:4].reshape(2, 2, *e.shape[1:])
-    return m, e[4] if len(e) - real > 4 else None, e[-1] if real else None
-
-
-def _cells(widths, values, z, scaled=True, offset=False):
-    """Cell elements (with s only if scaled), widths and values broadcast against
-    the energies z; with offset, the cells' offsets instead (see floquet).  At a
-    real z one half-turn rule gives sign and k: S = sin(w)/|kappa| is 0 only at
-    w = 0, so with neg = S < 0 the first column (the offset's sigma) is negated
-    where neg, and k = 2 floor((w - pi neg) / (2 pi) + 1/4) + neg, the integer of
-    neg's parity in (w/pi - 3/2, w/pi + 1/2], on an oscillating cell, else 0 (nan z too)."""
+def _cells(widths, values, z, offset=False):
+    """Cell elements, five rows (m, then k at a real z, s at a complex one), widths
+    and values broadcast against the energies z; with offset, the cells' offsets
+    instead, eight rows or six (see floquet).  At a real z one half-turn rule gives
+    sign and k: S = sin(w)/|kappa| is 0 only at w = 0, so with neg = S < 0 the first
+    column (the offset's sigma) is negated where neg, and k = 2 floor((w - pi neg) /
+    (2 pi) + 1/4) + neg, the integer of neg's parity in (w/pi - 3/2, w/pi + 1/2], on
+    an oscillating cell, else 0 (nan z too)."""
     h = np.asarray(widths, dtype=float)
     kap2 = values - z
     real = z.dtype.kind != "c"
     w = np.sqrt(np.abs(kap2) if real else kap2) * h
-    e = np.empty((4 + scaled + real + offset * (1 + real),) + w.shape, w.dtype)
+    e = np.empty((5 + offset * (1 + 2 * real),) + w.shape, w.dtype)
     m = e[:4].reshape(2, 2, *w.shape)
     C, S = m[0, 0], m[1, 0]
     if real:
@@ -188,7 +183,7 @@ def _cells(widths, values, z, scaled=True, offset=False):
         m[:, 0] *= sign
     np.multiply(kap2, S, out=m[0, 1])
     m[1, 1] = C
-    if scaled:
+    if offset or not real:
         e[4] = rho
     return e
 
@@ -196,14 +191,13 @@ def _cells(widths, values, z, scaled=True, offset=False):
 def _compose(b, a):
     """Elements of applying a, then b."""
     e = np.empty_like(a)
-    m, s, k = _parts(e)
+    m = e[:4].reshape(2, 2, *e.shape[1:])
     # m[i, j] = b[i, 0] a[0, j] + b[i, 1] a[1, j], read off the rows m00, m01, m10, m11
     np.multiply(b[0:4:2, None], a[None, 0:2], out=m)
     m += b[1:4:2, None] * a[None, 2:4]
     scale = np.abs(m).max(axis=(0, 1))
-    if s is not None:
-        np.add(b[4] + a[4], np.log(scale), out=s)
-    if k is None:
+    if e.dtype.kind == "c":
+        np.add(b[4] + a[4], np.log(scale), out=e[4])
         np.divide(m, scale, out=m)
         return e
     # the first columns of a and b lie in the upper half plane; the
@@ -211,7 +205,7 @@ def _compose(b, a):
     # and is then negated back into it
     neg = _negative(m[1, 0], m[0, 0])
     m *= np.where(neg, -1.0, 1.0) / scale
-    np.add(a[-1] + b[-1], neg, out=k)
+    np.add(a[4] + b[4], neg, out=e[4])
     return e
 
 
@@ -228,20 +222,22 @@ def _apply(e, state=None, compose=_compose):
     return e[:, 0] if state is None else compose(e[:, 0], state)
 
 
-def _repeat(widths, values, z, counts, scaled=True):
+def _repeat(widths, values, z, counts):
     """Elements of each pattern raised to its count, indexed [row, pattern,
     energy]: a pattern's cells run along axis 0 of widths and values, the
     patterns along axis 1.  The cells are dropped once folded."""
     cells = _cells(widths[:, :, None], values[:, :, None], z, offset=True)
     pattern = _apply(cells.reshape(len(cells), len(widths), -1), compose=_fold)
     del cells
-    power = _power(pattern, np.repeat(counts, len(z)), scaled)
+    power = _power(pattern, np.repeat(counts, len(z)))
     return power.reshape(len(power), len(counts), len(z))
 
 
-def _walk(p, x0, x1, z, step, state=None, scaled=True, offset=False):
+def _walk(p, x0, x1, z, step, state=None, offset=False):
     """Fold the cells of [x0, x1) at the energies z (their offsets if offset, a
-    repeat's copies spelled out) into state, a chunk at a time; s only if scaled."""
+    repeat's copies spelled out) into state, a chunk at a time."""
+    if not len(z):
+        raise ValueError("energies must be nonempty")
     for block in potentials.segments(p, x0, x1, step):
         w, v, repeat = block.widths, block.values, isinstance(block, potentials.RepeatBlock)
         if repeat and offset:
@@ -250,11 +246,11 @@ def _walk(p, x0, x1, z, step, state=None, scaled=True, offset=False):
             n, size = block.counts, max(1, _CHUNK // (len(z) * len(w)))
             for lo in range(0, len(n), size):
                 chunk = slice(lo, lo + size)
-                state = _apply(_repeat(w[:, chunk], v[:, chunk], z, n[chunk], scaled), state)
+                state = _apply(_repeat(w[:, chunk], v[:, chunk], z, n[chunk]), state)
             continue
         size = max(1, _CHUNK // len(z))
         for lo in range(0, len(w), size):
-            cells = _cells(w[lo:lo + size, None], v[lo:lo + size, None], z, scaled, offset)
+            cells = _cells(w[lo:lo + size, None], v[lo:lo + size, None], z, offset)
             state = _apply(cells, state, _fold if offset else _compose)
     return state
 
@@ -273,20 +269,20 @@ def _spectral_norm(m):
 def transfer_matrix(p, x, z, step=1e-3):
     """Scaled transfer matrix of [0, x] at spectral parameter z.
 
-    x must be positive.  Columns propagate (u', u) initial data; the first
-    column is the Dirichlet solution (u(0)=0, u'(0)=1), the second has
-    u(0)=1, u'(0)=0.  The mantissa is normalized to unit spectral norm.  An
-    array of energies shares one pass: m is then indexed [i, j, *z.shape]
+    x must be positive and finite.  Columns propagate (u', u) initial data;
+    the first column is the Dirichlet solution (u(0)=0, u'(0)=1), the second
+    has u(0)=1, u'(0)=0.  The mantissa is normalized to unit spectral norm.
+    An array of energies shares one pass: m is then indexed [i, j, *z.shape]
     and log_scale is an array of z's shape.
     """
     _check_step(step)
-    if not x > 0:
-        raise ValueError("x must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     zs = np.asarray(z, dtype=complex)
-    m, s, _ = _parts(_walk(p, 0.0, float(x), zs.reshape(-1), step))
-    nrm = _spectral_norm(m)
-    m = (m / nrm).reshape(2, 2, *zs.shape)
-    s = (s.real + np.log(nrm)).reshape(zs.shape)
+    e = _walk(p, 0.0, float(x), zs.reshape(-1), step)
+    nrm = _spectral_norm(e[:4].reshape(2, 2, -1))
+    m = (e[:4] / nrm).reshape(2, 2, *zs.shape)
+    s = (e[4].real + np.log(nrm)).reshape(zs.shape)
     return ScaledTransferMatrix(m, float(s) if zs.ndim == 0 else s)
 
 
@@ -305,13 +301,13 @@ def log_growth(p, x, z, step=1e-3):
 def dirichlet_profile(p, x_list, z_list, step=1e-3):
     """Dirichlet data at every (z, x) in one pass over the checkpoints.
 
-    x_list must be positive and nondecreasing.  Returns a SolutionSample whose
-    fields are arrays indexed [z, x]; all energies share the pass.
+    x_list must be finite, positive and nondecreasing.  Returns a SolutionSample
+    whose fields are arrays indexed [z, x]; all energies share the pass.
     """
     _check_step(step)
     xs = np.asarray(x_list, dtype=float)
-    if not (xs.size and np.all(xs > 0) and np.all(np.diff(xs) >= 0)):
-        raise ValueError("checkpoints must be nonempty, positive and increasing or repeated")
+    if not (xs.size and np.all((xs > 0) & (xs < np.inf)) and np.all(np.diff(xs) >= 0)):
+        raise ValueError("checkpoints must be nonempty, finite, positive, increasing or repeated")
     zs = np.asarray(z_list, dtype=complex)
     rows, state = [], None
     for x0, x1 in zip([0.0, *xs], xs):
@@ -328,13 +324,12 @@ def dirichlet_profile(p, x_list, z_list, step=1e-3):
 def _counts(p, x, lams, step):
     """Dirichlet zero counts on (0, x] at finite energies, a chunk at a time."""
     _check_step(step)
-    if not x > 0:
-        raise ValueError("x must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     if not np.isfinite(lams).all():
         raise ValueError("energies must be finite")
-    return np.concatenate([
-        _parts(_walk(p, 0.0, x, lams[lo:lo + _CHUNK], step, scaled=False))[2]
-        for lo in range(0, len(lams), _CHUNK)])
+    return np.concatenate([_walk(p, 0.0, x, lams[lo:lo + _CHUNK], step)[4]
+                           for lo in range(0, len(lams), _CHUNK)])
 
 
 def eigenvalue_count(p, x, lam, step=1e-3):

@@ -199,7 +199,8 @@ def test_repeat_power_equals_tiled_product():
 
 class Elements:
     """The oracle's batch of elements: m[i, j] is an array over the batch,
-    as are s and k; k (the integer part of a / pi) is None off the real axis."""
+    as are s and k; k (the integer part of a / pi) is None off the real axis.
+    Unlike the kernel it carries s at real energies too."""
 
     def __init__(self, m, s, k):
         self.m, self.s, self.k = m, s, k
@@ -214,10 +215,19 @@ class Elements:
                         None if self.k is None else self.k.reshape(shape))
 
 
+def rows(e):
+    """Views (m, r) of a kernel batch: r, its fifth row, is k at real
+    energies and s at complex ones."""
+    return e[:4].reshape(2, 2, *e.shape[1:]), e[4]
+
+
 def record(e):
-    """The oracle's record of a kernel batch e, with s real."""
-    m, s, k = PR._parts(e)
-    return Elements(m, s.real, k)
+    """The oracle's record of a kernel batch e, with s real; a real batch
+    carries no s, so its record's is 0."""
+    m, r = rows(e)
+    if e.dtype.kind == "c":
+        return Elements(m, r.real, None)
+    return Elements(m, np.zeros(r.shape), r)
 
 
 def ref_cells(widths, values, z):
@@ -261,6 +271,17 @@ def ref_compose(b, a):
     return Elements(m * (turn / scale), s, a.k + b.k + (turn < 0))
 
 
+def ref_tree(el):
+    """The units along el's first batch axis applied first to last, paired
+    level by level as the kernel pairs them (an unpaired last unit is carried
+    up)."""
+    units = [el.take((i,)) for i in range(len(el.s))]
+    while len(units) > 1:
+        n = len(units) // 2 * 2
+        units = [ref_compose(b, a) for a, b in zip(units[0:n:2], units[1:n:2])] + units[n:]
+    return units[0]
+
+
 def ref_select(mask, new, old):
     return Elements(np.where(mask, new.m, old.m), np.where(mask, new.s, old.s),
                     None if new.k is None else np.where(mask, new.k, old.k))
@@ -296,25 +317,22 @@ def bits(x):
     return (x.view(np.float64) if x.dtype.kind == "c" else x).view(np.uint64)
 
 
-def assert_same(got, ref, scaled=True):
-    """The kernel batch got equals ref bit for bit; unless scaled, got
-    carries no log scale.  A complex batch carries s with imaginary part 0,
-    and counts are integral float64."""
-    m, s, k = PR._parts(got)
-    if scaled:
-        if s.dtype.kind == "c":
-            assert not bits(s.imag).any()
-            s = s.real
-    else:
-        assert s is None
-    for g, r in ((m, ref.m), (s, ref.s))[:1 + scaled]:
-        assert g.dtype == r.dtype and g.shape == r.shape
-        assert np.array_equal(bits(g), bits(r))
+def assert_same(got, ref):
+    """The kernel batch got has five rows and equals ref bit for bit: in m
+    and k at real energies, where it carries no s, and in m and s at complex
+    ones, where s has imaginary part 0.  Counts are integral float64."""
+    assert len(got) == 5
+    m, r = rows(got)
     if ref.k is None:
-        assert k is None
+        assert not bits(r.imag).any()
+        pairs = ((m, ref.m), (r.real, ref.s))
     else:
-        assert k.dtype == ref.k.dtype == np.float64 and np.array_equal(k, ref.k)
-        assert np.array_equal(k, np.floor(k))
+        pairs = ((m, ref.m),)
+        assert r.dtype == ref.k.dtype == np.float64 and np.array_equal(r, ref.k)
+        assert np.array_equal(r, np.floor(r))
+    for g, want in pairs:
+        assert g.dtype == want.dtype and g.shape == want.shape
+        assert np.array_equal(bits(g), bits(want))
 
 
 def kernel_cases():
@@ -344,18 +362,22 @@ def kernel_cases():
     ]
 
 
-@pytest.mark.parametrize("scaled", [True, False])
+@pytest.mark.parametrize("tree", [True, False])
 @pytest.mark.parametrize("case", range(11))
-def test_cells_and_products_are_bitwise_the_reference(case, scaled):
+def test_cells_and_products_are_bitwise_the_reference(case, tree):
+    # the cells' product one cell after another, or as _apply pairs them
     h, v, z = kernel_cases()[case]
-    cells, ref = PR._cells(h, v, z, scaled), ref_cells(h, v, z)
-    assert_same(cells, ref, scaled)
+    cells, ref = PR._cells(h, v, z), ref_cells(h, v, z)
+    assert_same(cells, ref)
     flat, ref = cells.reshape(len(cells), h.shape[0], -1), ref.reshape((h.shape[0], -1))
+    if tree:
+        assert_same(PR._apply(flat), ref_tree(ref))
+        return
     state, ref_state = flat[:, 0], ref.take((0,))
     for i in range(1, h.shape[0]):
         state = PR._compose(flat[:, i], state)
         ref_state = ref_compose(ref.take((i,)), ref_state)
-        assert_same(state, ref_state, scaled)
+        assert_same(state, ref_state)
 
 
 def test_compose_turn_on_the_axis_and_at_nan():
@@ -363,14 +385,44 @@ def test_compose_turn_on_the_axis_and_at_nan():
     # (nan, 1) and (1, nan), and the identity's 0 * nan makes u nan in the
     # last two products; u == 0 counts as in the upper half plane only with
     # u' > 0, and a nan angle counts as having left it
-    # (a batch's rows are m00, m01, m10, m11, s and k)
+    # (a real batch's rows are m00, m01, m10, m11 and k)
     e, nan = np.ones(6), np.nan
     a = np.array([[1.0, -1.0, 0.0, -0.5, nan, 1.0], e,
-                  [0.0, 0.0, 0.0, -0.0, 1.0, nan], e, 0 * e, np.arange(6.0)])
-    one = np.array([e, 0 * e, 0 * e, e, 0 * e, 0 * e])
+                  [0.0, 0.0, 0.0, -0.0, 1.0, nan], e, np.arange(6.0)])
+    one = np.array([e, 0 * e, 0 * e, e, 0 * e])
     got = PR._compose(one, a)
     assert_same(got, ref_compose(record(one), record(a)))
-    assert PR._parts(got)[2].tolist() == [0, 2, 3, 4, 5, 6]
+    assert got[4].tolist() == [0, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("z", [np.array([-2.0, 0.4, 3.0, 12.0]),
+                               np.array([-2.0 + 1j, 3.0 - 0.5j, 12.0 + 1e-9j])],
+                         ids=["real", "complex"])
+def test_every_batch_has_five_rows_and_offsets_eight_or_six(z):
+    # a flat batch holds m, then k at a real energy and s at a complex one;
+    # an offset batch holds D, s and t, then sigma and k at a real energy
+    real = z.dtype.kind == "f"
+    h, v = np.array([[0.3], [0.45], [0.2]]), np.array([[1.0], [-1.0], [2.5]])
+    p = P.PeriodicSquare(0.75)   # [0, 15) is one RepeatBlock of 10 periods
+    cells = PR._cells(h, v, z)
+    batches = [cells, PR._compose(cells[:, 1], cells[:, 0]), PR._apply(cells),
+               PR._repeat(h, v, z, np.array([7.0]))[:, 0], PR._walk(p, 0.0, 15.0, z, 0.02),
+               PR._walk(p, 0.0, 16.0, z, 0.02)]
+    for e in batches:
+        assert len(e) == 5 and e.shape[-1] == z.size and e.dtype == z.dtype
+        if real:
+            assert np.array_equal(e[4], np.floor(e[4]))
+        else:
+            assert not bits(e[4].imag).any()
+    offsets = [PR._cells(h, v, z, offset=True), PR._walk(p, 0.0, 16.0, z, 0.02, offset=True)]
+    for e in offsets:
+        assert e.shape[0] == (8 if real else 6) and e.dtype == z.dtype
+        assert not bits(e[4:6].imag).any() and np.all(e[5].real > 0.0)
+        if real:
+            assert np.all(np.abs(e[6]) == 1.0)
+    # the offset walk's zero counts are the flat walk's
+    if real:
+        assert np.array_equal(offsets[1][7], batches[-1][4])
 
 
 # The closed-form power rounds differently from binary powering, so against
@@ -390,23 +442,21 @@ POWER_TOL = 2e-11
 def test_power_is_bitwise_the_reference(counts, z):
     # the closed form against the binary powers of the same cells, from the
     # low bit up (ref_power) and from the high bit down: counts bitwise,
-    # mantissas and log scales within POWER_TOL
+    # mantissas and (at complex energies) log scales within POWER_TOL
     h = np.array([[0.3], [0.45], [0.2]])
     v = np.array([[1.0], [-1.0], [2.5]])
     v = v * [1.0, 0.5, 2.0, -1.0, 0.0, 3.0]
     n = np.repeat(np.array(counts), len(z))
     el = record(PR._apply(PR._cells(h[:, :, None], v[:, :, None], z).reshape(-1, 3, n.size)))
     got = PR._repeat(h, v, z, np.array(counts, dtype=float)).reshape(-1, n.size)
-    m, s, k = PR._parts(got)
+    m, r = rows(got)
     for ref in (ref_power(el, n), ref_power_top_down(el, n)):
-        if ref.k is not None:
-            assert k.dtype == np.float64 and np.array_equal(k, ref.k)
+        if ref.k is None:
+            assert not bits(r.imag).any()
+            assert np.all(np.abs(r.real - ref.s) <= POWER_TOL * np.maximum(1.0, np.abs(ref.s)))
+        else:
+            assert r.dtype == np.float64 and np.array_equal(r, ref.k)
         assert np.abs(m - ref.m).max() <= POWER_TOL
-        assert np.all(np.abs(s.real - ref.s) <= POWER_TOL * np.maximum(1.0, np.abs(ref.s)))
-    if z.dtype.kind == "f":
-        # a walk that only counts takes the same path without the log scale
-        bare = PR._repeat(h, v, z, np.array(counts, dtype=float), scaled=False)
-        assert_same(bare.reshape(-1, n.size), record(got), scaled=False)
 
 
 def test_power_counts_at_exact_edges():
@@ -422,14 +472,13 @@ def test_power_counts_at_exact_edges():
     sigma = np.where((mats[2] > 0) | ((mats[2] == 0) & (mats[0] > 0)), 1.0, -1.0)
     scale = np.abs(mats).max(axis=0)
     offset = np.concatenate([mats - [[1.0], [0.0], [0.0], [1.0]], [np.zeros(6), np.ones(6), sigma, k_p]])
-    regular = np.concatenate([sigma * mats / scale, [np.log(scale), k_p]])
+    regular = np.concatenate([sigma * mats / scale, [k_p]])
     for n in counts:
         got = F._power(offset, np.full(6, float(n)))
         ref = ref_power(record(regular), np.full(6, n))
-        m, s, k = PR._parts(got)
+        m, k = rows(got)
         assert np.array_equal(k, ref.k), n
         assert np.abs(m - ref.m).max() <= 1e-15
-        assert np.all(np.abs(s - ref.s) <= 1e-14 * np.maximum(1.0, np.abs(ref.s)))
 
 
 def band_edge_energies(delta):
@@ -446,7 +495,7 @@ def walked_counts(el, n):
     state = el
     for _ in range(n - 1):
         state = PR._compose(el, state)
-    return PR._parts(state)[2]
+    return state[4]
 
 
 def test_power_counts_at_band_edges():
@@ -456,29 +505,26 @@ def test_power_counts_at_band_edges():
     for delta in (0.75, 0.45, 5.0):
         lams = band_edge_energies(delta)
         h, v = np.array([[delta], [delta]]), np.array([[1.0], [-1.0]])
-        el, bare = (PR._apply(PR._cells(h[:, :, None], v[:, :, None], lams, scaled)
-                              .reshape(-1, 2, lams.size)) for scaled in (True, False))
+        el = PR._apply(PR._cells(h[:, :, None], v[:, :, None], lams).reshape(-1, 2, lams.size))
         for n in [*rng.integers(2, 1000, 2), 1000]:
-            got = PR._repeat(h, v, lams, np.array([float(n)]), scaled=False)
-            k = PR._parts(got.reshape(-1, lams.size))[2]
+            k = PR._repeat(h, v, lams, np.array([float(n)]))[4, 0]
             assert np.array_equal(k, ref_power(record(el), np.full(lams.size, n)).k)
-            assert np.array_equal(k, walked_counts(bare, n))
+            assert np.array_equal(k, walked_counts(el, n))
         # at 1e5 periods binary powering is no oracle: it differs from the
         # walk at 19 of these energies, the closed form at none.  Where the
         # two powers agree they match or miss the walk together, so only
         # the energies where they differ are walked
         n = 10 ** 5
-        got = PR._repeat(h, v, lams, np.array([float(n)]), scaled=False)
-        k = PR._parts(got.reshape(-1, lams.size))[2]
+        k = PR._repeat(h, v, lams, np.array([float(n)]))[4, 0]
         k_ref = ref_power(record(el), np.full(lams.size, n)).k
         split = k != k_ref
         if split.any():
-            walked = walked_counts(bare[:, split], n)
+            walked = walked_counts(el[:, split], n)
             assert np.sum(k[split] != walked) <= np.sum(k_ref[split] != walked)
 
 
 def ref_walk(p, x, z):
-    """Scaled Dirichlet element of [0, x] from ref_power, block after block."""
+    """Dirichlet element of [0, x] from ref_power, block after block."""
     state = None
     for block in P.segments(p, 0.0, x, 0.02):
         for widths, values, n in patterns(block):
@@ -501,15 +547,13 @@ def test_long_and_deep_repeats_stay_finite(p, x, z):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = PR._walk(p, 0.0, x, z, 0.02)
-        if z.dtype.kind == "f":
-            assert np.array_equal(PR._parts(PR._walk(p, 0.0, x, z, 0.02, scaled=False))[2],
-                                  PR._parts(got)[2])
     ref = ref_walk(p, x, z)
-    m, s, k = PR._parts(got)
-    assert np.isfinite(m).all() and np.isfinite(s).all()
-    assert np.all(np.abs(s.real - ref.s) <= 1e-12 * np.abs(ref.s))
-    if ref.k is not None:
-        assert np.array_equal(k, ref.k)
+    m, r = rows(got)
+    assert np.isfinite(m).all() and np.isfinite(r).all()
+    if ref.k is None:
+        assert np.all(np.abs(r.real - ref.s) <= 1e-12 * np.abs(ref.s))
+    else:
+        assert np.array_equal(r, ref.k)
 
 
 def test_repeat_products_match_a_40_digit_product():

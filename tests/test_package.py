@@ -125,6 +125,27 @@ def _input_checks():
         ("eigenvalue_count_x", lambda: PR.eigenvalue_count(free, 0.0, 1.0), ValueError, "positive"),
         ("transfer_matrix_at_0", lambda: PR.transfer_matrix(free, 0.0, -1.0), ValueError,
          "positive"),
+        ("transfer_matrix_at_inf", lambda: PR.transfer_matrix(free, math.inf, -1.0), ValueError,
+         "finite"),
+        ("repeat_transfer_matrix_at_inf", lambda: PR.transfer_matrix(wave, math.inf, -1.0),
+         ValueError, "finite"),
+        ("cdf_at_inf", lambda: PR.zero_counting_cdf(free, math.inf, [1.0]), ValueError, "finite"),
+        ("eigenvalue_count_at_inf", lambda: PR.eigenvalue_count(free, math.inf, 1.0), ValueError,
+         "finite"),
+        ("profile_at_inf", lambda: PR.dirichlet_profile(free, [1.0, math.inf], [-1.0]),
+         ValueError, "finite"),
+        ("band_period_inf", lambda: PE.band_spectrum(wave, math.inf, (-2.0, 3.0)), ValueError,
+         "finite"),
+        ("transfer_matrix_no_energies", lambda: PR.transfer_matrix(free, 1.0, []), ValueError,
+         "nonempty"),
+        ("profile_no_energies", lambda: PR.dirichlet_profile(free, [1.0], []), ValueError,
+         "nonempty"),
+        ("discriminant_no_energies", lambda: PE.discriminant(wave, 1.0, []), ValueError,
+         "nonempty"),
+        ("martin_function_nan", lambda: M.martin_function(one_gap, (1.5,), math.nan), ValueError,
+         "finite"),
+        ("z_grid_nan", lambda: M.check_z_grid([complex(math.nan, 1.0)], one_gap), ValueError,
+         "finite"),
     ]
 
 
