@@ -108,9 +108,9 @@ def _hyperbolic(g, t, s, n):
 
 def _power(e, n):
     """Elements of P**n, five rows (m, then k at a real energy, s at a complex
-    one), from the offsets e of the patterns P, n >= 1 per column."""
+    one), from the offsets e of the patterns P and counts n >= 1 (broadcast)."""
     real = e.dtype.kind != "c"
-    s, t = e[4].real, e[5].real
+    s, t, n = e[4].real, e[5].real, np.broadcast_to(n, e[4].shape)
     out = np.empty((5,) + t.shape, e.dtype)
     r, D, g = _reflect(e, out[:4])
     if real:

@@ -113,8 +113,10 @@ class MartinEvaluation(Record):
 
 
 def distance_to_set(E, z):
-    """Euclidean distance from z to the set E."""
+    """Euclidean distance from z to the set E; ValueError if z is not finite."""
     z = complex(z)
+    if not np.isfinite(z):
+        raise ValueError("z must be finite")
     x, y = z.real, abs(z.imag)
     if x <= E.b0:
         return abs(z - E.b0)
@@ -138,8 +140,6 @@ def check_z_grid(z_grid, E):
     """The z grid as a complex array; ValueError if a z is not finite or lies
     closer than 0.1 to the spectrum E."""
     zs = np.asarray([complex(z) for z in z_grid])
-    if not np.isfinite(zs).all():
-        raise ValueError("z must be finite")
     for z in zs:
         if distance_to_set(E, z) < 0.1:
             raise ValueError(f"z={z} closer than 0.1 to the spectrum")

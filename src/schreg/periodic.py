@@ -1,25 +1,28 @@
 """Band structure of periodic potentials through exact band levels.
 
 For a potential of period T the discriminant Delta is the trace of the
-transfer matrix P over [0, T]; the bands are where |Delta| <= 2.  One walk
-of the kernel in offset form over a period (see floquet) gives Delta = e**s
-(tr D + 2t), floquet's band test (r = sign Delta, g < 0 in a band), the
-period's Dirichlet zero count k and the sign sigma that puts P's first
-column in the upper half plane.  A closed gap holds one Dirichlet eigenvalue
-of the period (Magnus & Winkler 1966; Eastham 1973), so band n (from 1) has
-k = n - 1 and the level 2n - 1, and gap j (gap 0 lies below the spectrum)
-has k = j - 1 or j, sign Delta = (-1)**j, so j = k + [sigma != r], and the
-level 2j.  The level never decreases with the energy, so each boundary
-between levels, however narrow its gap or band, is bracketed by the scan
-samples where the level passes it.  All brackets are cut into 32 together,
-one batched walk per round, until each is within 4e-16 times its larger
-starting |end| or no float splits it.  Touching bands (a closed gap) merge.
+transfer matrix P over [0, T]; the bands are where |Delta| <= 2.  One offset
+fold of the period's cells (see floquet) gives Delta = e**s (tr D + 2t),
+floquet's band test (r = sign Delta, g < 0 in a band), the period's
+Dirichlet zero count k and the sign sigma that puts P's first column in the
+upper half plane.  A closed gap holds one Dirichlet eigenvalue of the period
+(Magnus & Winkler 1966; Eastham 1973), so band n (from 1) has k = n - 1 and
+the level 2n - 1, and gap j (gap 0 lies below the spectrum) has k = j - 1
+or j, sign Delta = (-1)**j, so j = k + [sigma != r], and the level 2j.  The
+level never decreases with the energy, so each boundary between levels,
+however narrow its gap or band, is bracketed by the scan samples where the
+level passes it.  All brackets are cut into 32 together, one batched scan
+per round, until each is within 4e-16 times its larger starting |end| or no
+float splits it.  Touching bands (a closed gap) merge.  A period of m
+copies of one pattern P has P's bands, the gaps inside them closed: the
+scan folds P alone and takes P's level, with Delta = 2 T_m(Delta_P / 2),
+T_m the Chebyshev polynomial of the first kind.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import propagation
+from . import potentials, propagation
 from .floquet import _reflect
 from .martin import GapSet, _section
 from .record import Record
@@ -36,9 +39,9 @@ class BandSpectrum(Record, eq=False):
     """Bands of a periodic operator inside a scan window.
 
     `bands` are closed intervals (clipped to the window); `lam`, `delta`
-    and `level` (integer-valued float64) keep the scan samples that
-    produced them.  `level[0]` is 0 exactly when the window starts below
-    the spectrum.
+    and `level` (integer-valued float64, the pattern's for m copies of one)
+    keep the scan samples that produced them.  `level[0]` is 0 exactly when
+    the window starts below the spectrum.
     """
 
     period: float
@@ -49,15 +52,26 @@ class BandSpectrum(Record, eq=False):
 
 
 def _scan(p, period, lam, step):
-    """Discriminant and band level at the real energies lam (a 1-d array),
-    from one offset walk of the kernel over one period."""
+    """Discriminant and band level at the real energies lam (a 1-d array), from
+    one offset fold of the period's cells, or of its pattern if it is m copies."""
     if not 0 < period < np.inf:
         raise ValueError("period must be positive and finite")
     propagation._check_step(step)
-    e = propagation._walk(p, 0.0, float(period), lam, step, offset=True)
+    blocks, e, m = list(potentials.segments(p, 0.0, float(period), step)), None, 1
+    for b in blocks:
+        w, v = b.widths, b.values
+        if isinstance(b, potentials.RepeatBlock) and len(blocks) == len(b.counts) == 1:
+            w, v, m = w[:, 0], v[:, 0], b.counts[0]
+        elif isinstance(b, potentials.RepeatBlock):   # each copy spelled out
+            w, v = (np.repeat(a, b.counts.astype(int), axis=1).ravel("F") for a in (w, v))
+        e = propagation._offsets(w, v, lam, e)
     r, _, g = _reflect(e)
     level = np.where(g < 0.0, 2 * e[7] + 1, 2 * (e[7] + (e[6] != r)))
-    return np.exp(e[4]) * (e[0] + e[3] + 2.0 * e[5]), level
+    delta = np.exp(e[4]) * (e[0] + e[3] + 2.0 * e[5])
+    if m > 1:   # 2 T_m(Delta / 2), overflowing deep in a gap as e**s does
+        with np.errstate(over="ignore"):
+            delta = 2.0 * np.cos(m * np.arccos(0.5 * delta + 0j)).real
+    return delta, level
 
 
 def discriminant(p, period, lam, step=1e-3):

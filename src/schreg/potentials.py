@@ -313,6 +313,7 @@ class PeriodicSquare(Record):
     def _cells(self, x0, x1, step):
         P = 2.0 * self.delta
         m0, m1 = math.ceil(x0 / P), math.floor(x1 / P)
+        m1 += (m1 + 1) * P <= x1   # x1 / P may round below a whole count
         if m1 <= m0:
             yield _wave_cells(self.delta, 0.0, x0, x1)
             return

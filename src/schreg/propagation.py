@@ -42,9 +42,10 @@ covers the stretch, which is then applied to the running state.  Only
 associativity is used, no conditioning of the operands, and the counts are
 integers free of step error for step potentials.  Each pattern P of a
 RepeatBlock run costs O(1) at every energy, whatever its count n: P**n and
-its zero count are in closed form (see floquet).  Work is batched in
-chunks of at most _CHUNK cell-energies (one pattern at least), which
-bounds memory.
+its zero count are in closed form (see floquet) from P's offsets, folded
+by _offsets as a period's are for its band scan.  Work is batched in
+chunks of at most _CHUNK cell-energies (one cell at least), which bounds
+memory.
 """
 from __future__ import annotations
 
@@ -222,36 +223,33 @@ def _apply(e, state=None, compose=_compose):
     return e[:, 0] if state is None else compose(e[:, 0], state)
 
 
-def _repeat(widths, values, z, counts):
-    """Elements of each pattern raised to its count, indexed [row, pattern,
-    energy]: a pattern's cells run along axis 0 of widths and values, the
-    patterns along axis 1.  The cells are dropped once folded."""
-    cells = _cells(widths[:, :, None], values[:, :, None], z, offset=True)
-    pattern = _apply(cells.reshape(len(cells), len(widths), -1), compose=_fold)
-    del cells
-    power = _power(pattern, np.repeat(counts, len(z)))
-    return power.reshape(len(power), len(counts), len(z))
+def _offsets(widths, values, z, state=None):
+    """Fold the offsets of the cells along axis 0 of widths and values into the
+    offsets state, indexed [row, *widths.shape[1:], energy], a chunk at a time."""
+    if not len(z):
+        raise ValueError("energies must be nonempty")
+    size = max(1, _CHUNK // (len(z) * math.prod(widths.shape[1:])))
+    for lo in range(0, len(widths), size):
+        chunk = (slice(lo, lo + size), ..., None)
+        state = _apply(_cells(widths[chunk], values[chunk], z, offset=True), state, _fold)
+    return state
 
 
-def _walk(p, x0, x1, z, step, state=None, offset=False):
-    """Fold the cells of [x0, x1) at the energies z (their offsets if offset, a
-    repeat's copies spelled out) into state, a chunk at a time."""
+def _walk(p, x0, x1, z, step, state=None):
+    """Fold the cells of [x0, x1) at the energies z into state, a chunk at a time."""
     if not len(z):
         raise ValueError("energies must be nonempty")
     for block in potentials.segments(p, x0, x1, step):
-        w, v, repeat = block.widths, block.values, isinstance(block, potentials.RepeatBlock)
-        if repeat and offset:
-            w, v = (np.repeat(a, block.counts.astype(int), axis=1).ravel("F") for a in (w, v))
-        elif repeat:
+        w, v = block.widths, block.values
+        if isinstance(block, potentials.RepeatBlock):
             n, size = block.counts, max(1, _CHUNK // (len(z) * len(w)))
             for lo in range(0, len(n), size):
                 chunk = slice(lo, lo + size)
-                state = _apply(_repeat(w[:, chunk], v[:, chunk], z, n[chunk]), state)
+                state = _apply(_power(_offsets(w[:, chunk], v[:, chunk], z), n[chunk, None]), state)
             continue
         size = max(1, _CHUNK // len(z))
         for lo in range(0, len(w), size):
-            cells = _cells(w[lo:lo + size, None], v[lo:lo + size, None], z, offset)
-            state = _apply(cells, state, _fold if offset else _compose)
+            state = _apply(_cells(w[lo:lo + size, None], v[lo:lo + size, None], z), state)
     return state
 
 

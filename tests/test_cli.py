@@ -80,6 +80,24 @@ def test_bands_first_edge_matches_lowest_eigenvalue(tmp_path):
     assert len(rows) == 1024
 
 
+def test_bands_of_two_periods_feed_martin(tmp_path):
+    # a period of two square-wave periods has the one period's gap set; the
+    # doubled period's closed gaps once came out as gaps 1e-16 wide, on
+    # which the critical-point solve failed
+    gap_sets = []
+    for period in (10.0, 20.0):
+        config = {"command": "bands", "potential": {"variant": "periodic_square", "delta": 5.0},
+                  "params": {"period": period, "lambda_window": [-2.0, 60.0],
+                             "resolution": 512}}
+        assert cli.run(config, out_dir=str(tmp_path / str(period))) == 0
+        gap_sets.append(read_json(tmp_path / str(period) / "bands.json")["gap_set"])
+    E = gap_sets[1]
+    assert E == gap_sets[0]
+    config = {"command": "martin", "spectrum": E,
+              "params": {"z_grid": [[E["b0"] - 1.0, 0.0], [10.0, 1.0]]}}
+    assert cli.run(config, out_dir=str(tmp_path / "martin")) == 0
+
+
 def test_bands_window_inside_spectrum_has_no_bottom(tmp_path):
     config = {
         "command": "bands",

@@ -72,6 +72,18 @@ def kernel_counts(p, x, lams, step=0.02):
     return np.rint(PR.zero_counting_cdf(p, x, lams, step=step).cdf * x).astype(np.int64)
 
 
+def repeat(h, v, z, counts):
+    """Elements of each pattern (a column of h and v) to its count, [row, pattern, energy]."""
+    return F._power(PR._offsets(h, v, z), counts[:, None])
+
+
+def spelled_cells(p, x, step):
+    """The (width, value) cells of [0, x), each copy of a repeat listed out."""
+    return [(h, v) for block in P.segments(p, 0.0, x, step)
+            for widths, values, n in patterns(block) for _ in range(n)
+            for h, v in zip(widths, values)]
+
+
 def gap_energies(delta, n=400, top=60.0):
     """Energies of an n-point scan of [-1.5, top] inside the gaps of
     PeriodicSquare(delta), where the one-period monodromy is hyperbolic."""
@@ -406,7 +418,7 @@ def test_every_batch_has_five_rows_and_offsets_eight_or_six(z):
     p = P.PeriodicSquare(0.75)   # [0, 15) is one RepeatBlock of 10 periods
     cells = PR._cells(h, v, z)
     batches = [cells, PR._compose(cells[:, 1], cells[:, 0]), PR._apply(cells),
-               PR._repeat(h, v, z, np.array([7.0]))[:, 0], PR._walk(p, 0.0, 15.0, z, 0.02),
+               repeat(h, v, z, np.array([7.0]))[:, 0], PR._walk(p, 0.0, 15.0, z, 0.02),
                PR._walk(p, 0.0, 16.0, z, 0.02)]
     for e in batches:
         assert len(e) == 5 and e.shape[-1] == z.size and e.dtype == z.dtype
@@ -414,13 +426,14 @@ def test_every_batch_has_five_rows_and_offsets_eight_or_six(z):
             assert np.array_equal(e[4], np.floor(e[4]))
         else:
             assert not bits(e[4].imag).any()
-    offsets = [PR._cells(h, v, z, offset=True), PR._walk(p, 0.0, 16.0, z, 0.02, offset=True)]
+    offsets = [PR._cells(h, v, z, offset=True),
+               PR._offsets(*np.array(spelled_cells(p, 16.0, 0.02)).T, z)]
     for e in offsets:
         assert e.shape[0] == (8 if real else 6) and e.dtype == z.dtype
         assert not bits(e[4:6].imag).any() and np.all(e[5].real > 0.0)
         if real:
             assert np.all(np.abs(e[6]) == 1.0)
-    # the offset walk's zero counts are the flat walk's
+    # the offset fold's zero counts are the flat walk's
     if real:
         assert np.array_equal(offsets[1][7], batches[-1][4])
 
@@ -448,7 +461,7 @@ def test_power_is_bitwise_the_reference(counts, z):
     v = v * [1.0, 0.5, 2.0, -1.0, 0.0, 3.0]
     n = np.repeat(np.array(counts), len(z))
     el = record(PR._apply(PR._cells(h[:, :, None], v[:, :, None], z).reshape(-1, 3, n.size)))
-    got = PR._repeat(h, v, z, np.array(counts, dtype=float)).reshape(-1, n.size)
+    got = repeat(h, v, z, np.array(counts, dtype=float)).reshape(-1, n.size)
     m, r = rows(got)
     for ref in (ref_power(el, n), ref_power_top_down(el, n)):
         if ref.k is None:
@@ -507,7 +520,7 @@ def test_power_counts_at_band_edges():
         h, v = np.array([[delta], [delta]]), np.array([[1.0], [-1.0]])
         el = PR._apply(PR._cells(h[:, :, None], v[:, :, None], lams).reshape(-1, 2, lams.size))
         for n in [*rng.integers(2, 1000, 2), 1000]:
-            k = PR._repeat(h, v, lams, np.array([float(n)]))[4, 0]
+            k = repeat(h, v, lams, np.array([float(n)]))[4, 0]
             assert np.array_equal(k, ref_power(record(el), np.full(lams.size, n)).k)
             assert np.array_equal(k, walked_counts(el, n))
         # at 1e5 periods binary powering is no oracle: it differs from the
@@ -515,7 +528,7 @@ def test_power_counts_at_band_edges():
         # two powers agree they match or miss the walk together, so only
         # the energies where they differ are walked
         n = 10 ** 5
-        k = PR._repeat(h, v, lams, np.array([float(n)]))[4, 0]
+        k = repeat(h, v, lams, np.array([float(n)]))[4, 0]
         k_ref = ref_power(record(el), np.full(lams.size, n)).k
         split = k != k_ref
         if split.any():
@@ -646,7 +659,7 @@ def test_square_wave_counts_at_half_turns_match_40_digits(delta):
     # PeriodicSquare(delta) where its +1 or its -1 cells turn by n pi: over 2,
     # 10 and 11 half-periods, that is literal cells on the flat path, then a
     # RepeatBlock of whole periods (the offset path and the Floquet count)
-    # and literal cells after it; the offset walk of all the cells spelled out
+    # and literal cells after it; the offset fold of all the cells spelled out
     # as well.  Against the zeros of the exact u of the same float cells
     # wherever u(x) is not zero to rounding
     mp = pytest.importorskip("mpmath")
@@ -654,11 +667,9 @@ def test_square_wave_counts_at_half_turns_match_40_digits(delta):
     lams = np.unique(np.concatenate(
         [near_half_turns(math.pi / delta, v, 16) for v in (1.0, -1.0)]))
     for x in (2 * delta, 10 * delta, 11 * delta):
-        cells = [(h, v) for block in P.segments(p, 0.0, x, 1e-3)
-                 for widths, values, n in patterns(block) for _ in range(n)
-                 for h, v in zip(widths, values)]
+        cells = spelled_cells(p, x, 1e-3)
         got = kernel_counts(p, x, lams)
-        offset = PR._walk(p, 0.0, x, lams, 1e-3, offset=True)[-1]
+        offset = PR._offsets(*np.array(cells).T, lams)[-1]
         with mp.workdps(40):
             want, sine = map(np.array, zip(*(mp_zeros(mp, cells, lam) for lam in lams)))
         decided = sine > 1e-9
@@ -703,7 +714,7 @@ def test_power_memory_is_flat_in_the_count():
     for count in (3, 2 ** 20 - 1):
         tracemalloc.start()
         try:
-            PR._repeat(h, v, z, np.array([float(count)]))
+            repeat(h, v, z, np.array([float(count)]))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

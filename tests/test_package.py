@@ -144,6 +144,8 @@ def _input_checks():
          "nonempty"),
         ("martin_function_nan", lambda: M.martin_function(one_gap, (1.5,), math.nan), ValueError,
          "finite"),
+        ("distance_to_set_inf", lambda: M.distance_to_set(one_gap, complex(math.inf, 0.5)), ValueError,
+         "finite"),
         ("z_grid_nan", lambda: M.check_z_grid([complex(math.nan, 1.0)], one_gap), ValueError,
          "finite"),
     ]

@@ -257,6 +257,38 @@ def test_band_edges_match_40_digit_kronig_penney_roots(delta, window):
     assert max(errors[1:]) <= (DEEP_EDGE_ULPS if delta > 2.0 else EDGE_ULPS)
 
 
+# Delta_m, the trace over m copies of the period, is 2 T_m(Delta / 2) with
+# T_m the Chebyshev polynomial of the first kind.  T_m's slope on [-1, 1] is
+# at most m**2, so Delta's own error (3.0e-13 of max(1, |Delta|) at delta =
+# 5's narrow band at -0.762, 4e-15 elsewhere) can grow by that.  Measured
+# over m**2: 2.2e-13 (delta = 5, m = 2), 9.3e-14 (m = 3 and 8) and 6.4e-14
+# (m = 1000); for delta = 0.47 at most 6.7e-16.  The spelled-out fold of
+# the m copies read 1.6e-10 at m = 2 and 6.6e-2 at m = 1000 for delta = 5.
+DELTA_M_TOL = 5e-13
+
+
+@pytest.mark.parametrize("delta", [0.47, 5.0])
+def test_discriminant_of_m_copies_matches_40_digit_chebyshev(delta):
+    # samples of (-2, 60) and the one period's edges with floats 1e-9 and
+    # 1e-4 away; deep in a gap Delta_m overflows to +-inf, without a warning
+    mp = pytest.importorskip("mpmath")
+    p, window = P.PeriodicSquare(delta), (-2.0, 60.0)
+    edges = np.array([e for band in PE.band_spectrum(p, 2 * delta, window, 512).bands
+                      for e in band if e not in window])
+    lams = np.unique(np.concatenate(
+        [np.linspace(*window, 125), *(edges + d for d in (0.0, -1e-9, 1e-9, -1e-4, 1e-4))]))
+    with mp.workdps(40):
+        half = [kronig_penney(mp, delta, mp.mpf(float(lam))) / 2 for lam in lams]
+        for m in (2, 3, 8, 1000):
+            got = PE.discriminant(p, 2 * m * delta, lams)
+            for g, x in zip(got, half):
+                want = 2 * mp.chebyt(m, x)
+                if abs(want) > np.finfo(float).max:
+                    assert g == math.copysign(math.inf, want)
+                else:
+                    assert abs(g - want) <= DELTA_M_TOL * m * m * max(1, abs(want)), (m, g)
+
+
 # Measured level changes within 3,000 floats of an edge: once at all but 2
 # of the 35 edges of these scans; 3 times at delta = 0.47's edge at 100.74
 # and delta = 0.5's at 9.228.  The flat trace changed up to 61 times.  The
@@ -324,6 +356,26 @@ def scans_and_edges(monkeypatch, p, period, window, resolution):
     bs = PE.band_spectrum(p, period, window, resolution)
     edges = [e for band in bs.bands for e in band if e not in window]
     return len(seen), *(np.concatenate(a) for a in zip(*seen)), edges
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.47, 0.7, 1.3, 5.0])
+def test_a_period_of_m_copies_has_the_bands_of_one(delta):
+    # m copies of the period are the same operator, so the band list is the
+    # one period's, bit for bit: the m-fold period's closed gaps, inside the
+    # one period's bands, stay closed (they opened 8e-17 to 3e-14 wide)
+    p, window = P.PeriodicSquare(delta), (-2.0, 60.0)
+    one = PE.band_spectrum(p, 2 * delta, window, 512).bands
+    for m in (*range(2, 51), 10 ** 3, 10 ** 5):
+        assert PE.band_spectrum(p, 2 * m * delta, window, 512).bands == one, m
+
+
+def test_a_period_of_many_copies_walks_what_one_period_walks(monkeypatch):
+    # the scan folds the pattern once, whatever its count, and takes the
+    # pattern's level, so sectioning walks the same samples at 1e5 copies
+    p, window = P.PeriodicSquare(0.47), (-2.0, 150.0)
+    one = scans_and_edges(monkeypatch, p, 0.94, window, 2048)
+    many = scans_and_edges(monkeypatch, p, 0.94 * 10 ** 5, window, 2048)
+    assert many[0] == one[0] and many[1].size == one[1].size and many[3] == one[3]
 
 
 @pytest.mark.parametrize("delta", [0.25, 0.45, 0.48, 1.3, 5.0])

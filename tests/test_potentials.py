@@ -452,6 +452,19 @@ def test_segments_use_repeat_blocks_for_periodic_runs():
     assert any(isinstance(b, P.RepeatBlock) for b in blocks)
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.47, 0.7, 1.3, 5.0])
+def test_whole_square_wave_periods_are_one_run(delta):
+    # [0, 2 m delta) is m whole periods, one pattern repeated m times, though
+    # 2 m delta / (2 delta) rounds below m at m = 3, 6, 12, 24, 29 and 48 for
+    # delta = 0.7, at 5, 10, 20 and 40 for 0.47 and at 7, 14 and 28 for 1.3
+    p = P.PeriodicSquare(delta)
+    for m in (*range(2, 51), 10 ** 3, 10 ** 5):
+        (block,) = P.segments(p, 0.0, 2 * m * delta, 1e-3)
+        assert isinstance(block, P.RepeatBlock) and block.counts.tolist() == [m], m
+        assert block.widths.tolist() == [[delta], [delta]]
+        assert block.values.tolist() == [[1.0], [-1.0]]
+
+
 def reference_oscillating_blocks(x0, x1):
     """OscillatingExample's cells over [x0, x1) as (widths, values, count),
     one per unit block: the per-block generator that runs replaced, with a
