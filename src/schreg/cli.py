@@ -31,7 +31,7 @@ except ImportError:
 
 import numpy as np
 
-from . import jsonschema, martin, periodic, potentials, propagation, regularity
+from . import jsonschema, martin, periodic, potentials, propagation, regularity, spectrum
 from .errors import ConfigInvalid
 
 __all__ = ["run", "main", "load_schema"]
@@ -141,12 +141,12 @@ def _validate_config(config):
             raise ConfigInvalid(f"command {command!r} requires a {key}")
     try:
         p = potentials.from_json(config["potential"]) if "potential" in config else None
-        E = martin.GapSet.from_json(config["spectrum"]) if "spectrum" in config else None
+        E = spectrum.GapSet.from_json(config["spectrum"]) if "spectrum" in config else None
         if "lambda_window" in params:
-            martin.check_window(params["lambda_window"], E if "spectrum" in needs else None)
+            spectrum.check_window(params["lambda_window"], E if "spectrum" in needs else None)
         if command == "regularity":
             params = regularity.ReportConfig.from_json(params)
-            martin.check_z_grid(params.z_grid, E)
+            spectrum.check_z_grid(params.z_grid, E)
         if command == "martin" and params.get("fit") and not -_FIT_K[0] ** 2 < E.b0:
             raise ValueError(f"fit needs b0 above -k**2 = {-_FIT_K[0] ** 2:g}")
     except (ValueError, TypeError) as exc:

@@ -11,12 +11,12 @@ the level 2n - 1, and gap j (gap 0 lies below the spectrum) has k = j - 1
 or j, sign Delta = (-1)**j, so j = k + [sigma != r], and the level 2j.  The
 level never decreases with the energy, so each boundary between levels,
 however narrow its gap or band, is bracketed by the scan samples where the
-level passes it.  All brackets are cut into 32 together, one batched scan
-per round, until each is within 4e-16 times its larger starting |end| or no
-float splits it.  Touching bands (a closed gap) merge.  A period of m
-copies of one pattern P has P's bands, the gaps inside them closed: the
-scan folds P alone and takes P's level, with Delta = 2 T_m(Delta_P / 2),
-T_m the Chebyshev polynomial of the first kind.
+level passes it.  `spectrum._section` cuts all brackets into 32 together,
+one batched scan per round, until each is within 4e-16 times its larger
+starting |end| or no float splits it.  Touching bands (a closed gap)
+merge.  A period of m copies of one pattern P has P's bands, the gaps
+inside them closed: the scan folds P alone and takes P's level, with
+Delta = 2 T_m(Delta_P / 2), T_m the Chebyshev polynomial of the first kind.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import potentials, propagation
 from .floquet import _reflect
-from .martin import GapSet, _section
 from .record import Record
+from .spectrum import GapSet, _section
 
 __all__ = [
     "BandSpectrum",

@@ -312,8 +312,9 @@ class PeriodicSquare(Record):
 
     def _cells(self, x0, x1, step):
         P = 2.0 * self.delta
-        m0, m1 = math.ceil(x0 / P), math.floor(x1 / P)
-        m1 += (m1 + 1) * P <= x1   # x1 / P may round below a whole count
+        m0, m1 = math.ceil(x0 / P), math.floor(x1 / P)   # x / P may round either way:
+        m0 += (m0 * P < x0) - ((m0 - 1) * P >= x0)   # the least m0 with x0 <= fl(m0 * P)
+        m1 += ((m1 + 1) * P <= x1) - (m1 * P > x1)   # the greatest m1 with fl(m1 * P) <= x1
         if m1 <= m0:
             yield _wave_cells(self.delta, 0.0, x0, x1)
             return

@@ -57,11 +57,11 @@ from . import potentials
 from .floquet import _fold, _negative, _power, _turn
 from .errors import InvalidStep, ZeroSolution
 from .record import Record
+from .spectrum import MeasureCDF
 
 __all__ = [
     "ScaledTransferMatrix",
     "SolutionSample",
-    "MeasureCDF",
     "transfer_matrix",
     "dirichlet_solution",
     "dirichlet_profile",
@@ -94,13 +94,6 @@ class SolutionSample(Record):
         if np.any(self.u == 0):
             raise ZeroSolution(f"u vanished at x={x}; log-growth undefined")
         return (self.log_scale + np.log(np.abs(self.u))) / x
-
-
-class MeasureCDF(Record, eq=False):
-    """A cumulative distribution sampled on an increasing energy grid."""
-
-    lam: np.ndarray
-    cdf: np.ndarray
 
 
 def _check_step(step):
@@ -340,7 +333,7 @@ def eigenvalue_count(p, x, lam, step=1e-3):
 
 
 def zero_counting_cdf(p, x, lambda_grid, step=1e-3):
-    """Normalized eigenvalue-counting measure: counts(lam)/x on a grid."""
+    """Normalized eigenvalue-counting measure, a `spectrum.MeasureCDF`: counts(lam)/x on a grid."""
     lams = np.asarray(lambda_grid, dtype=float)
     if not (lams.size and np.all(np.diff(lams) > 0)):
         raise ValueError("lambda_grid must be nonempty and strictly increasing")

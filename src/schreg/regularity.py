@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import martin, potentials, propagation
-from .martin import check_window, check_z_grid
 from .record import Record
+from .spectrum import check_window, check_z_grid
 
 __all__ = [
     "InequalityCheck",

@@ -5,6 +5,8 @@ import inspect
 import math
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +24,34 @@ def test_every_public_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names {missing}, which do not exist"
+
+
+def _loads(module):
+    """The schreg modules a fresh interpreter holds after importing module."""
+    code = (f"import sys, {module}; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'schreg')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_the_two_halves_meet_only_in_spectrum():
+    # the Martin data of a set E and the operator's solutions exchange only
+    # what `spectrum` holds, and the package loads a submodule on first use
+    assert _loads("schreg") == {"schreg", "schreg.errors"}
+    operator = {"schreg.propagation", "schreg.potentials", "schreg.floquet",
+                "schreg.periodic", "schreg.regularity"}
+    assert not _loads("schreg.martin") & operator
+    assert not _loads("schreg.periodic") & {"schreg.martin", "schreg.quadrature",
+                                             "schreg.regularity"}
+    assert _loads("schreg.cli") == set(MODULES)
+    imports = [node for node in ast.walk(ast.parse((SRC / "spectrum.py").read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert {node.module for node in imports if getattr(node, "level", 0)} == {"record"}
+    assert not any(a.name.split(".")[0] == "schreg" for node in imports for a in node.names)
+    from schreg import martin, propagation, spectrum
+    assert martin.GapSet is spectrum.GapSet
+    assert propagation.MeasureCDF is spectrum.MeasureCDF
 
 
 def _raised_or_caught(path):

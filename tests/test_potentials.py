@@ -465,6 +465,22 @@ def test_whole_square_wave_periods_are_one_run(delta):
         assert block.values.tolist() == [[1.0], [-1.0]]
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.47, 0.7, 1.3, 5.0])
+def test_whole_square_wave_periods_lie_inside_the_window(delta):
+    # period k ends at fl(k P), P = 2 delta; x / P may round either way, yet
+    # a window ending one float below fl(k P) holds k - 1 whole periods, not
+    # k, and a window starting at fl(k P) starts with the run, not with cells
+    p = P.PeriodicSquare(delta)
+    for k in range(1, 200):
+        x = k * 2 * delta
+        if k >= 3:
+            runs = [b.counts.tolist() for b in P.segments(p, 0.0, math.nextafter(x, 0.0), 1e-3)
+                    if isinstance(b, P.RepeatBlock)]
+            assert runs == [[k - 1]], k
+        first = next(P.segments(p, x, x + 20 * delta, 1e-3))
+        assert isinstance(first, P.RepeatBlock), k
+
+
 def reference_oscillating_blocks(x0, x1):
     """OscillatingExample's cells over [x0, x1) as (widths, values, count),
     one per unit block: the per-block generator that runs replaced, with a
