@@ -17,22 +17,21 @@ methods, behind two public functions:
 
 `segments` decomposes [x0, x1) into constant cells, emitting literal cell
 arrays (`CellBlock`) or runs of patterns, each repeated with a count
-(`RepeatBlock`), where V is periodic on a stretch.  A step family cuts the
-window at its own jumps and reads each cell's value from its own table:
-the breakpoints of PiecewiseConstant, Tabulated and SparseBumps, the +-1
-wave of PeriodicSquare and OscillatingExample, and for Random a SplitMix64
-hash of (seed, cell index).
-What the `step` argument means depends on the family:
+(`RepeatBlock`), where V is periodic on a stretch.  Every family is read
+as one step function, which each window cuts (`_cell_block`): a cut cell
+keeps its whole cell's value, so a walk cut at checkpoints integrates what
+one walk from 0 does.  Values come from each family's own table: the
+breakpoints of PiecewiseConstant, Tabulated and SparseBumps, the +-1 wave
+of PeriodicSquare and OscillatingExample, for Random a SplitMix64 hash of
+(seed, cell index).  What the `step` argument means depends on the family:
 
 * step functions (every family but Decaying) ignore it.  Their own cells
-  are kept whole -- the constant flow over a cell is exact, so subdividing
-  it would only add rounding;
-* Decaying, the one smooth family, uses it as the cell width at x = 0.
-  Cells widen as (1+x)**q with q = (rate+1)/3, which keeps |V'| h**3, the
-  size of the error made by replacing V with its cell average, at its
-  x = 0 value everywhere; q is capped at 1 (rate > 2) so that no cell is
-  wider than step*(1+x).  Each cell carries the exact average of V over
-  that cell.
+  are never subdivided -- the constant flow over a cell is exact;
+* Decaying, the one smooth family, is read as its average over the mesh
+  phi(x; q) = step*i, i = 0, 1, ..., from x = 0: cells `step` wide at
+  x = 0 that widen as (1+x)**q with q = (rate+1)/3, which keeps |V'| h**3,
+  the cell-averaging error, at its x = 0 value; q is capped at 1 (rate > 2)
+  so that no cell is wider than step*(1+x).
 """
 from __future__ import annotations
 
@@ -109,11 +108,11 @@ class CesaroTrace(Record, eq=False):
 def segments(p, x0, x1, step):
     """Yield CellBlock/RepeatBlock covering [x0, x1) in order; no cell if x1 <= x0.
 
-    Step families cut the window at their own jumps and ignore `step`.
-    Decaying takes `step` as its cell width at x = 0 and widens cells as
-    (1+x)**min((rate+1)/3, 1).
+    The cells are the family's one step function cut to the window; for
+    Decaying that is its average over the mesh phi^-1(step*i) from x = 0,
+    `step` wide at x = 0 and widening as (1+x)**min((rate+1)/3, 1).
     """
-    return p._cells(x0, x1, step)
+    return p._cells(x0, max(x0, x1), step)
 
 
 def prefix_integral(p, x):
@@ -122,8 +121,13 @@ def prefix_integral(p, x):
     return float(p._integral(float(x)))
 
 
-def _cell_block(edges, values):
-    """CellBlock with values[i] on [edges[i], edges[i+1]); empty cells dropped."""
+def _cell_block(edges, values, x0, x1):
+    """The cells values[i] on [edges[i], edges[i+1]), nondecreasing edges
+    around [x0, x1), cut to it: the edges are clipped to [x0, x1], the end
+    ones set to exactly x0 and x1, and empty cells dropped.  A cut cell keeps
+    its whole cell's value."""
+    edges = np.clip(edges, x0, x1)
+    edges[0], edges[-1] = x0, x1
     widths = np.diff(edges)
     keep = widths > 0
     return CellBlock(widths[keep], values[keep])
@@ -135,7 +139,7 @@ def _step_cells(jumps, values, x0, x1):
     i0 = bisect_right(jumps, x0)
     i1 = max(bisect_left(jumps, x1), i0)
     edges = np.array([x0, *jumps[i0:i1], x1], dtype=float)
-    return _cell_block(edges, np.array(values[i0:i1 + 1], dtype=float))
+    return _cell_block(edges, np.array(values[i0:i1 + 1], dtype=float), x0, x1)
 
 
 _SIGNS = np.broadcast_to([[1.0], [-1.0]], (2, 1))   # a wave's period, read-only
@@ -144,11 +148,10 @@ _RUN = 4096   # patterns per run at most, so a walk's memory does not grow with 
 
 def _wave_cells(half, origin, lo, hi):
     """Cells over [lo, hi) of the wave that is +1 on [origin, origin + half)
-    and changes sign at every multiple of `half` from `origin`."""
-    j0 = math.floor((lo - origin) / half)
-    j = np.arange(j0, max(math.ceil((hi - origin) / half), j0 + 1))
-    edges = np.concatenate([[lo], origin + j[1:] * half, [hi]])
-    return _cell_block(edges, np.where(j % 2 == 0, 1.0, -1.0))
+    and changes sign at every multiple of `half` from `origin`.  The edges
+    reach one past the quotients' floor and ceil, which may round either way."""
+    j = np.arange(math.floor((lo - origin) / half) - 1, math.ceil((hi - origin) / half) + 2)
+    return _cell_block(origin + j * half, np.where(j[:-1] % 2 == 0, 1.0, -1.0), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +265,20 @@ class Decaying(Record):
         return self.amplitude * _phi(x, self.rate)
 
     def _cells(self, x0, x1, step):
-        # Equal spacing (at most `step`) in phi(x; q) makes cells at most
+        # The one mesh phi(x; q) = step*i from x = 0 has cells at most
         # step*(1+x)**q wide.  Uncapped, q = (rate+1)/3 > 1 would make phi
         # bounded, and the last cell would stretch from where V is still
-        # sizeable out to x1.
-        if x1 <= x0:
-            return
+        # sizeable out to infinity.  Its edges reach one cell past the
+        # quotients' floor and ceil, which may round either way.
         q = min((self.rate + 1.0) / 3.0, 1.0)
-        y0, y1 = _phi(np.array([x0, x1], dtype=float), q)
-        n = max(1, math.ceil((y1 - y0) / step))
-        inner = _phi_inv(np.linspace(y0, y1, n + 1)[1:-1], q)
-        edges = np.concatenate([[x0], inner, [x1]])
+        y0, y1 = _phi(np.array([x0, x1], dtype=float), q) / step
+        edges = _phi_inv(step * np.arange(max(math.floor(y0) - 1, 0), math.ceil(y1) + 2), q)
         lo, widths = edges[:-1], np.diff(edges)
         # the integral of (1+t)**-rate over [lo, lo + h) is
         # (1+lo)**(1-rate) * phi(h/(1+lo)); unlike a difference of phi at
         # the two edges, it does not cancel on narrow cells
         mass = (1.0 + lo) ** (1.0 - self.rate) * _phi(widths / (1.0 + lo), self.rate)
-        yield CellBlock(widths, self.amplitude * mass / widths)
+        yield _cell_block(edges, self.amplitude * mass / widths, x0, x1)
 
 
 def _phi(x, q):
@@ -457,10 +457,9 @@ class Random(Record):
         return cum[i] * w + vals[i] * (x - i * w)
 
     def _cells(self, x0, x1, step):
-        w = self.cell_width
-        i0, i1 = int(math.floor(x0 / w)), int(math.ceil(x1 / w))
-        yield _cell_block(np.clip(np.arange(i0, i1 + 1) * w, x0, x1),
-                          _random_values(self, i0, i1))
+        w = self.cell_width   # one cell past x0/w and x1/w, which may round either way
+        i0, i1 = max(math.floor(x0 / w) - 1, 0), math.ceil(x1 / w) + 1
+        yield _cell_block(np.arange(i0, i1 + 1) * w, _random_values(self, i0, i1), x0, x1)
 
 
 def _random_values(spec, i0, i1):

@@ -36,11 +36,35 @@ def abs_integral(p, x):
     """Integral of |V| over [0, x]: a sum over the pieces between jumps,
     and for Decaying, the one smooth family, its closed form."""
     if isinstance(p, Decaying):
-        c = 1.0 - p.rate
-        phi = math.log1p(x) if c == 0.0 else math.expm1(c * math.log1p(x)) / c
-        return abs(p.amplitude) * phi
+        return abs(p.amplitude) * _phi(x, p.rate)
     edges = [0.0, *discontinuities(p, 0.0, x), x]
     return math.fsum(abs(evaluate(p, a)) * (b - a) for a, b in zip(edges, edges[1:]))
+
+
+def _phi(x, q):
+    """integral_0^x (1+t)**-q dt."""
+    c = 1.0 - q
+    return math.log1p(x) if c == 0.0 else math.expm1(c * math.log1p(x)) / c
+
+
+def _phi_inv(y, q):
+    c = 1.0 - q
+    return math.expm1(y) if c == 0.0 else math.expm1(math.log1p(c * y) / c)
+
+
+def mesh_edges(p, step, x0, x1):
+    """Decaying's cell edges phi^-1(step*i; q), q = min((rate+1)/3, 1), i = 0,
+    1, ...: those of the cells that meet [x0, x1], from the last edge <= x0
+    to the first edge >= x1."""
+    q = min((p.rate + 1.0) / 3.0, 1.0)
+    i = max(math.floor(_phi(x0, q) / step) - 1, 0)
+    while _phi_inv(step * (i + 1), q) <= x0:
+        i += 1
+    edges = [_phi_inv(step * i, q)]
+    while edges[-1] < x1:
+        i += 1
+        edges.append(_phi_inv(step * i, q))
+    return edges
 
 
 def _inner_multiples(step_width, a, b):

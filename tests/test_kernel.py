@@ -159,14 +159,13 @@ def test_long_repeat_counts_keep_the_rotation_bound(delta):
 # products
 
 
-# Step functions have the same cells in one window as in pieces of it, so
-# the pass agrees with pointwise calls to rounding.  The graded Decaying
-# mesh is built per window, so there the two differ by discretization error.
+# Every family has the same cells in one window as in pieces of it, so the
+# pass agrees with pointwise calls to rounding.
 @pytest.mark.parametrize("p, rel, tol_h", [
     (P.OscillatingExample(), 1e-12, 1e-12),
     (P.PeriodicSquare(0.45), 1e-12, 1e-12),
     (P.Random(seed=5, cell_width=0.5, low=-1.0, high=2.0), 1e-12, 1e-12),
-    (P.Decaying(1.0, 2.0), 1e-6, 1e-7)],
+    (P.Decaying(1.0, 2.0), 1e-12, 1e-12)],
     ids=["OscillatingExample", "PeriodicSquare", "Random", "Decaying"])
 def test_profile_rows_match_pointwise(p, rel, tol_h):
     xs = [3.0, 17.5, 60.0, 125.0]

@@ -333,14 +333,23 @@ def assert_graded_widths(p, x0, widths, step):
 
 @pytest.mark.parametrize("rate", [0.05, 1.0, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 3.0, 50.0])
 def test_decaying_mesh_is_graded(rate):
+    # a window's cells are those of the walk from 0 that cover it, bit for
+    # bit, the two end ones cut; over whole mesh cells they hold V's mass
     p = P.Decaying(1.5, rate)
     for x0, x1, step in [(0.0, 1e4, 0.02), (3.7, 2.5e3, 0.1), (0.0, 50.0, 1e-3),
                          (10.0, 12.5, 7.0)]:
         (block,) = P.segments(p, x0, x1, step)
         assert_graded_widths(p, x0, block.widths, step)
         assert float(np.sum(block.widths)) == pytest.approx(x1 - x0, rel=1e-12)
-        mass = P.prefix_integral(p, x1) - P.prefix_integral(p, x0)
-        assert float(block.widths @ block.values) == pytest.approx(mass, rel=1e-9)
+        (walk,) = P.segments(p, 0.0, x1, step)
+        n = len(walk.widths) - len(block.widths)
+        assert block.values.tobytes() == walk.values[n:].tobytes()
+        assert block.widths[1:-1].tobytes() == walk.widths[n + 1:-1].tobytes()
+        edges = PW.mesh_edges(p, step, x0, x1)
+        a, b = edges[0], edges[-1]
+        (whole,) = P.segments(p, a, b, step)
+        mass = P.prefix_integral(p, b) - P.prefix_integral(p, a)
+        assert float(whole.widths @ whole.values) == pytest.approx(mass, rel=1e-9)
     (block,) = P.segments(p, 10.0, 12.5, 7.0)   # step wider than the window
     assert len(block.widths) == 1
 
@@ -349,12 +358,18 @@ def test_decaying_mesh_is_graded(rate):
 @pytest.mark.parametrize("w", [1e-9, 1e-12])
 def test_decaying_narrow_cell_average_has_no_cancellation(rate, w):
     # a difference of the running integral at the two edges loses about
-    # log10(1/w) digits of the average; over so narrow a cell the average
-    # is V at the midpoint to well within 1e-14
+    # log10(1/w) digits of the average; over so narrow a mesh cell the
+    # average is V at the midpoint to well within 1e-14
     p = P.Decaying(1.0, rate)
-    (block,) = P.segments(p, 5.0, 5.0 + w, 0.02)
-    (h,), (value,) = block.widths, block.values
-    assert value == pytest.approx(PW.evaluate(p, 5.0 + h / 2), rel=1e-14)
+    (block,) = P.segments(p, 5.0, 5.0 + 20 * w, w)
+    edges = PW.mesh_edges(p, w, 5.0, 5.0 + 20 * w)
+    assert len(block.values) == len(edges) - 1 >= 3
+    for value, a, b in zip(block.values[1:-1], edges[1:-1], edges[2:-1]):
+        assert value == pytest.approx(PW.evaluate(p, (a + b) / 2), rel=1e-14)
+    # a window that narrow inside a coarser mesh cell carries that cell's value
+    (narrow,) = P.segments(p, 5.0, 5.0 + w, 0.02)
+    (walk,) = P.segments(p, 0.0, 5.0 + w, 0.02)
+    assert narrow.values.tolist() == [walk.values[-1]]
 
 
 @pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
@@ -372,7 +387,11 @@ def test_segment_masses_reproduce_prefix_integral(p):
             total += reps * float(w @ v)
             width += reps * float(np.sum(w))
     assert width == pytest.approx(x1, abs=1e-12)
-    assert total == pytest.approx(P.prefix_integral(p, x1), abs=1e-10)
+    if isinstance(p, P.Decaying):
+        # the last cell is cut from its mesh cell, whose average it keeps:
+        # the mass holds up to the last whole cell
+        total, width = total - w[-1] * v[-1], width - w[-1]
+    assert total == pytest.approx(P.prefix_integral(p, width), abs=1e-10)
 
 
 def cross_check_windows(p, rng):
@@ -399,22 +418,87 @@ def cross_check_windows(p, rng):
 @pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
 def test_segment_edges_are_the_discontinuities(p):
     """The two descriptions of V agree: cells end at the pointwise jumps, and
-    a step family's cell carries V at its midpoint.  Decaying's cells carry
-    cell averages instead (test_decaying_mesh_is_graded)."""
+    a step family's cell carries V at its midpoint.  Decaying's cells end at
+    its mesh edges and carry mesh cell averages instead
+    (test_decaying_mesh_is_graded)."""
     rng = np.random.default_rng(5)
     for x0, x1 in cross_check_windows(p, rng):
         runs = [r for b in P.segments(p, x0, x1, x1 - x0) for r in patterns(b)]
-        widths = np.concatenate([np.tile(w, n) for w, _, n in runs])
-        values = np.concatenate([np.tile(v, n) for _, v, n in runs])
+        widths, values = expand(runs)
         edges = x0 + np.cumsum(widths)
         assert edges[-1] == pytest.approx(x1, abs=1e-12)
-        jumps = PW.discontinuities(p, x0, x1)
+        if isinstance(p, P.Decaying):
+            jumps = [e for e in PW.mesh_edges(p, x1 - x0, x0, x1) if x0 < e < x1]
+        else:
+            jumps = PW.discontinuities(p, x0, x1)
         assert len(jumps) == len(edges) - 1
         assert np.allclose(edges[:-1], jumps, rtol=0.0, atol=1e-12)
         if not isinstance(p, P.Decaying):
             bounds = [x0, *jumps, x1]
             mids = [(a + b) * 0.5 for a, b in zip(bounds, bounds[1:])]
             assert values.tolist() == [PW.evaluate(p, m) for m in mids], (x0, x1)
+
+
+def expand(runs):
+    """The widths and the values of (widths, values, n) runs, listed out."""
+    return (np.concatenate([np.tile(w, n) for w, _, n in runs]),
+            np.concatenate([np.tile(v, n) for _, v, n in runs]))
+
+
+def commute_windows(p, rng):
+    """Seeded x0 < xm < x1 in [0, 20]: at random, and on or one ulp either
+    side of cell edges (jumps, integers, Decaying's mesh edges at step 1/8)."""
+    for _ in range(40):
+        yield sorted(float(x) for x in rng.uniform(0.0, 20.0, 3))
+    if isinstance(p, P.Decaying):
+        edges = PW.mesh_edges(p, 0.125, 0.0, 20.0)
+    else:
+        edges = [*PW.discontinuities(p, 0.0, 20.0), *map(float, range(1, 20))]
+    edges = sorted(set(edges) - {0.0})
+    for _ in range(60):
+        ends = sorted(rng.choice(len(edges), 3, replace=False))
+        yield [edges[i] if s == 0 else math.nextafter(edges[i], s * math.inf)
+               for i, s in zip(ends, rng.integers(-1, 2, 3))]
+
+
+@pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
+def test_cutting_commutes(p):
+    # the cells of [x0, xm) then those of [xm, x1) are those of [x0, x1),
+    # the cell that straddles xm (if one does) split in two: every window
+    # cuts one step function
+    def cells(a, b):
+        return expand([r for blk in P.segments(p, a, b, 0.125) for r in patterns(blk)])
+
+    rng = np.random.default_rng(43)
+    for x0, xm, x1 in commute_windows(p, rng):
+        widths, values = cells(x0, x1)
+        (wl, vl), (wr, vr) = cells(x0, xm), cells(xm, x1)
+        split = len(vl) + len(vr) - len(values)
+        assert split in (0, 1), (x0, xm, x1)
+        assert np.concatenate([vl, vr[split:]]).tobytes() == values.tobytes(), (x0, xm, x1)
+        assert vl[len(vl) - split:].tobytes() == vr[:split].tobytes(), (x0, xm, x1)
+        if split:   # the straddling cell's two parts, joined
+            wl, wr = np.append(wl[:-1], wl[-1] + wr[0]), wr[1:]
+        assert np.allclose(np.concatenate([wl, wr]), widths, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("w", [0.1, 0.3, 0.7, 1 / 3, 0.02, 1.1])
+def test_random_windows_lose_no_sliver(w):
+    # a window from or to one of the three floats nearest k w with
+    # w <= x0 <= x1 <= 2 x0 has exact cell widths (Sterbenz), so they sum to
+    # x1 - x0 exactly unless the cut drops a sliver at either end
+    p = P.Random(seed=7, cell_width=w, low=-1.0, high=2.0)
+    rng = np.random.default_rng(17)
+    lost = []
+    for k in range(2, 1000):
+        x = k * w
+        for a in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+            for x0, x1 in ((a, a * float(rng.uniform(1.0, 2.0))),
+                           (max(w, a * float(rng.uniform(0.5, 1.0))), a)):
+                (block,) = P.segments(p, x0, x1, 0.02)
+                if math.fsum(block.widths) != x1 - x0:
+                    lost.append((x0, x1))
+    assert lost == []
 
 
 @pytest.mark.parametrize("p", ALL_FAMILIES, ids=lambda p: type(p).__name__)
