@@ -182,17 +182,16 @@ def _cmd_bands(p, E, params, out):
 
 
 def _cmd_martin(p, E, params, out):
-    cp = martin.solve_critical_points(E)
     zs = np.array([complex(zr, zi) for zr, zi in params["z_grid"]])
-    ev = martin.martin_function(E, cp.c, zs)
+    cp, ev, fit = martin._report(E, zs, _FIT_K if params.get("fit") else None)
     summary = {
         **E.to_json(),
         "critical_points": list(cp.c),
         "residuals": list(cp.residuals),
         "a_constant": martin.a_constant(E, cp.c),
     }
-    if params.get("fit"):
-        summary["fit_a"] = martin.fit_a_from_martin(E, cp.c, _FIT_K)
+    if fit is not None:
+        summary["fit_a"] = fit
     out.write_json("critical_points.json", summary)
     out.write_csv("martin.csv", ["z_re", "z_im", "m", "theta_real"],
                   [zs.real, zs.imag, ev.value, ev.theta_real])

@@ -30,8 +30,9 @@ density at both ends, the part below the midpoint is taken in t = a + s**2
 and the part above it in t = b - s**2, the edge factor 1/sqrt|t - e| = 1/s
 cancelling exactly against the Jacobian.  Re Theta on an increasing grid
 is a cumulative sum over the band pieces between grid points.  Integrals
-go to `quadrature.quad` in batches: all band pieces of a grid, all gaps,
-all boundary values and all vertical segments, each in one call.
+go to `quadrature.quad` in batches: the real-axis integrals of a call in
+one (`_report` puts the `martin` command's gap residuals, boundary values
+and fit integrals into one), the vertical segments in another.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ import numpy as np
 # imported under the name `si`, and called only as `si.quad`, so that a
 # span tracer can wrap every quadrature call through this one module global
 from . import quadrature as si
-from .errors import FitIllConditioned, NoConvergence
+from .errors import FitIllConditioned, NoConvergence, SchregError
 from .record import Record
 # GapSet, check_z_grid and distance_to_set are re-exported for callers of `martin.X`
 from .spectrum import GapSet, MeasureCDF, _section, check_window, check_z_grid, distance_to_set
@@ -80,37 +81,66 @@ class MartinEvaluation(Record):
 
 
 # ---------------------------------------------------------------------------
-# real-axis quadrature (one batched adaptive call per rule)
+# real-axis quadrature (one batched adaptive call per pass)
 
-def _edge_quad(f, lo, hi, a, b):
-    """Integrals of f over each [lo[i], hi[i]], inside [a[i], b[i]] where f
-    has inverse-sqrt singularities at a and b (either may be infinite).
+def _edge_quad(*sets):
+    """For each set (f, lo, hi, a, b), the integrals of f over each [lo[i],
+    hi[i]], inside [a[i], b[i]] where f has inverse-sqrt singularities at a
+    and b (either may be infinite): one array per set, in a list.
 
     The part below the midpoint of [a, b] is taken in t = a + s**2, the
     part above it in t = b - s**2.  f(x, i, e) gets points, the index i of
     the piece each belongs to and the end e (a or b) its substitution
     starts from, and returns sqrt|x - e| times the integrand: smooth at e,
     and with the Jacobian 2 s = 2 sqrt|x - e| it gives the exact s-space
-    integrand, with no rounded x - e near e.  All parts of all pieces go
-    to one quadrature call.
+    integrand, with no rounded x - e near e.  All parts of all pieces of
+    all sets go to one quadrature call, each set's parts together, so that
+    each set's f gets its own points as one run.  quad keeps each
+    interval's panels to itself, so a set's integrals are bitwise those of
+    a call of its own.
     """
-    lo, hi, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                         for v in (lo, hi, a, b)))
+    ends = [np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in s[1:])) for s in sets]
+    lo, hi, a, b = (np.concatenate([e[r].ravel() for e in ends]) for r in range(4))
+    start = np.cumsum([0] + [e[0].size for e in ends])
     mid = 0.5 * (a + b)
     il = np.flatnonzero(lo < np.minimum(hi, mid))
     ir = np.flatnonzero(np.maximum(lo, mid) < hi)
-    owner = np.concatenate([il, ir])
+    # set n's parts: its lower parts cl[n]:cl[n + 1], then its upper ones
+    cl, cr = np.searchsorted(il, start), np.searchsorted(ir, start) + il.size
+    order = np.concatenate([np.r_[cl[n]:cl[n + 1], cr[n]:cr[n + 1]] for n in range(len(sets))])
+    owner = np.concatenate([il, ir])[order]
     if not owner.size:
-        return np.zeros(lo.shape)
-    origin = np.concatenate([a[il], b[ir]])
-    sign = np.concatenate([np.ones(il.size), -np.ones(ir.size)])
-    s0 = np.concatenate([np.sqrt(lo[il] - a[il]), np.sqrt(b[ir] - hi[ir])])
+        return [np.zeros(j - i) for i, j in zip(start, start[1:])]
+    origin = np.concatenate([a[il], b[ir]])[order]
+    sign = np.concatenate([np.ones(il.size), -np.ones(ir.size)])[order]
+    s0 = np.concatenate([np.sqrt(lo[il] - a[il]), np.sqrt(b[ir] - hi[ir])])[order]
     s1 = np.concatenate([np.sqrt(np.minimum(hi, mid)[il] - a[il]),
-                         np.sqrt(b[ir] - np.maximum(lo, mid)[ir])])
-    parts = si.quad(
-        lambda s, k: 2.0 * f(origin[k] + sign[k] * (s * s), owner[k], origin[k]),
-        s0, s1, rtol=1e-11, atol=1e-12)
-    return np.bincount(owner, parts, lo.size)
+                         np.sqrt(b[ir] - np.maximum(lo, mid)[ir])])[order]
+    # each part's piece within its set, and where each set's run of parts starts
+    local, runs = owner - start[np.searchsorted(start, owner, "right") - 1], cl + cr - il.size
+
+    def f(s, k):   # quad gives the points in part order, so a set's are one run
+        e, cut = origin[k], np.searchsorted(k, runs)
+        x, i = e + sign[k] * (s * s), local[k]
+        return 2.0 * np.concatenate([g(x[p:q], i[p:q], e[p:q])
+                                     for (g, *_), p, q in zip(sets, cut, cut[1:]) if q > p])
+
+    parts = si.quad(f, s0, s1, rtol=1e-11, atol=1e-12)
+    v = np.bincount(owner, parts, lo.size)
+    return [v[i:j] for i, j in zip(start, start[1:])]
+
+
+def _one_pass(*steps):
+    """The values of steps, generators that each yield one _edge_quad set,
+    get its integrals back and return: all their sets go to one _edge_quad
+    call."""
+    values = []
+    for step, v in zip(steps, _edge_quad(*(next(step) for step in steps))):
+        try:
+            step.send(v)
+        except StopIteration as done:
+            values.append(done.value)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +211,15 @@ def _gap_rules(E, m):
 
 
 def _gap_residuals(E, c):
-    """Adaptive recomputation of every gap's Theta' integral, normalized by
-    the integral of its absolute value; one quadrature call for all gaps.
-    The absolute value is integrated over (a_j, c_j) and (c_j, b_j), on
-    each of which it is smooth."""
+    """Step of _one_pass: adaptive recomputation of every gap's Theta'
+    integral, normalized by the integral of its absolute value, which is
+    integrated over (a_j, c_j) and (c_j, b_j), on each of which it is smooth."""
     N = len(E.gaps)
     a, b = np.array(E.gaps, dtype=float).reshape(N, 2).T
-    j = np.arange(3 * N) % N + 1
-
-    def f(x, i, edge):   # pieces 0..N-1 are signed, N..3N-1 absolute
-        m = _m_density(E, c, j[i], x, edge)
-        return np.where(i < N, m, np.abs(m))
-
-    v = _edge_quad(f, np.concatenate([a, a, c]), np.concatenate([b, c, b]),
-                   np.tile(a, 3), np.tile(b, 3))
+    # pieces 0..N-1 are signed; N..3N-1 take the bands' sign +1, so |M'|
+    j = np.concatenate([np.arange(1, N + 1), np.full(2 * N, N + 1)])
+    v = yield (lambda x, i, edge: _m_density(E, c, j[i], x, edge), np.concatenate([a, a, c]),
+               np.concatenate([b, c, b]), np.tile(a, 3), np.tile(b, 3))
     signed, mass = v[:N], v[N:2 * N] + v[2 * N:]
     return np.divide(signed, mass, out=np.zeros(N), where=mass > 0)
 
@@ -235,9 +260,15 @@ def solve_critical_points(E):
     (b_j - a_j), so NoConvergence means some |r_j| is above
     max(_RESIDUAL_TOL, 4 pi ulp(c_j) / (b_j - a_j)).
     """
-    N = len(E.gaps)
-    if N == 0:
+    if not E.gaps:
         return CriticalPoints(c=(), residuals=())
+    c = _roots(E)
+    return _accepted(E, c, *_one_pass(_gap_residuals(E, tuple(c))))
+
+
+def _roots(E):
+    """The sectioned c_j of solve_critical_points, not yet checked."""
+    N = len(E.gaps)
     a, b = np.array(E.gaps).T
     m = 0.5 * (a + b)
     t, w = _gap_rules(E, m)
@@ -249,8 +280,12 @@ def solve_critical_points(E):
         s = np.divide(p, d, out=np.zeros(d.shape), where=~own).sum(-1)
         return (x - m[k, None]) * (1.0 + s) + p[k, None]
 
-    c = _section(section, b, a)
-    r = _gap_residuals(E, tuple(c))
+    return _section(section, b, a, section(np.column_stack([b, a]), np.arange(N)).T)
+
+
+def _accepted(E, c, r):
+    """CriticalPoints(c, r), or NoConvergence if a residual r_j is too large."""
+    a, b = np.array(E.gaps).T
     bound = np.maximum(_RESIDUAL_TOL, 4.0 * math.pi * np.spacing(np.abs(c)) / (b - a))
     bad = np.flatnonzero(np.abs(r) > bound)
     if bad.size:
@@ -270,8 +305,8 @@ def a_constant(E, c):
 # Theta and M
 
 def _theta_gapped(E, c, x, y):
-    """Theta at x + iy, y >= 0, for a set with gaps: the boundary values in
-    one batched quadrature call, the vertical integrals in another."""
+    """Step of _one_pass: Theta at x + iy, y >= 0, for a set with gaps, the
+    vertical integrals in a quadrature call of their own."""
     N = len(E.gaps)
     gaps = np.array([(-math.inf, E.b0), *E.gaps])
     lo, hi = np.array(E.bands()).T
@@ -284,7 +319,7 @@ def _theta_gapped(E, c, x, y):
         [np.where(near, a, x[i]), np.where(near, x[i], b), a, b],   # M in gaps
         [lo[:N], hi[:N], lo[:N], hi[:N]],                      # whole bands
         [lo[q], np.maximum(x, lo[q]), lo[q], hi[q]]], axis=1)   # x's band to x
-    v = _edge_quad(lambda t, p, e: _m_density(E, c, piece[p], t, e), *ends)
+    v = yield (lambda t, p, e: _m_density(E, c, piece[p], t, e), *ends)
     theta = np.zeros(x.size, dtype=complex)
     theta.imag[i] = np.where(near, v[:i.size], -v[:i.size])
     mass = np.concatenate([[0.0], np.cumsum(v[i.size:i.size + N])])
@@ -306,12 +341,41 @@ def martin_function(E, c, z):
     x + i|y| in a MartinEvaluation; for an array of z, arrays shaped like z,
     each equal to a scalar call's.  M is symmetric under conjugation."""
     c = _check_c(E, c)
+    zs, x, y = _points(z)
+    # the free set's Theta is sqrt(z - b0), whose Im is +0 on the axis here
+    theta = _one_pass(_theta_gapped(E, c, x, y))[0] if E.gaps else np.sqrt(x - E.b0 + 1j * y)
+    return _evaluation(zs, theta)
+
+
+def _report(E, z, k_grid=None):
+    """solve_critical_points(E), martin_function(E, c, z) at its c and, for
+    a k_grid, fit_a_from_martin(E, c, k_grid) (else None), each bitwise
+    what the call gives alone; for a set with gaps their real-axis
+    integrals go to one _edge_quad call.  If that fails, the three calls
+    run in turn, so the error is the one the first failing call raises."""
+    if E.gaps:
+        try:
+            c, (zs, x, y) = _roots(E), _points(z)
+            fit = [] if k_grid is None else [_fit(E, tuple(c), k_grid)]
+            r, theta, *fit = _one_pass(_gap_residuals(E, tuple(c)),
+                                       _theta_gapped(E, tuple(c), x, y), *fit)
+            return _accepted(E, c, r), _evaluation(zs, theta), fit[0] if fit else None
+        except (SchregError, ValueError):
+            pass
+    cp = solve_critical_points(E)
+    ev = martin_function(E, cp.c, z)
+    return cp, ev, None if k_grid is None else fit_a_from_martin(E, cp.c, k_grid)
+
+
+def _points(z):
+    """z as a complex array, and its x and |y| flat; ValueError unless finite."""
     zs = np.asarray(z, dtype=complex)
     if not np.isfinite(zs).all():
         raise ValueError("z must be finite")
-    x, y = zs.real.ravel(), np.abs(zs.imag.ravel())
-    # the free set's Theta is sqrt(z - b0), whose Im is +0 on the axis here
-    theta = _theta_gapped(E, c, x, y) if E.gaps else np.sqrt(x - E.b0 + 1j * y)
+    return zs, zs.real.ravel(), np.abs(zs.imag.ravel())
+
+
+def _evaluation(zs, theta):
     if zs.ndim == 0:
         return MartinEvaluation(z=complex(zs), value=float(theta.imag[0]),
                                 theta_real=float(theta.real[0]))
@@ -335,8 +399,8 @@ def martin_measure_cdf(E, c, lambda_grid):
     L = np.maximum(np.concatenate([[E.b0], lams[:-1]])[:, None], bands[:, 0])
     H = np.minimum(lams[:, None], bands[:, 1])
     i, j = np.nonzero(L < H)
-    parts = _edge_quad(lambda x, _, e: _m_density(E, c, len(E.gaps) + 1, x, e),
-                       L[i, j], H[i, j], bands[j, 0], bands[j, 1])
+    parts, = _edge_quad((lambda x, _, e: _m_density(E, c, len(E.gaps) + 1, x, e),
+                         L[i, j], H[i, j], bands[j, 0], bands[j, 1]))
     steps = np.bincount(i, parts, lams.size)
     return MeasureCDF(lam=lams, cdf=np.cumsum(steps) / math.pi)
 
@@ -360,7 +424,11 @@ def fit_a_from_martin(E, c, k_grid):
     = prod (1 + d), d = ((c - t)(p + q) - p q) / ((a - t)(b - t)) for
     p = c - a, q = c - b; so r - 1 = expm1(sum log1p(d) / 2).
     """
-    c = _check_c(E, c)
+    return _one_pass(_fit(E, _check_c(E, c), k_grid))[0]
+
+
+def _fit(E, c, k_grid):
+    """fit_a_from_martin as a step of _one_pass."""
     ks = np.asarray(k_grid, dtype=float)
     if ks.ndim != 1 or len(ks) < 2 or not np.all(ks > 0):
         raise FitIllConditioned("k_grid must hold at least two positive values")
@@ -376,8 +444,8 @@ def fit_a_from_martin(E, c, k_grid):
         return 0.5 * np.expm1(0.5 * d)
 
     free = E.b0 / (np.sqrt(E.b0 + ks * ks) + ks)
-    y = 2.0 * ks * (_edge_quad(excess, -ks * ks, E.b0, -math.inf, E.b0) + free)
-    return _intercept(1.0 / (ks * ks), y)
+    v = yield excess, -ks * ks, E.b0, -math.inf, E.b0
+    return _intercept(1.0 / (ks * ks), 2.0 * ks * (v + free))
 
 
 def _intercept(u, y):

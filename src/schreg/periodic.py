@@ -12,11 +12,13 @@ or j, sign Delta = (-1)**j, so j = k + [sigma != r], and the level 2j.  The
 level never decreases with the energy, so each boundary between levels,
 however narrow its gap or band, is bracketed by the scan samples where the
 level passes it.  `spectrum._section` cuts all brackets into 32 together,
-one batched scan per round, until each is within 4e-16 times its larger
-starting |end| or no float splits it.  Touching bands (a closed gap)
-merge.  A period of m copies of one pattern P has P's bands, the gaps
-inside them closed: the scan folds P alone and takes P's level, with
-Delta = 2 T_m(Delta_P / 2), T_m the Chebyshev polynomial of the first kind.
+several levels per batched scan (the sign of level less boundary, times
+|g|, lets its guesses predict the levels ahead), until each is within 4e-16
+times its larger starting |end| or no float splits it.  Touching bands (a
+closed gap) merge.  A period of m copies of one pattern P has P's bands,
+the gaps inside them closed: the scan folds P alone and takes P's level,
+with Delta = 2 T_m(Delta_P / 2), T_m the Chebyshev polynomial of the first
+kind.
 """
 from __future__ import annotations
 
@@ -52,8 +54,9 @@ class BandSpectrum(Record, eq=False):
 
 
 def _scan(p, period, lam, step):
-    """Discriminant and band level at the real energies lam (a 1-d array), from
-    one offset fold of the period's cells, or of its pattern if it is m copies."""
+    """Discriminant, band level and floquet's band test g at the real
+    energies lam (a 1-d array), from one offset fold of the period's cells,
+    or of its pattern if it is m copies."""
     if not 0 < period < np.inf:
         raise ValueError("period must be positive and finite")
     propagation._check_step(step)
@@ -71,7 +74,7 @@ def _scan(p, period, lam, step):
     if m > 1:   # 2 T_m(Delta / 2), overflowing deep in a gap as e**s does
         with np.errstate(over="ignore"):
             delta = 2.0 * np.cos(m * np.arccos(0.5 * delta + 0j)).real
-    return delta, level
+    return delta, level, g
 
 
 def discriminant(p, period, lam, step=1e-3):
@@ -94,15 +97,21 @@ def band_spectrum(p, period, lambda_window, resolution=512, step=1e-3):
     if not (lo < hi and int(resolution) >= 2):
         raise ValueError("need an increasing window and resolution >= 2")
     lams = np.linspace(lo, hi, int(resolution))
-    deltas, level = _scan(p, period, lams, step)
+    deltas, level, g = _scan(p, period, lams, step)
     bound = np.arange(level[0], level[-1])
     i = np.searchsorted(level, bound, "right") - 1
 
-    def above(lam, k):   # level less boundary k + 1/2, from one walk
-        return (_scan(p, period, lam.ravel(), step)[1].reshape(lam.shape)
-                - bound[k, None] - 0.5)
+    def side(level, g, k):   # the level's side of boundary k + 1/2, times |g| (never 0)
+        size = np.where(np.abs(g) > 1e-300, np.abs(g), 1e-300)
+        return np.where(level > bound[k], size, -size)
 
-    ends = _section(above, lams[i + 1], lams[i]).tolist()
+    def above(lam, k):   # side at lam, from one walk
+        _, lv, gs = _scan(p, period, lam.ravel(), step)
+        return side(lv.reshape(lam.shape), gs.reshape(lam.shape), k[:, None])
+
+    k = np.arange(i.size)
+    ends = _section(above, lams[i + 1], lams[i],
+                    [side(level[j], g[j], k) for j in (i + 1, i)]).tolist()
     if level[0] % 2:
         ends.insert(0, lams[0])
     if level[-1] % 2:

@@ -73,14 +73,17 @@ def _rule(v, w):
 def _error(diff, spread):
     # QUADPACK's scaling of a rule difference to an error estimate, with
     # spread the integral of |f - mean f| over the panel (if it is not 0)
-    ratio = np.divide(200.0 * diff, spread, out=np.ones_like(diff),
-                      where=spread > 0)
-    return np.where(spread > 0, spread * np.minimum(1.0, ratio) ** 1.5, diff)
+    pos = spread > 0
+    ratio = np.divide(200.0 * diff, spread, out=np.ones_like(diff), where=pos)
+    return np.where(pos, spread * np.minimum(1.0, ratio) ** 1.5, diff)
 
 
 def _sum_by(k, v, n):
-    out = np.zeros(n, dtype=v.dtype)
-    np.add.at(out, k, v)   # in panel order, so reproducible per interval
+    # in panel order, so reproducible per interval; a complex v by parts
+    if v.dtype.kind != "c":
+        return np.bincount(k, v, n)
+    out = np.empty(n, dtype=v.dtype)
+    out.real, out.imag = np.bincount(k, v.real, n), np.bincount(k, v.imag, n)
     return out
 
 
@@ -88,7 +91,8 @@ def quad(f, a, b, *, rtol=1e-11, atol=1e-12):
     """Integral of f over each interval [a[k], b[k]] (finite ends).
 
     f(x, k) gets a flat array of points and the index k of each point's
-    interval, and returns one real or complex value per point.  Returns an
+    interval, in increasing k, and returns one real or complex value per
+    point.  Returns an
     array shaped like a and b broadcast, complex if f is.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
@@ -132,8 +136,9 @@ def quad(f, a, b, *, rtol=1e-11, atol=1e-12):
                 f"quadrature on [{a[j]}, {b[j]}] above rtol={rtol}, atol="
                 f"{atol}: " + ("panel cap" if over.any() else "width floor"))
         k = np.repeat(k, 2)
-        lo = np.column_stack([lo, mid]).ravel()
-        hi = np.column_stack([mid, hi]).ravel()
+        halves = np.empty((2, k.size))   # each panel's two halves, in place
+        halves[0, 0::2], halves[0, 1::2], halves[1, 0::2], halves[1, 1::2] = lo, mid, mid, hi
+        lo, hi = halves
     short = spent > np.maximum(atol, rtol * np.abs(total))
     if short.any():
         j = np.flatnonzero(short)[0]

@@ -13,7 +13,9 @@ from scipy.integrate import quad
 
 from schreg import martin as M, periodic as PE, potentials as P, propagation as PR
 from schreg import regularity as R
-from schreg.errors import FitIllConditioned, NoConvergence
+from schreg.cli import _FIT_K
+from schreg.errors import FitIllConditioned, NoConvergence, QuadratureFailure
+from sectioning import one_level_section
 
 FREE = M.GapSet(b0=0.0)
 ONE_GAP = M.GapSet(b0=0.0, gaps=((1.0, 2.0),))
@@ -342,6 +344,16 @@ def section_cases():
            np.where(up, below, above))
     yield ("cosine", lambda x, k: np.cos(x), np.array([0.0]),
            np.array([3.0 * math.pi - 0.3]))
+    # a staircase: both pairs' brackets hold both steps, and each pair's f
+    # (the level less its boundary) changes sign at one of them
+    steps = np.array([1.25, 1.75])
+    yield ("staircase", lambda x, k: (x[..., None] > steps).sum(-1) - k[:, None] - 0.5,
+           np.array([2.0, 2.0]), np.array([1.0, 1.0]))
+
+
+def ends_of(f, out, inn):
+    """f at each pair's out and inn end: the fends of `_section`."""
+    return f(np.column_stack([out, inn]), np.arange(out.size)).T
 
 
 @pytest.mark.parametrize("case", list(section_cases()), ids=lambda c: c[0])
@@ -355,7 +367,7 @@ def test_section_matches_halving(case):
         points.append((np.broadcast_to(k[:, None], x.shape).ravel(), x.ravel(), v.ravel()))
         return v
 
-    got = M._section(counted, out, inn)
+    got = M._section(counted, out, inn, ends_of(f, out, inn))
     want = halving_bisect(lambda x: f(x[:, None], np.arange(x.size))[:, 0],
                           out, inn)
     assert np.all(np.abs(got - want) <= tol)
@@ -371,6 +383,17 @@ def test_section_matches_halving(case):
         assert np.any((np.abs(p - q) <= tol[i]) & (0.5 * (p + q) == root))
 
 
+@pytest.mark.parametrize("ends", ["signs", "f"])
+@pytest.mark.parametrize("case", list(section_cases()), ids=lambda c: c[0])
+def test_section_walks_the_levels_of_one_level_per_round(case, ends):
+    # the look-ahead reads a level only where its guesses held, so its roots
+    # are the one-level-per-round finder's bit for bit, whatever the end
+    # values it guesses from
+    _, f, out, inn = case
+    fends = ends_of(f, out, inn) if ends == "f" else (np.ones(out.size), -np.ones(out.size))
+    assert np.array_equal(M._section(f, out, inn, fends), one_level_section(f, out, inn))
+
+
 def test_section_of_converged_brackets_calls_nothing():
     def never(x, k):
         raise AssertionError("f called on converged brackets")
@@ -379,8 +402,105 @@ def test_section_of_converged_brackets_calls_nothing():
     # 0, where 4e-16 times the ends is below the float spacing
     out = np.array([1.9, 2.0, 0.0])
     inn = np.array([1.9 + 3 * np.spacing(1.9), 2.0, 5e-324])
-    got = M._section(never, out, inn)
+    got = M._section(never, out, inn, (np.ones(3), -np.ones(3)))
     assert np.array_equal(got, 0.5 * (out + inn))
+
+
+def critical_sets():
+    """The pinned sets and the seeded random sets of the tests above."""
+    yield "square_wave", SQUARE_WAVE
+    for name in ("delta_0.45", "delta_1.3", "delta_5.0"):
+        yield name, M.GapSet(PINNED[name]["b0"], tuple(map(tuple, PINNED[name]["gaps"])))
+    for n in (1, 2, 3, 5, 8, 12, 20):
+        rng = np.random.default_rng(n)
+        for i in range(10):
+            edges = np.sort(rng.uniform(0.1, 150.0, 2 * n))
+            yield f"random_{n}_{i}", M.GapSet(-0.5, tuple(zip(edges[::2], edges[1::2])))
+
+
+@pytest.mark.parametrize("E", [E for _, E in critical_sets()], ids=[n for n, _ in critical_sets()])
+def test_critical_points_equal_one_level_per_round(monkeypatch, E):
+    # the pinned sets' c are the LAPACK route's to 0 ulps (2 on delta_5.0)
+    # through one level per round; the look-ahead must not move a bit
+    got = M._roots(E)
+    monkeypatch.setattr(M, "_section", one_level_section)
+    assert np.array_equal(got, M._roots(E))
+
+
+@pytest.mark.parametrize("delta", [0.45, 0.48, 0.51])
+def test_benchmark_gap_sets_section_in_few_rounds(monkeypatch, delta):
+    # the `periodic_gaps` sets: 3 gaps, each c to about 2 ulp in 10 levels
+    E = PE.to_gap_set(PE.band_spectrum(P.PeriodicSquare(delta), 2 * delta, (-2.0, 150.0), 2048))
+    section, rounds = M._section, []
+
+    def counted(f, *args):
+        return section(lambda x, k: rounds.append(1) or f(x, k), *args)
+
+    monkeypatch.setattr(M, "_section", counted)
+    solved(E)
+    assert len(E.gaps) == 3 and 1 <= len(rounds) <= 5
+
+
+def bits(*values):
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+@pytest.mark.parametrize("E", [SQUARE_WAVE, FREE], ids=["square_wave", "free"])
+def test_martin_command_integrals_equal_the_separate_calls(monkeypatch, E):
+    # the `martin` op: gap residuals, boundary values and the fit's excess
+    # integrals in one quadrature call, the vertical segments in another,
+    # each result bitwise what its public call gives alone
+    z = np.array([-5.0, -0.5, 10.5, 42.84, 96.4, 30.0 + 2.0j, 100.0 + 0.5j, 5.0 + 1.0j])
+    cp = solved(E)
+    ev, fit = M.martin_function(E, cp.c, z), M.fit_a_from_martin(E, cp.c, _FIT_K)
+    quad, calls = M.si.quad, []
+    monkeypatch.setattr(M.si, "quad", lambda *args, **kw: calls.append(1) or quad(*args, **kw))
+    got_cp, got_ev, got_fit = M._report(E, z, _FIT_K)
+    assert len(calls) == (2 if E.gaps else 1)
+    assert bits(*got_cp.c, *got_cp.residuals) == bits(*cp.c, *cp.residuals)
+    assert bits(got_ev.value, got_ev.theta_real, got_fit) == bits(ev.value, ev.theta_real, fit)
+    assert M._report(E, z)[2] is None
+
+
+def test_edge_quad_sets_equal_calls_of_their_own():
+    # several sets in one call, one of them with no part to integrate (an
+    # empty piece), each give their integrals bitwise as a call of their own
+    sets = [(lambda x, i, e: np.cos(x) + i, [0.0, 1.0], [0.5, 2.0], [0.0, 1.0], [1.0, 3.0]),
+            (lambda x, i, e: x * x, [1.0], [1.0], [0.0], [2.0]),
+            (lambda x, i, e: np.exp(-x) * (i + 1), [-4.0, 2.0], [1.0, 5.0],
+             [-math.inf, 2.0], [1.0, 5.0])]
+    together = M._edge_quad(*sets)
+    assert bits(*together) == bits(*(M._edge_quad(s)[0] for s in sets))
+    assert [v.size for v in together] == [2, 1, 2] and together[1][0] == 0.0
+
+
+@pytest.mark.parametrize("failing", [("residuals", "fit"), ("residuals", "boundary"),
+                                     ("boundary", "fit")], ids="+".join)
+def test_martin_command_raises_what_the_separate_calls_raise(monkeypatch, failing):
+    # when two steps of the pass fail, the error is the one the public calls
+    # raise in their order: solve_critical_points, martin_function, the fit
+    if "residuals" in failing:   # c at the gap midpoints fails the residual check
+        monkeypatch.setattr(M, "_section", lambda f, out, inn, fends: 0.5 * (out + inn))
+    if "fit" in failing:
+        def ill_conditioned(u, y):
+            raise FitIllConditioned("near-singular design matrix")
+
+        monkeypatch.setattr(M, "_intercept", ill_conditioned)
+    if "boundary" in failing:
+        theta = M._theta_gapped
+
+        def failing_theta(*args):   # the boundary values' quadrature fails
+            _, *pieces = next(theta(*args))
+
+            def fail(x, i, e):
+                raise QuadratureFailure("boundary values above tolerance")
+
+            yield (fail, *pieces)
+
+        monkeypatch.setattr(M, "_theta_gapped", failing_theta)
+    want = NoConvergence if "residuals" in failing else QuadratureFailure
+    with pytest.raises(want):
+        M._report(SQUARE_WAVE, np.array([-5.0, 10.5, 30.0 + 2.0j]), _FIT_K)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +534,7 @@ def quadpack_residuals(E, c):
 ])
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_gap_residuals_match_quadpack_with_break_point(E, c):
-    got = M._gap_residuals(E, c)
+    got, = M._one_pass(M._gap_residuals(E, c))
     want = quadpack_residuals(E, c)
     assert np.all(np.abs(want) > 1e-3)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
@@ -457,7 +577,7 @@ def test_gap_flatness_takes_few_quadrature_rounds(monkeypatch):
         return density(*args)
 
     monkeypatch.setattr(M, "_m_density", counted)
-    assert max(abs(M._gap_residuals(E, c))) <= 1e-10
+    assert max(abs(*M._one_pass(M._gap_residuals(E, c)))) <= 1e-10
     assert 1 <= len(calls) <= 4
 
 
@@ -566,7 +686,7 @@ def test_free_set_closed_form_matches_the_quadrature_route():
         E = M.GapSet(b0)
         zs = np.array([b0 + d for d in FREE_OFFSETS])
         ev = M.martin_function(E, (), zs)
-        q = M._theta_gapped(E, (), zs.real, np.abs(zs.imag))
+        q, = M._one_pass(M._theta_gapped(E, (), zs.real, np.abs(zs.imag)))
         assert np.all(np.abs(ev.value - q.imag) <= 1e-15 * np.abs(q.imag))
         assert np.all(np.abs(ev.theta_real - q.real) <= 1e-15 * np.abs(q.real))
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schreg import martin, periodic as PE, potentials as P
+from sectioning import one_level_section
 from test_martin import section_bound, square_wave_gap_set
 
 FREE = P.Constant(0.0)
@@ -198,11 +199,31 @@ def test_band_edges_match_halving_root_finder(monkeypatch):
 
     p, window = P.PeriodicSquare(0.47), (-2.0, 150.0)
     got = PE.band_spectrum(p, 0.94, window, 512)
-    monkeypatch.setattr(PE, "_section", lambda f, out, inn: halving_bisect(
+    monkeypatch.setattr(PE, "_section", lambda f, out, inn, fends: halving_bisect(
         lambda x: f(x[:, None], np.arange(x.size))[:, 0], out, inn))
     want = PE.band_spectrum(p, 0.94, window, 512)
     assert len(got.bands) == len(want.bands) >= 4
     assert np.max(np.abs(np.subtract(got.bands, want.bands))) <= EDGE_NOISE
+
+
+@pytest.mark.parametrize("resolution", [64, 512, 2048])
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.47, 0.7, 1.3, 5.0])
+def test_band_edges_equal_one_level_per_round(monkeypatch, delta, resolution):
+    # the look-ahead reads the levels one level per round would, bit for bit
+    p, window = P.PeriodicSquare(delta), (-2.0, 150.0)
+    got = PE.band_spectrum(p, 2 * delta, window, resolution).bands
+    monkeypatch.setattr(PE, "_section", one_level_section)
+    assert got == PE.band_spectrum(p, 2 * delta, window, resolution).bands
+
+
+@pytest.mark.parametrize("delta", [0.45, 0.48, 0.51])
+def test_benchmark_band_scan_sections_in_few_scans(monkeypatch, delta):
+    # the `periodic_gaps` bands op: one scan of the samples, then at most 5
+    # sectioning scans (11 at one level per round)
+    scan, scans = PE._scan, []
+    monkeypatch.setattr(PE, "_scan", lambda *args: scans.append(1) or scan(*args))
+    PE.band_spectrum(P.PeriodicSquare(delta), 2 * delta, (-2.0, 150.0), 2048)
+    assert 1 <= len(scans) - 1 <= 5
 
 
 def kronig_penney(mp, delta, lam):
@@ -348,9 +369,9 @@ def scans_and_edges(monkeypatch, p, period, window, resolution):
     scan, seen = PE._scan, []
 
     def recorded(*args):
-        delta, level = scan(*args)
+        delta, level, g = scan(*args)
         seen.append((args[2], level))
-        return delta, level
+        return delta, level, g
 
     monkeypatch.setattr(PE, "_scan", recorded)
     bs = PE.band_spectrum(p, period, window, resolution)
