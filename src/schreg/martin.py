@@ -31,8 +31,9 @@ and the part above it in t = b - s**2, the edge factor 1/sqrt|t - e| = 1/s
 cancelling exactly against the Jacobian.  Re Theta on an increasing grid
 is a cumulative sum over the band pieces between grid points.  Integrals
 go to `quadrature.quad` in batches: the real-axis integrals of a call in
-one (`_report` puts the `martin` command's gap residuals, boundary values
-and fit integrals into one), the vertical segments in another.
+one `_one_pass` (`_report` puts the `martin` command's gap residuals,
+boundary values and fit integrals into one), the vertical segments in
+another.
 """
 from __future__ import annotations
 
@@ -83,41 +84,34 @@ class MartinEvaluation(Record):
 # ---------------------------------------------------------------------------
 # real-axis quadrature (one batched adaptive call per pass)
 
-def _edge_quad(*sets):
-    """For each set (f, lo, hi, a, b), the integrals of f over each [lo[i],
-    hi[i]], inside [a[i], b[i]] where f has inverse-sqrt singularities at a
-    and b (either may be infinite): one array per set, in a list.
+def _one_pass(*steps):
+    """The values of steps, generators that each yield one set (f, lo, hi,
+    a, b), get back the integrals of f over each [lo[i], hi[i]] inside
+    [a[i], b[i]], where f has inverse-sqrt singularities at a and b (either
+    may be infinite), and return.
 
     The part below the midpoint of [a, b] is taken in t = a + s**2, the
     part above it in t = b - s**2.  f(x, i, e) gets points, the index i of
     the piece each belongs to and the end e (a or b) its substitution
     starts from, and returns sqrt|x - e| times the integrand: smooth at e,
     and with the Jacobian 2 s = 2 sqrt|x - e| it gives the exact s-space
-    integrand, with no rounded x - e near e.  All parts of all pieces of
-    all sets go to one quadrature call, each set's parts together, so that
-    each set's f gets its own points as one run.  quad keeps each
-    interval's panels to itself, so a set's integrals are bitwise those of
-    a call of its own.
+    integrand, with no rounded x - e near e.  The parts of all sets go to
+    one quadrature call piece by piece, so that each set's f gets its own
+    points as one run.  quad keeps each interval's panels to itself, so a
+    step's value is bitwise that of a pass of its own.
     """
+    sets = [next(step) for step in steps]
     ends = [np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in s[1:])) for s in sets]
     lo, hi, a, b = (np.concatenate([e[r].ravel() for e in ends]) for r in range(4))
     start = np.cumsum([0] + [e[0].size for e in ends])
     mid = 0.5 * (a + b)
-    il = np.flatnonzero(lo < np.minimum(hi, mid))
-    ir = np.flatnonzero(np.maximum(lo, mid) < hi)
-    # set n's parts: its lower parts cl[n]:cl[n + 1], then its upper ones
-    cl, cr = np.searchsorted(il, start), np.searchsorted(ir, start) + il.size
-    order = np.concatenate([np.r_[cl[n]:cl[n + 1], cr[n]:cr[n + 1]] for n in range(len(sets))])
-    owner = np.concatenate([il, ir])[order]
-    if not owner.size:
-        return [np.zeros(j - i) for i, j in zip(start, start[1:])]
-    origin = np.concatenate([a[il], b[ir]])[order]
-    sign = np.concatenate([np.ones(il.size), -np.ones(ir.size)])[order]
-    s0 = np.concatenate([np.sqrt(lo[il] - a[il]), np.sqrt(b[ir] - hi[ir])])[order]
-    s1 = np.concatenate([np.sqrt(np.minimum(hi, mid)[il] - a[il]),
-                         np.sqrt(b[ir] - np.maximum(lo, mid)[ir])])[order]
-    # each part's piece within its set, and where each set's run of parts starts
-    local, runs = owner - start[np.searchsorted(start, owner, "right") - 1], cl + cr - il.size
+    inner = np.column_stack([np.minimum(hi, mid), np.maximum(lo, mid)])   # the halves' ends at mid
+    # the parts piece by piece, its lower half (side 0) before its upper one
+    owner, side = np.nonzero(np.column_stack([lo < inner[:, 0], inner[:, 1] < hi]))
+    local = np.concatenate([np.arange(e[0].size) for e in ends])[owner]   # piece index in its set
+    origin, sign = np.column_stack([a, b])[owner, side], 1.0 - 2.0 * side
+    s0, s1 = (np.sqrt(np.abs(v[owner, side] - origin)) for v in (np.column_stack([lo, hi]), inner))
+    runs = np.searchsorted(owner, start)   # where each set's parts start
 
     def f(s, k):   # quad gives the points in part order, so a set's are one run
         e, cut = origin[k], np.searchsorted(k, runs)
@@ -125,19 +119,11 @@ def _edge_quad(*sets):
         return 2.0 * np.concatenate([g(x[p:q], i[p:q], e[p:q])
                                      for (g, *_), p, q in zip(sets, cut, cut[1:]) if q > p])
 
-    parts = si.quad(f, s0, s1, rtol=1e-11, atol=1e-12)
-    v = np.bincount(owner, parts, lo.size)
-    return [v[i:j] for i, j in zip(start, start[1:])]
-
-
-def _one_pass(*steps):
-    """The values of steps, generators that each yield one _edge_quad set,
-    get its integrals back and return: all their sets go to one _edge_quad
-    call."""
+    v = np.bincount(owner, si.quad(f, s0, s1, rtol=1e-11, atol=1e-12), lo.size)
     values = []
-    for step, v in zip(steps, _edge_quad(*(next(step) for step in steps))):
+    for step, i, j in zip(steps, start, start[1:]):
         try:
-            step.send(v)
+            step.send(v[i:j])
         except StopIteration as done:
             values.append(done.value)
     return values
@@ -351,7 +337,7 @@ def _report(E, z, k_grid=None):
     """solve_critical_points(E), martin_function(E, c, z) at its c and, for
     a k_grid, fit_a_from_martin(E, c, k_grid) (else None), each bitwise
     what the call gives alone; for a set with gaps their real-axis
-    integrals go to one _edge_quad call.  If that fails, the three calls
+    integrals go to one _one_pass.  If that fails, the three calls
     run in turn, so the error is the one the first failing call raises."""
     if E.gaps:
         try:
@@ -394,15 +380,19 @@ def martin_measure_cdf(E, c, lambda_grid):
     check_window((lams[0], math.inf), E)
     if not E.gaps:   # the free set: sqrt(lambda - b0) / pi, 0 below b0
         return MeasureCDF(lam=lams, cdf=np.sqrt(np.maximum(lams - E.b0, 0.0)) / math.pi)
-    # the band pieces between consecutive grid points, in one call
+    return MeasureCDF(lam=lams, cdf=_one_pass(_cdf(E, c, lams))[0])
+
+
+def _cdf(E, c, lams):
+    """martin_measure_cdf's cdf for a set with gaps, as a step of _one_pass:
+    the band pieces between consecutive grid points."""
     bands = np.array(E.bands())
     L = np.maximum(np.concatenate([[E.b0], lams[:-1]])[:, None], bands[:, 0])
     H = np.minimum(lams[:, None], bands[:, 1])
     i, j = np.nonzero(L < H)
-    parts, = _edge_quad((lambda x, _, e: _m_density(E, c, len(E.gaps) + 1, x, e),
-                         L[i, j], H[i, j], bands[j, 0], bands[j, 1]))
-    steps = np.bincount(i, parts, lams.size)
-    return MeasureCDF(lam=lams, cdf=np.cumsum(steps) / math.pi)
+    parts = yield (lambda x, _, e: _m_density(E, c, len(E.gaps) + 1, x, e),
+                   L[i, j], H[i, j], bands[j, 0], bands[j, 1])
+    return np.cumsum(np.bincount(i, parts, lams.size)) / math.pi
 
 
 def fit_a_from_martin(E, c, k_grid):

@@ -96,6 +96,8 @@ def band_spectrum(p, period, lambda_window, resolution=512, step=1e-3):
     lo, hi = float(lambda_window[0]), float(lambda_window[1])
     if not (lo < hi and int(resolution) >= 2):
         raise ValueError("need an increasing window and resolution >= 2")
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError("lambda_window must be finite")
     lams = np.linspace(lo, hi, int(resolution))
     deltas, level, g = _scan(p, period, lams, step)
     bound = np.arange(level[0], level[-1])

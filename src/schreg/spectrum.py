@@ -4,8 +4,8 @@
 operator -u'' + V u) meet only in a `GapSet` E and in a `MeasureCDF` on an
 energy grid.  Both check windows and z grids against E here, and both find
 roots with `_section`: the critical points in the gaps, and band edges,
-32 ways a level and as many levels per call of f as its guesses of the
-root hold.
+32 ways a level, 4 levels a call of f, of which it reads as many as its
+guesses of the root hold.
 """
 from __future__ import annotations
 
@@ -90,9 +90,10 @@ def check_z_grid(z_grid, E):
 
 
 _SECTIONS = 32   # sub-brackets a bracket is cut into per level of _section
+_DEPTH = 4       # levels each call of f in _section looks ahead
 # 32**l, and the middle of three inner points about sub-bracket j (built in
 # Python, so that importing the module runs no numpy ufunc)
-_DIGITS = np.array([float(_SECTIONS) ** l for l in range(13)])
+_DIGITS = np.array([float(_SECTIONS) ** l for l in range(_DEPTH + 1)])
 _MIDDLE = np.array([min(max(j, 2), _SECTIONS - 2) for j in range(_SECTIONS)])
 
 
@@ -111,46 +112,40 @@ def _section(f, out, inn, fends):
     one with f <= 0: a sign change, whether or not f is monotone.
 
     Each call of f, with the live pairs' indices k and their points, shape
-    (pairs, levels * 31), takes each pair's next level and the levels below
+    (pairs, 4 * 31), takes each pair's next level and the 3 levels below
     it in the sub-brackets where a guess puts the root: on the first call
     the secant through fends, then the inverse quadratic through f at the
     three inner points about the sub-bracket kept (Dekker 1969; Brent 1973).
     A level is read only where the guesses above it held, so the roots are
-    bitwise those of one level per call.  The first call looks 3 levels
-    deep, the next 2 n deep if the deepest pair read n (2 n + 2 if n were
-    all it had), never deeper than the widest pair can use.
+    bitwise those of one level per call.
     """
     out, inn = np.array(out, dtype=float), np.array(inn, dtype=float)
-    size = np.maximum(np.abs(out), np.abs(inn))
-    tol = 4e-16 * size
-    unit = np.maximum(tol, np.spacing(size))   # below it a pair uses no more levels
+    tol = 4e-16 * np.maximum(np.abs(out), np.abs(inn))
     with np.errstate(all="ignore"):   # the root as a fraction of its pair
         guess = fends[0] / (fends[0] - fends[1])
-    grid, depth = np.arange(_SECTIONS + 1) / _SECTIONS, 3
+    grid = np.arange(_SECTIONS + 1) / _SECTIONS
     for _ in range(200):
         k = np.flatnonzero(_live(out, inn, tol))
         if not k.size:
             break
         n, r = k.size, np.arange(k.size)[:, None]
-        widest = float((np.abs(inn[k] - out[k]) / unit[k]).max())
-        depth = min(depth, 2 + int(math.log(widest, _SECTIONS)))
         s = guess[k]
         s = np.where((s >= 0.0) & (s < 1.0), s, 0.5)
         # each level's guessed sub-bracket (the base-32 digits of s), and the next
-        lead = np.floor(s[:, None] * _DIGITS[:depth + 1])
+        lead = np.floor(s[:, None] * _DIGITS)
         pick = (lead[:, 1:] - _SECTIONS * lead[:, :-1]).astype(int)[..., None] + [0, 1]
-        pts, ends = np.empty((n, depth, _SECTIONS + 1)), np.column_stack([out[k], inn[k]])
-        for level in range(depth):
+        pts, ends = np.empty((n, _DEPTH, _SECTIONS + 1)), np.column_stack([out[k], inn[k]])
+        for level in range(_DEPTH):
             p = np.multiply(ends[:, 1:] - ends[:, :1], grid, out=pts[:, level])
             p += ends[:, :1]
             p[:, ::_SECTIONS] = ends
             ends = p[r, pick[:, level]]
-        val = f(pts[..., 1:-1].reshape(n, -1), k).reshape(n, depth, -1)
-        stop = np.ones((n, depth, _SECTIONS), bool)   # the last sub-bracket if no f <= 0
+        val = f(pts[..., 1:-1].reshape(n, -1), k).reshape(n, _DEPTH, -1)
+        stop = np.ones((n, _DEPTH, _SECTIONS), bool)   # the last sub-bracket if no f <= 0
         np.less_equal(val, 0.0, out=stop[..., :-1])
         first = stop.argmax(axis=2)
         # level l + 1 is read if l kept its guessed sub-bracket and that is live
-        read = np.zeros((n, depth), bool)
+        read = np.zeros((n, _DEPTH), bool)
         read[:, :-1] = ((first == pick[..., 0])[:, :-1]
                         & _live(pts[:, 1:, 0], pts[:, 1:, -1], tol[k, None]))
         h = (~read).argmax(axis=1)[:, None]
@@ -160,6 +155,4 @@ def _section(f, out, inn, fends):
         fa, fb, fc = val[r, h, m + [-2, -1, 0]].T   # f at inner points m - 1, m, m + 1
         with np.errstate(all="ignore"):
             guess[k] = (m - j)[:, 0] + fb / (fc - fa) * (fa / (fc - fb) + fc / (fa - fb))
-        n = int(h.max()) + 1
-        depth = 2 * n + 2 * (n == depth)
     return 0.5 * (out + inn)

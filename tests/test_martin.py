@@ -462,16 +462,29 @@ def test_martin_command_integrals_equal_the_separate_calls(monkeypatch, E):
     assert M._report(E, z)[2] is None
 
 
-def test_edge_quad_sets_equal_calls_of_their_own():
-    # several sets in one call, one of them with no part to integrate (an
-    # empty piece), each give their integrals bitwise as a call of their own
+def integrals(*pieces):
+    """A step of `_one_pass` whose value is the integrals of its one set."""
+    return (yield pieces)
+
+
+def test_one_pass_steps_equal_passes_of_their_own():
+    # several steps in one pass, one of them with no part to integrate (an
+    # empty piece) and one with a = -inf, each give their value bitwise as a
+    # pass of its own
     sets = [(lambda x, i, e: np.cos(x) + i, [0.0, 1.0], [0.5, 2.0], [0.0, 1.0], [1.0, 3.0]),
             (lambda x, i, e: x * x, [1.0], [1.0], [0.0], [2.0]),
             (lambda x, i, e: np.exp(-x) * (i + 1), [-4.0, 2.0], [1.0, 5.0],
              [-math.inf, 2.0], [1.0, 5.0])]
-    together = M._edge_quad(*sets)
-    assert bits(*together) == bits(*(M._edge_quad(s)[0] for s in sets))
+    together = M._one_pass(*(integrals(*s) for s in sets))
+    assert bits(*together) == bits(*(M._one_pass(integrals(*s))[0] for s in sets))
     assert [v.size for v in together] == [2, 1, 2] and together[1][0] == 0.0
+
+
+def test_cdf_step_joined_with_residuals_equals_martin_measure_cdf():
+    cp, lams = solved(SQUARE_WAVE), np.linspace(SQUARE_WAVE.b0, 150.0, 301)
+    r, cdf = M._one_pass(M._gap_residuals(SQUARE_WAVE, cp.c), M._cdf(SQUARE_WAVE, cp.c, lams))
+    assert bits(cdf) == bits(M.martin_measure_cdf(SQUARE_WAVE, cp.c, lams).cdf)
+    assert bits(*r) == bits(*cp.residuals)
 
 
 @pytest.mark.parametrize("failing", [("residuals", "fit"), ("residuals", "boundary"),

@@ -143,6 +143,10 @@ def _input_checks():
          ValueError, "increasing window"),
         ("band_resolution", lambda: PE.band_spectrum(wave, 1.0, (-2.0, 3.0), 1),
          ValueError, "resolution"),
+        ("band_window_inf_bottom", lambda: PE.band_spectrum(wave, 1.0, (-math.inf, 10.0)),
+         ValueError, "finite"),
+        ("band_window_inf_top", lambda: PE.band_spectrum(wave, 1.0, (-2.0, math.inf)),
+         ValueError, "finite"),
         ("gap_set_of_no_bands",
          lambda: PE.to_gap_set(PE.band_spectrum(wave, 1.0, (-5.0, -3.0))), ValueError, "no bands"),
         ("to_json_unknown", lambda: P.to_json(one_gap), TypeError, "unknown potential type"),

@@ -206,11 +206,15 @@ def test_band_edges_match_halving_root_finder(monkeypatch):
     assert np.max(np.abs(np.subtract(got.bands, want.bands))) <= EDGE_NOISE
 
 
-@pytest.mark.parametrize("resolution", [64, 512, 2048])
-@pytest.mark.parametrize("delta", [0.1, 0.3, 0.47, 0.7, 1.3, 5.0])
-def test_band_edges_equal_one_level_per_round(monkeypatch, delta, resolution):
+ONE_LEVEL_CASES = [(d, n, 150.0) for d in (0.1, 0.3, 0.47, 0.7, 1.3, 5.0) for n in (64, 512, 2048)]
+ONE_LEVEL_CASES += [(d, 2048, 3000.0) for d in (0.47, 1.3, 5.0)]   # 16, 45 and 174 gaps
+
+
+@pytest.mark.parametrize("delta, resolution, top", ONE_LEVEL_CASES, ids=[
+    f"{d}-{n}" + ("-3000" if t > 150 else "") for d, n, t in ONE_LEVEL_CASES])
+def test_band_edges_equal_one_level_per_round(monkeypatch, delta, resolution, top):
     # the look-ahead reads the levels one level per round would, bit for bit
-    p, window = P.PeriodicSquare(delta), (-2.0, 150.0)
+    p, window = P.PeriodicSquare(delta), (-2.0, top)
     got = PE.band_spectrum(p, 2 * delta, window, resolution).bands
     monkeypatch.setattr(PE, "_section", one_level_section)
     assert got == PE.band_spectrum(p, 2 * delta, window, resolution).bands
@@ -224,6 +228,17 @@ def test_benchmark_band_scan_sections_in_few_scans(monkeypatch, delta):
     monkeypatch.setattr(PE, "_scan", lambda *args: scans.append(1) or scan(*args))
     PE.band_spectrum(P.PeriodicSquare(delta), 2 * delta, (-2.0, 150.0), 2048)
     assert 1 <= len(scans) - 1 <= 5
+
+
+def test_174_gap_band_scan_sections_in_few_scans_and_energies(monkeypatch):
+    # 174 gaps below 3000, whose edges 4 levels a scan sections in 6
+    # scans of 186,000 energies in all
+    scan, sizes = PE._scan, []
+    monkeypatch.setattr(PE, "_scan", lambda p, T, lam, step: sizes.append(lam.size)
+                        or scan(p, T, lam, step))
+    bs = PE.band_spectrum(P.PeriodicSquare(5.0), 10.0, (-2.0, 3000.0), 2048)
+    assert len(PE.to_gap_set(bs).gaps) == 174
+    assert 1 <= len(sizes) - 1 <= 6 and sum(sizes[1:]) <= 200_000
 
 
 def kronig_penney(mp, delta, lam):
