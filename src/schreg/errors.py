@@ -18,7 +18,12 @@ class ZeroSolution(SchregError):
 
 
 class QuadratureFailure(SchregError):
-    """An adaptive quadrature did not reach the requested tolerance."""
+    """An adaptive quadrature did not reach the requested tolerance; from
+    `quadrature.quad`, values holds every interval's value, nan if it failed."""
+
+    def __init__(self, message, values=None):
+        super().__init__(message)
+        self.values = values
 
 
 class NoConvergence(SchregError):

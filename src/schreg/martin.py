@@ -33,7 +33,8 @@ is a cumulative sum over the band pieces between grid points.  Integrals
 go to `quadrature.quad` in batches: the real-axis integrals of a call in
 one `_one_pass` (`_report` puts the `martin` command's gap residuals,
 boundary values and fit integrals into one), the vertical segments in
-another.
+another.  A pass's steps fail in order, each on its own pieces, so the
+`martin` command raises what its three calls would raise in turn.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ import numpy as np
 # imported under the name `si`, and called only as `si.quad`, so that a
 # span tracer can wrap every quadrature call through this one module global
 from . import quadrature as si
-from .errors import FitIllConditioned, NoConvergence, SchregError
+from .errors import FitIllConditioned, NoConvergence, QuadratureFailure
 from .record import Record
 # GapSet, check_z_grid and distance_to_set are re-exported for callers of `martin.X`
 from .spectrum import GapSet, MeasureCDF, _section, check_window, check_z_grid, distance_to_set
@@ -98,7 +99,8 @@ def _one_pass(*steps):
     integrand, with no rounded x - e near e.  The parts of all sets go to
     one quadrature call piece by piece, so that each set's f gets its own
     points as one run.  quad keeps each interval's panels to itself, so a
-    step's value is bitwise that of a pass of its own.
+    step's value is bitwise that of a pass of its own, and so is its
+    failure: steps finish in order, up to the first with a piece quad failed.
     """
     sets = [next(step) for step in steps]
     ends = [np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in s[1:])) for s in sets]
@@ -119,9 +121,17 @@ def _one_pass(*steps):
         return 2.0 * np.concatenate([g(x[p:q], i[p:q], e[p:q])
                                      for (g, *_), p, q in zip(sets, cut, cut[1:]) if q > p])
 
-    v = np.bincount(owner, si.quad(f, s0, s1, rtol=1e-11, atol=1e-12), lo.size)
+    try:
+        v, failure = si.quad(f, s0, s1, rtol=1e-11, atol=1e-12), None
+    except QuadratureFailure as e:
+        if e.values is None:   # raised by an integrand, not by quad
+            raise
+        v, failure = e.values, e
+    v = np.bincount(owner, v, lo.size)
     values = []
     for step, i, j in zip(steps, start, start[1:]):
+        if failure and np.isnan(v[i:j]).any():   # the first step with a failed piece
+            raise failure
         try:
             step.send(v[i:j])
         except StopIteration as done:
@@ -248,8 +258,7 @@ def solve_critical_points(E):
     """
     if not E.gaps:
         return CriticalPoints(c=(), residuals=())
-    c = _roots(E)
-    return _accepted(E, c, *_one_pass(_gap_residuals(E, tuple(c))))
+    return _one_pass(_accepted(E, _roots(E)))[0]
 
 
 def _roots(E):
@@ -269,8 +278,10 @@ def _roots(E):
     return _section(section, b, a, section(np.column_stack([b, a]), np.arange(N)).T)
 
 
-def _accepted(E, c, r):
-    """CriticalPoints(c, r), or NoConvergence if a residual r_j is too large."""
+def _accepted(E, c):
+    """Step of _one_pass: CriticalPoints(c, r) with c's gap residuals r, or
+    NoConvergence if a residual r_j is too large."""
+    r = yield from _gap_residuals(E, tuple(c))
     a, b = np.array(E.gaps).T
     bound = np.maximum(_RESIDUAL_TOL, 4.0 * math.pi * np.spacing(np.abs(c)) / (b - a))
     bad = np.flatnonzero(np.abs(r) > bound)
@@ -337,20 +348,17 @@ def _report(E, z, k_grid=None):
     """solve_critical_points(E), martin_function(E, c, z) at its c and, for
     a k_grid, fit_a_from_martin(E, c, k_grid) (else None), each bitwise
     what the call gives alone; for a set with gaps their real-axis
-    integrals go to one _one_pass.  If that fails, the three calls
-    run in turn, so the error is the one the first failing call raises."""
-    if E.gaps:
-        try:
-            c, (zs, x, y) = _roots(E), _points(z)
-            fit = [] if k_grid is None else [_fit(E, tuple(c), k_grid)]
-            r, theta, *fit = _one_pass(_gap_residuals(E, tuple(c)),
-                                       _theta_gapped(E, tuple(c), x, y), *fit)
-            return _accepted(E, c, r), _evaluation(zs, theta), fit[0] if fit else None
-        except (SchregError, ValueError):
-            pass
-    cp = solve_critical_points(E)
-    ev = martin_function(E, cp.c, z)
-    return cp, ev, None if k_grid is None else fit_a_from_martin(E, cp.c, k_grid)
+    integrals go to one _one_pass, whose steps fail in that order, so the
+    error is the one the first failing call raises.  Only argument errors
+    that the CLI rules out (a non-finite z, a k_grid the fit rejects) may
+    raise before the pass."""
+    if not E.gaps:
+        cp, ev = solve_critical_points(E), martin_function(E, (), z)
+        return cp, ev, None if k_grid is None else fit_a_from_martin(E, (), k_grid)
+    c, (zs, x, y) = _roots(E), _points(z)
+    fit = [] if k_grid is None else [_fit(E, tuple(c), k_grid)]
+    cp, theta, *fit = _one_pass(_accepted(E, c), _theta_gapped(E, tuple(c), x, y), *fit)
+    return cp, _evaluation(zs, theta), fit[0] if fit else None
 
 
 def _points(z):

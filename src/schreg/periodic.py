@@ -14,11 +14,11 @@ however narrow its gap or band, is bracketed by the scan samples where the
 level passes it.  `spectrum._section` cuts all brackets into 32 together,
 several levels per batched scan (the sign of level less boundary, times
 |g|, lets its guesses predict the levels ahead), until each is within 4e-16
-times its larger starting |end| or no float splits it.  Touching bands (a
-closed gap) merge.  A period of m copies of one pattern P has P's bands,
-the gaps inside them closed: the scan folds P alone and takes P's level,
-with Delta = 2 T_m(Delta_P / 2), T_m the Chebyshev polynomial of the first
-kind.
+times the larger of its |ends| and min(1, its larger starting |end|), or
+no float splits it.  Touching bands (a closed gap) merge.  A period of m
+copies of one pattern P has P's bands, the gaps inside them closed: the
+scan folds P alone and takes P's level, with Delta = 2 T_m(Delta_P / 2),
+T_m the Chebyshev polynomial of the first kind.
 """
 from __future__ import annotations
 
@@ -70,9 +70,9 @@ def _scan(p, period, lam, step):
         e = propagation._offsets(w, v, lam, e)
     r, _, g = _reflect(e)
     level = np.where(g < 0.0, 2 * e[7] + 1, 2 * (e[7] + (e[6] != r)))
-    delta = np.exp(e[4]) * (e[0] + e[3] + 2.0 * e[5])
-    if m > 1:   # 2 T_m(Delta / 2), overflowing deep in a gap as e**s does
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):   # Delta overflows deep in a gap, as e**s does
+        delta = np.exp(e[4]) * (e[0] + e[3] + 2.0 * e[5])
+        if m > 1:   # 2 T_m(Delta / 2)
             delta = 2.0 * np.cos(m * np.arccos(0.5 * delta + 0j)).real
     return delta, level, g
 
@@ -89,9 +89,10 @@ def band_spectrum(p, period, lambda_window, resolution=512, step=1e-3):
     """Bands inside the window from a `resolution`-point level scan.
 
     Each boundary between the first and last sample's levels is sectioned
-    from the two samples where the level passes it, to 4e-16 times their
-    larger |lam| or until no float splits the bracket.  An odd boundary is
-    a band's top, an even one the next band's bottom.
+    from the two samples where the level passes it, to 4e-16 times its own
+    larger |lam| (see `spectrum._section` for the floor) or until no float
+    splits the bracket.  An odd boundary is a band's top, an even one the
+    next band's bottom.
     """
     lo, hi = float(lambda_window[0]), float(lambda_window[1])
     if not (lo < hi and int(resolution) >= 2):

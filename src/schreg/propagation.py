@@ -335,7 +335,7 @@ def eigenvalue_count(p, x, lam, step=1e-3):
 def zero_counting_cdf(p, x, lambda_grid, step=1e-3):
     """Normalized eigenvalue-counting measure, a `spectrum.MeasureCDF`: counts(lam)/x on a grid."""
     lams = np.asarray(lambda_grid, dtype=float)
-    if not (lams.size and np.all(np.diff(lams) > 0)):
-        raise ValueError("lambda_grid must be nonempty and strictly increasing")
+    if not (lams.ndim == 1 and lams.size and np.all(np.diff(lams) > 0)):
+        raise ValueError("lambda_grid must be a nonempty, strictly increasing 1-d sequence")
     return MeasureCDF(lam=lams, cdf=_counts(p, x, lams, step) / x)
 

@@ -8,10 +8,12 @@ share of its interval's tolerance, or once the errors of all of the
 interval's panels sum to within it; the others are halved.  This is the
 bisection of QUADPACK's QAG (Piessens et al., 1983) run as array code, with
 one call of f per round.  Work is bounded: an interval needing more than
-_MAX_PANELS panels, or a panel too narrow to halve, raises
-QuadratureFailure, and so does a summed error left above the tolerance (a
-tolerance below rounding).  Each interval's value depends only on its own
-panels, so a batch gives bitwise the values of one call per interval.
+_MAX_PANELS panels, or with a panel too narrow to halve, stops and fails,
+and so does one whose summed error is left above the tolerance (a
+tolerance below rounding).  Each interval's value and failure depend only
+on its own panels, so a batch gives bitwise the values of one call per
+interval, and fails alone, as QUADPACK flags each integral: the one
+QuadratureFailure raised has the first failing interval's own text.
 The rules are literal tables, bit for bit numpy's leggauss (the tests check
 it), so no run imports numpy.polynomial or calls LAPACK to build them.
 """
@@ -92,8 +94,8 @@ def quad(f, a, b, *, rtol=1e-11, atol=1e-12):
 
     f(x, k) gets a flat array of points and the index k of each point's
     interval, in increasing k, and returns one real or complex value per
-    point.  Returns an
-    array shaped like a and b broadcast, complex if f is.
+    point.  Returns an array shaped like a and b broadcast, complex if f
+    is; raises QuadratureFailure, values and all, if any interval fails.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(b, dtype=float))
@@ -106,6 +108,7 @@ def quad(f, a, b, *, rtol=1e-11, atol=1e-12):
     (x16, w16), (x8, w8) = gauss(16), gauss(8)
     nodes = np.concatenate([x16, x8])
     total, spent, panels = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+    why = {}   # the failure text of each interval that fails
     while k.size:
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         v = np.asarray(f((mid[:, None] + half[:, None] * nodes).ravel(),
@@ -130,18 +133,20 @@ def quad(f, a, b, *, rtol=1e-11, atol=1e-12):
         k, lo, mid, hi = k[~ok], lo[~ok], mid[~ok], hi[~ok]
         over = panels + 2 * np.bincount(k, minlength=n) > _MAX_PANELS
         narrow = (mid == lo) | (mid == hi)
-        if over.any() or narrow.any():
-            j = np.flatnonzero(over)[0] if over.any() else k[narrow][0]
-            raise QuadratureFailure(
-                f"quadrature on [{a[j]}, {b[j]}] above rtol={rtol}, atol="
-                f"{atol}: " + ("panel cap" if over.any() else "width floor"))
+        if over.any() or narrow.any():   # those intervals stop, the others go on
+            for j in np.union1d(np.flatnonzero(over), k[narrow]):
+                why[j] = (f"quadrature on [{a[j]}, {b[j]}] above rtol={rtol}, atol="
+                          f"{atol}: " + ("panel cap" if over[j] else "width floor"))
+            go = ~np.isin(k, list(why))
+            k, lo, mid, hi = k[go], lo[go], mid[go], hi[go]
         k = np.repeat(k, 2)
         halves = np.empty((2, k.size))   # each panel's two halves, in place
         halves[0, 0::2], halves[0, 1::2], halves[1, 0::2], halves[1, 1::2] = lo, mid, mid, hi
         lo, hi = halves
-    short = spent > np.maximum(atol, rtol * np.abs(total))
-    if short.any():
-        j = np.flatnonzero(short)[0]
-        raise QuadratureFailure(f"quadrature on [{a[j]}, {b[j]}]: rounding "
-                                f"error {spent[j]:.3g} above rtol={rtol}, atol={atol}")
+    for j in np.flatnonzero(spent > np.maximum(atol, rtol * np.abs(total))):
+        why.setdefault(j, f"quadrature on [{a[j]}, {b[j]}]: rounding "
+                          f"error {spent[j]:.3g} above rtol={rtol}, atol={atol}")
+    if why:
+        total[list(why)] = np.nan
+        raise QuadratureFailure(why[min(why)], total.reshape(shape))
     return total.reshape(shape)

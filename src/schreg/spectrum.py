@@ -97,19 +97,22 @@ _DIGITS = np.array([float(_SECTIONS) ** l for l in range(_DEPTH + 1)])
 _MIDDLE = np.array([min(max(j, 2), _SECTIONS - 2) for j in range(_SECTIONS)])
 
 
-def _live(out, inn, tol):
-    """Pairs wider than tol that a float still splits."""
+def _live(out, inn, floor):
+    """Pairs wider than 4e-16 max(|ends|, floor) that a float still splits."""
     mid = 0.5 * (out + inn)
+    tol = 4e-16 * np.maximum(np.maximum(np.abs(out), np.abs(inn)), floor)
     return (np.abs(inn - out) > tol) & (mid != out) & (mid != inn)
 
 
 def _section(f, out, inn, fends):
     """Roots of f bracketed by pairs of ends, f(out) > 0 >= f(inn), each
     pair in either order, until a pair is within 4e-16 times the larger of
-    its starting |ends| (about 2 ulp) or no float splits it; fends holds
-    the values f(out) and f(inn).  A level cuts a pair at its 31 inner
-    points out + (inn - out) j / 32 and keeps the sub-bracket at the first
-    one with f <= 0: a sign change, whether or not f is monotone.
+    its |ends| (about 2 ulp) and the floor min(1, larger starting |end|),
+    which stops a root at 0 in a dozen calls, or no float splits it; fends
+    holds f(out) and f(inn).  A level cuts a pair at its 31 inner points
+    out + (inn - out) j / 32 and keeps the sub-bracket at the first one with
+    f <= 0: a sign change, whether or not f is monotone.  Each call cuts
+    every live pair at least 32-fold, so the calls end however wide it is.
 
     Each call of f, with the live pairs' indices k and their points, shape
     (pairs, 4 * 31), takes each pair's next level and the 3 levels below
@@ -120,14 +123,11 @@ def _section(f, out, inn, fends):
     bitwise those of one level per call.
     """
     out, inn = np.array(out, dtype=float), np.array(inn, dtype=float)
-    tol = 4e-16 * np.maximum(np.abs(out), np.abs(inn))
+    floor = np.minimum(np.maximum(np.abs(out), np.abs(inn)), 1.0)
     with np.errstate(all="ignore"):   # the root as a fraction of its pair
         guess = fends[0] / (fends[0] - fends[1])
     grid = np.arange(_SECTIONS + 1) / _SECTIONS
-    for _ in range(200):
-        k = np.flatnonzero(_live(out, inn, tol))
-        if not k.size:
-            break
+    while (k := np.flatnonzero(_live(out, inn, floor))).size:
         n, r = k.size, np.arange(k.size)[:, None]
         s = guess[k]
         s = np.where((s >= 0.0) & (s < 1.0), s, 0.5)
@@ -147,7 +147,7 @@ def _section(f, out, inn, fends):
         # level l + 1 is read if l kept its guessed sub-bracket and that is live
         read = np.zeros((n, _DEPTH), bool)
         read[:, :-1] = ((first == pick[..., 0])[:, :-1]
-                        & _live(pts[:, 1:, 0], pts[:, 1:, -1], tol[k, None]))
+                        & _live(pts[:, 1:, 0], pts[:, 1:, -1], floor[k, None]))
         h = (~read).argmax(axis=1)[:, None]
         j = first[r, h]
         out[k], inn[k] = pts[r, h, j + [0, 1]].T

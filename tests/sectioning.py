@@ -3,7 +3,9 @@
 A frozen copy of the root finder as it was before it read several levels
 per call of f, kept as the oracle its roots must equal bit for bit.  Each
 round calls f once with the 31 inner points out + (inn - out) j / 32 of
-every live pair and keeps the sub-bracket at the first one with f <= 0.
+every live pair and keeps the sub-bracket at the first one with f <= 0,
+until each pair is within 4e-16 times the larger of its |ends| and the
+floor min(larger starting |end|, 1), or no float splits it.
 """
 import numpy as np
 
@@ -15,10 +17,11 @@ def one_level_section(f, out, inn, fends=None):
     computes them, one level per round; fends (the look-ahead's end values)
     is accepted and ignored, so it can stand in for `_section`."""
     out, inn = np.array(out, dtype=float), np.array(inn, dtype=float)
-    tol = 4e-16 * np.maximum(np.abs(out), np.abs(inn))
+    floor = np.minimum(np.maximum(np.abs(out), np.abs(inn)), 1.0)
     frac = np.arange(1, SECTIONS) / SECTIONS
-    for _ in range(200):
+    while True:
         mid = 0.5 * (out + inn)
+        tol = 4e-16 * np.maximum(np.maximum(np.abs(out), np.abs(inn)), floor)
         k = np.flatnonzero((np.abs(inn - out) > tol) & (mid != out) & (mid != inn))
         if not k.size:
             break

@@ -121,6 +121,20 @@ def test_bands_window_below_spectrum_has_no_bands(tmp_path):
     assert doc["lowest_eigenvalue"] is None
 
 
+def test_bands_of_a_wide_window_write_the_right_gap_set(tmp_path):
+    # samples 2e17 apart once put both edges of the band in one bracket,
+    # stopped 80 wide: the band (1.853, 7.284) and its gap set were written
+    config = window_config("bands", (-1e20, 10.0))
+    config["params"]["resolution"] = 512
+    assert cli.run(config, out_dir=str(tmp_path)) == 0
+    doc = read_json(tmp_path / "bands.json")
+    # the 40-digit Kronig-Penney roots of Delta = 2 and Delta = -2
+    b0, top = -0.020823009796343267791, 9.2275828462401031126
+    assert doc["gap_set"]["gaps"] == [] and len(doc["bands"]) == 1
+    assert abs(doc["gap_set"]["b0"] - b0) <= 50 * math.ulp(b0)
+    assert abs(doc["bands"][0][1] - top) <= 10 * math.ulp(top)
+
+
 def test_regularity_verdict_from_config(tmp_path):
     config = {
         "command": "regularity",

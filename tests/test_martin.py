@@ -304,8 +304,9 @@ def test_truncated_square_wave_a_constant_tends_to_the_mean():
 
 
 def section_bound(out, inn):
-    """4e-16 times the larger of each pair's |ends|: about 2 ulp, the width
-    at which sectioning stops a bracket (or sooner, where no float splits it)."""
+    """4e-16 times the larger of each pair's |ends|: about 2 ulp, the widest
+    bracket sectioning stops at (its width shrinks with the live ends, and
+    no float may split it sooner)."""
     return 4e-16 * np.maximum(np.abs(out), np.abs(inn))
 
 
@@ -500,20 +501,38 @@ def test_martin_command_raises_what_the_separate_calls_raise(monkeypatch, failin
 
         monkeypatch.setattr(M, "_intercept", ill_conditioned)
     if "boundary" in failing:
-        theta = M._theta_gapped
-
-        def failing_theta(*args):   # the boundary values' quadrature fails
-            _, *pieces = next(theta(*args))
-
-            def fail(x, i, e):
-                raise QuadratureFailure("boundary values above tolerance")
-
-            yield (fail, *pieces)
-
-        monkeypatch.setattr(M, "_theta_gapped", failing_theta)
+        fail_boundary_values(monkeypatch)
+    z = np.array([-5.0, 10.5, 30.0 + 2.0j])
     want = NoConvergence if "residuals" in failing else QuadratureFailure
-    with pytest.raises(want):
+    with pytest.raises(want) as alone:
+        cp = M.solve_critical_points(SQUARE_WAVE)
+        M.martin_function(SQUARE_WAVE, cp.c, z)
+        M.fit_a_from_martin(SQUARE_WAVE, cp.c, _FIT_K)
+    with pytest.raises(want) as together:
+        M._report(SQUARE_WAVE, z, _FIT_K)
+    assert str(together.value) == str(alone.value)
+
+
+def fail_boundary_values(monkeypatch):
+    """Make the boundary values' integrand nan, so quad fails their pieces."""
+    theta = M._theta_gapped
+
+    def failing_theta(*args):
+        _, *pieces = next(theta(*args))
+        yield (lambda x, i, e: np.full(x.shape, np.nan), *pieces)
+
+    monkeypatch.setattr(M, "_theta_gapped", failing_theta)
+
+
+def test_a_failing_martin_command_integrates_once(monkeypatch):
+    # the failing pass raises the boundary values' own failure: no call is
+    # rerun to find which step failed first
+    fail_boundary_values(monkeypatch)
+    quad, calls = M.si.quad, []
+    monkeypatch.setattr(M.si, "quad", lambda *args, **kw: calls.append(1) or quad(*args, **kw))
+    with pytest.raises(QuadratureFailure, match="panel cap|width floor"):
         M._report(SQUARE_WAVE, np.array([-5.0, 10.5, 30.0 + 2.0j]), _FIT_K)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

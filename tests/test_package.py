@@ -164,6 +164,8 @@ def _input_checks():
         ("repeat_transfer_matrix_at_inf", lambda: PR.transfer_matrix(wave, math.inf, -1.0),
          ValueError, "finite"),
         ("cdf_at_inf", lambda: PR.zero_counting_cdf(free, math.inf, [1.0]), ValueError, "finite"),
+        ("cdf_2d_grid", lambda: PR.zero_counting_cdf(free, 10.0, [[1.0, 2.0], [3.0, 4.0]]),
+         ValueError, "1-d"),
         ("eigenvalue_count_at_inf", lambda: PR.eigenvalue_count(free, math.inf, 1.0), ValueError,
          "finite"),
         ("profile_at_inf", lambda: PR.dirichlet_profile(free, [1.0, math.inf], [-1.0]),

@@ -269,10 +269,19 @@ EDGE_ULPS, DEEP_EDGE_ULPS, B0_ULPS = 10, 30, 50
 @pytest.mark.parametrize("window", [(-2.0, 150.0), (-2.0, 60.0)])
 @pytest.mark.parametrize("delta", [0.47, 0.5, 1.3, 3.0, 5.0])
 def test_band_edges_match_40_digit_kronig_penney_roots(delta, window):
-    mp = pytest.importorskip("mpmath")
     bs = PE.band_spectrum(P.PeriodicSquare(delta), 2 * delta, window, 512)
     ends = [e for band in bs.bands for e in band if e not in window]
     assert len(ends) >= 5 and bs.level[0] == 0
+    errors = kronig_penney_ulps(delta, ends)
+    assert errors[0] <= B0_ULPS
+    assert max(errors[1:]) <= (DEEP_EDGE_ULPS if delta > 2.0 else EDGE_ULPS)
+
+
+def kronig_penney_ulps(delta, ends):
+    """Each band edge's distance in ulps from its 40-digit Kronig-Penney
+    root, after checking that every stretch between the ends is what it is
+    said to be: a band where |Delta| <= 2, a gap where it is not."""
+    mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         errors = []
         for e in ends:
@@ -284,13 +293,24 @@ def test_band_edges_match_40_digit_kronig_penney_roots(delta, window):
                 d *= 4
             root = mp.findroot(f, (x - d, x + d), solver="anderson")
             errors.append(float(abs(x - root)) / math.ulp(float(root)))
-        # every stretch between the ends is what it is said to be: a band
-        # where |Delta| <= 2, a gap where it is not
         mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
         verdicts = [abs(kronig_penney(mp, delta, mp.mpf(m))) <= 2 for m in mids]
     assert verdicts == [i % 2 == 0 for i in range(len(mids))]
-    assert errors[0] <= B0_ULPS
-    assert max(errors[1:]) <= (DEEP_EDGE_ULPS if delta > 2.0 else EDGE_ULPS)
+    return errors
+
+
+@pytest.mark.parametrize("k", [1, 3, 6, 10, 20, 100, 300])
+@pytest.mark.parametrize("delta", [0.5, 1.3])
+def test_wide_windows_section_every_edge_to_its_own_scale(delta, k):
+    # the samples of (-10**k, 10) are up to 2e297 apart, so a bracket starts
+    # far wider than its edge: each edge still stops within a few ulps of
+    # itself, not of the samples that bracketed it
+    window = (-10.0 ** k, 10.0)
+    bs = PE.band_spectrum(P.PeriodicSquare(delta), 2 * delta, window, 512)
+    ends = [e for band in bs.bands for e in band if e not in window]
+    assert len(ends) >= 2 and bs.level[0] == 0
+    errors = kronig_penney_ulps(delta, ends)
+    assert errors[0] <= B0_ULPS and max(errors[1:]) <= EDGE_ULPS
 
 
 # Delta_m, the trace over m copies of the period, is 2 T_m(Delta / 2) with
@@ -434,8 +454,8 @@ def test_band_edges_stop_where_no_float_splits_the_bracket(monkeypatch, delta):
 
 def test_band_edge_at_zero_takes_a_dozen_walks(monkeypatch):
     # the free band starts at 0, where floats crowd: the stopping rule's
-    # width, 4e-16 times the starting samples, ends the bracket after 11
-    # sectioning rounds, long before no float splits it
+    # floor, 4e-16 times the starting samples' |lam| = 1, ends the bracket
+    # after 11 sectioning rounds, long before no float splits it
     calls, lam, level, edges = scans_and_edges(monkeypatch, FREE, 1.0, (-1.0, 1.0), 3)
     assert calls <= 14
     assert len(edges) == 1 and abs(edges[0]) <= 1e-15

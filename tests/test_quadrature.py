@@ -91,3 +91,19 @@ def test_gauss_is_leggauss_bitwise(n):
 def test_gauss_serves_only_its_tabled_sizes():
     with pytest.raises(ValueError, match="8, 16 and 24"):
         gauss(5)
+
+
+def test_failures_are_per_interval():
+    # a failing interval stops alone: the error names the first one as a
+    # call on it alone would, and carries the others' values bit for bit
+    f = lambda x, k: np.where(k == 3, np.nan, np.where(k == 1, 1.0 / x, np.cos(x)))
+    a, b = np.array([0.0, 0.0, -1.0, 0.0]), np.array([2.0, 1.0, 3.0, 1.0])
+    with pytest.raises(QuadratureFailure) as batch:
+        quad(f, a, b)
+    with pytest.raises(QuadratureFailure) as alone:
+        quad(lambda x, k: 1.0 / x, 0.0, 1.0)
+    assert str(batch.value) == str(alone.value)
+    v = batch.value.values
+    assert v.shape == (4,) and np.isnan(v[1]) and np.isnan(v[3])
+    for i in (0, 2):
+        assert v[i] == quad(lambda x, k: np.cos(x), a[i], b[i])
