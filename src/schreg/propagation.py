@@ -7,8 +7,10 @@ flow is
      [S,              cosh(w)    ]],   w = kappa*h,  S = sinh(w)/kappa,
 
 with kappa**2 = vbar - z.  At a real z a cell with kappa**2 < 0 oscillates,
-cos and sin of w = |kappa| h taking the place of cosh and sinh; each cell
-evaluates only its own branch, the sinh(w)/w series only if some w is tiny.
+cos and sin of w = |kappa| h taking the place of cosh and sinh.  A flat
+cell at a real z feeds only zero counts, so it is the flow times a positive
+factor, which moves no angle (see _cells); each cell evaluates only its own
+branch, offsets and complex cells the sinh(w)/w series if some w is tiny.
 
 One kernel serves products, zero counts and repeats.  Its element stands
 for a stretch of cells: a mantissa m at unit scale and a log scale s, the
@@ -108,11 +110,13 @@ def _check_step(step):
 def _cells(widths, values, z, offset=False):
     """Cell elements, five rows (m, then k at a real z, s at a complex one), widths
     and values broadcast against the energies z; with offset, the cells' offsets
-    instead, eight rows or six (see floquet).  At a real z one half-turn rule gives
-    sign and k: S = sin(w)/|kappa| is 0 only at w = 0, so with neg = S < 0 the first
-    column (the offset's sigma) is negated where neg, and k = 2 floor((w - pi neg) /
-    (2 pi) + 1/4) + neg, the integer of neg's parity in (w/pi - 3/2, w/pi + 1/2], on
-    an oscillating cell, else 0 (nan z too)."""
+    instead, eight rows or six (see floquet).  A flat cell at a real z is count-only:
+    its flow times 1 + T**2, T = tan(w/2), if it oscillates (C = 1 - T**2, S = 2T
+    h/w), else times e**-w (C = 1 + E/2, S = -E h/(2w), E = expm1(-2w)); S = h at
+    w = 0.  At a real z one half-turn rule gives sign and k: S is 0 only at w = 0,
+    so with neg = S < 0 the first column (the offset's sigma) is negated where neg,
+    and k = 2 floor((w - pi neg) / (2 pi) + 1/4) + neg, the integer of neg's parity
+    in (w/pi - 3/2, w/pi + 1/2], on an oscillating cell, else 0 (nan z too)."""
     h = np.asarray(widths, dtype=float)
     kap2 = values - z
     real = z.dtype.kind != "c"
@@ -123,20 +127,25 @@ def _cells(widths, values, z, offset=False):
     if real:
         osc = kap2 < 0.0
         hyp = ~osc
+    if real and not offset:
+        # T, then S w, in m01's place and E in m11's: no temporaries
+        Sh = np.tan(np.multiply(0.5, w, out=m[0, 1]), out=m[0, 1])
+        np.subtract(1.0, np.multiply(Sh, Sh, out=C), out=C)
+        Sh *= 2.0
+        if hyp.any():
+            E = np.expm1(np.multiply(-2.0, w, out=m[1, 1]), out=m[1, 1], where=hyp)
+            np.multiply(-0.5, E, out=Sh, where=hyp)
+            np.subtract(1.0, Sh, out=C, where=hyp)
+        S[...] = h
+        np.divide(np.multiply(Sh, h, out=Sh), w, out=S, where=w != 0.0)
+    elif real:
         rho = np.where(osc, 0.0, w)
-        if offset:
-            # e**-w (cosh(w) - 1) = expm1(-w)**2 / 2
-            C[...], Sh = _turn(w)
-            e1 = np.expm1(-w, out=np.zeros_like(w), where=hyp)
-            np.multiply(0.5, e1 * e1, out=C, where=hyp)
-            np.multiply(-0.5, e1 * (2.0 + e1), out=Sh, where=hyp)
-            t = np.exp(-rho)
-        else:
-            np.cos(w, out=C, where=osc)
-            Sh = np.sin(w, out=None, where=osc)
-            em = np.exp(-2.0 * w, out=np.zeros_like(w), where=hyp)
-            np.multiply(0.5, 1.0 + em, out=C, where=hyp)
-            np.multiply(0.5, 1.0 - em, out=Sh, where=hyp)
+        # e**-w (cosh(w) - 1) = expm1(-w)**2 / 2
+        C[...], Sh = _turn(w)
+        e1 = np.expm1(-w, out=np.zeros_like(w), where=hyp)
+        np.multiply(0.5, e1 * e1, out=C, where=hyp)
+        np.multiply(-0.5, e1 * (2.0 + e1), out=Sh, where=hyp)
+        t = np.exp(-rho)
     else:
         rho = np.abs(w.real)
         if offset:
@@ -151,15 +160,16 @@ def _cells(widths, values, z, offset=False):
             ep, em = np.exp(w - rho), np.exp(-w - rho)
             np.multiply(0.5, ep + em, out=C)
             Sh = 0.5 * (ep - em)
-    np.multiply(Sh, h, out=S)
-    w2 = kap2 * h * h
-    small = np.abs(w2) < 1e-8
-    if small.any():
-        # sinh(w)/w = 1 + w^2/6 + w^4/120 + ... guards the kappa -> 0 cancellation
-        np.copyto(S, h * (1.0 + w2 / 6.0 * (1.0 + w2 / 20.0)) * np.exp(-rho), where=small)
-        np.divide(S, w, out=S, where=~small)
-    else:
-        S /= w
+    if offset or not real:
+        np.multiply(Sh, h, out=S)
+        w2 = kap2 * h * h
+        small = np.abs(w2) < 1e-8
+        if small.any():
+            # sinh(w)/w = 1 + w^2/6 + w^4/120 + ... guards the kappa -> 0 cancellation
+            np.copyto(S, h * (1.0 + w2 / 6.0 * (1.0 + w2 / 20.0)) * np.exp(-rho), where=small)
+            np.divide(S, w, out=S, where=~small)
+        else:
+            S /= w
     if real:
         neg = S < 0.0
         sign = np.where(neg, -1.0, 1.0)

@@ -8,9 +8,10 @@ share of its interval's tolerance, or once the errors of all of the
 interval's panels sum to within it; the others are halved.  This is the
 bisection of QUADPACK's QAG (Piessens et al., 1983) run as array code, with
 one call of f per round.  Work is bounded: an interval needing more than
-_MAX_PANELS panels, or with a panel too narrow to halve, stops and fails,
-and so does one whose summed error is left above the tolerance (a
-tolerance below rounding).  Each interval's value and failure depend only
+_MAX_PANELS panels, or with a panel too narrow to halve or whose 16-point
+sum is not finite (no halving makes it finite), stops and fails, and so
+does one whose summed error is left above the tolerance (a tolerance
+below rounding).  Each interval's value and failure depend only
 on its own panels, so a batch gives bitwise the values of one call per
 interval, and fails alone, as QUADPACK flags each integral: the one
 QuadratureFailure raised has the first failing interval's own text.
@@ -115,6 +116,7 @@ def quad(f, a, b, *, rtol=1e-11, atol=1e-12):
                          np.repeat(k, nodes.size))).reshape(k.size, -1)
         mean16 = 0.5 * _rule(v[:, :16], w16)
         i16, i8 = 2.0 * half * mean16, half * _rule(v[:, 16:], w8)
+        bad = np.bincount(k[~np.isfinite(i16)], minlength=n) > 0
         err = _error(np.abs(i16 - i8), np.abs(half) * _rule(
             np.abs(v[:, :16] - mean16[:, None]), w16))
         floor = _ROUNDING * np.abs(half) * _rule(np.abs(v[:, :16]), w16)
@@ -133,9 +135,10 @@ def quad(f, a, b, *, rtol=1e-11, atol=1e-12):
         k, lo, mid, hi = k[~ok], lo[~ok], mid[~ok], hi[~ok]
         over = panels + 2 * np.bincount(k, minlength=n) > _MAX_PANELS
         narrow = (mid == lo) | (mid == hi)
-        if over.any() or narrow.any():   # those intervals stop, the others go on
-            for j in np.union1d(np.flatnonzero(over), k[narrow]):
-                why[j] = (f"quadrature on [{a[j]}, {b[j]}] above rtol={rtol}, atol="
+        if (over | bad).any() or narrow.any():   # those intervals stop, the others go on
+            for j in np.union1d(np.flatnonzero(over | bad), k[narrow]):
+                why[j] = (f"quadrature on [{a[j]}, {b[j]}]: non-finite integrand" if bad[j] else
+                          f"quadrature on [{a[j]}, {b[j]}] above rtol={rtol}, atol="
                           f"{atol}: " + ("panel cap" if over[j] else "width floor"))
             go = ~np.isin(k, list(why))
             k, lo, mid, hi = k[go], lo[go], mid[go], hi[go]

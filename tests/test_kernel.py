@@ -211,7 +211,7 @@ def test_repeat_power_equals_tiled_product():
 class Elements:
     """The oracle's batch of elements: m[i, j] is an array over the batch,
     as are s and k; k (the integer part of a / pi) is None off the real axis.
-    Unlike the kernel it carries s at real energies too."""
+    Unlike the kernel it carries s at real energies too, as 0 for cells."""
 
     def __init__(self, m, s, k):
         self.m, self.s, self.k = m, s, k
@@ -250,21 +250,21 @@ def ref_cells(widths, values, z):
         ep = np.exp(w - rho)
         em = np.exp(-w - rho)
         C, Sh = 0.5 * (ep + em), 0.5 * (ep - em)
-    else:
-        osc = kap2 < 0.0
-        w = np.sqrt(np.abs(kap2)) * h
-        rho = np.where(osc, 0.0, w)
-        em = np.exp(-2.0 * rho)
-        C = np.where(osc, np.cos(w), 0.5 * (1.0 + em))
-        Sh = np.where(osc, np.sin(w), 0.5 * (1.0 - em))
-    w2 = kap2 * h * h
-    small = np.abs(w2) < 1e-8
-    series = h * (1.0 + w2 / 6.0 * (1.0 + w2 / 20.0)) * np.exp(-rho)
-    S = np.where(small, series, Sh * h / np.where(small, 1.0, w))
+        w2 = kap2 * h * h
+        small = np.abs(w2) < 1e-8
+        series = h * (1.0 + w2 / 6.0 * (1.0 + w2 / 20.0)) * np.exp(-rho)
+        S = np.where(small, series, Sh * h / np.where(small, 1.0, w))
+        return Elements(np.array([[C, kap2 * S], [S, C]]), rho, None)
+    # a count-only cell: the flow times 1 + T**2, T = tan(w/2), where it
+    # oscillates and times e**-w elsewhere, with E = expm1(-2w)
+    osc = kap2 < 0.0
+    w = np.sqrt(np.abs(kap2)) * h
+    T, E = np.tan(0.5 * w), np.expm1(-2.0 * w)
+    C = np.where(osc, 1.0 - T * T, 1.0 + 0.5 * E)
+    Sh = np.where(osc, 2.0 * T, -0.5 * E)
+    S = np.where(w == 0.0, h, Sh * h / np.where(w == 0.0, 1.0, w))
     m = np.array([[C, kap2 * S], [S, C]])
-    if z.dtype.kind == "c":
-        return Elements(m, rho, None)
-    return Elements(m * ref_turn(m), rho, np.where(osc, np.floor(w / np.pi), 0.0))
+    return Elements(m * ref_turn(m), np.zeros(w.shape), np.where(osc, np.floor(w / np.pi), 0.0))
 
 
 def ref_turn(m):
@@ -389,6 +389,60 @@ def test_cells_and_products_are_bitwise_the_reference(case, tree):
         state = PR._compose(flat[:, i], state)
         ref_state = ref_compose(ref.take((i,)), ref_state)
         assert_same(state, ref_state)
+
+
+def cos_sin_cells(widths, values, z):
+    """Real-energy cells in the form the count-only cells replaced: cos and sin
+    of w on oscillating cells, e**-w cosh and sinh from exp elsewhere, with
+    the sinh(w)/w series where |kappa**2 h**2| < 1e-8."""
+    h = np.asarray(widths, dtype=float)
+    kap2 = values - z
+    osc = kap2 < 0.0
+    w = np.sqrt(np.abs(kap2)) * h
+    rho = np.where(osc, 0.0, w)
+    em = np.exp(-2.0 * rho)
+    C = np.where(osc, np.cos(w), 0.5 * (1.0 + em))
+    Sh = np.where(osc, np.sin(w), 0.5 * (1.0 - em))
+    w2 = kap2 * h * h
+    small = np.abs(w2) < 1e-8
+    series = h * (1.0 + w2 / 6.0 * (1.0 + w2 / 20.0)) * np.exp(-rho)
+    S = np.where(small, series, Sh * h / np.where(small, 1.0, w))
+    m = np.array([[C, kap2 * S], [S, C]])
+    return Elements(m * ref_turn(m), rho, np.where(osc, np.floor(w / np.pi), 0.0))
+
+
+def column_gap(a, b):
+    """The angle between the columns (du, u) of a and b, in [0, pi]."""
+    return np.abs(np.arctan2(a[1] * b[0] - a[0] * b[1], a[0] * b[0] + a[1] * b[1]))
+
+
+# A count-only cell is the cos/sin cell times a positive factor, so both
+# columns of each cell and of each product point the same way.  Over the
+# real kernel cases the columns of the cells differ by at most 1.1e-15 rad,
+# those of the tree products by 4.4e-15 (first) and 6.5e-15 (second) and
+# those of the sequential products by at most 5.0e-15; the bound has a
+# margin of 3 over the largest.
+ANGLE_TOL = 2e-14
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_count_only_cells_are_the_cos_sin_cells_projectively(case):
+    # counts bitwise, columns within ANGLE_TOL: cells, the tree product and
+    # the product one cell after another (the nan energy's columns are nan)
+    h, v, z = kernel_cases()[case]
+    cells, old = PR._cells(h, v, z), cos_sin_cells(h, v, z)
+    flat, old = cells.reshape(len(cells), h.shape[0], -1), old.reshape((h.shape[0], -1))
+    state, old_state = flat[:, 0], old.take((0,))
+    for i in range(1, h.shape[0]):
+        state = PR._compose(flat[:, i], state)
+        old_state = ref_compose(old.take((i,)), old_state)
+    for got, want in ((flat, old), (PR._apply(flat), ref_tree(old)), (state, old_state)):
+        m, k = rows(got)
+        assert np.array_equal(k, want.k)
+        for j in range(2):
+            gap = column_gap(m[:, j], want.m[:, j])
+            assert np.isnan(gap).any() == np.isnan(z).any()
+            assert np.all(gap[~np.isnan(gap)] <= ANGLE_TOL), np.nanmax(gap)
 
 
 def test_compose_turn_on_the_axis_and_at_nan():
@@ -675,6 +729,60 @@ def test_square_wave_counts_at_half_turns_match_40_digits(delta):
         assert decided.mean() > 0.95
         assert np.array_equal(got[decided], want[decided])
         assert np.array_equal(offset[decided], want[decided])
+
+
+def ulps(x, n):
+    """The float x and the n floats either side of it, increasing."""
+    return (np.float64(x).view(np.int64) + np.arange(-n, n + 1)).view(float)
+
+
+def seam_cases(seam):
+    """(cells, lam) pairs, cells a list of (width, value), where a count-only
+    cell sits on a seam of its formula, alone, before a cell or between two."""
+    rng = np.random.default_rng(23)
+
+    def around(h, v, lam):
+        (a, c), (v1, v3) = rng.uniform(0.1, 2.0, 2), lam + rng.uniform(-6.0, 3.0, 2)
+        return [([(h, v)], lam), ([(h, v), (c, v3)], lam), ([(a, v1), (h, v), (c, v3)], lam)]
+
+    if seam == "half-turns":       # kappa = 1, so w = h = fl(k pi) and its neighbours
+        return [case for k in range(1, 41) for h in ulps(k * np.pi, 3)
+                for case in around(float(h), 0.0, 1.0)]
+    if seam == "kappa2-zero":      # v == lam: w = 0, S = h
+        return [case for lam in (-3.5, 0.0, 0.25, 2.0, 17.0) for h in (1e-3, 0.4, 1.0, 3.0)
+                for case in around(h, lam, lam)]
+    if seam == "tiny-w":           # w = |kappa| h from 1e-5 down to 1e-300 and below
+        hs = [(1.0, h) for h in (1e-5, 1e-9, 1e-30, 1e-100, 1e-200, 1e-300)]
+        ks = [(k2, 1e-150) for k2 in (1e-300, 1e-310, 5e-324)]   # kappa**2 subnormal too
+        return [case for kap2, h in hs + ks for sign in (1.0, -1.0)
+                for case in around(h, sign * kap2, 0.0)]
+    # lam a few ulps either side of v: kappa**2 = v - lam changes sign
+    return [case for v in (-2.0, 0.3, 1.0, 7.5) for lam in ulps(v, 3) for h in (0.5, 2.0)
+            for case in around(h, v, float(lam))]
+
+
+@pytest.mark.parametrize("seam", ["half-turns", "kappa2-zero", "tiny-w", "osc-hyp"])
+def test_count_only_cells_at_seams_match_40_digits(seam):
+    # the counts of a cell on a seam, alone and as the first or middle of two or
+    # three cells, against the zeros of the exact u of the same float cells: a
+    # lone cell's always (its u(x) is not 0, if within rounding of it), the
+    # others' wherever u(x) is not zero to rounding
+    mp = pytest.importorskip("mpmath")
+    cases = seam_cases(seam)
+    got = [PR._apply(PR._cells(*np.array(cells).T[:, :, None], np.array([lam])))[4, 0]
+           for cells, lam in cases]
+    with mp.workdps(40):
+        want, sine = map(np.array, zip(*(mp_zeros(mp, cells, lam) for cells, lam in cases)))
+    alone = np.array([len(cells) == 1 for cells, _ in cases])
+    decided = alone | (sine > 1e-9)
+    assert decided.mean() > 0.9
+    assert np.array_equal(np.array(got)[decided], want[decided])
+
+
+def test_count_only_cells_at_a_nan_energy_count_nothing():
+    h, v = np.array([[0.0], [1e-300], [0.3], [2.0]]), np.array([[1.0], [-1.0], [0.0], [5.0]])
+    e = PR._cells(h, v, np.array([np.nan, 1.0]))
+    assert np.isnan(e[:4, :, 0]).all() and not e[4, :, 0].any()
 
 
 @pytest.mark.parametrize("p, x", [(P.OscillatingExample(), 300.0),

@@ -530,7 +530,7 @@ def test_a_failing_martin_command_integrates_once(monkeypatch):
     fail_boundary_values(monkeypatch)
     quad, calls = M.si.quad, []
     monkeypatch.setattr(M.si, "quad", lambda *args, **kw: calls.append(1) or quad(*args, **kw))
-    with pytest.raises(QuadratureFailure, match="panel cap|width floor"):
+    with pytest.raises(QuadratureFailure, match="non-finite integrand"):
         M._report(SQUARE_WAVE, np.array([-5.0, 10.5, 30.0 + 2.0j]), _FIT_K)
     assert len(calls) == 1
 

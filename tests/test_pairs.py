@@ -53,6 +53,31 @@ def test_block_keeps_the_file_s_other_keys(tmp_path):
     assert json.loads(out.read_text()) == {"src_lines": 7, "pairs": block}
 
 
+def test_unscaled_figures_of_a_run_record():
+    # reference timings of two passes, 4 and 3 of them: their median is the
+    # 4th of 7; the unscaled batch time is the record's own median
+    record = {"raw": {"batch_s": 0.25},
+              "pass_results": [{"reference_s": [0.5, 0.1, 0.4, 0.3]},
+                               {"reference_s": [0.7, 0.2, 0.6]}]}
+    assert pairs.unscaled(record) == {"raw_batch_s": 0.25, "reference_s": 0.4}
+
+
+def test_block_reports_the_unscaled_medians_of_each_side():
+    def run(value, raw, ref):
+        return {"correct": True, "failed": 0, "unscaled": {"raw_batch_s": raw, "reference_s": ref},
+                "metrics": {"batch_s": {"value": value, "unit": "s"}}}
+
+    runs = {"parent": [run(2.0, 3.0, 0.01), run(1.0, 5.0, 0.03), run(3.0, 4.0, 0.02)],
+            "change": [run(1.0, 1.0, 0.05), run(1.5, 2.0, 0.04), run(0.5, 6.0, 0.06)]}
+    block = pairs.workload_block(runs, {"batch_s": "lower"})
+    assert block["parent"] == {"correct": True, "failed": 0, "raw_batch_s": 4.0,
+                               "reference_s": 0.02}
+    assert block["change"] == {"correct": True, "failed": 0, "raw_batch_s": 2.0,
+                               "reference_s": 0.05}
+    m = block["metrics"]["batch_s"]
+    assert (m["change_wins"], m["parent_wins"], m["unit"]) == (2, 1, "s")
+
+
 def test_driver_imports_only_the_standard_library():
     imported = set()
     for node in ast.walk(ast.parse(PATH.read_text())):

@@ -78,6 +78,19 @@ def test_nan_integrand_raises():
         quad(lambda x, k: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
 
 
+def test_a_non_finite_interval_stops_at_once():
+    # no halving makes a nan panel finite: one round of 24 nodes, and
+    # the other intervals go on to their own values
+    f = Counting(lambda x: np.full(x.shape, np.nan))
+    with pytest.raises(QuadratureFailure, match=r"\[0.0, 1.0\]: non-finite integrand"):
+        quad(f, 0.0, 1.0)
+    assert f.sizes == [24]
+    g = lambda x, k: np.where(k == 0, np.nan, 1.0 / (x * x + 1e-6))
+    with pytest.raises(QuadratureFailure, match="non-finite integrand") as failure:
+        quad(g, [0.0, -1.0], [1.0, 1.0])
+    assert failure.value.values[1] == quad(lambda x, k: 1.0 / (x * x + 1e-6), -1.0, 1.0)
+
+
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_gauss_is_leggauss_bitwise(n):
     x, w = gauss(n)

@@ -19,9 +19,14 @@ medians, the parent's quartiles and interquartile range (and the change's
 range, to compare the spreads), the median paired difference (change minus
 parent) and the wins: the pairs where the change
 is better and those where the parent is, ties counting for neither.  It
-chooses no bar.  With --out it writes that summary, with both commits and
-N, as the `pairs` block of the given JSON file, keeping the file's other
-keys.  No per-run value is written.
+chooses no bar.  Beside the scaled metrics it reports, for each side, the
+medians over its runs of what the scaling hides: the unscaled `raw.batch_s`
+and the median of the reference-kernel timings (`reference_s`) of every
+pass, both read from the run record `.bench_out/W/record-trace0.json`.  The
+heap an op leaves behind can slow the reference kernel after it, and so
+move the scale factor without moving the op.  With --out it writes that
+summary, with both commits and N, as the `pairs` block of the given JSON
+file, keeping the file's other keys.  No per-run value is written.
 
 Quartiles are those of linear interpolation between order statistics
 (`statistics.quantiles(..., method="inclusive")`, numpy's default).  The
@@ -71,15 +76,27 @@ def git(repo, *args):
                           capture_output=True, text=True).stdout.strip()
 
 
+def unscaled(record):
+    """A run record's unscaled batch time and the median of the reference
+    kernel's timings over all of its passes."""
+    return {"raw_batch_s": record["raw"]["batch_s"],
+            "reference_s": statistics.median(t for p in record["pass_results"]
+                                             for t in p["reference_s"])}
+
+
 def run_once(checkout, workload, seed):
-    """The result line of one benchmark run in checkout."""
+    """The result line of one benchmark run in checkout, with the unscaled
+    figures of its run record under "unscaled"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = Path(checkout, ".bench_out", workload, "record-trace0.json")
+    result["unscaled"] = unscaled(json.loads(record.read_text(encoding="utf-8")))
+    return result
 
 
 def run_pairs(checkouts, workload, seed, n):
@@ -94,10 +111,14 @@ def run_pairs(checkouts, workload, seed, n):
 
 
 def workload_block(runs, metrics):
-    """Summary of one workload's pairs: every run's verdicts, and the
-    summary of each metric in metrics (name: better)."""
+    """Summary of one workload's pairs: every run's verdicts, the medians of
+    its unscaled figures, and the summary of each metric in metrics (name:
+    better)."""
     block = {side: {"correct": all(r["correct"] for r in rs),
-                    "failed": sum(r["failed"] for r in rs)} for side, rs in runs.items()}
+                    "failed": sum(r["failed"] for r in rs),
+                    **{name: statistics.median(r["unscaled"][name] for r in rs)
+                       for name in ("raw_batch_s", "reference_s")}}
+             for side, rs in runs.items()}
     block["metrics"] = {
         name: dict(summarize([r["metrics"][name]["value"] for r in runs["parent"]],
                              [r["metrics"][name]["value"] for r in runs["change"]], better),
@@ -110,6 +131,9 @@ def print_block(workload, block):
     print(f"{workload}: parent correct {block['parent']['correct']} failed "
           f"{block['parent']['failed']}; change correct {block['change']['correct']} "
           f"failed {block['change']['failed']}")
+    print("  unscaled     " + "  ".join(
+        f"{side} raw_batch_s {block[side]['raw_batch_s']:.6g} s, reference_s "
+        f"{block[side]['reference_s']:.6g} s" for side in ("parent", "change")))
     for name, m in block["metrics"].items():
         print(f"  {name:12s} parent {m['parent_median']:.6g} [q1 {m['parent_q1']:.6g}, "
               f"q3 {m['parent_q3']:.6g}, IQR {m['parent_iqr']:.3g}]  change "
