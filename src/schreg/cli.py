@@ -183,7 +183,7 @@ def _cmd_bands(p, E, params, out):
 
 def _cmd_martin(p, E, params, out):
     zs = np.array([complex(zr, zi) for zr, zi in params["z_grid"]])
-    cp, ev, fit = martin._report(E, zs, _FIT_K if params.get("fit") else None)
+    cp, ev, _, fit = martin._report(E, zs, k_grid=_FIT_K if params.get("fit") else None)
     summary = {
         **E.to_json(),
         "critical_points": list(cp.c),
@@ -198,10 +198,9 @@ def _cmd_martin(p, E, params, out):
 
 
 def _cmd_dos(p, E, params, out):
-    d = regularity.dos_comparison(
-        p, E, params["x"], tuple(params["lambda_window"]),
-        martin.solve_critical_points(E).c,
-        grid=params.get("grid_points", 200), step=params.get("step", 0.02))
+    lams = np.linspace(*params["lambda_window"], int(params.get("grid_points", 200)))
+    d = regularity.dos_comparison(p, params["x"], martin._report(E, lams=lams)[2],
+                                  step=params.get("step", 0.02))
     out.write_json("dos.json", {
         "x": params["x"],
         "lambda_window": list(params["lambda_window"]),

@@ -29,12 +29,12 @@ Every real-axis integral uses one rule: on [a, b], with an inverse-sqrt
 density at both ends, the part below the midpoint is taken in t = a + s**2
 and the part above it in t = b - s**2, the edge factor 1/sqrt|t - e| = 1/s
 cancelling exactly against the Jacobian.  Re Theta on an increasing grid
-is a cumulative sum over the band pieces between grid points.  Integrals
-go to `quadrature.quad` in batches: the real-axis integrals of a call in
-one `_one_pass` (`_report` puts the `martin` command's gap residuals,
-boundary values and fit integrals into one), the vertical segments in
-another.  A pass's steps fail in order, each on its own pieces, so the
-`martin` command raises what its three calls would raise in turn.
+is a cumulative sum over the band pieces between grid points.  Each
+quantity is a step of `_one_pass`, and `_report` puts a command's steps in
+one pass: their real-axis integrals in one `quadrature.quad` call, the
+vertical segments in another.  A closed form (the free set's) integrates
+nothing, and a pass with nothing to integrate makes no call.  Steps fail
+in order, so a command raises what its separate calls would raise in turn.
 """
 from __future__ import annotations
 
@@ -89,7 +89,8 @@ def _one_pass(*steps):
     """The values of steps, generators that each yield one set (f, lo, hi,
     a, b), get back the integrals of f over each [lo[i], hi[i]] inside
     [a[i], b[i]], where f has inverse-sqrt singularities at a and b (either
-    may be infinite), and return.
+    may be infinite), and return.  A step may return without yielding (a
+    closed form); if none yields, the pass makes no quadrature call.
 
     The part below the midpoint of [a, b] is taken in t = a + s**2, the
     part above it in t = b - s**2.  f(x, i, e) gets points, the index i of
@@ -102,8 +103,16 @@ def _one_pass(*steps):
     step's value is bitwise that of a pass of its own, and so is its
     failure: steps finish in order, up to the first with a piece quad failed.
     """
-    sets = [next(step) for step in steps]
-    ends = [np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in s[1:])) for s in sets]
+    values, sets = [None] * len(steps), {}
+    for n, step in enumerate(steps):
+        try:
+            sets[n] = next(step)
+        except StopIteration as done:   # a closed form: nothing to integrate
+            values[n] = done.value
+    if not sets:
+        return values
+    ends = [np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in s[1:]))
+            for s in sets.values()]
     lo, hi, a, b = (np.concatenate([e[r].ravel() for e in ends]) for r in range(4))
     start = np.cumsum([0] + [e[0].size for e in ends])
     mid = 0.5 * (a + b)
@@ -118,8 +127,8 @@ def _one_pass(*steps):
     def f(s, k):   # quad gives the points in part order, so a set's are one run
         e, cut = origin[k], np.searchsorted(k, runs)
         x, i = e + sign[k] * (s * s), local[k]
-        return 2.0 * np.concatenate([g(x[p:q], i[p:q], e[p:q])
-                                     for (g, *_), p, q in zip(sets, cut, cut[1:]) if q > p])
+        parts = zip(sets.values(), cut, cut[1:])
+        return 2.0 * np.concatenate([g(x[p:q], i[p:q], e[p:q]) for (g, *_), p, q in parts if q > p])
 
     try:
         v, failure = si.quad(f, s0, s1, rtol=1e-11, atol=1e-12), None
@@ -128,14 +137,13 @@ def _one_pass(*steps):
             raise
         v, failure = e.values, e
     v = np.bincount(owner, v, lo.size)
-    values = []
-    for step, i, j in zip(steps, start, start[1:]):
+    for n, i, j in zip(sets, start, start[1:]):
         if failure and np.isnan(v[i:j]).any():   # the first step with a failed piece
             raise failure
         try:
-            step.send(v[i:j])
+            steps[n].send(v[i:j])
         except StopIteration as done:
-            values.append(done.value)
+            values[n] = done.value
     return values
 
 
@@ -256,14 +264,14 @@ def solve_critical_points(E):
     (b_j - a_j), so NoConvergence means some |r_j| is above
     max(_RESIDUAL_TOL, 4 pi ulp(c_j) / (b_j - a_j)).
     """
-    if not E.gaps:
-        return CriticalPoints(c=(), residuals=())
     return _one_pass(_accepted(E, _roots(E)))[0]
 
 
 def _roots(E):
     """The sectioned c_j of solve_critical_points, not yet checked."""
     N = len(E.gaps)
+    if not N:
+        return np.zeros(0)
     a, b = np.array(E.gaps).T
     m = 0.5 * (a + b)
     t, w = _gap_rules(E, m)
@@ -280,7 +288,9 @@ def _roots(E):
 
 def _accepted(E, c):
     """Step of _one_pass: CriticalPoints(c, r) with c's gap residuals r, or
-    NoConvergence if a residual r_j is too large."""
+    NoConvergence if a residual r_j is too large; the free set's at once."""
+    if not E.gaps:
+        return CriticalPoints(c=(), residuals=())
     r = yield from _gap_residuals(E, tuple(c))
     a, b = np.array(E.gaps).T
     bound = np.maximum(_RESIDUAL_TOL, 4.0 * math.pi * np.spacing(np.abs(c)) / (b - a))
@@ -337,39 +347,17 @@ def martin_function(E, c, z):
     """Martin function M(z) = Im Theta(z), Theta(b0) = 0, and Re Theta at
     x + i|y| in a MartinEvaluation; for an array of z, arrays shaped like z,
     each equal to a scalar call's.  M is symmetric under conjugation."""
-    c = _check_c(E, c)
-    zs, x, y = _points(z)
-    # the free set's Theta is sqrt(z - b0), whose Im is +0 on the axis here
-    theta = _one_pass(_theta_gapped(E, c, x, y))[0] if E.gaps else np.sqrt(x - E.b0 + 1j * y)
-    return _evaluation(zs, theta)
+    return _one_pass(_martin(E, _check_c(E, c), z))[0]
 
 
-def _report(E, z, k_grid=None):
-    """solve_critical_points(E), martin_function(E, c, z) at its c and, for
-    a k_grid, fit_a_from_martin(E, c, k_grid) (else None), each bitwise
-    what the call gives alone; for a set with gaps their real-axis
-    integrals go to one _one_pass, whose steps fail in that order, so the
-    error is the one the first failing call raises.  Only argument errors
-    that the CLI rules out (a non-finite z, a k_grid the fit rejects) may
-    raise before the pass."""
-    if not E.gaps:
-        cp, ev = solve_critical_points(E), martin_function(E, (), z)
-        return cp, ev, None if k_grid is None else fit_a_from_martin(E, (), k_grid)
-    c, (zs, x, y) = _roots(E), _points(z)
-    fit = [] if k_grid is None else [_fit(E, tuple(c), k_grid)]
-    cp, theta, *fit = _one_pass(_accepted(E, c), _theta_gapped(E, tuple(c), x, y), *fit)
-    return cp, _evaluation(zs, theta), fit[0] if fit else None
-
-
-def _points(z):
-    """z as a complex array, and its x and |y| flat; ValueError unless finite."""
+def _martin(E, c, z):
+    """martin_function as a step of _one_pass (ValueError unless z is finite);
+    the free set's Theta is sqrt(z - b0), whose Im is +0 on the axis here."""
     zs = np.asarray(z, dtype=complex)
     if not np.isfinite(zs).all():
         raise ValueError("z must be finite")
-    return zs, zs.real.ravel(), np.abs(zs.imag.ravel())
-
-
-def _evaluation(zs, theta):
+    x, y = zs.real.ravel(), np.abs(zs.imag.ravel())
+    theta = (yield from _theta_gapped(E, c, x, y)) if E.gaps else np.sqrt(x - E.b0 + 1j * y)
     if zs.ndim == 0:
         return MartinEvaluation(z=complex(zs), value=float(theta.imag[0]),
                                 theta_real=float(theta.real[0]))
@@ -377,30 +365,41 @@ def _evaluation(zs, theta):
                             theta_real=theta.real.reshape(zs.shape))
 
 
+def _report(E, z=None, lams=None, k_grid=None):
+    """solve_critical_points(E) and, at its c, martin_function(E, c, z),
+    martin_measure_cdf(E, c, lams) and fit_a_from_martin(E, c, k_grid) (None
+    for an argument left None), bitwise the calls alone, from one _one_pass
+    whose steps fail in that order; only argument errors raise before it integrates."""
+    c = _roots(E)
+    asked = [(_martin, z), (_cdf, lams), (_fit, k_grid)]
+    steps = [step(E, tuple(c), arg) for step, arg in asked if arg is not None]
+    values = iter(_one_pass(_accepted(E, c), *steps))
+    return (next(values), *(None if arg is None else next(values) for _, arg in asked))
+
+
 def martin_measure_cdf(E, c, lambda_grid):
     """Cumulative Martin (spectral) measure Re Theta / pi on a real grid."""
-    c = _check_c(E, c)
+    return _one_pass(_cdf(E, _check_c(E, c), lambda_grid))[0]
+
+
+def _cdf(E, c, lambda_grid):
+    """martin_measure_cdf as a step of _one_pass: sqrt(lambda - b0) / pi (0
+    below b0) for the free set, else the band pieces between grid points."""
     lams = np.asarray(lambda_grid, dtype=float)
     if lams.ndim != 1 or len(lams) == 0:
         raise ValueError("lambda_grid must be a nonempty 1-d sequence")
     if not np.all(np.diff(lams) > 0):
         raise ValueError("lambda_grid must be strictly increasing")
     check_window((lams[0], math.inf), E)
-    if not E.gaps:   # the free set: sqrt(lambda - b0) / pi, 0 below b0
+    if not E.gaps:
         return MeasureCDF(lam=lams, cdf=np.sqrt(np.maximum(lams - E.b0, 0.0)) / math.pi)
-    return MeasureCDF(lam=lams, cdf=_one_pass(_cdf(E, c, lams))[0])
-
-
-def _cdf(E, c, lams):
-    """martin_measure_cdf's cdf for a set with gaps, as a step of _one_pass:
-    the band pieces between consecutive grid points."""
     bands = np.array(E.bands())
     L = np.maximum(np.concatenate([[E.b0], lams[:-1]])[:, None], bands[:, 0])
     H = np.minimum(lams[:, None], bands[:, 1])
     i, j = np.nonzero(L < H)
     parts = yield (lambda x, _, e: _m_density(E, c, len(E.gaps) + 1, x, e),
                    L[i, j], H[i, j], bands[j, 0], bands[j, 1])
-    return np.cumsum(np.bincount(i, parts, lams.size)) / math.pi
+    return MeasureCDF(lam=lams, cdf=np.cumsum(np.bincount(i, parts, lams.size)) / math.pi)
 
 
 def fit_a_from_martin(E, c, k_grid):

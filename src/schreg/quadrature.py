@@ -114,11 +114,12 @@ def quad(f, a, b, *, rtol=1e-11, atol=1e-12):
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         v = np.asarray(f((mid[:, None] + half[:, None] * nodes).ravel(),
                          np.repeat(k, nodes.size))).reshape(k.size, -1)
-        mean16 = 0.5 * _rule(v[:, :16], w16)
-        i16, i8 = 2.0 * half * mean16, half * _rule(v[:, 16:], w8)
+        with np.errstate(invalid="ignore"):   # inf - inf on the panels `bad` stops
+            mean16 = 0.5 * _rule(v[:, :16], w16)
+            i16, i8 = 2.0 * half * mean16, half * _rule(v[:, 16:], w8)
+            err = _error(np.abs(i16 - i8), np.abs(half) * _rule(
+                np.abs(v[:, :16] - mean16[:, None]), w16))
         bad = np.bincount(k[~np.isfinite(i16)], minlength=n) > 0
-        err = _error(np.abs(i16 - i8), np.abs(half) * _rule(
-            np.abs(v[:, :16] - mean16[:, None]), w16))
         floor = _ROUNDING * np.abs(half) * _rule(np.abs(v[:, :16]), w16)
         err, at_floor = np.maximum(err, floor), err <= floor
         total = total.astype(np.result_type(total, i16), copy=False)

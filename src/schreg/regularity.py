@@ -10,9 +10,10 @@ Three comparisons, each a finite-x shadow of an asymptotic statement:
 * density of states -- the zero-counting measure at scale x should be
   KS-close to the Martin measure on a compact energy window.
 
-Each comparison takes the critical points c of the set and returns its own
-record; a RegularityReport holds the three records themselves, which
-regularity_report computes against one solve of c.
+The inequality takes the critical points c of the set, the other two
+their Martin targets (M on the z grid, the measure on the energy grid);
+each returns its own record.  A RegularityReport holds the three records,
+which regularity_report computes from one Martin pass (`martin._report`).
 
 The essential spectrum is always an input (a GapSet); nothing here tries
 to infer it from V except through the periodic band pipeline upstream.
@@ -91,30 +92,28 @@ def universal_inequality_check(p, E, x_max, c, grid_points=128):
                            x=xs, average=trace.mean)
 
 
-def growth_comparison(p, E, z_grid, x_list, c, step=0.02):
-    """h(x, z) along checkpoints against the Martin target M(z).
+def growth_comparison(p, E, x_list, target, step=0.02):
+    """h(x, z) along checkpoints against the Martin target M(z), a
+    MartinEvaluation on a z grid (martin.martin_function of E).
 
     Every z must keep distance >= 0.1 from [b0, inf); the summary field is
     the sup over z of |h(x_max, z) - M(z)|.
     """
-    zs = check_z_grid(z_grid, E)
+    zs = check_z_grid(target.z, E)
     xs = np.asarray(sorted(float(x) for x in x_list))
     h = propagation.dirichlet_profile(p, xs, zs, step).log_growth(xs)
-    m = martin.martin_function(E, c, zs).value
-    gaps = h[:, -1] - m
-    return GrowthComparison(z=zs, x=xs, h=h, m=m, gaps=gaps,
+    gaps = h[:, -1] - target.value
+    return GrowthComparison(z=zs, x=xs, h=h, m=target.value, gaps=gaps,
                             sup_gap=float(np.max(np.abs(gaps))))
 
 
-def dos_comparison(p, E, x, lambda_window, c, grid=200, step=0.02):
-    """KS distance between the zero-counting and Martin CDFs on `grid`
-    evenly spaced points of the window."""
-    lams = np.linspace(*check_window(lambda_window, E), int(grid))
-    rho_x = propagation.zero_counting_cdf(p, x, lams, step=step)
-    rho_e = martin.martin_measure_cdf(E, c, lams)
-    dist = float(np.max(np.abs(rho_x.cdf - rho_e.cdf)))
-    return DosComparison(lam=lams, rho_x=rho_x.cdf, rho_e=rho_e.cdf,
-                         distance=dist)
+def dos_comparison(p, x, target, step=0.02):
+    """KS distance between the zero-counting CDF at scale x and the Martin
+    CDF target (a MeasureCDF, martin.martin_measure_cdf), on the target's
+    energy grid."""
+    rho_x = propagation.zero_counting_cdf(p, x, target.lam, step=step).cdf
+    return DosComparison(lam=target.lam, rho_x=rho_x, rho_e=target.cdf,
+                         distance=float(np.max(np.abs(rho_x - target.cdf))))
 
 
 class ReportConfig(Record):
@@ -191,17 +190,17 @@ def decide_verdict(margin, growth_gap, dos_distance, margin_tol, growth_tol,
 
 
 def regularity_report(p, E, config=None):
-    """Run all three diagnostics and return the judged report.  The
-    critical points c are solved here, once for all three."""
+    """Run all three diagnostics and return the judged report.  After the
+    window and z grid checks, one Martin pass gives c, M on the z grid and
+    the measure on `dos_points` evenly spaced points of the window."""
     cfg = config or ReportConfig()
-    c = martin.solve_critical_points(E).c
-    ineq = universal_inequality_check(p, E, cfg.x_max, c,
-                                      grid_points=cfg.cesaro_points)
+    window = check_window(cfg.lambda_window or (E.b0, E.b0 + 25.0), E)
+    cp, m, rho_e, _ = martin._report(E, check_z_grid(cfg.z_grid, E),
+                                     np.linspace(*window, int(cfg.dos_points)))
+    ineq = universal_inequality_check(p, E, cfg.x_max, cp.c, grid_points=cfg.cesaro_points)
     x_list = [f * cfg.x_max for f in cfg.growth_fractions]
-    growth = growth_comparison(p, E, cfg.z_grid, x_list, c, step=cfg.step)
-    window = cfg.lambda_window or (E.b0, E.b0 + 25.0)
-    dos = dos_comparison(p, E, cfg.dos_x, window, c, grid=cfg.dos_points,
-                         step=cfg.step)
+    growth = growth_comparison(p, E, x_list, m, step=cfg.step)
+    dos = dos_comparison(p, cfg.dos_x, rho_e, step=cfg.step)
     thresholds = {"margin_tol": cfg.margin_tol, "growth_tol": cfg.growth_tol,
                   "dos_tol": cfg.dos_tol}
     return RegularityReport(

@@ -154,8 +154,9 @@ def test_a6_density_of_states_convergence():
     results = {}
     for name, p, tol in (("free", P.Constant(0.0), 0.02),
                          ("decaying", P.Decaying(1.0, 2.0), 0.05)):
-        d1 = R.dos_comparison(p, FREE, 1e3, window, grid=200, c=())
-        d2 = R.dos_comparison(p, FREE, 2e3, window, grid=200, c=())
+        target = M.martin_measure_cdf(FREE, (), np.linspace(*window, 200))
+        d1 = R.dos_comparison(p, 1e3, target)
+        d2 = R.dos_comparison(p, 2e3, target)
         results[name] = (d1.distance, d2.distance, tol)
     dt = time.perf_counter() - t0
     ok = all(d1 <= tol and d2 <= d1 + 2.0 / 1e3

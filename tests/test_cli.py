@@ -478,10 +478,10 @@ def test_regularity_z_grid_touching_spectrum_rejected(tmp_path, capsys):
 def test_compute_failure_writes_error_manifest(tmp_path, monkeypatch):
     # a fit that fails while the command runs is a runtime error, not a
     # config error: exit 1 with a partial manifest describing the failure
-    def ill_conditioned(E, c, k_grid):
+    def ill_conditioned(u, y):
         raise FitIllConditioned("k grid gives a near-singular design matrix")
 
-    monkeypatch.setattr(martin, "fit_a_from_martin", ill_conditioned)
+    monkeypatch.setattr(martin, "_intercept", ill_conditioned)
     config = martin_config()
     config["params"]["fit"] = True
     assert cli.run(config, out_dir=str(tmp_path)) == 1

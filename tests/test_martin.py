@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from schreg import martin as M, periodic as PE, potentials as P, propagation as PR
-from schreg import regularity as R
+from schreg import cli, regularity as R
 from schreg.cli import _FIT_K
 from schreg.errors import FitIllConditioned, NoConvergence, QuadratureFailure
 from sectioning import one_level_section
@@ -448,19 +448,22 @@ def bits(*values):
 
 @pytest.mark.parametrize("E", [SQUARE_WAVE, FREE], ids=["square_wave", "free"])
 def test_martin_command_integrals_equal_the_separate_calls(monkeypatch, E):
-    # the `martin` op: gap residuals, boundary values and the fit's excess
-    # integrals in one quadrature call, the vertical segments in another,
-    # each result bitwise what its public call gives alone
+    # one pass: gap residuals, boundary values, the measure and the fit's
+    # excess integrals in one quadrature call, the vertical segments in
+    # another, each result bitwise what its public call gives alone
     z = np.array([-5.0, -0.5, 10.5, 42.84, 96.4, 30.0 + 2.0j, 100.0 + 0.5j, 5.0 + 1.0j])
+    lams = np.linspace(E.b0, 150.0, 301)
     cp = solved(E)
     ev, fit = M.martin_function(E, cp.c, z), M.fit_a_from_martin(E, cp.c, _FIT_K)
+    cdf = M.martin_measure_cdf(E, cp.c, lams)
     quad, calls = M.si.quad, []
     monkeypatch.setattr(M.si, "quad", lambda *args, **kw: calls.append(1) or quad(*args, **kw))
-    got_cp, got_ev, got_fit = M._report(E, z, _FIT_K)
+    got_cp, got_ev, got_cdf, got_fit = M._report(E, z, lams, _FIT_K)
     assert len(calls) == (2 if E.gaps else 1)
     assert bits(*got_cp.c, *got_cp.residuals) == bits(*cp.c, *cp.residuals)
     assert bits(got_ev.value, got_ev.theta_real, got_fit) == bits(ev.value, ev.theta_real, fit)
-    assert M._report(E, z)[2] is None
+    assert bits(got_cdf.lam, got_cdf.cdf) == bits(cdf.lam, cdf.cdf)
+    assert M._report(E, z)[2:] == (None, None)
 
 
 def integrals(*pieces):
@@ -484,15 +487,17 @@ def test_one_pass_steps_equal_passes_of_their_own():
 def test_cdf_step_joined_with_residuals_equals_martin_measure_cdf():
     cp, lams = solved(SQUARE_WAVE), np.linspace(SQUARE_WAVE.b0, 150.0, 301)
     r, cdf = M._one_pass(M._gap_residuals(SQUARE_WAVE, cp.c), M._cdf(SQUARE_WAVE, cp.c, lams))
-    assert bits(cdf) == bits(M.martin_measure_cdf(SQUARE_WAVE, cp.c, lams).cdf)
+    assert bits(cdf.cdf) == bits(M.martin_measure_cdf(SQUARE_WAVE, cp.c, lams).cdf)
     assert bits(*r) == bits(*cp.residuals)
 
 
 @pytest.mark.parametrize("failing", [("residuals", "fit"), ("residuals", "boundary"),
-                                     ("boundary", "fit")], ids="+".join)
+                                     ("boundary", "fit"), ("residuals", "cdf"),
+                                     ("boundary", "cdf")], ids="+".join)
 def test_martin_command_raises_what_the_separate_calls_raise(monkeypatch, failing):
     # when two steps of the pass fail, the error is the one the public calls
-    # raise in their order: solve_critical_points, martin_function, the fit
+    # raise in their order: solve_critical_points, martin_function,
+    # martin_measure_cdf, the fit
     if "residuals" in failing:   # c at the gap midpoints fails the residual check
         monkeypatch.setattr(M, "_section", lambda f, out, inn, fends: 0.5 * (out + inn))
     if "fit" in failing:
@@ -501,38 +506,59 @@ def test_martin_command_raises_what_the_separate_calls_raise(monkeypatch, failin
 
         monkeypatch.setattr(M, "_intercept", ill_conditioned)
     if "boundary" in failing:
-        fail_boundary_values(monkeypatch)
-    z = np.array([-5.0, 10.5, 30.0 + 2.0j])
+        fail_step(monkeypatch, "_theta_gapped")
+    if "cdf" in failing:
+        fail_step(monkeypatch, "_cdf")
+    z, lams = np.array([-5.0, 10.5, 30.0 + 2.0j]), np.linspace(SQUARE_WAVE.b0, 150.0, 301)
     want = NoConvergence if "residuals" in failing else QuadratureFailure
     with pytest.raises(want) as alone:
         cp = M.solve_critical_points(SQUARE_WAVE)
         M.martin_function(SQUARE_WAVE, cp.c, z)
+        M.martin_measure_cdf(SQUARE_WAVE, cp.c, lams)
         M.fit_a_from_martin(SQUARE_WAVE, cp.c, _FIT_K)
     with pytest.raises(want) as together:
-        M._report(SQUARE_WAVE, z, _FIT_K)
+        M._report(SQUARE_WAVE, z, lams, _FIT_K)
     assert str(together.value) == str(alone.value)
 
 
-def fail_boundary_values(monkeypatch):
-    """Make the boundary values' integrand nan, so quad fails their pieces."""
-    theta = M._theta_gapped
+def fail_step(monkeypatch, name):
+    """Make the integrand of the step `name` nan (the boundary values'
+    `_theta_gapped`, the measure's `_cdf`), so quad fails its pieces."""
+    step = getattr(M, name)
 
-    def failing_theta(*args):
-        _, *pieces = next(theta(*args))
+    def failing(*args):
+        _, *pieces = next(step(*args))
         yield (lambda x, i, e: np.full(x.shape, np.nan), *pieces)
 
-    monkeypatch.setattr(M, "_theta_gapped", failing_theta)
+    monkeypatch.setattr(M, name, failing)
 
 
 def test_a_failing_martin_command_integrates_once(monkeypatch):
     # the failing pass raises the boundary values' own failure: no call is
     # rerun to find which step failed first
-    fail_boundary_values(monkeypatch)
+    fail_step(monkeypatch, "_theta_gapped")
     quad, calls = M.si.quad, []
     monkeypatch.setattr(M.si, "quad", lambda *args, **kw: calls.append(1) or quad(*args, **kw))
     with pytest.raises(QuadratureFailure, match="non-finite integrand"):
-        M._report(SQUARE_WAVE, np.array([-5.0, 10.5, 30.0 + 2.0j]), _FIT_K)
+        M._report(SQUARE_WAVE, np.array([-5.0, 10.5, 30.0 + 2.0j]), k_grid=_FIT_K)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("E, want", [(SQUARE_WAVE, (2, 1)), (FREE, (0, 0))],
+                         ids=["square_wave", "free"])
+def test_each_command_makes_one_martin_pass(monkeypatch, tmp_path, E, want):
+    # regularity: the residuals, boundary values and measure in one
+    # quadrature call, the vertical segments in another; dos: the residuals
+    # and the measure in one.  The free set's are closed forms, with none.
+    p = P.PeriodicSquare(0.48186328550012664) if E.gaps else P.Decaying(1.0, 2.0)
+    quad, calls = M.si.quad, []
+    monkeypatch.setattr(M.si, "quad", lambda *args, **kw: calls.append(1) or quad(*args, **kw))
+    R.regularity_report(p, E, R.ReportConfig(x_max=400.0, dos_x=200.0))
+    report_calls = len(calls)
+    config = {"command": "dos", "potential": P.to_json(p), "spectrum": E.to_json(),
+              "params": {"x": 200.0, "lambda_window": [E.b0, E.b0 + 25.0]}}
+    assert cli.run(config, out_dir=str(tmp_path)) == cli.EXIT_OK
+    assert (report_calls, len(calls) - report_calls) == want
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +969,8 @@ def test_free_set_diagnostics_run_no_quadrature(monkeypatch):
     monkeypatch.setattr(M.si, "quad", lambda *a, **kw: calls.append(1) or quad(*a, **kw))
     p = P.Decaying(1.0, 2.0)
     R.regularity_report(p, FREE, R.ReportConfig(x_max=400.0, dos_x=200.0))
-    R.dos_comparison(p, M.GapSet(-1.0), 200.0, (-1.0, 10.0), ())
+    R.dos_comparison(p, 200.0,
+                     M.martin_measure_cdf(M.GapSet(-1.0), (), np.linspace(-1.0, 10.0, 200)))
     assert calls == []
     M.martin_function(ONE_GAP, solved(ONE_GAP).c, 1j)   # a gapped set integrates
     assert calls

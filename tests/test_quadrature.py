@@ -89,6 +89,21 @@ def test_a_non_finite_interval_stops_at_once():
     with pytest.raises(QuadratureFailure, match="non-finite integrand") as failure:
         quad(g, [0.0, -1.0], [1.0, 1.0])
     assert failure.value.values[1] == quad(lambda x, k: 1.0 / (x * x + 1e-6), -1.0, 1.0)
+    # an infinite panel of either sign stops the same way, with no inf - inf
+    # warning from its error estimate
+    for inf in (np.inf, -np.inf):
+        seen = []
+
+        def h(x, k):
+            seen.append(np.count_nonzero(k == 1))
+            return np.where(k == 1, inf, x)
+
+        with pytest.raises(QuadratureFailure, match="non-finite integrand") as failure:
+            quad(h, 0.0, [1.0, 1.0, 2.0])
+        assert sum(seen) == 24
+        values = failure.value.values
+        assert np.isnan(values[1])
+        assert values[[0, 2]].tobytes() == quad(lambda x, k: x, 0.0, [1.0, 2.0]).tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 16, 24])

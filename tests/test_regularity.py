@@ -58,8 +58,8 @@ def test_margin_random_strongly_positive():
 
 
 def test_growth_free_field_checkpoint():
-    g = R.growth_comparison(P.Constant(0.0), FREE, [-1.0], [100.0, 200.0],
-                            c=())
+    g = R.growth_comparison(P.Constant(0.0), FREE, [100.0, 200.0],
+                            M.martin_function(FREE, (), [-1.0]))
     want = 1.0 + math.log((1.0 - math.exp(-400.0)) / 2.0) / 200.0
     assert g.h[0, -1] == pytest.approx(want, abs=1e-9)
     assert g.m[0] == pytest.approx(1.0, abs=1e-10)
@@ -68,15 +68,16 @@ def test_growth_free_field_checkpoint():
 
 def test_growth_rejects_z_near_spectrum():
     with pytest.raises(ValueError):
-        R.growth_comparison(P.Constant(0.0), FREE, [0.05j], [100.0], c=())
+        R.growth_comparison(P.Constant(0.0), FREE, [100.0],
+                            M.martin_function(FREE, (), [0.05j]))
 
 
 def test_growth_lower_bound_direction():
     # finite-scale form of the universal growth bound: h >= M - 0.05
     for p in (P.Decaying(1.0, 2.0), P.OscillatingExample(),
               P.Random(seed=1, cell_width=1.0, low=0.0, high=1.0)):
-        g = R.growth_comparison(p, FREE, [-1.0, -4.0, 1j], [250.0, 500.0],
-                                c=())
+        g = R.growth_comparison(p, FREE, [250.0, 500.0],
+                                M.martin_function(FREE, (), [-1.0, -4.0, 1j]))
         assert np.all(g.h >= g.m[:, None] - 0.05)
 
 
@@ -85,18 +86,21 @@ def test_growth_lower_bound_direction():
 
 
 def test_dos_free_field_close():
-    d = R.dos_comparison(P.Constant(0.0), FREE, 500.0, (0.0, 25.0),
-                         grid=150, c=())
+    d = R.dos_comparison(P.Constant(0.0), 500.0,
+                         M.martin_measure_cdf(FREE, (), np.linspace(0.0, 25.0, 150)))
     assert d.distance <= 0.01
     assert np.all(np.diff(d.rho_x) >= -1e-15)
     assert np.all(np.diff(d.rho_e) >= -1e-12)
 
 
 def test_dos_window_validation():
-    with pytest.raises(ValueError):
-        R.dos_comparison(P.Constant(0.0), FREE, 100.0, (25.0, 0.0), c=())
-    with pytest.raises(ValueError):
-        R.dos_comparison(P.Constant(0.0), FREE, 100.0, (-5.0, 25.0), c=())
+    # a decreasing window, and one below b0: rejected by the measure's grid
+    # check and by the report before it computes anything
+    for window in ((25.0, 0.0), (-5.0, 25.0)):
+        with pytest.raises(ValueError):
+            M.martin_measure_cdf(FREE, (), np.linspace(*window, 100))
+        with pytest.raises(ValueError):
+            R.regularity_report(P.Constant(0.0), FREE, R.ReportConfig(lambda_window=window))
 
 
 def test_dos_gap_count_bound():
@@ -199,20 +203,19 @@ def test_report_verdict_replayable_from_stored_numbers():
 
 def test_report_holds_its_three_diagnostics(monkeypatch):
     p, E, cfg = P.Decaying(1.0, 2.0), M.GapSet(b0=0.0, gaps=((1.0, 2.0),)), small_config()
-    solve, solved_for = M.solve_critical_points, []
-    monkeypatch.setattr(M, "solve_critical_points",
-                        lambda s: solved_for.append(s) or solve(s))
+    roots, solved_for = M._roots, []
+    monkeypatch.setattr(M, "_roots", lambda s: solved_for.append(s) or roots(s))
     rep = R.regularity_report(p, E, cfg)
     assert solved_for == [E]
     assert R.RegularityReport._fields == ("potential", "gap_set", "thresholds",
                                           "inequality", "growth", "dos", "verdict")
-    c = solve(E).c
+    c = M.solve_critical_points(E).c
+    lams = np.linspace(E.b0, E.b0 + 25.0, cfg.dos_points)
     alone = (
         R.universal_inequality_check(p, E, cfg.x_max, c, grid_points=cfg.cesaro_points),
-        R.growth_comparison(p, E, cfg.z_grid, [f * cfg.x_max for f in cfg.growth_fractions],
-                            c, step=cfg.step),
-        R.dos_comparison(p, E, cfg.dos_x, (E.b0, E.b0 + 25.0), c, grid=cfg.dos_points,
-                         step=cfg.step),
+        R.growth_comparison(p, E, [f * cfg.x_max for f in cfg.growth_fractions],
+                            M.martin_function(E, c, cfg.z_grid), step=cfg.step),
+        R.dos_comparison(p, cfg.dos_x, M.martin_measure_cdf(E, c, lams), step=cfg.step),
     )
     for held, own in zip((rep.inequality, rep.growth, rep.dos), alone):
         assert type(held) is type(own)
