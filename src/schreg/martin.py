@@ -30,8 +30,9 @@ density at both ends, the part below the midpoint is taken in t = a + s**2
 and the part above it in t = b - s**2, the edge factor 1/sqrt|t - e| = 1/s
 cancelling exactly against the Jacobian.  Re Theta on an increasing grid
 is a cumulative sum over the band pieces between grid points.  Each
-quantity is a step of `_one_pass`, and `_report` puts a command's steps in
-one pass: their real-axis integrals in one `quadrature.quad` call, the
+quantity is a step of `_one_pass`, whose pieces name their density, and
+`_report` puts a command's steps in one pass: their real-axis integrals in
+one `quadrature.quad` call, with one `_m_density` call a round, the
 vertical segments in another.  A closed form (the free set's) integrates
 nothing, and a pass with nothing to integrate makes no call.  Steps fail
 in order, so a command raises what its separate calls would raise in turn.
@@ -85,23 +86,24 @@ class MartinEvaluation(Record):
 # ---------------------------------------------------------------------------
 # real-axis quadrature (one batched adaptive call per pass)
 
-def _one_pass(*steps):
-    """The values of steps, generators that each yield one set (f, lo, hi,
-    a, b), get back the integrals of f over each [lo[i], hi[i]] inside
-    [a[i], b[i]], where f has inverse-sqrt singularities at a and b (either
-    may be infinite), and return.  A step may return without yielding (a
-    closed form); if none yields, the pass makes no quadrature call.
+def _one_pass(E, c, *steps):
+    """The values of steps, generators that each yield one set of pieces
+    (j, lo, hi, a, b), get back the integrals over each [lo[i], hi[i]]
+    inside [a[i], b[i]] of piece i's density, _m_density(E, c, j[i], ...),
+    which has inverse-sqrt singularities at a and b (either may be
+    infinite), and return.  A step may return without yielding (a closed
+    form); if none yields, the pass makes no quadrature call.
 
     The part below the midpoint of [a, b] is taken in t = a + s**2, the
-    part above it in t = b - s**2.  f(x, i, e) gets points, the index i of
-    the piece each belongs to and the end e (a or b) its substitution
-    starts from, and returns sqrt|x - e| times the integrand: smooth at e,
-    and with the Jacobian 2 s = 2 sqrt|x - e| it gives the exact s-space
-    integrand, with no rounded x - e near e.  The parts of all sets go to
-    one quadrature call piece by piece, so that each set's f gets its own
-    points as one run.  quad keeps each interval's panels to itself, so a
-    step's value is bitwise that of a pass of its own, and so is its
-    failure: steps finish in order, up to the first with a piece quad failed.
+    part above it in t = b - s**2.  The density gets points, each with its
+    piece's index j and the end e (a or b) its substitution starts from,
+    and returns sqrt|x - e| times the integrand: smooth at e, and with the
+    Jacobian 2 s = 2 sqrt|x - e| it gives the exact s-space integrand, with
+    no rounded x - e near e.  The parts of all steps go to one quadrature
+    call, one density call a round.  The density is elementwise and quad
+    keeps each interval's panels to itself, so a step's value is bitwise
+    that of a pass of its own, and so is its failure: steps finish in
+    order, up to the first with a piece quad failed.
     """
     values, sets = [None] * len(steps), {}
     for n, step in enumerate(steps):
@@ -111,24 +113,19 @@ def _one_pass(*steps):
             values[n] = done.value
     if not sets:
         return values
-    ends = [np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in s[1:]))
-            for s in sets.values()]
-    lo, hi, a, b = (np.concatenate([e[r].ravel() for e in ends]) for r in range(4))
-    start = np.cumsum([0] + [e[0].size for e in ends])
+    ends = [np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in s)) for s in sets.values()]
+    j, lo, hi, a, b = (np.concatenate([e[r].ravel() for e in ends]) for r in range(5))
     mid = 0.5 * (a + b)
     inner = np.column_stack([np.minimum(hi, mid), np.maximum(lo, mid)])   # the halves' ends at mid
     # the parts piece by piece, its lower half (side 0) before its upper one
     owner, side = np.nonzero(np.column_stack([lo < inner[:, 0], inner[:, 1] < hi]))
-    local = np.concatenate([np.arange(e[0].size) for e in ends])[owner]   # piece index in its set
     origin, sign = np.column_stack([a, b])[owner, side], 1.0 - 2.0 * side
     s0, s1 = (np.sqrt(np.abs(v[owner, side] - origin)) for v in (np.column_stack([lo, hi]), inner))
-    runs = np.searchsorted(owner, start)   # where each set's parts start
+    j = j.astype(int)[owner]   # each part's density index
 
-    def f(s, k):   # quad gives the points in part order, so a set's are one run
-        e, cut = origin[k], np.searchsorted(k, runs)
-        x, i = e + sign[k] * (s * s), local[k]
-        parts = zip(sets.values(), cut, cut[1:])
-        return 2.0 * np.concatenate([g(x[p:q], i[p:q], e[p:q]) for (g, *_), p, q in parts if q > p])
+    def f(s, k):
+        e = origin[k]
+        return 2.0 * _m_density(E, c, j[k], e + sign[k] * (s * s), e)
 
     try:
         v, failure = si.quad(f, s0, s1, rtol=1e-11, atol=1e-12), None
@@ -137,11 +134,12 @@ def _one_pass(*steps):
             raise
         v, failure = e.values, e
     v = np.bincount(owner, v, lo.size)
-    for n, i, j in zip(sets, start, start[1:]):
-        if failure and np.isnan(v[i:j]).any():   # the first step with a failed piece
+    start = np.cumsum([0] + [e[0].size for e in ends])
+    for n, i, k in zip(sets, start, start[1:]):
+        if failure and np.isnan(v[i:k]).any():   # the first step with a failed piece
             raise failure
         try:
-            steps[n].send(v[i:j])
+            steps[n].send(v[i:k])
         except StopIteration as done:
             values[n] = done.value
     return values
@@ -187,9 +185,20 @@ def _m_density(E, c, j, x, edge):
     """sqrt|x - edge| M'(x) at x[i] in gap j[i]: M' is positive up to c_j,
     negative after.  Gap 0 is (-inf, b0), with c_0 = -inf; j = N + 1 gives
     the band density sqrt|x - edge| Theta'(x + i0) (c = +inf), which is
-    positive and integrates to pi * cdf."""
-    sign = np.sign(np.array([-math.inf, *c, math.inf])[j] - x)
-    return sign * np.abs(_ratio_product(E, c, x, _edge_root(x, edge)))
+    positive and integrates to pi * cdf; j = -1 gives the fit's _excess."""
+    sign = np.sign(np.array([-math.inf, *c, math.inf])[j] - x)   # j = -1 reads +inf
+    v = sign * np.abs(_ratio_product(E, c, x, _edge_root(x, edge)))
+    v[j < 0] = _excess(E, c, x[j < 0])
+    return v
+
+
+def _excess(E, c, t):
+    """sqrt(b0 - t) (M' - the free M') at t < b0: fit_a_from_martin's (r - 1)/2."""
+    d = np.zeros_like(t)
+    for (a, b), cj in zip(E.gaps, c):
+        p, q = cj - a, cj - b
+        d = d + np.log1p(((cj - t) * (p + q) - p * q) / ((a - t) * (b - t)))
+    return 0.5 * np.expm1(0.5 * d)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +231,7 @@ def _gap_residuals(E, c):
     a, b = np.array(E.gaps, dtype=float).reshape(N, 2).T
     # pieces 0..N-1 are signed; N..3N-1 take the bands' sign +1, so |M'|
     j = np.concatenate([np.arange(1, N + 1), np.full(2 * N, N + 1)])
-    v = yield (lambda x, i, edge: _m_density(E, c, j[i], x, edge), np.concatenate([a, a, c]),
-               np.concatenate([b, c, b]), np.tile(a, 3), np.tile(b, 3))
+    v = yield j, np.concatenate([a, a, c]), np.concatenate([b, c, b]), np.tile(a, 3), np.tile(b, 3)
     signed, mass = v[:N], v[N:2 * N] + v[2 * N:]
     return np.divide(signed, mass, out=np.zeros(N), where=mass > 0)
 
@@ -264,7 +272,7 @@ def solve_critical_points(E):
     (b_j - a_j), so NoConvergence means some |r_j| is above
     max(_RESIDUAL_TOL, 4 pi ulp(c_j) / (b_j - a_j)).
     """
-    return _one_pass(_accepted(E, _roots(E)))[0]
+    return _report(E)[0]
 
 
 def _roots(E):
@@ -321,12 +329,11 @@ def _theta_gapped(E, c, x, y):
     a, b = gaps[j, 0], gaps[j, 1]
     near = x[i] - a <= b - x[i]
     q = np.searchsorted(hi[:N], x, side="right")   # x is in band q or the gap below
-    piece = np.concatenate([j, np.full(N + x.size, N + 1)])   # bands: sign +1
-    ends = np.concatenate([   # rows lo, hi, a, b of the pieces:
-        [np.where(near, a, x[i]), np.where(near, x[i], b), a, b],   # M in gaps
-        [lo[:N], hi[:N], lo[:N], hi[:N]],                      # whole bands
-        [lo[q], np.maximum(x, lo[q]), lo[q], hi[q]]], axis=1)   # x's band to x
-    v = yield (lambda t, p, e: _m_density(E, c, piece[p], t, e), *ends)
+    band = np.full(N + x.size, N + 1)   # the bands' density index
+    v = yield np.concatenate([   # rows j, lo, hi, a, b of the pieces:
+        [j, np.where(near, a, x[i]), np.where(near, x[i], b), a, b],   # M in gaps
+        [band[:N], lo[:N], hi[:N], lo[:N], hi[:N]],                     # whole bands
+        [band[N:], lo[q], np.maximum(x, lo[q]), lo[q], hi[q]]], axis=1)   # x's band to x
     theta = np.zeros(x.size, dtype=complex)
     theta.imag[i] = np.where(near, v[:i.size], -v[:i.size])
     mass = np.concatenate([[0.0], np.cumsum(v[i.size:i.size + N])])
@@ -347,7 +354,8 @@ def martin_function(E, c, z):
     """Martin function M(z) = Im Theta(z), Theta(b0) = 0, and Re Theta at
     x + i|y| in a MartinEvaluation; for an array of z, arrays shaped like z,
     each equal to a scalar call's.  M is symmetric under conjugation."""
-    return _one_pass(_martin(E, _check_c(E, c), z))[0]
+    c = _check_c(E, c)
+    return _one_pass(E, c, _martin(E, c, z))[0]
 
 
 def _martin(E, c, z):
@@ -373,13 +381,14 @@ def _report(E, z=None, lams=None, k_grid=None):
     c = _roots(E)
     asked = [(_martin, z), (_cdf, lams), (_fit, k_grid)]
     steps = [step(E, tuple(c), arg) for step, arg in asked if arg is not None]
-    values = iter(_one_pass(_accepted(E, c), *steps))
+    values = iter(_one_pass(E, tuple(c), _accepted(E, c), *steps))
     return (next(values), *(None if arg is None else next(values) for _, arg in asked))
 
 
 def martin_measure_cdf(E, c, lambda_grid):
     """Cumulative Martin (spectral) measure Re Theta / pi on a real grid."""
-    return _one_pass(_cdf(E, _check_c(E, c), lambda_grid))[0]
+    c = _check_c(E, c)
+    return _one_pass(E, c, _cdf(E, c, lambda_grid))[0]
 
 
 def _cdf(E, c, lambda_grid):
@@ -388,8 +397,8 @@ def _cdf(E, c, lambda_grid):
     lams = np.asarray(lambda_grid, dtype=float)
     if lams.ndim != 1 or len(lams) == 0:
         raise ValueError("lambda_grid must be a nonempty 1-d sequence")
-    if not np.all(np.diff(lams) > 0):
-        raise ValueError("lambda_grid must be strictly increasing")
+    if not (np.isfinite(lams).all() and np.all(np.diff(lams) > 0)):
+        raise ValueError("lambda_grid must be finite and strictly increasing")
     check_window((lams[0], math.inf), E)
     if not E.gaps:
         return MeasureCDF(lam=lams, cdf=np.sqrt(np.maximum(lams - E.b0, 0.0)) / math.pi)
@@ -397,8 +406,7 @@ def _cdf(E, c, lambda_grid):
     L = np.maximum(np.concatenate([[E.b0], lams[:-1]])[:, None], bands[:, 0])
     H = np.minimum(lams[:, None], bands[:, 1])
     i, j = np.nonzero(L < H)
-    parts = yield (lambda x, _, e: _m_density(E, c, len(E.gaps) + 1, x, e),
-                   L[i, j], H[i, j], bands[j, 0], bands[j, 1])
+    parts = yield len(E.gaps) + 1, L[i, j], H[i, j], bands[j, 0], bands[j, 1]
     return MeasureCDF(lam=lams, cdf=np.cumsum(np.bincount(i, parts, lams.size)) / math.pi)
 
 
@@ -409,10 +417,10 @@ def fit_a_from_martin(E, c, k_grid):
     Returns the fitted constant: least squares on [1, u], u = 1/k**2, in
     closed form after centering, beta = sum du (y - mean y) / sum du**2
     for du = u - mean u and a = mean y - beta mean u.  The design must be
-    well conditioned: at least two distinct positive k with -k**2 below
-    b0, and lam / sqrt(det) below 1e8, from its Gram matrix's det = n sum
-    du**2, tr = n + sum u**2 and larger eigenvalue lam = (tr + sqrt(tr**2
-    - 4 det)) / 2.
+    well conditioned: at least two distinct finite positive k with -k**2
+    below b0, and lam / sqrt(det) below 1e8, from its Gram matrix's det =
+    n sum du**2, tr = n + sum u**2 and larger eigenvalue lam = (tr +
+    sqrt(tr**2 - 4 det)) / 2.
 
     M(-k**2) - k is not M minus k, whose rounding 2k would amplify, but
     sqrt(b0 + k**2) - k plus the integral of M' less the free M',
@@ -421,27 +429,19 @@ def fit_a_from_martin(E, c, k_grid):
     = prod (1 + d), d = ((c - t)(p + q) - p q) / ((a - t)(b - t)) for
     p = c - a, q = c - b; so r - 1 = expm1(sum log1p(d) / 2).
     """
-    return _one_pass(_fit(E, _check_c(E, c), k_grid))[0]
+    c = _check_c(E, c)
+    return _one_pass(E, c, _fit(E, c, k_grid))[0]
 
 
 def _fit(E, c, k_grid):
-    """fit_a_from_martin as a step of _one_pass."""
+    """fit_a_from_martin as a step of _one_pass; the free set's excess is 0."""
     ks = np.asarray(k_grid, dtype=float)
-    if ks.ndim != 1 or len(ks) < 2 or not np.all(ks > 0):
-        raise FitIllConditioned("k_grid must hold at least two positive values")
+    if ks.ndim != 1 or len(ks) < 2 or not np.all((ks > 0) & (ks < math.inf)):
+        raise FitIllConditioned("k_grid must hold at least two positive finite values")
     if not np.all(-ks * ks < E.b0):
         raise FitIllConditioned("k_grid must put every -k**2 below b0")
-
-    def excess(t, i, e):
-        d = np.zeros_like(t)
-        for (a, b), cj in zip(E.gaps, c):
-            p, q = cj - a, cj - b
-            d = d + np.log1p(((cj - t) * (p + q) - p * q)
-                             / ((a - t) * (b - t)))
-        return 0.5 * np.expm1(0.5 * d)
-
     free = E.b0 / (np.sqrt(E.b0 + ks * ks) + ks)
-    v = yield excess, -ks * ks, E.b0, -math.inf, E.b0
+    v = (yield -1, -ks * ks, E.b0, -math.inf, E.b0) if E.gaps else 0.0
     return _intercept(1.0 / (ks * ks), 2.0 * ks * (v + free))
 
 

@@ -240,8 +240,8 @@ def _offsets(widths, values, z, state=None):
 
 def _walk(p, x0, x1, z, step, state=None):
     """Fold the cells of [x0, x1) at the energies z into state, a chunk at a time."""
-    if not len(z):
-        raise ValueError("energies must be nonempty")
+    if not (z.ndim == 1 and len(z) and np.isfinite(z).all()):
+        raise ValueError("energies must be a nonempty 1-d sequence, all finite")
     for block in potentials.segments(p, x0, x1, step):
         w, v = block.widths, block.values
         if isinstance(block, potentials.RepeatBlock):
@@ -270,11 +270,11 @@ def _spectral_norm(m):
 def transfer_matrix(p, x, z, step=1e-3):
     """Scaled transfer matrix of [0, x] at spectral parameter z.
 
-    x must be positive and finite.  Columns propagate (u', u) initial data;
-    the first column is the Dirichlet solution (u(0)=0, u'(0)=1), the second
-    has u(0)=1, u'(0)=0.  The mantissa is normalized to unit spectral norm.
-    An array of energies shares one pass: m is then indexed [i, j, *z.shape]
-    and log_scale is an array of z's shape.
+    x must be positive and finite, z finite.  Columns propagate (u', u)
+    initial data; the first column is the Dirichlet solution (u(0)=0,
+    u'(0)=1), the second has u(0)=1, u'(0)=0.  The mantissa is normalized
+    to unit spectral norm.  An array of energies shares one pass: m is then
+    indexed [i, j, *z.shape] and log_scale is an array of z's shape.
     """
     _check_step(step)
     if not 0 < x < math.inf:
@@ -302,7 +302,8 @@ def log_growth(p, x, z, step=1e-3):
 def dirichlet_profile(p, x_list, z_list, step=1e-3):
     """Dirichlet data at every (z, x) in one pass over the checkpoints.
 
-    x_list must be finite, positive and nondecreasing.  Returns a SolutionSample
+    x_list must be finite, positive and nondecreasing, and z_list a nonempty
+    1-d sequence of finite energies.  Returns a SolutionSample
     whose fields are arrays indexed [z, x]; all energies share the pass.
     """
     _check_step(step)
@@ -327,8 +328,6 @@ def _counts(p, x, lams, step):
     _check_step(step)
     if not 0 < x < math.inf:
         raise ValueError("x must be positive and finite")
-    if not np.isfinite(lams).all():
-        raise ValueError("energies must be finite")
     return np.concatenate([_walk(p, 0.0, x, lams[lo:lo + _CHUNK], step)[4]
                            for lo in range(0, len(lams), _CHUNK)])
 

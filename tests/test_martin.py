@@ -459,7 +459,7 @@ def test_martin_command_integrals_equal_the_separate_calls(monkeypatch, E):
     quad, calls = M.si.quad, []
     monkeypatch.setattr(M.si, "quad", lambda *args, **kw: calls.append(1) or quad(*args, **kw))
     got_cp, got_ev, got_cdf, got_fit = M._report(E, z, lams, _FIT_K)
-    assert len(calls) == (2 if E.gaps else 1)
+    assert len(calls) == (2 if E.gaps else 0)
     assert bits(*got_cp.c, *got_cp.residuals) == bits(*cp.c, *cp.residuals)
     assert bits(got_ev.value, got_ev.theta_real, got_fit) == bits(ev.value, ev.theta_real, fit)
     assert bits(got_cdf.lam, got_cdf.cdf) == bits(cdf.lam, cdf.cdf)
@@ -473,20 +473,25 @@ def integrals(*pieces):
 
 def test_one_pass_steps_equal_passes_of_their_own():
     # several steps in one pass, one of them with no part to integrate (an
-    # empty piece) and one with a = -inf, each give their value bitwise as a
-    # pass of its own
-    sets = [(lambda x, i, e: np.cos(x) + i, [0.0, 1.0], [0.5, 2.0], [0.0, 1.0], [1.0, 3.0]),
-            (lambda x, i, e: x * x, [1.0], [1.0], [0.0], [2.0]),
-            (lambda x, i, e: np.exp(-x) * (i + 1), [-4.0, 2.0], [1.0, 5.0],
-             [-math.inf, 2.0], [1.0, 5.0])]
-    together = M._one_pass(*(integrals(*s) for s in sets))
-    assert bits(*together) == bits(*(M._one_pass(integrals(*s))[0] for s in sets))
-    assert [v.size for v in together] == [2, 1, 2] and together[1][0] == 0.0
+    # empty piece) and one on gap 0 with a = -inf, each give their value
+    # bitwise as a pass of its own, whatever densities the others name
+    E, N = SQUARE_WAVE, len(SQUARE_WAVE.gaps)
+    c, (a1, b1), (a2, b2) = solved(E).c, *E.gaps[:2]
+    bands = np.array(E.bands())
+    sets = [([1, 2, 1], [a1, a2, c[0]], [c[0], b2, b1], [a1, a2, a1], [b1, b2, b1]),
+            (N + 1, [20.0], [20.0], bands[1, 0], bands[1, 1]),
+            ([0, N + 1, -1], [-4.0, bands[0, 0], -2500.0], [E.b0, 5.0, E.b0],
+             [-math.inf, bands[0, 0], -math.inf], [E.b0, bands[0, 1], E.b0])]
+    together = M._one_pass(E, c, *(integrals(*s) for s in sets))
+    assert bits(*together) == bits(*(M._one_pass(E, c, integrals(*s))[0] for s in sets))
+    assert [v.size for v in together] == [3, 1, 3] and together[1][0] == 0.0
+    assert together[0][0] > 0 > together[0][2] and together[2][0] < 0 < together[2][1]
 
 
 def test_cdf_step_joined_with_residuals_equals_martin_measure_cdf():
     cp, lams = solved(SQUARE_WAVE), np.linspace(SQUARE_WAVE.b0, 150.0, 301)
-    r, cdf = M._one_pass(M._gap_residuals(SQUARE_WAVE, cp.c), M._cdf(SQUARE_WAVE, cp.c, lams))
+    r, cdf = M._one_pass(SQUARE_WAVE, cp.c, M._gap_residuals(SQUARE_WAVE, cp.c),
+                         M._cdf(SQUARE_WAVE, cp.c, lams))
     assert bits(cdf.cdf) == bits(M.martin_measure_cdf(SQUARE_WAVE, cp.c, lams).cdf)
     assert bits(*r) == bits(*cp.residuals)
 
@@ -521,16 +526,25 @@ def test_martin_command_raises_what_the_separate_calls_raise(monkeypatch, failin
     assert str(together.value) == str(alone.value)
 
 
+FAILING = 1 << 20   # a density index of no piece: `fail_step`'s density is nan there
+
+
 def fail_step(monkeypatch, name):
     """Make the integrand of the step `name` nan (the boundary values'
-    `_theta_gapped`, the measure's `_cdf`), so quad fails its pieces."""
-    step = getattr(M, name)
+    `_theta_gapped`, the measure's `_cdf`), so quad fails its pieces: they
+    name the density FAILING, which a patched `_m_density` makes nan."""
+    step, density = getattr(M, name), M._m_density
 
     def failing(*args):
-        _, *pieces = next(step(*args))
-        yield (lambda x, i, e: np.full(x.shape, np.nan), *pieces)
+        _, *ends = next(step(*args))
+        yield (FAILING, *ends)
+
+    def nan_where_failing(E, c, j, x, edge):
+        bad = j == FAILING
+        return np.where(bad, np.nan, density(E, c, np.where(bad, len(E.gaps) + 1, j), x, edge))
 
     monkeypatch.setattr(M, name, failing)
+    monkeypatch.setattr(M, "_m_density", nan_where_failing)
 
 
 def test_a_failing_martin_command_integrates_once(monkeypatch):
@@ -559,6 +573,39 @@ def test_each_command_makes_one_martin_pass(monkeypatch, tmp_path, E, want):
               "params": {"x": 200.0, "lambda_window": [E.b0, E.b0 + 25.0]}}
     assert cli.run(config, out_dir=str(tmp_path)) == cli.EXIT_OK
     assert (report_calls, len(calls) - report_calls) == want
+
+
+@pytest.mark.parametrize("command", ["martin", "regularity", "dos"])
+def test_a_gapped_pass_evaluates_the_density_once_a_round(monkeypatch, tmp_path, command):
+    # every step of the pass names its pieces' density, and the real-axis
+    # quad call evaluates them all in one `_m_density` call a round; the
+    # vertical segments (martin, regularity) make a call of their own
+    p, E = P.PeriodicSquare(0.48186328550012664), SQUARE_WAVE
+    quad, density, rounds, evaluations = M.si.quad, M._m_density, [], []
+
+    def counted_quad(f, *args, **kw):
+        call = []
+        rounds.append(call)
+
+        def g(x, k):
+            before = len(evaluations)
+            v = f(x, k)
+            call.append(len(evaluations) - before)
+            return v
+
+        return quad(g, *args, **kw)
+
+    monkeypatch.setattr(M.si, "quad", counted_quad)
+    monkeypatch.setattr(M, "_m_density", lambda *args: evaluations.append(1) or density(*args))
+    params = {"martin": {"z_grid": [[-5.0, 0.0], [10.5, 0.0], [30.0, 2.0]], "fit": True},
+              "regularity": {"x_max": 400.0, "dos_x": 200.0},
+              "dos": {"x": 200.0, "lambda_window": [E.b0, E.b0 + 25.0]}}[command]
+    config = {"command": command, "potential": P.to_json(p), "spectrum": E.to_json(),
+              "params": params}
+    assert cli.run(config, out_dir=str(tmp_path)) == cli.EXIT_OK
+    assert len(rounds) == (1 if command == "dos" else 2)
+    assert rounds[0] and set(rounds[0]) == {1}
+    assert all(set(call) == {0} for call in rounds[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +639,7 @@ def quadpack_residuals(E, c):
 ])
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_gap_residuals_match_quadpack_with_break_point(E, c):
-    got, = M._one_pass(M._gap_residuals(E, c))
+    got, = M._one_pass(E, c, M._gap_residuals(E, c))
     want = quadpack_residuals(E, c)
     assert np.all(np.abs(want) > 1e-3)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
@@ -635,7 +682,7 @@ def test_gap_flatness_takes_few_quadrature_rounds(monkeypatch):
         return density(*args)
 
     monkeypatch.setattr(M, "_m_density", counted)
-    assert max(abs(*M._one_pass(M._gap_residuals(E, c)))) <= 1e-10
+    assert max(abs(*M._one_pass(E, c, M._gap_residuals(E, c)))) <= 1e-10
     assert 1 <= len(calls) <= 4
 
 
@@ -744,7 +791,7 @@ def test_free_set_closed_form_matches_the_quadrature_route():
         E = M.GapSet(b0)
         zs = np.array([b0 + d for d in FREE_OFFSETS])
         ev = M.martin_function(E, (), zs)
-        q, = M._one_pass(M._theta_gapped(E, (), zs.real, np.abs(zs.imag)))
+        q, = M._one_pass(E, (), M._theta_gapped(E, (), zs.real, np.abs(zs.imag)))
         assert np.all(np.abs(ev.value - q.imag) <= 1e-15 * np.abs(q.imag))
         assert np.all(np.abs(ev.theta_real - q.real) <= 1e-15 * np.abs(q.real))
 

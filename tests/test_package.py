@@ -184,7 +184,17 @@ def _input_checks():
          "finite"),
         ("z_grid_nan", lambda: M.check_z_grid([complex(math.nan, 1.0)], one_gap), ValueError,
          "finite"),
-    ]
+        ("profile_scalar_z", lambda: PR.dirichlet_profile(free, [1.0], -1.0), ValueError, "1-d"),
+        ("cdf_grid_inf", lambda: M.martin_measure_cdf(one_gap, (1.5,), [0.5, math.inf]),
+         ValueError, "lambda_grid must be finite"),
+        ("fit_k_inf", lambda: M.fit_a_from_martin(one_gap, (1.5,), [50.0, math.inf]),
+         FitIllConditioned, "finite"),
+    ] + [(f"{name}_at_z_{z}", lambda call=call, z=z: call(wave, 1.0, z), ValueError, "finite")
+         for z in (math.nan, math.inf, -math.inf, complex(math.nan, 1.0))
+         for name, call in [("transfer_matrix", PR.transfer_matrix),
+                            ("dirichlet_solution", PR.dirichlet_solution),
+                            ("log_growth", PR.log_growth),
+                            ("profile", lambda p, x, z: PR.dirichlet_profile(p, [x], [z]))]]
 
 
 @pytest.mark.parametrize("call, error, message",
